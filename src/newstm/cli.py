@@ -266,8 +266,8 @@ _ARTIFACTS: dict[str, tuple[str, str]] = {
     "timeline": ("timeline.csv", "ingest"),
     "vocab": ("vocab.json", "preprocess"),
     "bows": ("bows.jsonl", "preprocess"),
-    "model_static": ("model_static.json", "train --mode static"),
-    "model_dtm": ("model_dtm.json", "train --mode dtm"),
+    "model_static": ("model_static.newstm", "train --mode static"),
+    "model_dtm": ("model_dtm.newstm", "train --mode dtm"),
     "coherence": ("coherence.json", "report"),
     "overlap": ("overlap.json", "report"),
     "intertopic": ("intertopic.csv", "report"),

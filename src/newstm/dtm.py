@@ -2,7 +2,7 @@
 
 Slice 0 trains as plain LDA; each later slice reuses the previous slice's
 topic-word estimate in two ways: as word-prior pseudo-counts
-(eta_t = eta + kappa * V * beta_prev, prior scale constant 1) and, when
+(eta_t = eta + kappa * V * beta_prev) and, when
 warm_start is on, as the distribution the initial assignments are sampled
 from. Topic identity across slices therefore comes from the chain itself;
 there is no post-hoc alignment step. With kappa=0 and warm_start=False the
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,12 +23,12 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.lda import LdaHyperparams, TopicSummary, top_words, train_lda
+from newstm.modelfile import read_model, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
 logger = logging.getLogger(__name__)
 
-# Scale applied to the carried-over pseudo-counts; documented and fixed.
-ETA_SCALE = 1.0
+_FORMAT = "newstm-dtm"
 
 
 @dataclass
@@ -126,7 +125,7 @@ def train_dtm(
                 eta_kw = None
                 init_beta = None
             else:
-                eta_kw = base_hyper.eta + kappa * vocab_size * ETA_SCALE * prev_beta
+                eta_kw = base_hyper.eta + kappa * vocab_size * prev_beta
                 init_beta = prev_beta if warm_start else None
             model_t = train_lda(bows, vocab_size, hyper_t, eta_kw=eta_kw, init_beta=init_beta)
             beta_t, theta_t = model_t.beta, model_t.theta
@@ -232,22 +231,16 @@ def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
 
 
 def save_dtm(model: DtmModel, path: str | Path) -> None:
-    """Versioned JSON export mirroring the static model format."""
-    payload = {
-        "format": "newstm-dtm",
-        "version": 1,
+    """Write the model as a binary model file (see `newstm.modelfile`).
+
+    All slice thetas go into one array of stacked rows; the header records
+    each slice's row count, so empty slices survive the round trip.
+    """
+    meta = {
         "vocab_size": model.vocab_size,
         "kappa": model.kappa,
         "slice_seeds": model.slice_seeds,
-        "base_hyper": {
-            "k": model.base_hyper.k,
-            "alpha": model.base_hyper.alpha,
-            "eta": model.base_hyper.eta,
-            "iterations": model.base_hyper.iterations,
-            "burn_in": model.base_hyper.burn_in,
-            "thin": model.base_hyper.thin,
-            "seed": model.base_hyper.seed,
-        },
+        "base_hyper": dataclasses.asdict(model.base_hyper),
         "slices": [
             {
                 "index": s.index,
@@ -257,16 +250,16 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
             }
             for s in model.slices
         ],
-        "per_slice_beta": model.per_slice_beta.tolist(),
-        "per_slice_theta": [theta.tolist() for theta in model.per_slice_theta],
+        "theta_rows": [theta.shape[0] for theta in model.per_slice_theta],
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    arrays = {
+        "per_slice_beta": model.per_slice_beta,
+        "per_slice_theta": np.concatenate(model.per_slice_theta),
+    }
+    write_model(path, _FORMAT, meta, arrays)
 
 
-def load_dtm(path: str | Path) -> DtmModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "newstm-dtm":
-        raise ValueError(f"{path}: not a DTM model export")
+def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
     slices = [
         TimeSlice(
             index=int(s["index"]),
@@ -274,18 +267,27 @@ def load_dtm(path: str | Path) -> DtmModel:
             end=datetime.date.fromisoformat(s["end"]),
             doc_ids=tuple(s["doc_ids"]),
         )
-        for s in payload["slices"]
+        for s in meta["slices"]
     ]
-    k = int(payload["base_hyper"]["k"])
+    rows = [int(n) for n in meta["theta_rows"]]
+    thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
+    if not len(slices) == len(rows) == betas.shape[0]:
+        raise ValueError(
+            f"{len(slices)} slices, {len(rows)} theta row counts and {betas.shape[0]} betas"
+        )
+    if min(rows, default=0) < 0 or sum(rows) != thetas.shape[0]:
+        raise ValueError(f"theta row counts {rows} do not add up to {thetas.shape[0]} rows")
     return DtmModel(
         slices=slices,
-        per_slice_beta=np.asarray(payload["per_slice_beta"], dtype=np.float64),
-        per_slice_theta=[
-            np.asarray(theta, dtype=np.float64).reshape(-1, k)
-            for theta in payload["per_slice_theta"]
-        ],
-        kappa=float(payload["kappa"]),
-        base_hyper=LdaHyperparams(**payload["base_hyper"]),
-        slice_seeds=[int(s) for s in payload["slice_seeds"]],
-        vocab_size=int(payload["vocab_size"]),
+        per_slice_beta=betas,
+        per_slice_theta=np.split(thetas, np.cumsum(rows)[:-1]),
+        kappa=float(meta["kappa"]),
+        base_hyper=LdaHyperparams(**meta["base_hyper"]),
+        slice_seeds=[int(s) for s in meta["slice_seeds"]],
+        vocab_size=int(meta["vocab_size"]),
     )
+
+
+def load_dtm(path: str | Path) -> DtmModel:
+    """Read a model written by `save_dtm`; a malformed file raises ValueError."""
+    return read_model(path, _FORMAT, "newstm train --mode dtm", _model_from_file)

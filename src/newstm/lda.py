@@ -14,7 +14,7 @@ the numba/numpy kernel backends.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,9 +23,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newstm._kernels import gibbs_sweep, infer_sweep
+from newstm.modelfile import read_model, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
 logger = logging.getLogger(__name__)
+
+_FORMAT = "newstm-lda"
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,32 @@ def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.
     return z
 
 
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if len(arrays) else np.zeros(0, dtype=np.int64)
+
+
+def _count_matrices(
+    doc_ids: np.ndarray,
+    word_ids: np.ndarray,
+    z: np.ndarray,
+    n_docs: int,
+    k: int,
+    vocab_size: int,
+):
+    """The doc-topic, topic-word and topic counts (n_dk, n_kw, n_k) of an assignment.
+
+    Raises ValueError when a topic or word id is out of range, as in a
+    malformed model file.
+    """
+    for name, ids, bound in (("topic", z, k), ("word", word_ids, vocab_size)):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError(f"{name} ids must lie in 0..{bound - 1}")
+    n_dk = np.bincount(doc_ids * k + z, minlength=n_docs * k).reshape(n_docs, k)
+    n_kw = np.bincount(z * vocab_size + word_ids, minlength=k * vocab_size).reshape(k, vocab_size)
+    n_dk, n_kw = n_dk.astype(np.int64, copy=False), n_kw.astype(np.int64, copy=False)
+    return n_dk, n_kw, n_kw.sum(axis=1)
+
+
 def _run_chain(
     doc_ids: np.ndarray,
     word_ids: np.ndarray,
@@ -160,12 +189,7 @@ def _run_chain(
     else:
         z = _sample_topics_from_beta(np.asarray(init_beta, dtype=np.float64), word_ids, rng)
 
-    n_dk = np.zeros((n_docs, k), dtype=np.int64)
-    n_kw = np.zeros((k, vocab_size), dtype=np.int64)
-    n_k = np.zeros(k, dtype=np.int64)
-    np.add.at(n_dk, (doc_ids, z), 1)
-    np.add.at(n_kw, (z, word_ids), 1)
-    np.add.at(n_k, z, 1)
+    n_dk, n_kw, n_k = _count_matrices(doc_ids, word_ids, z, n_docs, k, vocab_size)
 
     doc_lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
     alpha = float(hyper.alpha)
@@ -359,16 +383,13 @@ def audit_counts(model: LdaModel, atol: float = 1e-9) -> None:
     """
     if model.assignments is None or model.word_ids is None:
         raise ValueError("model carries no assignments to audit")
-    z = np.concatenate(model.assignments) if model.assignments else np.zeros(0, np.int64)
+    n_docs = len(model.assignments)
     lengths = np.array([a.size for a in model.assignments], dtype=np.int64)
-    doc_ids = np.repeat(np.arange(len(model.assignments), dtype=np.int64), lengths)
-    k, v = model.n_topics, model.vocab_size
-    n_dk = np.zeros((len(model.assignments), k), dtype=np.int64)
-    n_kw = np.zeros((k, v), dtype=np.int64)
-    n_k = np.zeros(k, dtype=np.int64)
-    np.add.at(n_dk, (doc_ids, z), 1)
-    np.add.at(n_kw, (z, model.word_ids), 1)
-    np.add.at(n_k, z, 1)
+    doc_ids = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    z = _concat(model.assignments)
+    n_dk, n_kw, n_k = _count_matrices(
+        doc_ids, model.word_ids, z, n_docs, model.n_topics, model.vocab_size
+    )
     if not np.array_equal(n_dk, model.n_dk):
         raise ValueError("n_dk is inconsistent with the stored assignments")
     if not np.array_equal(n_kw, model.n_kw):
@@ -384,65 +405,39 @@ def audit_counts(model: LdaModel, atol: float = 1e-9) -> None:
 
 
 def save_lda(model: LdaModel, path: str | Path, include_assignments: bool = True) -> None:
-    """Serialize as versioned JSON; floats keep full precision via repr round-trip."""
-    payload = {
-        "format": "newstm-lda",
-        "version": 1,
-        "vocab_size": model.vocab_size,
-        "hyper": {
-            "k": model.hyper.k,
-            "alpha": model.hyper.alpha,
-            "eta": model.hyper.eta,
-            "iterations": model.hyper.iterations,
-            "burn_in": model.hyper.burn_in,
-            "thin": model.hyper.thin,
-            "seed": model.hyper.seed,
-        },
-        "doc_lengths": model.doc_lengths.tolist(),
-        "beta": model.beta.tolist(),
-        "theta": model.theta.tolist(),
-        "assignments": (
-            [a.tolist() for a in model.assignments]
-            if include_assignments and model.assignments is not None
-            else None
-        ),
-        "word_ids": (
-            model.word_ids.tolist()
-            if include_assignments and model.word_ids is not None
-            else None
-        ),
-    }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    """Write the model as a binary model file (see `newstm.modelfile`).
+
+    With assignments the file also holds the flat topic assignments `z` and
+    the token stream `word_ids`, from which `load_lda` rebuilds the counts.
+    """
+    arrays = {"beta": model.beta, "theta": model.theta, "doc_lengths": model.doc_lengths}
+    if include_assignments and model.assignments is not None and model.word_ids is not None:
+        arrays["z"] = _concat(model.assignments)
+        arrays["word_ids"] = model.word_ids
+    meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
+    write_model(path, _FORMAT, meta, arrays)
 
 
-def load_lda(path: str | Path) -> LdaModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "newstm-lda":
-        raise ValueError(f"{path}: not an LDA model export")
-    hyper = LdaHyperparams(**payload["hyper"])
-    beta = np.asarray(payload["beta"], dtype=np.float64)
-    theta = np.asarray(payload["theta"], dtype=np.float64)
-    doc_lengths = np.asarray(payload["doc_lengths"], dtype=np.int64)
-    vocab_size = int(payload["vocab_size"])
-    assignments = None
-    word_ids = None
-    n_dk = n_kw = n_k = None
-    if payload.get("assignments") is not None:
-        assignments = [np.asarray(a, dtype=np.int64) for a in payload["assignments"]]
-        word_ids = np.asarray(payload["word_ids"], dtype=np.int64)
-        z = np.concatenate(assignments) if assignments else np.zeros(0, np.int64)
-        lengths = np.array([a.size for a in assignments], dtype=np.int64)
-        doc_ids = np.repeat(np.arange(len(assignments), dtype=np.int64), lengths)
-        k = hyper.k
-        n_dk = np.zeros((len(assignments), k), dtype=np.int64)
-        n_kw = np.zeros((k, vocab_size), dtype=np.int64)
-        n_k = np.zeros(k, dtype=np.int64)
-        np.add.at(n_dk, (doc_ids, z), 1)
-        np.add.at(n_kw, (z, word_ids), 1)
-        np.add.at(n_k, z, 1)
+def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
+    hyper = LdaHyperparams(**meta["hyper"])
+    vocab_size = int(meta["vocab_size"])
+    doc_lengths = arrays["doc_lengths"]
+    assignments = word_ids = n_dk = n_kw = n_k = None
+    if "z" in arrays:
+        z, word_ids = arrays["z"], arrays["word_ids"]
+        if not z.size == word_ids.size == int(doc_lengths.sum()):
+            raise ValueError(
+                f"z has {z.size} and word_ids {word_ids.size} tokens, "
+                f"doc_lengths sum to {int(doc_lengths.sum())}"
+            )
+        doc_ids = np.repeat(np.arange(doc_lengths.size, dtype=np.int64), doc_lengths)
+        n_dk, n_kw, n_k = _count_matrices(
+            doc_ids, word_ids, z, doc_lengths.size, hyper.k, vocab_size
+        )
+        assignments = np.split(z, np.cumsum(doc_lengths)[:-1])
     return LdaModel(
-        beta=beta,
-        theta=theta,
+        beta=arrays["beta"],
+        theta=arrays["theta"],
         assignments=assignments,
         n_dk=n_dk,
         n_kw=n_kw,
@@ -452,3 +447,8 @@ def load_lda(path: str | Path) -> LdaModel:
         doc_lengths=doc_lengths,
         word_ids=word_ids,
     )
+
+
+def load_lda(path: str | Path) -> LdaModel:
+    """Read a model written by `save_lda`; a malformed file raises ValueError."""
+    return read_model(path, _FORMAT, "newstm train --mode static", _model_from_file)

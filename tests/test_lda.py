@@ -256,7 +256,7 @@ def test_load_without_assignments_supports_diagnostics(tmp_path):
     save_lda(model, path, include_assignments=False)
     loaded = load_lda(path)
     assert loaded.assignments is None
-    assert json.loads(path.read_text())["assignments"] is None
+    assert not {"z", "word_ids"} & {a["name"] for a in json.loads(path.read_bytes().partition(b"\n")[0])["arrays"]}
     top_words(loaded, 0, 5)
     perplexity(loaded, bows)
     with pytest.raises(ValueError):
