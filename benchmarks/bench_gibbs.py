@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the collapsed-Gibbs sweep kernel: numba backend vs numpy fallback.
+"""Benchmark the collapsed-Gibbs chain kernel: numba backend vs numpy fallback.
 
-The "numpy" row times `_gibbs_sweep_lists`, the kernel newstm runs when numba
-is absent or NEWSTM_NO_NUMBA=1; the "numba" row times `_gibbs_sweep_py`
-compiled with @njit. Both run on identical inputs and give bitwise-equal
-outputs (see newstm._kernels); only throughput differs. Numbers are printed
-as tokens/second per full sweep, after a warmup that absorbs JIT compilation.
+Each row runs its sweeps as one chain call, as training does between
+retained sweeps. The "numpy" row times `_gibbs_chain_lists`, the kernel
+newstm runs when numba is absent or NEWSTM_NO_NUMBA=1; the "numba" row
+times `gibbs_chain` when the numba backend is active. Both
+run on identical inputs and give bitwise-equal outputs (see
+newstm._kernels); only throughput differs. Numbers are printed as
+tokens/second per full sweep, after a warmup that absorbs JIT compilation.
 Runs from a checkout:
 
     python3 benchmarks/bench_gibbs.py
@@ -36,18 +38,16 @@ def build_state(n_tokens: int, n_docs: int, vocab_size: int, k: int, seed: int =
     return doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_kw.sum(axis=1), rng
 
 
-def run_backend(name, sweep_fn, n_tokens, n_docs, vocab_size, k, n_sweeps, n_warmup):
+def run_backend(name, chain_fn, n_tokens, n_docs, vocab_size, k, n_sweeps, n_warmup):
     doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = build_state(
         n_tokens, n_docs, vocab_size, k
     )
     probs = np.empty(k)
-    for _ in range(n_warmup):
-        uniforms = rng.random(n_tokens)
-        sweep_fn(doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.5, eta_kw, eta_sum, uniforms, probs)
+    state = (doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.5, eta_kw, eta_sum)
+    if n_warmup:
+        chain_fn(*state, (rng.random(n_tokens) for _ in range(n_warmup)), probs)
     started = time.perf_counter()
-    for _ in range(n_sweeps):
-        uniforms = rng.random(n_tokens)
-        sweep_fn(doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.5, eta_kw, eta_sum, uniforms, probs)
+    chain_fn(*state, (rng.random(n_tokens) for _ in range(n_sweeps)), probs)
     elapsed = time.perf_counter() - started
     rate = n_tokens * n_sweeps / elapsed
     print(
@@ -69,12 +69,7 @@ def main() -> None:
 
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    from newstm._kernels import _gibbs_sweep_lists, _gibbs_sweep_py
-
-    try:
-        import numba
-    except ImportError:
-        numba = None
+    from newstm import _kernels
 
     print(
         f"corpus: {args.tokens} tokens, {args.docs} docs, "
@@ -83,7 +78,7 @@ def main() -> None:
 
     numpy_time = run_backend(
         "numpy",
-        _gibbs_sweep_lists,
+        _kernels._gibbs_chain_lists,
         args.tokens,
         args.docs,
         args.vocab,
@@ -91,13 +86,12 @@ def main() -> None:
         args.numpy_sweeps,
         n_warmup=0,
     )
-    if numba is None:
-        print("  numba  not installed; fallback only")
+    if _kernels.BACKEND != "numba":
+        print("  numba  not installed or NEWSTM_NO_NUMBA=1; fallback only")
         return
-    jit_sweep = numba.njit(cache=True)(_gibbs_sweep_py)
     numba_time = run_backend(
         "numba",
-        jit_sweep,
+        _kernels.gibbs_chain,
         args.tokens,
         args.docs,
         args.vocab,

@@ -1,14 +1,18 @@
 """Gibbs-sampling inner loops.
 
 `_gibbs_sweep_py` and `_infer_sweep_py` are the reference kernels, written
-over NumPy arrays so that numba's @njit can compile them. Run uncompiled,
-they index the arrays one scalar at a time, so the fallback used without
-numba is a second pair, `_gibbs_sweep_lists` and `_infer_sweep_lists`: the
-same signatures and in-place contract, and the same floating-point
-operations in the same order, on Python lists converted on entry and
-written back before returning. Both backends consume pre-drawn uniforms and
-produce bitwise-identical results. Set NEWSTM_NO_NUMBA=1 to force the
-fallback; `BACKEND` reports which path is active ("numba" or "numpy").
+over NumPy arrays so that numba's @njit can compile them. The entry points
+callers use are `gibbs_chain` and `infer_chain`: the same state as one
+sweep, but in place of one uniform array an iterable that yields one per
+sweep, so a run of sweeps is one call. With numba they loop over the
+compiled sweep. Without it, the uncompiled array kernels would index the
+arrays one scalar at a time, so the fallback is `_gibbs_chain_lists` and
+`_infer_chain_lists`: the same floating-point operations in the same order,
+on Python lists converted once per call, not once per sweep, and written
+back before returning. `gibbs_sweep` and `infer_sweep` are one-sweep calls of
+the active backend. Both backends produce bitwise-identical results. Set
+NEWSTM_NO_NUMBA=1 to force the fallback; `BACKEND` reports which path is
+active ("numba" or "numpy").
 """
 
 import os
@@ -89,15 +93,18 @@ def _infer_sweep_py(word_ids, z, m_k, beta, alpha, uniforms, probs):
         m_k[k_new] += 1
 
 
-def _gibbs_sweep_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
-    # _gibbs_sweep_py on Python lists. Each factor of the conditional is kept
-    # as a float term (count + prior), refreshed from the integer count
-    # whenever that count changes, so every weight is the same float product
-    # and quotient as in _gibbs_sweep_py. The running sums of the weights
-    # equal both its `total` and its `acc` sequences.
+def _gibbs_chain_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+    # Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields, on
+    # Python lists converted on entry and written back once on return. Each
+    # factor of the conditional is kept as a float term (count + prior),
+    # refreshed from the integer count whenever that count changes, so every
+    # weight is the same float product and quotient as in _gibbs_sweep_py.
+    # The running sums of the weights equal both its `total` and its `acc`
+    # sequences.
     if doc_ids.shape[0] == 0:
         return  # nothing to write back, no weights for probs, and n_dk may have no rows
     last = n_kw.shape[0] - 1
+    tokens = list(zip(doc_ids.tolist(), word_ids.tolist()))
     zs = z.tolist()
     doc_counts = n_dk.tolist()
     word_counts = n_kw.T.tolist()
@@ -107,73 +114,107 @@ def _gibbs_sweep_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta
     doc_terms = [[c + alpha for c in row] for row in doc_counts]
     word_terms = [list(map(add, c, e)) for c, e in zip(word_counts, word_eta)]
     topic_terms = list(map(add, topic_counts, topic_eta))
-    for i, (d, w, u) in enumerate(zip(doc_ids.tolist(), word_ids.tolist(), uniforms.tolist())):
-        dc, wc, dt, wt, we = doc_counts[d], word_counts[w], doc_terms[d], word_terms[w], word_eta[w]
-        k = zs[i]
-        dc[k] -= 1
-        wc[k] -= 1
-        topic_counts[k] -= 1
-        dt[k] = dc[k] + alpha
-        wt[k] = wc[k] + we[k]
-        topic_terms[k] = topic_counts[k] + topic_eta[k]
+    weights = None
+    for sweep_uniforms in uniforms:
+        for i, ((d, w), u) in enumerate(zip(tokens, sweep_uniforms.tolist())):
+            dc, wc, dt, wt, we = doc_counts[d], word_counts[w], doc_terms[d], word_terms[w], word_eta[w]
+            k = zs[i]
+            dc[k] -= 1
+            wc[k] -= 1
+            topic_counts[k] -= 1
+            dt[k] = dc[k] + alpha
+            wt[k] = wc[k] + we[k]
+            topic_terms[k] = topic_counts[k] + topic_eta[k]
 
-        weights = list(map(truediv, map(mul, dt, wt), topic_terms))
-        cum = list(accumulate(weights))
-        r = u * cum[-1]
-        k = last
-        for j, acc in enumerate(cum):
-            if r < acc:
-                k = j
-                break
-
-        zs[i] = k
-        dc[k] += 1
-        wc[k] += 1
-        topic_counts[k] += 1
-        dt[k] = dc[k] + alpha
-        wt[k] = wc[k] + we[k]
-        topic_terms[k] = topic_counts[k] + topic_eta[k]
-    z[:] = zs
-    n_dk[:] = doc_counts
-    n_kw.T[:] = word_counts
-    n_k[:] = topic_counts
-    probs[:] = weights
-
-
-def _infer_sweep_lists(word_ids, z, m_k, beta, alpha, uniforms, probs):
-    # _infer_sweep_py on Python lists, as _gibbs_sweep_lists. Only the beta
-    # columns of the document's own words are converted.
-    if word_ids.shape[0] == 0:
-        return  # nothing to write back, and no weights for probs
-    n_topics = m_k.shape[0]
-    zs = z.tolist()
-    counts = m_k.tolist()
-    terms = [c + alpha for c in counts]
-    columns = beta.T[word_ids].tolist()
-    for i, (column, u) in enumerate(zip(columns, uniforms.tolist())):
-        k = zs[i]
-        counts[k] -= 1
-        terms[k] = counts[k] + alpha
-
-        weights = list(map(mul, terms, column))
-        cum = list(accumulate(weights))
-        total = cum[-1]
-        if total <= 0.0:
-            k = min(int(u * n_topics), n_topics - 1)
-        else:
-            r = u * total
-            k = n_topics - 1
+            weights = list(map(truediv, map(mul, dt, wt), topic_terms))
+            cum = list(accumulate(weights))
+            r = u * cum[-1]
+            k = last
             for j, acc in enumerate(cum):
                 if r < acc:
                     k = j
                     break
 
-        zs[i] = k
-        counts[k] += 1
-        terms[k] = counts[k] + alpha
+            zs[i] = k
+            dc[k] += 1
+            wc[k] += 1
+            topic_counts[k] += 1
+            dt[k] = dc[k] + alpha
+            wt[k] = wc[k] + we[k]
+            topic_terms[k] = topic_counts[k] + topic_eta[k]
+    z[:] = zs
+    n_dk[:] = doc_counts
+    n_kw.T[:] = word_counts
+    n_k[:] = topic_counts
+    if weights is not None:
+        probs[:] = weights
+
+
+def _infer_chain_lists(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
+    # Repeated _infer_sweep_py on Python lists, as _gibbs_chain_lists. Only the
+    # beta columns of the document's own words are converted, once per call.
+    # After each sweep, acc (if given) gains (m_k + alpha) / (n + K*alpha).
+    n_topics = m_k.shape[0]
+    denom = word_ids.shape[0] + n_topics * alpha
+    zs = z.tolist()
+    counts = m_k.tolist()
+    terms = [c + alpha for c in counts]
+    columns = beta.T[word_ids].tolist()
+    sums = None if acc is None else acc.tolist()
+    weights = None
+    for sweep_uniforms in uniforms:
+        for i, (column, u) in enumerate(zip(columns, sweep_uniforms.tolist())):
+            k = zs[i]
+            counts[k] -= 1
+            terms[k] = counts[k] + alpha
+
+            weights = list(map(mul, terms, column))
+            cum = list(accumulate(weights))
+            total = cum[-1]
+            if total <= 0.0:
+                k = min(int(u * n_topics), n_topics - 1)
+            else:
+                r = u * total
+                k = n_topics - 1
+                for j, c in enumerate(cum):
+                    if r < c:
+                        k = j
+                        break
+
+            zs[i] = k
+            counts[k] += 1
+            terms[k] = counts[k] + alpha
+        if sums is not None:
+            sums = [s + t / denom for s, t in zip(sums, terms)]
     z[:] = zs
     m_k[:] = counts
-    probs[:] = weights
+    if weights is not None:
+        probs[:] = weights
+    if sums is not None:
+        acc[:] = sums
+
+
+def _gibbs_sweep_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+    _gibbs_chain_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, (uniforms,), probs)
+
+
+def _infer_sweep_lists(word_ids, z, m_k, beta, alpha, uniforms, probs):
+    _infer_chain_lists(word_ids, z, m_k, beta, alpha, (uniforms,), probs)
+
+
+def _gibbs_chain_loop(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+    # gibbs_chain on the numba backend: the compiled sweep once per uniform array.
+    for sweep_uniforms in uniforms:
+        gibbs_sweep(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, sweep_uniforms, probs)
+
+
+def _infer_chain_loop(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
+    # infer_chain on the numba backend, with the accumulation of _infer_chain_lists.
+    denom = word_ids.shape[0] + m_k.shape[0] * alpha
+    for sweep_uniforms in uniforms:
+        infer_sweep(word_ids, z, m_k, beta, alpha, sweep_uniforms, probs)
+        if acc is not None:
+            acc += (m_k + alpha) / denom
 
 
 def _numba_enabled() -> bool:
@@ -183,6 +224,8 @@ def _numba_enabled() -> bool:
 BACKEND = "numpy"
 gibbs_sweep = _gibbs_sweep_lists
 infer_sweep = _infer_sweep_lists
+gibbs_chain = _gibbs_chain_lists
+infer_chain = _infer_chain_lists
 
 if _numba_enabled():
     try:
@@ -192,4 +235,6 @@ if _numba_enabled():
     else:
         gibbs_sweep = numba.njit(cache=True)(_gibbs_sweep_py)
         infer_sweep = numba.njit(cache=True)(_infer_sweep_py)
+        gibbs_chain = _gibbs_chain_loop
+        infer_chain = _infer_chain_loop
         BACKEND = "numba"

@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from newstm._kernels import gibbs_sweep, infer_sweep
+from newstm._kernels import gibbs_chain, infer_chain
+# Unused here, but perfbench/spans.py looks these two names up on this module.
+from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
 from newstm.modelfile import read_model, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
@@ -170,6 +172,8 @@ def _run_chain(
     init_beta: np.ndarray | None,
     collect_z: bool,
 ):
+    """Run one chain; return its final state and estimates, or with
+    `collect_z` only the z of every retained sweep (no estimates)."""
     k = hyper.k
     n_tokens = word_ids.size
     rng = np.random.default_rng(hyper.seed)
@@ -194,24 +198,33 @@ def _run_chain(
     doc_lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
     alpha = float(hyper.alpha)
     probs = np.empty(k, dtype=np.float64)
+
+    def run(n_sweeps: int) -> None:
+        uniforms = (rng.random(n_tokens) for _ in range(n_sweeps))
+        gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs)
+
+    # One chain call per block that ends on a retained sweep, then the tail.
+    retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta_acc = np.zeros((k, vocab_size), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
-    retained = 0
     z_samples: list[np.ndarray] = []
-
-    for sweep in range(hyper.iterations):
-        uniforms = rng.random(n_tokens)
-        gibbs_sweep(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs)
-        if sweep >= hyper.burn_in and (sweep - hyper.burn_in) % hyper.thin == 0:
+    done = 0
+    for sweep in retained:
+        run(sweep + 1 - done)
+        done = sweep + 1
+        if collect_z:
+            z_samples.append(z.copy())
+        else:
             beta_acc += (n_kw + eta_kw) / (n_k + eta_sum)[:, None]
             theta_acc += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
-            retained += 1
-            if collect_z:
-                z_samples.append(z.copy())
+    if done < hyper.iterations:
+        run(hyper.iterations - done)
 
-    beta = beta_acc / retained
-    theta = theta_acc / retained
-    return z, n_dk, n_kw, n_k, beta, theta, doc_lengths, z_samples
+    if collect_z:
+        return z_samples
+    beta = beta_acc / len(retained)
+    theta = theta_acc / len(retained)
+    return z, n_dk, n_kw, n_k, beta, theta, doc_lengths
 
 
 def train_lda(
@@ -236,7 +249,7 @@ def train_lda(
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
     doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
-    z, n_dk, n_kw, n_k, beta, theta, doc_lengths, _ = _run_chain(
+    z, n_dk, n_kw, n_k, beta, theta, doc_lengths = _run_chain(
         doc_ids, word_ids, len(bows), vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
     offsets = np.concatenate([[0], np.cumsum(lengths)])
@@ -275,7 +288,7 @@ def posterior_assignment_samples(
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
     doc_ids, word_ids, _ = _expand_bows(bows, vocab_size)
-    *_, z_samples = _run_chain(
+    z_samples = _run_chain(
         doc_ids, word_ids, len(bows), vocab_size, hyper, None, None, collect_z=True
     )
     return np.stack(z_samples), doc_ids, word_ids
@@ -293,25 +306,16 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
         return np.full(k, 1.0 / k)
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    ids = np.fromiter(doc.counts.keys(), dtype=np.int64, count=len(doc.counts))
-    cnt = np.fromiter(doc.counts.values(), dtype=np.int64, count=len(doc.counts))
-    order = np.argsort(ids, kind="stable")
-    ids, cnt = ids[order], cnt[order]
-    if ids[0] < 0 or ids[-1] >= model.vocab_size:
-        raise ValueError(f"document {doc.doc_id!r}: word id out of range")
-    word_ids = np.repeat(ids, cnt)
+    _, word_ids, _ = _expand_bows([doc], model.vocab_size)
     n = word_ids.size
 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, n, dtype=np.int64)
     m_k = np.bincount(z, minlength=k).astype(np.int64)
-    alpha = float(model.hyper.alpha)
     probs = np.empty(k, dtype=np.float64)
     acc = np.zeros(k, dtype=np.float64)
-    for _ in range(sweeps):
-        uniforms = rng.random(n)
-        infer_sweep(word_ids, z, m_k, model.beta, alpha, uniforms, probs)
-        acc += (m_k + alpha) / (n + k * alpha)
+    uniforms = (rng.random(n) for _ in range(sweeps))
+    infer_chain(word_ids, z, m_k, model.beta, float(model.hyper.alpha), uniforms, probs, acc)
     return acc / sweeps
 
 

@@ -11,8 +11,12 @@ from helpers import (
     model_from_beta,
     planted_two_topic_bows,
 )
+from newstm import _kernels
 from newstm.lda import (
     LdaHyperparams,
+    _count_matrices,
+    _expand_bows,
+    _sample_topics_from_beta,
     audit_counts,
     infer_theta,
     load_lda,
@@ -129,6 +133,99 @@ def test_planted_topics_recovered():
         {int(term) for term, _ in top_words(model, k, 5).terms} for k in range(2)
     ]
     assert tops in ([set(supports[0]), set(supports[1])], [set(supports[1]), set(supports[0])])
+
+
+def _per_sweep_chain(bows, vocab_size, hyper, eta_kw=None, init_beta=None):
+    """The sampling loop as it was before chain calls: one array-kernel call
+    per sweep, estimates and z copies taken after each retained sweep."""
+    k = hyper.k
+    doc_ids, word_ids, _ = _expand_bows(bows, vocab_size)
+    rng = np.random.default_rng(hyper.seed)
+    if eta_kw is None:
+        eta_kw = np.full((k, vocab_size), hyper.eta)
+    eta_sum = eta_kw.sum(axis=1)
+    if init_beta is None:
+        z = rng.integers(0, k, word_ids.size, dtype=np.int64)
+    else:
+        z = _sample_topics_from_beta(init_beta, word_ids, rng)
+    n_dk, n_kw, n_k = _count_matrices(doc_ids, word_ids, z, len(bows), k, vocab_size)
+    doc_lengths = np.bincount(doc_ids, minlength=len(bows))
+    alpha = float(hyper.alpha)
+    probs = np.empty(k)
+    beta_acc, theta_acc, z_samples = 0.0, 0.0, []
+    for sweep in range(hyper.iterations):
+        uniforms = rng.random(word_ids.size)
+        _kernels._gibbs_sweep_py(
+            doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs
+        )
+        if sweep >= hyper.burn_in and (sweep - hyper.burn_in) % hyper.thin == 0:
+            beta_acc = beta_acc + (n_kw + eta_kw) / (n_k + eta_sum)[:, None]
+            theta_acc = theta_acc + (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
+            z_samples.append(z.copy())
+    n = len(z_samples)
+    return z, n_dk, n_kw, n_k, beta_acc / n, theta_acc / n, np.stack(z_samples)
+
+
+def _per_sweep_infer(model, doc, sweeps, seed):
+    k = model.n_topics
+    ids = sorted(doc.counts)
+    word_ids = np.repeat(np.array(ids, dtype=np.int64), [doc.counts[i] for i in ids])
+    n = word_ids.size
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, k, n, dtype=np.int64)
+    m_k = np.bincount(z, minlength=k).astype(np.int64)
+    alpha = float(model.hyper.alpha)
+    probs = np.empty(k)
+    acc = np.zeros(k)
+    for _ in range(sweeps):
+        _kernels._infer_sweep_py(word_ids, z, m_k, model.beta, alpha, rng.random(n), probs)
+        acc += (m_k + alpha) / (n + k * alpha)
+    return acc / sweeps
+
+
+@pytest.mark.parametrize(
+    "iterations, burn_in, thin, empty_doc, dtm",
+    [
+        (7, 0, 2, False, False),  # burn_in=0
+        (6, 2, 1, False, False),  # thin=1
+        (11, 2, 3, False, False),  # thin=3, sweeps 9 and 10 are a non-retained tail
+        (1, 0, 1, False, False),  # iterations=1
+        (9, 3, 2, True, False),  # a document with no tokens
+        (8, 2, 3, False, True),  # DTM-style eta_kw and init_beta
+    ],
+)
+def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, dtm):
+    """train_lda, posterior_assignment_samples and infer_theta are bitwise
+    equal to the per-sweep loops over the uncompiled array kernels."""
+    bows, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=5)
+    if empty_doc:
+        bows.insert(3, BowDoc("empty", {}))
+    k = 3 if dtm else 2
+    hyper = LdaHyperparams(
+        k=k, alpha=0.8, eta=0.05, iterations=iterations, burn_in=burn_in, thin=thin, seed=17
+    )
+    eta_kw = init_beta = None
+    if dtm:
+        init_beta = np.random.default_rng(2).dirichlet(np.ones(10), size=k)
+        eta_kw = 0.05 + 10 * init_beta
+    z, n_dk, n_kw, n_k, beta, theta, samples = _per_sweep_chain(
+        bows, 10, hyper, eta_kw, init_beta
+    )
+
+    model = train_lda(bows, 10, hyper, eta_kw=eta_kw, init_beta=init_beta)
+    assert np.array_equal(np.concatenate(model.assignments), z)
+    for got, want in ((model.n_dk, n_dk), (model.n_kw, n_kw), (model.n_k, n_k)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(model.beta, beta)
+    assert np.array_equal(model.theta, theta)
+    if not dtm:
+        got_samples, _, _ = posterior_assignment_samples(bows, 10, hyper)
+        assert np.array_equal(got_samples, samples)
+
+    for doc in (bows[0], BowDoc("repeats", {7: 3, 1: 2, 4: 1})):
+        for sweeps in (1, 7):
+            want = _per_sweep_infer(model, doc, sweeps, seed=sweeps)
+            assert np.array_equal(infer_theta(model, doc, sweeps=sweeps, seed=sweeps), want)
 
 
 def _planted_model(seed=33):
