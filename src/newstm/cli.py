@@ -18,11 +18,13 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from newstm import __version__
 from newstm.corpus import (
@@ -76,33 +78,58 @@ class ValidationError(ValueError):
     """Bad configuration or an unmet stage precondition; maps to exit code 1."""
 
 
-_DEFAULTS: dict[str, dict[str, str]] = {
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
+def _date(raw: str) -> datetime.date:
+    return datetime.date.fromisoformat(raw)
+
+
+def _categories(raw: str) -> tuple[str, ...]:
+    return tuple(tag.strip() for tag in raw.split(",") if tag.strip())
+
+
+_Check = tuple[Callable[[Any], bool], str]
+_AT_LEAST_1: _Check = (lambda v: v >= 1, "must be >= 1")
+
+# section -> key -> (default text, parser, range check or None). A key whose
+# default is empty is optional: empty text means None. The [lda] keys are the
+# field names of LdaHyperparams, which checks their ranges itself. Every other
+# key but corpus.path and [figures] is the name of a RunConfig field.
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any], _Check | None]]] = {
     "corpus": {
-        "path": "",
-        "keep_categories": "inrikes,utrikes",
-        "anchor_day": "17",
-        "first_start": "2020-01-17",
-        "n_slices": "12",
+        "path": ("", Path, None),
+        "keep_categories": ("inrikes,utrikes", _categories, (bool, "must not be empty")),
+        "anchor_day": ("17", int, (lambda v: 1 <= v <= 31, "must be in 1..31")),
+        "first_start": ("2020-01-17", _date, None),
+        "n_slices": ("12", int, _AT_LEAST_1),
     },
     "preprocess": {
-        "stoplist": "",
-        "min_count": "5",
-        "threshold": "10.0",
-        "no_below": "2",
-        "no_above": "0.5",
+        "stoplist": ("", Path, None),
+        "min_count": ("5", int, _AT_LEAST_1),
+        "threshold": ("10.0", _finite_float, None),
+        "no_below": ("2", int, _AT_LEAST_1),
+        "no_above": ("0.5", _finite_float, (lambda v: 0 < v <= 1, "must be in (0, 1]")),
     },
     "lda": {
-        "k": "20",
-        "alpha": "",
-        "eta": "0.01",
-        "iterations": "1000",
-        "burn_in": "200",
-        "thin": "10",
-        "seed": "0",
+        "k": ("20", int, None),
+        "alpha": ("", _finite_float, None),
+        "eta": ("0.01", _finite_float, None),
+        "iterations": ("1000", int, None),
+        "burn_in": ("200", int, None),
+        "thin": ("10", int, None),
+        "seed": ("0", int, None),
     },
-    "dtm": {"kappa": "1.0"},
-    "report": {"top_n": "10", "trajectory_words": "5"},
-    "figures": {"width": "800", "height": "480"},
+    "dtm": {"kappa": ("1.0", _finite_float, (lambda v: v >= 0, "must be >= 0"))},
+    "report": {
+        "top_n": ("10", int, (lambda v: v >= 2, "must be >= 2")),
+        "trajectory_words": ("5", int, _AT_LEAST_1),
+    },
+    "figures": {"width": ("800", int, _AT_LEAST_1), "height": ("480", int, _AT_LEAST_1)},
 }
 
 
@@ -128,19 +155,6 @@ class RunConfig:
     fig_height: int
 
 
-def _coerce(section: str, key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "date":
-            return datetime.date.fromisoformat(raw)
-        raise AssertionError(kind)
-    except ValueError as exc:
-        raise ValidationError(f"config {section}.{key}: cannot parse {raw!r} as {kind}") from exc
-
-
 def load_config(
     config_path: str | Path | None,
     overrides: list[str] | None = None,
@@ -148,115 +162,76 @@ def load_config(
 ) -> RunConfig:
     """Merge defaults, the optional INI file, --set overrides and --seed, then
     validate every stage's parameters up front."""
-    raw = {section: dict(values) for section, values in _DEFAULTS.items()}
-
+    settings: list[tuple[str, str, str, str]] = []  # (origin, section, key, text)
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(config_path, encoding="utf-8")
+        try:
+            read = parser.read(config_path, encoding="utf-8")
+        except configparser.Error as exc:
+            # configparser's own text spans several lines; name the file and line on one.
+            if isinstance(exc, configparser.MissingSectionHeaderError):
+                lineno, fault = exc.lineno, "key before the first [section] header"
+            elif isinstance(exc, configparser.ParsingError):
+                lineno, fault = exc.errors[0][0], "expected [section] or key = value"
+            elif isinstance(exc, configparser.DuplicateOptionError):
+                lineno, fault = exc.lineno, f"duplicate key {exc.section}.{exc.option}"
+            else:  # DuplicateSectionError
+                lineno, fault = exc.lineno, f"duplicate section [{exc.section}]"
+            raise ValidationError(f"config {config_path} line {lineno}: {fault}") from None
         if not read:
             raise ValidationError(f"config file not found: {config_path}")
-        for section in parser.sections():
-            if section not in raw:
-                raise ValidationError(f"config: unknown section [{section}]")
-            for key, value in parser.items(section):
-                if key not in raw[section]:
-                    raise ValidationError(f"config: unknown key {section}.{key}")
-                raw[section][key] = value
-
+        origin = f"config {config_path}"
+        settings += [(origin, s, *item) for s in parser.sections() for item in parser.items(s)]
     for item in overrides or []:
-        head, sep, value = item.partition("=")
-        if not sep or "." not in head:
+        head, sep, text = item.partition("=")
+        section, dot, key = head.partition(".")
+        if not sep or not dot:
             raise ValidationError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
-        section, _, key = head.partition(".")
-        if section not in raw or key not in raw[section]:
-            raise ValidationError(f"--set: unknown key {section}.{key}")
-        raw[section][key] = value
-
+        settings.append(("--set", section, key, text))
     if seed is not None:
-        raw["lda"]["seed"] = str(seed)
+        settings.append(("--seed", "lda", "seed", str(seed)))
 
-    corpus_path = raw["corpus"]["path"].strip()
-    if not corpus_path:
+    raw = {(s, k): spec[0] for s, keys in _SCHEMA.items() for k, spec in keys.items()}
+    for origin, section, key, text in settings:
+        if (section, key) not in raw:
+            raise ValidationError(f"{origin}: unknown key {section}.{key}")
+        raw[section, key] = text
+
+    values: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
+    for (section, key), text in raw.items():
+        default, parse, check = _SCHEMA[section][key]
+        name, text = f"{section}.{key}", text.strip()
+        try:
+            value = parse(text) if text or default else None
+        except ValueError as exc:
+            kind = parse.__name__.strip("_").replace("_", " ")
+            raise ValidationError(f"config {name}: cannot parse {text!r} as {kind}") from exc
+        if check is not None and not check[0](value):
+            raise ValidationError(f"config {name} {check[1]}, got {value!r}")
+        values[section][key] = value
+
+    corpus, figures = values["corpus"], values["figures"]
+    corpus_path = corpus.pop("path")
+    if corpus_path is None:
         raise ValidationError(
             "corpus.path is required (set it in the config file or with --set corpus.path=...)"
         )
-    keep = tuple(
-        tag.strip() for tag in raw["corpus"]["keep_categories"].split(",") if tag.strip()
-    )
-    if not keep:
-        raise ValidationError("corpus.keep_categories must name at least one category")
-
-    anchor_day = _coerce("corpus", "anchor_day", raw["corpus"]["anchor_day"], "int")
-    if not 1 <= anchor_day <= 31:
-        raise ValidationError(f"corpus.anchor_day must be in 1..31, got {anchor_day}")
-    first_start = _coerce("corpus", "first_start", raw["corpus"]["first_start"], "date")
+    first_start, anchor_day = corpus["first_start"], corpus["anchor_day"]
     if first_start != _anchor_in_month(first_start.year, first_start.month, anchor_day):
-        raise ValidationError(
-            f"corpus.first_start {first_start} does not fall on anchor day {anchor_day}"
-        )
-    n_slices = _coerce("corpus", "n_slices", raw["corpus"]["n_slices"], "int")
-    if n_slices < 1:
-        raise ValidationError(f"corpus.n_slices must be >= 1, got {n_slices}")
-
-    min_count = _coerce("preprocess", "min_count", raw["preprocess"]["min_count"], "int")
-    if min_count < 1:
-        raise ValidationError(f"preprocess.min_count must be >= 1, got {min_count}")
-    threshold = _coerce("preprocess", "threshold", raw["preprocess"]["threshold"], "float")
-    no_below = _coerce("preprocess", "no_below", raw["preprocess"]["no_below"], "int")
-    if no_below < 1:
-        raise ValidationError(f"preprocess.no_below must be >= 1, got {no_below}")
-    no_above = _coerce("preprocess", "no_above", raw["preprocess"]["no_above"], "float")
-    if not 0 < no_above <= 1:
-        raise ValidationError(f"preprocess.no_above must be in (0, 1], got {no_above}")
-
-    alpha_raw = raw["lda"]["alpha"].strip()
+        raise ValidationError(f"corpus.first_start {first_start} is not on anchor day {anchor_day}")
     try:
-        hyper = LdaHyperparams(
-            k=_coerce("lda", "k", raw["lda"]["k"], "int"),
-            alpha=_coerce("lda", "alpha", alpha_raw, "float") if alpha_raw else None,
-            eta=_coerce("lda", "eta", raw["lda"]["eta"], "float"),
-            iterations=_coerce("lda", "iterations", raw["lda"]["iterations"], "int"),
-            burn_in=_coerce("lda", "burn_in", raw["lda"]["burn_in"], "int"),
-            thin=_coerce("lda", "thin", raw["lda"]["thin"], "int"),
-            seed=_coerce("lda", "seed", raw["lda"]["seed"], "int"),
-        )
+        hyper = LdaHyperparams(**values["lda"])
     except ValueError as exc:
         raise ValidationError(f"config [lda]: {exc}") from exc
-
-    kappa = _coerce("dtm", "kappa", raw["dtm"]["kappa"], "float")
-    if kappa < 0:
-        raise ValidationError(f"dtm.kappa must be >= 0, got {kappa}")
-    top_n = _coerce("report", "top_n", raw["report"]["top_n"], "int")
-    if top_n < 2:
-        raise ValidationError(f"report.top_n must be >= 2, got {top_n}")
-    trajectory_words = _coerce(
-        "report", "trajectory_words", raw["report"]["trajectory_words"], "int"
-    )
-    if trajectory_words < 1:
-        raise ValidationError(f"report.trajectory_words must be >= 1, got {trajectory_words}")
-    fig_width = _coerce("figures", "width", raw["figures"]["width"], "int")
-    fig_height = _coerce("figures", "height", raw["figures"]["height"], "int")
-    if fig_width <= 0 or fig_height <= 0:
-        raise ValidationError("figures.width and figures.height must be positive")
-
-    stoplist_raw = raw["preprocess"]["stoplist"].strip()
     return RunConfig(
-        corpus_path=Path(corpus_path),
-        keep_categories=keep,
-        anchor_day=anchor_day,
-        first_start=first_start,
-        n_slices=n_slices,
-        stoplist=Path(stoplist_raw) if stoplist_raw else None,
-        min_count=min_count,
-        threshold=threshold,
-        no_below=no_below,
-        no_above=no_above,
+        corpus_path=corpus_path,
+        **corpus,
+        **values["preprocess"],
         hyper=hyper,
-        kappa=kappa,
-        top_n=top_n,
-        trajectory_words=trajectory_words,
-        fig_width=fig_width,
-        fig_height=fig_height,
+        **values["dtm"],
+        **values["report"],
+        fig_width=figures["width"],
+        fig_height=figures["height"],
     )
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, TopicSummary, top_words, train_lda
+from newstm.lda import LdaHyperparams, TopicSummary, _topic_summary, train_lda
 from newstm.modelfile import read_model, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
@@ -98,7 +98,7 @@ def train_dtm(
         raise ValueError("need at least one time slice")
     if k != base_hyper.k:
         raise ValueError(f"K mismatch: requested k={k} but hyperparameters carry k={base_hyper.k}")
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
@@ -173,21 +173,7 @@ def top_words_at(
     """Top terms of one topic at slice t; same contract as the static top_words."""
     if not 0 <= t < model.n_slices:
         raise ValueError(f"slice index {t} out of range for {model.n_slices} slices")
-    # Reuse the static extractor by viewing slice t as a one-off model.
-    from newstm.lda import LdaModel
-
-    view = LdaModel(
-        beta=model.per_slice_beta[t],
-        theta=model.per_slice_theta[t],
-        assignments=None,
-        n_dk=None,
-        n_kw=None,
-        n_k=None,
-        hyper=model.base_hyper,
-        vocab_size=model.vocab_size,
-        doc_lengths=np.zeros(0, dtype=np.int64),
-    )
-    return top_words(view, topic_id, n, vocab)
+    return _topic_summary(model.per_slice_beta[t], topic_id, n, vocab)
 
 
 def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Path) -> None:

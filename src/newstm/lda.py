@@ -50,9 +50,9 @@ class LdaHyperparams:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.k)
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.iterations > self.burn_in >= 0:
             raise ValueError(
@@ -326,6 +326,23 @@ def _top_order(beta_row: np.ndarray, n: int) -> np.ndarray:
     return order[:n]
 
 
+def _topic_summary(
+    beta: np.ndarray, topic_id: int, n: int, vocab: Vocabulary | None
+) -> TopicSummary:
+    """The n highest-probability terms of row `topic_id` of a (k, V) beta."""
+    k, vocab_size = beta.shape
+    if not 0 <= topic_id < k:
+        raise ValueError(f"topic_id {topic_id} out of range for k={k}")
+    if not 1 <= n <= vocab_size:
+        raise ValueError(f"n must be in 1..{vocab_size}, got {n}")
+    row = beta[topic_id]
+    terms = tuple(
+        (vocab.decode(int(i)) if vocab is not None else str(int(i)), float(row[i]))
+        for i in _top_order(row, n)
+    )
+    return TopicSummary(topic_id=topic_id, terms=terms)
+
+
 def top_words(
     model: LdaModel, topic_id: int, n: int, vocab: Vocabulary | None = None
 ) -> TopicSummary:
@@ -333,17 +350,7 @@ def top_words(
 
     Terms are tokens when `vocab` is given, else decimal word-id strings.
     """
-    if not 0 <= topic_id < model.n_topics:
-        raise ValueError(f"topic_id {topic_id} out of range for k={model.n_topics}")
-    if not 1 <= n <= model.vocab_size:
-        raise ValueError(f"n must be in 1..{model.vocab_size}, got {n}")
-    row = model.beta[topic_id]
-    picks = _top_order(row, n)
-    terms = tuple(
-        (vocab.decode(int(i)) if vocab is not None else str(int(i)), float(row[i]))
-        for i in picks
-    )
-    return TopicSummary(topic_id=topic_id, terms=terms)
+    return _topic_summary(model.beta, topic_id, n, vocab)
 
 
 def perplexity(

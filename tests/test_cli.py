@@ -1,10 +1,11 @@
+import configparser
 import json
 import logging
 from pathlib import Path
 
 import pytest
 
-from newstm.cli import ValidationError, load_config, main
+from newstm.cli import _SCHEMA, ValidationError, load_config, main
 
 FAST_SETTINGS = """\
 [preprocess]
@@ -88,6 +89,74 @@ def test_config_validates_values(tmp_path, sample_corpus_path):
     with pytest.raises(ValidationError):
         load_config(config, overrides=["corpus.first_start=2020-01-18"])
     load_config(config, overrides=["corpus.first_start=2020-01-17"])
+
+
+# Values outside each range check of the config table.
+OUT_OF_RANGE = {
+    "corpus.keep_categories": ["", " , "],
+    "corpus.anchor_day": ["0", "32"],
+    "corpus.n_slices": ["0"],
+    "preprocess.min_count": ["0"],
+    "preprocess.no_below": ["0"],
+    "preprocess.no_above": ["0", "1.5"],
+    "dtm.kappa": ["-0.5"],
+    "report.top_n": ["1"],
+    "report.trajectory_words": ["0"],
+    "figures.width": ["0"],
+    "figures.height": ["-1"],
+}
+CHECKED_KEYS = [
+    f"{section}.{key}"
+    for section, keys in _SCHEMA.items()
+    for key, (_, _, check) in keys.items()
+    if check is not None
+]
+
+
+@pytest.mark.parametrize("name", CHECKED_KEYS)
+def test_config_range_checks_name_their_key(name):
+    for value in OUT_OF_RANGE[name]:
+        with pytest.raises(ValidationError, match=rf"config {name} must .*, got "):
+            load_config(None, overrides=["corpus.path=x.jsonl", f"{name}={value}"])
+    assert sorted(OUT_OF_RANGE) == sorted(CHECKED_KEYS)
+
+
+@pytest.mark.parametrize(
+    "setting", ["lda.eta=nan", "dtm.kappa=inf", "preprocess.threshold=nan", "lda.alpha=-inf"]
+)
+def test_config_rejects_non_finite_numbers(setting):
+    name = setting.partition("=")[0]
+    with pytest.raises(ValidationError, match=rf"config {name}: cannot parse"):
+        load_config(None, overrides=["corpus.path=x.jsonl", setting])
+
+
+@pytest.mark.parametrize(
+    ("text", "lineno"),
+    [("k = 4\n[lda]\nk = 6\n", 1), ("[lda]\nk = 4\nthin = 2\nk = 6\n", 4)],
+    ids=["no-section-header", "duplicate-key"],
+)
+def test_malformed_ini_is_a_one_line_validation_error(tmp_path, caplog, text, lineno):
+    config = tmp_path / "bad.ini"
+    config.write_text(text, encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        code = main(["--workspace", str(tmp_path / "ws"), "--config", str(config), "ingest"])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert f"{config} line {lineno}:" in errors[0]
+
+
+def test_readme_config_loads_at_the_defaults_and_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.ini"
+    config.write_text(block, encoding="utf-8")
+    loaded = load_config(config)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    listed = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert listed == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+    assert loaded == load_config(None, overrides=[f"corpus.path={loaded.corpus_path}"])
 
 
 def test_empty_keep_set_fails_before_any_io(tmp_path, sample_corpus_path):

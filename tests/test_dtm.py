@@ -76,6 +76,11 @@ def test_validation_errors():
         train_dtm([], 3, BASE, vocab_size=10)
 
 
+def test_nan_kappa_is_rejected():
+    with pytest.raises(ValueError, match="kappa"):
+        train_dtm(_two_slice_corpus(), 3, BASE, kappa=float("nan"), vocab_size=10)
+
+
 def test_empty_slice_carries_beta_forward_verbatim():
     sliced = _two_slice_corpus()
     sliced.append((_slice_meta(2), []))

@@ -42,6 +42,12 @@ def test_hyperparams_validation():
         LdaHyperparams(k=2, thin=0)
 
 
+@pytest.mark.parametrize("prior", ["alpha", "eta"])
+def test_hyperparams_reject_nan_priors(prior):
+    with pytest.raises(ValueError, match=prior):
+        LdaHyperparams(k=2, **{prior: float("nan")})
+
+
 def test_alpha_defaults_to_fifty_over_k():
     assert LdaHyperparams(k=20).alpha == pytest.approx(2.5)
     assert LdaHyperparams(k=2, alpha=0.7).alpha == 0.7
