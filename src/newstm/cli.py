@@ -235,18 +235,19 @@ def load_config(
     )
 
 
-# Artifact name -> (workspace-relative path, producing subcommand).
-_ARTIFACTS: dict[str, tuple[str, str]] = {
-    "corpus": ("corpus.jsonl", "ingest"),
-    "timeline": ("timeline.csv", "ingest"),
-    "vocab": ("vocab.json", "preprocess"),
-    "bows": ("bows.jsonl", "preprocess"),
-    "model_static": ("model_static.newstm", "train --mode static"),
-    "model_dtm": ("model_dtm.newstm", "train --mode dtm"),
-    "coherence": ("coherence.json", "report"),
-    "overlap": ("overlap.json", "report"),
-    "intertopic": ("intertopic.csv", "report"),
-    "trajectories": ("trajectories.csv", "report"),
+# Artifact name -> (workspace-relative path, producing subcommand, names of the
+# artifacts it is built from). An artifact is stale once any input's hash moves.
+_ARTIFACTS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "corpus": ("corpus.jsonl", "ingest", ()),
+    "timeline": ("timeline.csv", "ingest", ()),
+    "vocab": ("vocab.json", "preprocess", ("corpus",)),
+    "bows": ("bows.jsonl", "preprocess", ("corpus",)),
+    "model_static": ("model_static.newstm", "train --mode static", ("vocab", "bows")),
+    "model_dtm": ("model_dtm.newstm", "train --mode dtm", ("corpus", "vocab", "bows")),
+    "coherence": ("coherence.json", "report", ("model_static", "bows")),
+    "overlap": ("overlap.json", "report", ("model_static", "bows")),
+    "intertopic": ("intertopic.csv", "report", ("model_static", "bows")),
+    "trajectories": ("trajectories.csv", "report", ("model_dtm", "vocab")),
 }
 
 
@@ -258,6 +259,26 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_fault(manifest: Any) -> str | None:
+    """What is wrong with a parsed manifest, or None if it is well formed."""
+    if not isinstance(manifest, dict):
+        return f"expected a JSON object, got {type(manifest).__name__}"
+    if manifest.get("format") != "newstm-workspace" or manifest.get("version") != 1:
+        return "not a version 1 newstm-workspace manifest"
+    artifacts = manifest.get("artifacts")
+    if not isinstance(artifacts, dict):
+        return "no artifacts object"
+    for name, entry in artifacts.items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("path"), str)
+            and isinstance(entry.get("sha256"), str)
+            and isinstance(entry.get("inputs"), dict)
+        ):
+            return f"artifact {name!r} needs a string path, a string sha256 and an inputs object"
+    return None
+
+
 class Workspace:
     """Artifact directory with a hashed manifest and a coarse command lock."""
 
@@ -266,9 +287,22 @@ class Workspace:
         self.manifest_path = self.root / "manifest.json"
 
     def load_manifest(self) -> dict:
+        """The workspace manifest, checked to be one this version wrote."""
         if not self.manifest_path.exists():
             return {"format": "newstm-workspace", "version": 1, "artifacts": {}}
-        return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            fault = f"not valid JSON: {exc}"
+        else:
+            fault = _manifest_fault(manifest)
+        if fault is not None:
+            # ingest loads the manifest too, so the file itself has to go.
+            raise ValidationError(
+                f"workspace manifest {self.manifest_path}: {fault}; "
+                "delete it and re-run from `newstm ingest`"
+            )
+        return manifest
 
     def save_manifest(self, manifest: dict) -> None:
         self.manifest_path.write_text(
@@ -277,22 +311,24 @@ class Workspace:
         )
 
     def path_for(self, name: str) -> Path:
-        relpath, _ = _ARTIFACTS[name]
-        return self.root / relpath
+        return self.root / _ARTIFACTS[name][0]
 
-    def record(self, manifest: dict, name: str, inputs: dict[str, str]) -> None:
-        """Hash the freshly written artifact and remember its input hashes."""
-        path = self.path_for(name)
-        relpath, _ = _ARTIFACTS[name]
-        manifest["artifacts"][name] = {
-            "path": relpath,
-            "sha256": _sha256(path),
-            "inputs": dict(sorted(inputs.items())),
-        }
+    def record(self, manifest: dict, *names: str) -> None:
+        """Hash the freshly written artifacts, note the current hashes of their
+        declared inputs and save the manifest."""
+        artifacts = manifest["artifacts"]
+        for name in names:
+            relpath, _, inputs = _ARTIFACTS[name]
+            artifacts[name] = {
+                "path": relpath,
+                "sha256": _sha256(self.root / relpath),
+                "inputs": {source: artifacts[source]["sha256"] for source in inputs},
+            }
+        self.save_manifest(manifest)
 
     def require(self, manifest: dict, name: str) -> Path:
         """Path of a prerequisite artifact, verified present, unmodified and not stale."""
-        _, producer = _ARTIFACTS[name]
+        _, producer, _ = _ARTIFACTS[name]
         entry = manifest["artifacts"].get(name)
         if entry is None:
             raise ValidationError(f"missing artifact {name!r}: run `newstm {producer}` first")
@@ -305,7 +341,7 @@ class Workspace:
             raise ValidationError(
                 f"artifact {name!r} was modified outside the pipeline: re-run `newstm {producer}`"
             )
-        for input_name, input_hash in entry.get("inputs", {}).items():
+        for input_name, input_hash in entry["inputs"].items():
             current = manifest["artifacts"].get(input_name, {}).get("sha256")
             if current != input_hash:
                 raise ValidationError(
@@ -313,9 +349,6 @@ class Workspace:
                     f"re-run `newstm {producer}`"
                 )
         return path
-
-    def input_hashes(self, manifest: dict, names: list[str]) -> dict[str, str]:
-        return {name: manifest["artifacts"][name]["sha256"] for name in names}
 
     @contextmanager
     def lock(self):
@@ -349,9 +382,7 @@ def cmd_ingest(config: RunConfig, ws: Workspace) -> None:
     manifest = ws.load_manifest()
     save_corpus(filtered, ws.path_for("corpus"))
     write_timeline_csv(series, ws.path_for("timeline"))
-    ws.record(manifest, "corpus", inputs={})
-    ws.record(manifest, "timeline", inputs={})
-    ws.save_manifest(manifest)
+    ws.record(manifest, "corpus", "timeline")
 
 
 def cmd_preprocess(config: RunConfig, ws: Workspace) -> None:
@@ -368,10 +399,7 @@ def cmd_preprocess(config: RunConfig, ws: Workspace) -> None:
     bows = [to_bow(s, vocab) for s in merged]
     write_vocabulary(vocab, ws.path_for("vocab"))
     write_bows(bows, ws.path_for("bows"))
-    inputs = ws.input_hashes(manifest, ["corpus"])
-    ws.record(manifest, "vocab", inputs=inputs)
-    ws.record(manifest, "bows", inputs=inputs)
-    ws.save_manifest(manifest)
+    ws.record(manifest, "vocab", "bows")
 
 
 def cmd_train(config: RunConfig, ws: Workspace, mode: str) -> None:
@@ -381,7 +409,7 @@ def cmd_train(config: RunConfig, ws: Workspace, mode: str) -> None:
     if mode == "static":
         model = train_lda(bows, len(vocab), config.hyper)
         save_lda(model, ws.path_for("model_static"))
-        ws.record(manifest, "model_static", inputs=ws.input_hashes(manifest, ["vocab", "bows"]))
+        ws.record(manifest, "model_static")
     else:
         corpus = load_corpus(ws.require(manifest, "corpus"))
         slices = slice_monthly(
@@ -399,12 +427,7 @@ def cmd_train(config: RunConfig, ws: Workspace, mode: str) -> None:
             sliced, config.hyper.k, config.hyper, config.kappa, vocab_size=len(vocab)
         )
         save_dtm(model, ws.path_for("model_dtm"))
-        ws.record(
-            manifest,
-            "model_dtm",
-            inputs=ws.input_hashes(manifest, ["corpus", "vocab", "bows"]),
-        )
-    ws.save_manifest(manifest)
+        ws.record(manifest, "model_dtm")
 
 
 def cmd_report(config: RunConfig, ws: Workspace) -> None:
@@ -430,14 +453,7 @@ def cmd_report(config: RunConfig, ws: Workspace) -> None:
         all_series.append(trajectory(dtm_model, topic, words, vocab))
     write_trajectory_csv(all_series, ws.path_for("trajectories"))
 
-    eval_inputs = ws.input_hashes(manifest, ["model_static", "bows"])
-    ws.record(manifest, "coherence", inputs=eval_inputs)
-    ws.record(manifest, "overlap", inputs=eval_inputs)
-    ws.record(manifest, "intertopic", inputs=eval_inputs)
-    ws.record(
-        manifest, "trajectories", inputs=ws.input_hashes(manifest, ["model_dtm", "vocab"])
-    )
-    ws.save_manifest(manifest)
+    ws.record(manifest, "coherence", "overlap", "intertopic", "trajectories")
 
 
 def cmd_plot(config: RunConfig, ws: Workspace) -> None:
@@ -446,38 +462,16 @@ def cmd_plot(config: RunConfig, ws: Workspace) -> None:
     manifest = ws.load_manifest()
     figures_dir = ws.root / "figures"
 
+    def spec(title: str, stem: str) -> FigureSpec:
+        return FigureSpec(title, config.fig_width, config.fig_height, figures_dir / f"{stem}.svg")
+
     series = read_timeline_csv(ws.require(manifest, "timeline"))
-    plot_timeline(
-        series,
-        FigureSpec(
-            title="Articles per day",
-            width=config.fig_width,
-            height=config.fig_height,
-            path=figures_dir / "timeline.svg",
-        ),
-    )
-
+    plot_timeline(series, spec("Articles per day", "timeline"))
     topic_map = read_intertopic_csv(ws.require(manifest, "intertopic"))
-    plot_intertopic(
-        topic_map,
-        FigureSpec(
-            title="Intertopic distance map",
-            width=config.fig_width,
-            height=config.fig_height,
-            path=figures_dir / "intertopic.svg",
-        ),
-    )
-
+    plot_intertopic(topic_map, spec("Intertopic distance map", "intertopic"))
     for ts in read_trajectory_csv(ws.require(manifest, "trajectories")):
-        plot_trajectories(
-            ts,
-            FigureSpec(
-                title=f"Topic {ts.topic_id} keyword trajectories",
-                width=config.fig_width,
-                height=config.fig_height,
-                path=figures_dir / f"trajectory_topic_{ts.topic_id}.svg",
-            ),
-        )
+        title = f"Topic {ts.topic_id} keyword trajectories"
+        plot_trajectories(ts, spec(title, f"trajectory_topic_{ts.topic_id}"))
     logger.info("figures written to %s", figures_dir)
 
 

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import datetime
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -98,8 +99,8 @@ def train_dtm(
         raise ValueError("need at least one time slice")
     if k != base_hyper.k:
         raise ValueError(f"K mismatch: requested k={k} but hyperparameters carry k={base_hyper.k}")
-    if not kappa >= 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not (kappa >= 0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
 

@@ -36,11 +36,12 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class IntertopicMap:
-    """2-D topic embedding with prevalence weights and the distance matrix used."""
+    """2-D topic embedding with prevalence weights and, when it is known, the
+    distance matrix used."""
 
     coordinates: np.ndarray  # (k, 2)
     prevalence: np.ndarray  # (k,), sums to 1
-    distances: np.ndarray  # (k, k) symmetric, zero diagonal
+    distances: np.ndarray | None = None  # (k, k) symmetric, zero diagonal; not in the CSV
     degenerate: bool = False
 
 
@@ -214,9 +215,7 @@ def read_intertopic_csv(path: str | Path) -> IntertopicMap:
         for row in reader:
             coords.append([float(row[1]), float(row[2])])
             prev.append(float(row[3]))
-    k = len(coords)
     return IntertopicMap(
         coordinates=np.asarray(coords, dtype=np.float64),
         prevalence=np.asarray(prev, dtype=np.float64),
-        distances=np.zeros((k, k), dtype=np.float64),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,10 +51,10 @@ class LdaHyperparams:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.k)
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if not self.iterations > self.burn_in >= 0:
             raise ValueError(
                 f"need iterations > burn_in >= 0, got {self.iterations} and {self.burn_in}"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from newstm.cli import _SCHEMA, ValidationError, load_config, main
+from newstm.cli import _ARTIFACTS, _SCHEMA, ValidationError, Workspace, load_config, main
 
 FAST_SETTINGS = """\
 [preprocess]
@@ -274,6 +274,64 @@ def test_stale_downstream_artifact_detected(tmp_path, sample_corpus_path, caplog
     assert code == 1
     assert "stale" in caplog.text
     assert "newstm preprocess" in caplog.text
+
+
+INPUT_PAIRS = [(name, source) for name, (_, _, inputs) in _ARTIFACTS.items() for source in inputs]
+
+
+@pytest.mark.parametrize(("name", "source"), INPUT_PAIRS)
+def test_changed_declared_input_makes_artifact_stale(pipeline_ws, name, source):
+    ws, _ = pipeline_ws
+    workspace = Workspace(ws)
+    manifest = workspace.load_manifest()
+    workspace.require(manifest, name)
+    manifest["artifacts"][source]["sha256"] = "0" * 64
+    producer = _ARTIFACTS[name][1]
+    stale = rf"{name!r} is stale: its input {source!r} changed; re-run `newstm {producer}`"
+    with pytest.raises(ValidationError, match=stale):
+        workspace.require(manifest, name)
+
+
+def test_manifest_lists_exactly_the_declared_inputs(pipeline_ws):
+    ws, _ = pipeline_ws
+    artifacts = Workspace(ws).load_manifest()["artifacts"]
+    assert sorted(artifacts) == sorted(_ARTIFACTS)
+    for name, (_, _, inputs) in _ARTIFACTS.items():
+        assert sorted(artifacts[name]["inputs"]) == sorted(inputs), name
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_sha256(text):
+    manifest = json.loads(text)
+    del manifest["artifacts"]["corpus"]["sha256"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate, lambda text: "[]", _drop_sha256], ids=["truncated", "list", "no-sha256"]
+)
+def test_corrupt_manifest_is_a_one_line_validation_error(
+    tmp_path, sample_corpus_path, caplog, corrupt
+):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
+    manifest_path = ws / "manifest.json"
+    manifest_path.write_text(corrupt(manifest_path.read_text(encoding="utf-8")), encoding="utf-8")
+    for command in (["preprocess"], ["ingest"]):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            code = main(["--workspace", str(ws), "--config", str(config), *command])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert f"workspace manifest {manifest_path}: " in errors[0]
+        assert "delete it and re-run from `newstm ingest`" in errors[0]
+        assert all(record.exc_info is None for record in caplog.records)
+        assert "Traceback" not in caplog.text
 
 
 def test_lock_blocks_concurrent_commands(tmp_path, sample_corpus_path):

@@ -77,8 +77,9 @@ def test_validation_errors():
 
 
 def test_nan_kappa_is_rejected():
-    with pytest.raises(ValueError, match="kappa"):
-        train_dtm(_two_slice_corpus(), 3, BASE, kappa=float("nan"), vocab_size=10)
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            train_dtm(_two_slice_corpus(), 3, BASE, kappa=kappa, vocab_size=10)
 
 
 def test_empty_slice_carries_beta_forward_verbatim():

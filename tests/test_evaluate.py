@@ -181,3 +181,4 @@ def test_intertopic_csv_roundtrip(tmp_path):
     loaded = read_intertopic_csv(path)
     assert np.array_equal(loaded.coordinates, topic_map.coordinates)
     assert np.array_equal(loaded.prevalence, topic_map.prevalence)
+    assert loaded.distances is None

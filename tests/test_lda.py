@@ -44,8 +44,9 @@ def test_hyperparams_validation():
 
 @pytest.mark.parametrize("prior", ["alpha", "eta"])
 def test_hyperparams_reject_nan_priors(prior):
-    with pytest.raises(ValueError, match=prior):
-        LdaHyperparams(k=2, **{prior: float("nan")})
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=prior):
+            LdaHyperparams(k=2, **{prior: value})
 
 
 def test_alpha_defaults_to_fifty_over_k():
