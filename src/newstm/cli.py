@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,6 +55,7 @@ from newstm.evaluate import (
     write_overlap_json,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
+from newstm.modelfile import replace_text
 from newstm.preprocess import (
     TokenStream,
     apply_phrases,
@@ -305,10 +305,8 @@ class Workspace:
         return manifest
 
     def save_manifest(self, manifest: dict) -> None:
-        self.manifest_path.write_text(
-            json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
+        replace_text(self.manifest_path, text + "\n")
 
     def path_for(self, name: str) -> Path:
         return self.root / _ARTIFACTS[name][0]
@@ -355,15 +353,13 @@ class Workspace:
         self.root.mkdir(parents=True, exist_ok=True)
         lock_path = self.root / ".lock"
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            lock_path.touch(exist_ok=False)
         except FileExistsError:
             raise RuntimeError(
                 f"workspace {self.root} is locked by another command "
                 f"(remove {lock_path} if stale)"
             ) from None
         try:
-            os.write(fd, f"{os.getpid()}\n".encode())
-            os.close(fd)
             yield
         finally:
             lock_path.unlink(missing_ok=True)

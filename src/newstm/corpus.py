@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import logging
@@ -12,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from newstm.modelfile import read_csv, replacing, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +92,10 @@ class TimeSlice:
 def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     """Load a JSONL corpus file, one article object per line.
 
-    Each record needs id/date/category/title/body fields; dates are ISO-8601
-    days. Malformed records and duplicate ids raise CorpusError naming the
-    offending line. The returned corpus is sorted nondecreasing by date
-    (stable, preserving file order within a day).
+    Each record needs string id/date/category/title/body fields; dates are
+    ISO-8601 days. Malformed records and duplicate ids raise CorpusError
+    naming the offending line. The returned corpus is sorted nondecreasing
+    by date (stable, preserving file order within a day).
     """
     if format != "jsonl":
         raise ValueError(f"unsupported corpus format {format!r}")
@@ -114,13 +115,19 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
             missing = [name for name in _REQUIRED_FIELDS if name not in record]
             if missing:
                 raise CorpusError(f"{path}: line {lineno}: missing fields {missing}")
+            for name in _REQUIRED_FIELDS:
+                if not isinstance(record[name], str):
+                    raise CorpusError(
+                        f"{path}: line {lineno}: field {name!r} must be a string, "
+                        f"got {json.dumps(record[name])[:40]}"
+                    )
             try:
-                when = datetime.date.fromisoformat(str(record["date"]))
+                when = datetime.date.fromisoformat(record["date"])
             except ValueError as exc:
                 raise CorpusError(
                     f"{path}: line {lineno}: unparseable date {record['date']!r}"
                 ) from exc
-            doc_id = str(record["id"])
+            doc_id = record["id"]
             if doc_id in seen:
                 raise CorpusError(
                     f"{path}: line {lineno}: duplicate id {doc_id!r} "
@@ -132,9 +139,9 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
                     Document(
                         id=doc_id,
                         date=when,
-                        category=str(record["category"]),
-                        title=str(record["title"]),
-                        body=str(record["body"]),
+                        category=record["category"],
+                        title=record["title"],
+                        body=record["body"],
                     )
                 )
             except ValueError as exc:
@@ -146,7 +153,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as canonical JSONL (fixed field order, UTF-8, no escaping)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         for doc in corpus:
             fh.write(
                 json.dumps(
@@ -238,20 +245,11 @@ def articles_per_day(corpus: Corpus) -> list[tuple[datetime.date, int]]:
 
 
 def write_timeline_csv(series: list[tuple[datetime.date, int]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "count"])
-        for day, count in series:
-            writer.writerow([day.isoformat(), count])
+    write_csv(path, ("date", "count"), ((day.isoformat(), count) for day, count in series))
 
 
 def read_timeline_csv(path: str | Path) -> list[tuple[datetime.date, int]]:
-    series: list[tuple[datetime.date, int]] = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "count"]:
-            raise ValueError(f"{path}: expected 'date,count' header, got {header}")
-        for row in reader:
-            series.append((datetime.date.fromisoformat(row[0]), int(row[1])))
-    return series
+    return [
+        (datetime.date.fromisoformat(day), int(count))
+        for day, count in read_csv(path, ("date", "count"))
+    ]

@@ -11,7 +11,6 @@ chain degenerates into independent per-slice LDA runs, bitwise.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime
 import logging
@@ -24,7 +23,7 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.lda import LdaHyperparams, TopicSummary, _topic_summary, train_lda
-from newstm.modelfile import read_model, write_model
+from newstm.modelfile import read_csv, read_model, write_csv, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -179,38 +178,24 @@ def top_words_at(
 
 def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Path) -> None:
     """CSV export, one row per (word, slice): topic,word,slice_start,probability."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "word", "slice_start", "probability"])
-        for ts in series_list:
-            for word in ts.words:
-                for label, prob in zip(ts.slice_labels, ts.series[word]):
-                    writer.writerow([ts.topic_id, word, label, repr(float(prob))])
+    rows = (
+        (ts.topic_id, word, label, repr(float(prob)))
+        for ts in series_list
+        for word in ts.words
+        for label, prob in zip(ts.slice_labels, ts.series[word])
+    )
+    write_csv(path, ("topic", "word", "slice_start", "probability"), rows)
 
 
 def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
-    rows: list[tuple[int, str, str, float]] = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["topic", "word", "slice_start", "probability"]:
-            raise ValueError(f"{path}: unexpected trajectory header {header}")
-        for row in reader:
-            rows.append((int(row[0]), row[1], row[2], float(row[3])))
+    grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}  # in first-seen order
+    for topic, word, label, prob in read_csv(path, ("topic", "word", "slice_start", "probability")):
+        grouped.setdefault(int(topic), {}).setdefault(word, []).append((label, float(prob)))
     out: list[TrajectorySeries] = []
-    topic_order: list[int] = []
-    grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}
-    for topic, word, label, prob in rows:
-        if topic not in grouped:
-            grouped[topic] = {}
-            topic_order.append(topic)
-        grouped[topic].setdefault(word, []).append((label, prob))
-    for topic in topic_order:
-        words = tuple(grouped[topic].keys())
-        labels = tuple(label for label, _ in grouped[topic][words[0]])
-        series = {
-            w: np.array([p for _, p in grouped[topic][w]], dtype=np.float64) for w in words
-        }
+    for topic, by_word in grouped.items():
+        words = tuple(by_word)
+        labels = tuple(label for label, _ in by_word[words[0]])
+        series = {w: np.array([p for _, p in by_word[w]], dtype=np.float64) for w in words}
         out.append(
             TrajectorySeries(topic_id=topic, words=words, series=series, slice_labels=labels)
         )

@@ -6,7 +6,6 @@ here mutates model state.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -17,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from newstm.lda import LdaModel, _top_order
+from newstm.modelfile import read_csv, replace_text, write_csv
 from newstm.preprocess import BowDoc
 
 logger = logging.getLogger(__name__)
@@ -175,7 +175,7 @@ def write_coherence_json(report: CoherenceReport, path: str | Path) -> None:
         "skipped_pairs": report.skipped_pairs,
         "per_topic": list(report.per_topic),
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    replace_text(path, json.dumps(payload, ensure_ascii=False))
 
 
 def write_overlap_json(matrix: np.ndarray, top_n: int, path: str | Path) -> None:
@@ -185,37 +185,21 @@ def write_overlap_json(matrix: np.ndarray, top_n: int, path: str | Path) -> None
         "top_n": top_n,
         "jaccard": matrix.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    replace_text(path, json.dumps(payload, ensure_ascii=False))
 
 
 def write_intertopic_csv(topic_map: IntertopicMap, path: str | Path) -> None:
     """CSV export: topic,x,y,prevalence; full float precision."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "x", "y", "prevalence"])
-        for k in range(topic_map.coordinates.shape[0]):
-            writer.writerow(
-                [
-                    k,
-                    repr(float(topic_map.coordinates[k, 0])),
-                    repr(float(topic_map.coordinates[k, 1])),
-                    repr(float(topic_map.prevalence[k])),
-                ]
-            )
+    rows = (
+        (k, repr(float(x)), repr(float(y)), repr(float(p)))
+        for k, ((x, y), p) in enumerate(zip(topic_map.coordinates, topic_map.prevalence))
+    )
+    write_csv(path, ("topic", "x", "y", "prevalence"), rows)
 
 
 def read_intertopic_csv(path: str | Path) -> IntertopicMap:
-    coords: list[list[float]] = []
-    prev: list[float] = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["topic", "x", "y", "prevalence"]:
-            raise ValueError(f"{path}: unexpected intertopic header {header}")
-        for row in reader:
-            coords.append([float(row[1]), float(row[2])])
-            prev.append(float(row[3]))
+    rows = list(read_csv(path, ("topic", "x", "y", "prevalence")))
     return IntertopicMap(
-        coordinates=np.asarray(coords, dtype=np.float64),
-        prevalence=np.asarray(prev, dtype=np.float64),
+        coordinates=np.asarray([[float(x), float(y)] for _, x, y, _ in rows], dtype=np.float64),
+        prevalence=np.asarray([float(p) for *_, p in rows], dtype=np.float64),
     )

@@ -95,6 +95,20 @@ class TopicSummary:
     terms: tuple[tuple[str, float], ...]
 
 
+def _bow_arrays(bow: BowDoc, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word ids and counts of a nonempty document, in its dict order,
+    checked to be ids in 0..vocab_size-1 and counts >= 1."""
+    ids = np.fromiter(bow.counts.keys(), dtype=np.int64, count=len(bow.counts))
+    cnt = np.fromiter(bow.counts.values(), dtype=np.int64, count=len(bow.counts))
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise ValueError(
+            f"document {bow.doc_id!r}: word id out of range for vocab_size={vocab_size}"
+        )
+    if (cnt < 1).any():
+        raise ValueError(f"document {bow.doc_id!r}: counts must be >= 1")
+    return ids, cnt
+
+
 def _expand_bows(bows: Sequence[BowDoc], vocab_size: int):
     """Flatten bag-of-words docs into parallel doc-index/word-id token arrays.
 
@@ -104,17 +118,9 @@ def _expand_bows(bows: Sequence[BowDoc], vocab_size: int):
     per_doc: list[np.ndarray] = []
     for bow in bows:
         if bow.counts:
-            ids = np.fromiter(bow.counts.keys(), dtype=np.int64, count=len(bow.counts))
-            cnt = np.fromiter(bow.counts.values(), dtype=np.int64, count=len(bow.counts))
+            ids, cnt = _bow_arrays(bow, vocab_size)
             order = np.argsort(ids, kind="stable")
-            ids, cnt = ids[order], cnt[order]
-            if ids[0] < 0 or ids[-1] >= vocab_size:
-                raise ValueError(
-                    f"document {bow.doc_id!r}: word id out of range for vocab_size={vocab_size}"
-                )
-            if (cnt < 1).any():
-                raise ValueError(f"document {bow.doc_id!r}: counts must be >= 1")
-            per_doc.append(np.repeat(ids, cnt))
+            per_doc.append(np.repeat(ids[order], cnt[order]))
         else:
             per_doc.append(np.zeros(0, dtype=np.int64))
     lengths = np.array([arr.size for arr in per_doc], dtype=np.int64)
@@ -373,8 +379,8 @@ def perplexity(
     for d, bow in enumerate(bows):
         if not bow.counts:
             continue
-        ids = np.fromiter(bow.counts.keys(), dtype=np.int64, count=len(bow.counts))
-        cnt = np.fromiter(bow.counts.values(), dtype=np.float64, count=len(bow.counts))
+        ids, counts = _bow_arrays(bow, model.vocab_size)
+        cnt = counts.astype(np.float64)
         p = theta[d] @ model.beta[:, ids]
         if (p <= 0).any():
             raise ValueError(

@@ -1,4 +1,8 @@
-"""Binary model files shared by the static and dynamic models.
+"""Binary model files, and the one write path for every workspace file.
+
+`replacing` writes a file as `.<name>.<pid>.tmp` beside it, renames it into
+place once complete and deletes it on any failure, so a crash never leaves
+part of a file. There is no fsync: a power loss can still lose a write.
 
 A model file is one line of UTF-8 JSON followed by the model's arrays, each
 in `.npy` format (`numpy.lib.format`), in the order the header lists them:
@@ -9,17 +13,17 @@ in `.npy` format (`numpy.lib.format`), in the order the header lists them:
 
 Arrays are stored C-ordered and little-endian, as `<f8` or `<i8`, and read
 with `allow_pickle=False`. The `.npy` header is a pure function of dtype and
-shape, so the same model always gives the same bytes. A file is written to a
-temporary file in the target directory and renamed into place, so a failed
-write leaves the previous file untouched.
+shape, so the same model always gives the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.format import read_array, write_array
@@ -30,11 +34,51 @@ _DTYPES = {"f": "<f8", "i": "<i8"}  # numpy dtype kind -> stored dtype
 T = TypeVar("T")
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str, **open_args) -> Iterator[IO]:
+    """Open a temporary file to write; rename it to `path` on success, else delete it."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def replace_text(path: str | Path, text: str) -> None:
+    """Atomically write `text` to `path` as UTF-8."""
+    with replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Atomically write a header row, then `rows` as they are produced."""
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path, header: Sequence[str]) -> Iterator[list[str]]:
+    """Yield the rows after a first row that must be `header`."""
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != list(header):
+            raise ValueError(f"{path}: expected a {','.join(header)!r} header, got {found}")
+        for row in reader:
+            if len(row) != len(header):
+                n = reader.line_num
+                raise ValueError(f"{path} line {n}: expected {len(header)} fields, got {len(row)}")
+            yield row
+
+
 def write_model(
     path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]
 ) -> None:
     """Atomically write `meta` and the named float/int arrays to `path`."""
-    path = Path(path)
     stored = {
         name: np.ascontiguousarray(arr, dtype=_DTYPES[arr.dtype.kind])
         for name, arr in arrays.items()
@@ -48,16 +92,10 @@ def write_model(
             for name, arr in stored.items()
         ],
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-            for arr in stored.values():
-                write_array(fh, arr, version=(1, 0), allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        for arr in stored.values():
+            write_array(fh, arr, version=(1, 0), allow_pickle=False)
 
 
 def read_model(

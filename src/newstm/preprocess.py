@@ -17,6 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from newstm.modelfile import replace_text, replacing
+
 logger = logging.getLogger(__name__)
 
 # Unicode letters/digits (underscore excluded); hyphens survive only inside a token.
@@ -228,7 +230,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
         "tokens": vocab.token_to_id,
         "document_frequency": {str(i): df for i, df in enumerate(vocab.document_frequency)},
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    replace_text(path, json.dumps(payload, ensure_ascii=False))
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
@@ -255,7 +257,7 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 def write_bows(bows: Iterable[BowDoc], path: str | Path) -> None:
     """One JSON object per line: {"doc_id": ..., "counts": {word_id: count}}."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         for bow in bows:
             record = {
                 "doc_id": bow.doc_id,

@@ -18,6 +18,7 @@ import numpy as np
 
 from newstm.dtm import TrajectorySeries
 from newstm.evaluate import IntertopicMap
+from newstm.modelfile import replace_text
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +76,7 @@ def _finish(spec: FigureSpec, body: list[str]) -> str:
     if spec.path is not None:
         out = Path(spec.path)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg, encoding="utf-8")
+        replace_text(out, svg)
         logger.info("wrote %s", out)
     return svg
 

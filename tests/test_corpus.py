@@ -1,4 +1,5 @@
 import datetime
+import re
 
 import pytest
 
@@ -73,6 +74,29 @@ def test_load_missing_field_names_line(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, ['{"id": "a", "date": "2020-01-05", "category": "inrikes"}'])
     with pytest.raises(CorpusError, match="line 1.*missing fields"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", "7"),
+        ("date", "20200105"),
+        ("category", '["inrikes"]'),
+        ("title", "null"),
+        ("body", '{"text": "b"}'),
+        ("title", "false"),
+    ],
+)
+def test_load_non_string_field_names_line_and_field(tmp_path, field, value):
+    record = {"id": '"b"', "date": '"2020-01-06"', "category": '"inrikes"'}
+    record.update({"title": '"t"', "body": '"b"', field: value})
+    bad = "{" + ", ".join(f'"{name}": {text}' for name, text in record.items()) + "}"
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [_record("a", "2020-01-05"), bad])
+    with pytest.raises(
+        CorpusError, match=rf"line 2: field '{field}' must be a string, got {re.escape(value)}$"
+    ):
         load_corpus(path)
 
 

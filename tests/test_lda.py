@@ -314,6 +314,27 @@ def test_perplexity_single_topic_is_unigram_cross_entropy():
     assert perplexity(model, corpus) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({-1: 2}, "word id out of range for vocab_size=3"),
+        ({3: 1}, "word id out of range for vocab_size=3"),
+        ({0: 2, 1: -1}, "counts must be >= 1"),
+        ({0: 0}, "counts must be >= 1"),
+    ],
+    ids=["negative-id", "id-at-vocab-size", "negative-count", "zero-count"],
+)
+def test_perplexity_rejects_bad_word_ids_and_counts(counts, message):
+    model = model_from_beta(np.array([[0.5, 0.3, 0.2]]), theta=np.ones((2, 1)))
+    corpus = [BowDoc("good", {0: 1}), BowDoc("bad", counts)]
+    with pytest.raises(ValueError, match=f"^document 'bad': {message}$"):
+        perplexity(model, corpus)
+    # _expand_bows, which feeds training and inference, rejects the same input
+    # with the same words.
+    with pytest.raises(ValueError, match=f"^document 'bad': {message}$"):
+        _expand_bows(corpus, 3)
+
+
 def test_trained_model_beats_unigram_baseline():
     model, bows, _, _ = _planted_model()
     # Unigram baseline: one topic holding the corpus-wide word frequencies.

@@ -1,16 +1,43 @@
+import ast
 import datetime
 import json
 import logging
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import planted_two_topic_bows
 from newstm import modelfile
 from newstm.cli import Workspace, _sha256, main
-from newstm.corpus import TimeSlice
-from newstm.dtm import load_dtm, save_dtm, train_dtm
+from newstm.corpus import (
+    Corpus,
+    Document,
+    TimeSlice,
+    read_timeline_csv,
+    save_corpus,
+    write_timeline_csv,
+)
+from newstm.dtm import (
+    TrajectorySeries,
+    load_dtm,
+    read_trajectory_csv,
+    save_dtm,
+    train_dtm,
+    write_trajectory_csv,
+)
+from newstm.evaluate import (
+    CoherenceReport,
+    IntertopicMap,
+    read_intertopic_csv,
+    write_coherence_json,
+    write_intertopic_csv,
+    write_overlap_json,
+)
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
+from newstm.preprocess import BowDoc, TokenStream, build_vocabulary, write_bows, write_vocabulary
+from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
 HYPER = LdaHyperparams(k=3, alpha=0.8, eta=0.05, iterations=6, burn_in=2, thin=2, seed=5)
@@ -151,3 +178,137 @@ def test_cli_exits_2_on_old_json_model(tmp_path, sample_corpus_path, models, cap
     assert all(record.exc_info is None for record in caplog.records)
     assert "Traceback" not in caplog.text
 
+
+
+DAY = datetime.date(2020, 1, 17)
+
+# Every writer of a workspace file, each writing a small valid artifact to `path`.
+WRITERS = {
+    "save_corpus": lambda path, models: save_corpus(
+        Corpus((Document("a", DAY, "inrikes", "t", "b"),)), path
+    ),
+    "write_timeline_csv": lambda path, models: write_timeline_csv([(DAY, 1)], path),
+    "write_vocabulary": lambda path, models: write_vocabulary(
+        build_vocabulary([TokenStream("a", ("x", "y"))], no_below=1, no_above=1.0), path
+    ),
+    "write_bows": lambda path, models: write_bows([BowDoc("a", {0: 1})], path),
+    "write_coherence_json": lambda path, models: write_coherence_json(
+        CoherenceReport((0.5,), 0.5, 2, 0), path
+    ),
+    "write_overlap_json": lambda path, models: write_overlap_json(np.eye(2), 2, path),
+    "write_intertopic_csv": lambda path, models: write_intertopic_csv(
+        IntertopicMap(np.zeros((2, 2)), np.full(2, 0.5)), path
+    ),
+    "write_trajectory_csv": lambda path, models: write_trajectory_csv(
+        [TrajectorySeries(0, ("x",), {"x": np.ones(1)}, (DAY.isoformat(),))], path
+    ),
+    "svg": lambda path, models: plot_timeline([(DAY, 1)], FigureSpec("t", path=path)),
+    "save_manifest": lambda path, models: Workspace(path.parent).save_manifest(
+        {"format": "newstm-workspace", "version": 1, "artifacts": {}}
+    ),
+    "save_lda": lambda path, models: save_lda(models["lda"][0], path),
+    "save_dtm": lambda path, models: save_dtm(models["dtm"][0], path),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_rename_keeps_previous_artifact(tmp_path, models, monkeypatch, writer):
+    # Named for the one writer whose file name is fixed; the others take any path.
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"old bytes\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modelfile.os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            WRITERS[writer](path, models)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    WRITERS[writer](path, models)
+    assert path.read_bytes() != b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize(
+    "read, lines, fields",
+    [
+        (read_timeline_csv, ["date,count", "2020-01-17,1", "2020-01-18"], 1),
+        (
+            read_trajectory_csv,
+            ["topic,word,slice_start,probability", "0,x,2020-01-17,0.5", "0,x"],
+            2,
+        ),
+        (read_intertopic_csv, ["topic,x,y,prevalence", "0,0.0,0.0,0.5", "1,0.0"], 2),
+    ],
+    ids=["timeline", "trajectory", "intertopic"],
+)
+def test_csv_reader_rejects_short_row(tmp_path, read, lines, fields):
+    path = tmp_path / "table.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    columns = lines[0].count(",") + 1
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path} line 3: expected {columns} fields, got {fields}"
+
+
+_OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_TRUNC", "O_CREAT"}
+
+
+def _file_writes(source: str) -> list[int]:
+    """Line numbers of calls in `source` that open a file for writing, call
+    write_text or write_bytes, or rename with os.replace or os.rename."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+        if name in ("write_text", "write_bytes") or (on_os and name in ("replace", "rename")):
+            lines.append(node.lineno)
+        elif on_os and name == "open":
+            flags = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if flags & _OS_WRITE_FLAGS:
+                lines.append(node.lineno)
+        elif name == "open":
+            # open(path, mode) or path.open(mode); a mode that is not a
+            # constant could be a write mode.
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                or set(m.value) & set("wax+")
+                for m in modes
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_modelfile_writes_files():
+    package = Path(modelfile.__file__).parent
+    writes = {
+        path.name: _file_writes(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    # The scan finds modelfile's own temp-file open and rename.
+    assert len(writes.pop("modelfile.py")) >= 2
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    for snippet in (
+        "open(p, 'w')",
+        "p.open(mode='ab')",
+        "p.open(m)",
+        "p.write_text(t)",
+        "os.replace(a, b)",
+        "os.open(p, os.O_CREAT | os.O_EXCL)",
+    ):
+        assert _file_writes(snippet) == [1], snippet
+    for snippet in (
+        "open(p)",
+        "p.open('rb')",
+        "p.open(encoding='utf-8')",
+        "os.open(p, os.O_RDONLY)",
+    ):
+        assert _file_writes(snippet) == [], snippet
