@@ -55,7 +55,7 @@ from newstm.evaluate import (
     write_overlap_json,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
-from newstm.modelfile import replace_text
+from newstm.modelfile import remove_stray_temps, replace_text
 from newstm.preprocess import (
     TokenStream,
     apply_phrases,
@@ -285,6 +285,7 @@ class Workspace:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.manifest_path = self.root / "manifest.json"
+        self.figures_dir = self.root / "figures"
 
     def load_manifest(self) -> dict:
         """The workspace manifest, checked to be one this version wrote."""
@@ -360,6 +361,9 @@ class Workspace:
                 f"(remove {lock_path} if stale)"
             ) from None
         try:
+            # Holding the lock, no other command can be writing here.
+            remove_stray_temps(self.root)
+            remove_stray_temps(self.figures_dir)
             yield
         finally:
             lock_path.unlink(missing_ok=True)
@@ -369,12 +373,6 @@ def cmd_ingest(config: RunConfig, ws: Workspace) -> None:
     corpus = load_corpus(config.corpus_path)
     series = articles_per_day(corpus)  # publication timeline over the full load
     filtered = filter_by_category(corpus, config.keep_categories)
-    slices = slice_monthly(filtered, config.anchor_day, config.first_start, config.n_slices)
-    logger.info(
-        "slice sizes: %s (total %d)",
-        [len(s) for s in slices],
-        sum(len(s) for s in slices),
-    )
     manifest = ws.load_manifest()
     save_corpus(filtered, ws.path_for("corpus"))
     write_timeline_csv(series, ws.path_for("timeline"))
@@ -411,14 +409,11 @@ def cmd_train(config: RunConfig, ws: Workspace, mode: str) -> None:
         slices = slice_monthly(
             corpus, config.anchor_day, config.first_start, config.n_slices
         )
+        sizes = [len(s) for s in slices]
+        logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
         by_id = {bow.doc_id: bow for bow in bows}
-        try:
-            sliced = [(s, [by_id[doc_id] for doc_id in s.doc_ids]) for s in slices]
-        except KeyError as exc:
-            raise RuntimeError(
-                f"document {exc.args[0]!r} has no bag-of-words vector; "
-                "re-run `newstm preprocess`"
-            ) from exc
+        # require() checked bows against this corpus, and preprocess wrote one per document.
+        sliced = [(s, [by_id[doc_id] for doc_id in s.doc_ids]) for s in slices]
         model = train_dtm(
             sliced, config.hyper.k, config.hyper, config.kappa, vocab_size=len(vocab)
         )
@@ -456,18 +451,24 @@ def cmd_plot(config: RunConfig, ws: Workspace) -> None:
     from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
     manifest = ws.load_manifest()
-    figures_dir = ws.root / "figures"
+    series = read_timeline_csv(ws.require(manifest, "timeline"))
+    topic_map = read_intertopic_csv(ws.require(manifest, "intertopic"))
+    trajectories = read_trajectory_csv(ws.require(manifest, "trajectories"))
+    figures_dir = ws.figures_dir
 
     def spec(title: str, stem: str) -> FigureSpec:
         return FigureSpec(title, config.fig_width, config.fig_height, figures_dir / f"{stem}.svg")
 
-    series = read_timeline_csv(ws.require(manifest, "timeline"))
     plot_timeline(series, spec("Articles per day", "timeline"))
-    topic_map = read_intertopic_csv(ws.require(manifest, "intertopic"))
     plot_intertopic(topic_map, spec("Intertopic distance map", "intertopic"))
-    for ts in read_trajectory_csv(ws.require(manifest, "trajectories")):
+    for ts in trajectories:
         title = f"Topic {ts.topic_id} keyword trajectories"
         plot_trajectories(ts, spec(title, f"trajectory_topic_{ts.topic_id}"))
+    # An earlier model with more topics leaves figures this one does not write.
+    written = {f"trajectory_topic_{ts.topic_id}.svg" for ts in trajectories}
+    for stale in figures_dir.glob("trajectory_topic_*.svg"):
+        if stale.name not in written:
+            stale.unlink()
     logger.info("figures written to %s", figures_dir)
 
 

@@ -89,7 +89,7 @@ class TimeSlice:
         return len(self.doc_ids)
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file, one article object per line.
 
     Each record needs string id/date/category/title/body fields; dates are
@@ -97,8 +97,6 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     naming the offending line. The returned corpus is sorted nondecreasing
     by date (stable, preserving file order within a day).
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported corpus format {format!r}")
     path = Path(path)
     docs: list[Document] = []
     seen: dict[str, int] = {}

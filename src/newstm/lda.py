@@ -259,8 +259,7 @@ def train_lda(
     z, n_dk, n_kw, n_k, beta, theta, doc_lengths = _run_chain(
         doc_ids, word_ids, len(bows), vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    assignments = [z[offsets[d] : offsets[d + 1]].copy() for d in range(len(bows))]
+    assignments = np.split(z, np.cumsum(lengths)[:-1])
     logger.info(
         "trained LDA: k=%d docs=%d tokens=%d iterations=%d",
         hyper.k,
@@ -394,7 +393,7 @@ def perplexity(
     return float(np.exp(-log_lik / total))
 
 
-def audit_counts(model: LdaModel, atol: float = 1e-9) -> None:
+def audit_counts(model: LdaModel) -> None:
     """Recompute the count matrices from stored assignments and verify invariants.
 
     Raises ValueError on any inconsistency; intended as a debug/test hook.
@@ -416,20 +415,20 @@ def audit_counts(model: LdaModel, atol: float = 1e-9) -> None:
         raise ValueError("n_k is inconsistent with the stored assignments")
     if int(n_k.sum()) != int(model.word_ids.size):
         raise ValueError("topic totals do not sum to the token count")
-    if not np.allclose(model.beta.sum(axis=1), 1.0, atol=atol):
+    if not np.allclose(model.beta.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("beta rows do not sum to 1")
-    if not np.allclose(model.theta.sum(axis=1), 1.0, atol=atol):
+    if not np.allclose(model.theta.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("theta rows do not sum to 1")
 
 
-def save_lda(model: LdaModel, path: str | Path, include_assignments: bool = True) -> None:
+def save_lda(model: LdaModel, path: str | Path) -> None:
     """Write the model as a binary model file (see `newstm.modelfile`).
 
     With assignments the file also holds the flat topic assignments `z` and
     the token stream `word_ids`, from which `load_lda` rebuilds the counts.
     """
     arrays = {"beta": model.beta, "theta": model.theta, "doc_lengths": model.doc_lengths}
-    if include_assignments and model.assignments is not None and model.word_ids is not None:
+    if model.assignments is not None and model.word_ids is not None:
         arrays["z"] = _concat(model.assignments)
         arrays["word_ids"] = model.word_ids
     meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}

@@ -2,7 +2,9 @@
 
 `replacing` writes a file as `.<name>.<pid>.tmp` beside it, renames it into
 place once complete and deletes it on any failure, so a crash never leaves
-part of a file. There is no fsync: a power loss can still lose a write.
+part of a file. A killed process cannot delete its temp file; whoever holds
+the directory's lock removes it with `remove_stray_temps`. There is no
+fsync: a power loss can still lose a write.
 
 A model file is one line of UTF-8 JSON followed by the model's arrays, each
 in `.npy` format (`numpy.lib.format`), in the order the header lists them:
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -32,6 +35,8 @@ VERSION = 2
 _DTYPES = {"f": "<f8", "i": "<i8"}  # numpy dtype kind -> stored dtype
 
 T = TypeVar("T")
+
+_TEMP_NAME = re.compile(r"\..+\.\d+\.tmp")  # the names `replacing` writes to
 
 
 @contextmanager
@@ -45,6 +50,14 @@ def replacing(path: str | Path, mode: str, **open_args) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_stray_temps(directory: Path) -> None:
+    """Delete the temp files that killed writes left in `directory`; call it
+    only while no other process can be writing there."""
+    for path in directory.glob(".*.tmp"):
+        if _TEMP_NAME.fullmatch(path.name):
+            path.unlink(missing_ok=True)
 
 
 def replace_text(path: str | Path, text: str) -> None:

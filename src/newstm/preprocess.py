@@ -234,25 +234,29 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "newstm-vocab":
-        raise ValueError(f"{path}: not a vocabulary export")
-    token_to_id = {str(tok): int(i) for tok, i in payload["tokens"].items()}
-    size = len(token_to_id)
-    id_to_token = [""] * size
-    for tok, i in token_to_id.items():
-        id_to_token[i] = tok
-    df = [0] * size
-    for key, value in payload["document_frequency"].items():
-        df[int(key)] = int(value)
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=tuple(id_to_token),
-        document_frequency=tuple(df),
-        no_below=int(payload["no_below"]),
-        no_above=float(payload["no_above"]),
-        n_docs=int(payload["n_docs"]),
-    )
+    """Read a `write_vocabulary` export; a malformed one raises ValueError naming `path`."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if payload.get("format") != "newstm-vocab":
+            raise ValueError(f"format is {payload.get('format')!r}")
+        token_to_id = {str(tok): int(i) for tok, i in payload["tokens"].items()}
+        df = {int(key): int(value) for key, value in payload["document_frequency"].items()}
+        ids = list(range(len(token_to_id)))
+        if sorted(token_to_id.values()) != ids:
+            raise ValueError(f"token ids must be 0..{len(ids) - 1}, each used once")
+        if sorted(df) != ids:
+            raise ValueError(f"document frequencies must be given for ids 0..{len(ids) - 1}")
+        id_to_token = sorted(token_to_id, key=token_to_id.__getitem__)
+        return Vocabulary(
+            token_to_id=token_to_id,
+            id_to_token=tuple(id_to_token),
+            document_frequency=tuple(df[i] for i in ids),
+            no_below=int(payload["no_below"]),
+            no_above=float(payload["no_above"]),
+            n_docs=int(payload["n_docs"]),
+        )
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid vocabulary export ({exc})") from exc
 
 
 def write_bows(bows: Iterable[BowDoc], path: str | Path) -> None:
@@ -267,12 +271,22 @@ def write_bows(bows: Iterable[BowDoc], path: str | Path) -> None:
 
 
 def read_bows(path: str | Path) -> list[BowDoc]:
+    """Read a `write_bows` export; a malformed line raises ValueError naming it."""
     bows: list[BowDoc] = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            counts = {int(w): int(c) for w, c in record["counts"].items()}
-            bows.append(BowDoc(str(record["doc_id"]), dict(sorted(counts.items()))))
+            try:
+                record = json.loads(line)
+                counts = {int(w): int(c) for w, c in record["counts"].items()}
+                doc_id = str(record["doc_id"])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                fault = f"not a bag-of-words record ({exc})"
+                raise ValueError(f"{path} line {lineno}: {fault}") from exc
+            if counts and min(counts.values()) < 1:
+                raise ValueError(f"{path} line {lineno}: counts must be >= 1")
+            bows.append(BowDoc(doc_id, dict(sorted(counts.items()))))
     return bows

@@ -22,7 +22,7 @@ from newstm.modelfile import replace_text
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THEME = (
+THEME = (
     "#1f77b4",
     "#ff7f0e",
     "#2ca02c",
@@ -39,17 +39,17 @@ _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 48.0
+_MAX_TICKS = 6
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Output geometry and styling for one figure; colors are assigned by rank."""
+    """Output geometry of one figure; colors come from THEME, assigned by rank."""
 
     title: str
     width: int = 800
     height: int = 480
     path: str | Path | None = None
-    theme: tuple[str, ...] = DEFAULT_THEME
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -123,11 +123,11 @@ def _axis_labels(spec: FigureSpec, x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def _tick_positions(n: int, max_ticks: int = 6) -> list[int]:
-    if n <= max_ticks:
+def _tick_positions(n: int) -> list[int]:
+    if n <= _MAX_TICKS:
         return list(range(n))
-    step = (n - 1) / (max_ticks - 1)
-    return sorted({round(i * step) for i in range(max_ticks)})
+    step = (n - 1) / (_MAX_TICKS - 1)
+    return sorted({round(i * step) for i in range(_MAX_TICKS)})
 
 
 def plot_timeline(
@@ -164,7 +164,7 @@ def plot_timeline(
         seen.add(value)
         body.extend(_y_tick(x0, sy(value), str(value)))
     body.append(
-        f'<polyline fill="none" stroke="{spec.theme[0]}" stroke-width="1.5" points="{points}"/>'
+        f'<polyline fill="none" stroke="{THEME[0]}" stroke-width="1.5" points="{points}"/>'
     )
     body.extend(_axis_labels(spec, "date", "articles per day"))
     return _finish(spec, body)
@@ -200,7 +200,7 @@ def plot_trajectories(series: TrajectorySeries, spec: FigureSpec) -> str:
         body.extend(_y_tick(x0, sy(frac * y_max), _fmt(frac * y_max)))
     for rank, i in enumerate(ranked):
         word = series.words[i]
-        color = spec.theme[rank % len(spec.theme)]
+        color = THEME[rank % len(THEME)]
         points = " ".join(
             f"{_fmt(sx(t))},{_fmt(sy(float(v)))}" for t, v in enumerate(series.series[word])
         )
@@ -209,7 +209,7 @@ def plot_trajectories(series: TrajectorySeries, spec: FigureSpec) -> str:
         )
     for rank, i in enumerate(ranked):
         word = series.words[i]
-        color = spec.theme[rank % len(spec.theme)]
+        color = THEME[rank % len(THEME)]
         ly = y0 + 14 + rank * 14
         body.append(
             f'<line x1="{_fmt(x1 - 110)}" y1="{_fmt(ly - 4)}" x2="{_fmt(x1 - 92)}" '
@@ -250,7 +250,7 @@ def plot_intertopic(topic_map: IntertopicMap, spec: FigureSpec) -> str:
             radius = max(r_max * float(np.sqrt(prevalence[topic] / p_max)), 1.0)
         else:
             radius = r_max
-        color = spec.theme[topic % len(spec.theme)]
+        color = THEME[topic % len(THEME)]
         body.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" '
             f'fill="{color}" fill-opacity="0.45" stroke="{color}"/>'

@@ -1,6 +1,7 @@
 import configparser
 import json
 import logging
+import shutil
 from pathlib import Path
 
 import pytest
@@ -408,3 +409,41 @@ def test_seed_flag_changes_model(pipeline_ws, tmp_path):
     a = json.loads((ws / "manifest.json").read_text())["artifacts"]["model_static"]["sha256"]
     b = json.loads((ws2 / "manifest.json").read_text())["artifacts"]["model_static"]["sha256"]
     assert a != b
+
+
+def test_plot_removes_figures_of_topics_the_model_lacks(pipeline_ws, tmp_path):
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    stages = (["train", "--mode", "static"], ["train", "--mode", "dtm"], ["report"], ["plot"])
+    for command in stages:
+        args = ["--workspace", str(ws), "--config", str(config), "--set", "lda.k=2", *command]
+        assert main(args) == 0
+    assert sorted(p.name for p in (ws / "figures").iterdir()) == [
+        "intertopic.svg",
+        "timeline.svg",
+        "trajectory_topic_0.svg",
+        "trajectory_topic_1.svg",
+    ]
+
+
+def test_plot_checks_every_input_before_writing(tmp_path, sample_corpus_path, caplog):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
+    with caplog.at_level(logging.ERROR):
+        code = main(["--workspace", str(ws), "--config", str(config), "plot"])
+    assert code == 1
+    assert "missing artifact 'intertopic'" in caplog.text
+    assert not (ws / "figures").exists()
+
+
+def test_lock_holder_deletes_temp_files_of_killed_writes(tmp_path, sample_corpus_path):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    (ws / "figures").mkdir(parents=True)
+    strays = [ws / ".bows.jsonl.4242.tmp", ws / "figures" / ".timeline.svg.4242.tmp"]
+    kept = [ws / ".notes.tmp", ws / "figures" / "notes.4242.tmp"]
+    for path in strays + kept:
+        path.write_bytes(b"partial")
+    assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
+    assert [path.exists() for path in strays + kept] == [False, False, True, True]

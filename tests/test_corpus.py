@@ -100,11 +100,6 @@ def test_load_non_string_field_names_line_and_field(tmp_path, field, value):
         load_corpus(path)
 
 
-def test_load_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unsupported corpus format"):
-        load_corpus(tmp_path / "c.csv", format="csv")
-
-
 def test_empty_body_requires_title():
     with pytest.raises(ValueError):
         Document(id="a", date=datetime.date(2020, 1, 1), category="x", title="", body="")

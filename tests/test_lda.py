@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -378,7 +379,7 @@ def test_save_load_roundtrip_is_lossless(tmp_path):
 def test_load_without_assignments_supports_diagnostics(tmp_path):
     model, bows, _, _ = _planted_model()
     path = tmp_path / "slim.json"
-    save_lda(model, path, include_assignments=False)
+    save_lda(dataclasses.replace(model, assignments=None), path)
     loaded = load_lda(path)
     assert loaded.assignments is None
     assert not {"z", "word_ids"} & {a["name"] for a in json.loads(path.read_bytes().partition(b"\n")[0])["arrays"]}

@@ -244,3 +244,41 @@ def test_pipeline_determinism(tmp_path):
     run(second)
     assert (first / "vocab.json").read_bytes() == (second / "vocab.json").read_bytes()
     assert (first / "bows.jsonl").read_bytes() == (second / "bows.jsonl").read_bytes()
+
+
+def _vocab_file(path, tokens):
+    """A vocabulary export whose token ids are replaced by `tokens`."""
+    vocab = build_vocabulary(_streams({"d0": ["a", "b"]}), no_below=1, no_above=1.0)
+    write_vocabulary(vocab, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tokens"] = tokens
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "tokens", [{"a": 0, "b": 0}, {"a": 0, "b": 2}], ids=["shared-id", "id-out-of-range"]
+)
+def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens):
+    path = _vocab_file(tmp_path / "vocab.json", tokens)
+    with pytest.raises(ValueError) as info:
+        read_vocabulary(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_read_bows_rejects_counts_below_one(tmp_path, count):
+    path = tmp_path / "bows.jsonl"
+    write_bows([BowDoc("d0", {0: 1}), BowDoc("d1", {0: 2, 3: count})], path)
+    with pytest.raises(ValueError) as info:
+        read_bows(path)
+    assert str(info.value).startswith(f"{path} line 2: ")
+
+
+def test_read_bows_names_the_line_of_a_malformed_record(tmp_path):
+    path = tmp_path / "bows.jsonl"
+    path.write_text('{"doc_id": "d0", "counts": {"0": 1}}\n{"doc_id": \n', encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_bows(path)
+    assert str(info.value).startswith(f"{path} line 2: ")
+    assert not isinstance(info.value, json.JSONDecodeError)
