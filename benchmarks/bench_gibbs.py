@@ -1,7 +1,6 @@
 """Random collapsed-Gibbs sampler state for kernel benchmarks.
 
-`perfbench/micro.py` times the active kernels on the state `build_state`
-builds. Compare backends by running it with and without NEWSTM_NO_NUMBA=1:
+`perfbench/micro.py` times the kernels on the state `build_state` builds:
 
     python3 perfbench/micro.py
 """

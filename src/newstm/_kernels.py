@@ -1,21 +1,16 @@
 """Gibbs-sampling inner loops.
 
-`_gibbs_sweep_py` and `_infer_sweep_py` are the reference kernels, written
-over NumPy arrays so that numba's @njit can compile them. The entry points
-callers use are `gibbs_chain` and `infer_chain`: the same state as one
-sweep, but in place of one uniform array an iterable that yields one per
-sweep, so a run of sweeps is one call. With numba they loop over the
-compiled sweep. Without it, the uncompiled array kernels would index the
-arrays one scalar at a time, so the fallback is `_gibbs_chain_lists` and
-`_infer_chain_lists`: the same floating-point operations in the same order,
-on Python lists converted once per call, not once per sweep, and written
-back before returning. `gibbs_sweep` and `infer_sweep` are one-sweep calls of
-the active backend. Both backends produce bitwise-identical results. Set
-NEWSTM_NO_NUMBA=1 to force the fallback; `BACKEND` reports which path is
-active ("numba" or "numpy").
+`_gibbs_sweep_py` and `_infer_sweep_py` are the reference kernels: one sweep
+over NumPy arrays, indexed one scalar at a time, which tests compare the
+kernels below against. The entry points callers use are `gibbs_chain` and
+`infer_chain`: the same state as one sweep, but in place of one uniform
+array an iterable that yields one per sweep, so a run of sweeps is one call.
+They do the same floating-point operations in the same order as the
+reference kernels, on Python lists converted once per call, not once per
+sweep, and written back before returning. `gibbs_sweep` and `infer_sweep`
+are one-sweep calls of the chains.
 """
 
-import os
 from itertools import accumulate
 from operator import add, mul, truediv
 
@@ -93,7 +88,7 @@ def _infer_sweep_py(word_ids, z, m_k, beta, alpha, uniforms, probs):
         m_k[k_new] += 1
 
 
-def _gibbs_chain_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+def gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
     # Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields, on
     # Python lists converted on entry and written back once on return. Each
     # factor of the conditional is kept as a float term (count + prior),
@@ -150,8 +145,8 @@ def _gibbs_chain_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta
         probs[:] = weights
 
 
-def _infer_chain_lists(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
-    # Repeated _infer_sweep_py on Python lists, as _gibbs_chain_lists. Only the
+def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
+    # Repeated _infer_sweep_py on Python lists, as gibbs_chain. Only the
     # beta columns of the document's own words are converted, once per call.
     # After each sweep, acc (if given) gains (m_k + alpha) / (n + K*alpha).
     n_topics = m_k.shape[0]
@@ -194,47 +189,13 @@ def _infer_chain_lists(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None)
         acc[:] = sums
 
 
-def _gibbs_sweep_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
-    _gibbs_chain_lists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, (uniforms,), probs)
+def gibbs_sweep(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+    gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, (uniforms,), probs)
 
 
-def _infer_sweep_lists(word_ids, z, m_k, beta, alpha, uniforms, probs):
-    _infer_chain_lists(word_ids, z, m_k, beta, alpha, (uniforms,), probs)
+def infer_sweep(word_ids, z, m_k, beta, alpha, uniforms, probs):
+    infer_chain(word_ids, z, m_k, beta, alpha, (uniforms,), probs)
 
 
-def _gibbs_chain_loop(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
-    # gibbs_chain on the numba backend: the compiled sweep once per uniform array.
-    for sweep_uniforms in uniforms:
-        gibbs_sweep(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, sweep_uniforms, probs)
-
-
-def _infer_chain_loop(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
-    # infer_chain on the numba backend, with the accumulation of _infer_chain_lists.
-    denom = word_ids.shape[0] + m_k.shape[0] * alpha
-    for sweep_uniforms in uniforms:
-        infer_sweep(word_ids, z, m_k, beta, alpha, sweep_uniforms, probs)
-        if acc is not None:
-            acc += (m_k + alpha) / denom
-
-
-def _numba_enabled() -> bool:
-    return os.environ.get("NEWSTM_NO_NUMBA", "").strip().lower() not in {"1", "true", "yes", "on"}
-
-
+# The sampler backend in use; perfbench/run.py records it with every run.
 BACKEND = "numpy"
-gibbs_sweep = _gibbs_sweep_lists
-infer_sweep = _infer_sweep_lists
-gibbs_chain = _gibbs_chain_lists
-infer_chain = _infer_chain_lists
-
-if _numba_enabled():
-    try:
-        import numba
-    except ImportError:
-        pass
-    else:
-        gibbs_sweep = numba.njit(cache=True)(_gibbs_sweep_py)
-        infer_sweep = numba.njit(cache=True)(_infer_sweep_py)
-        gibbs_chain = _gibbs_chain_loop
-        infer_chain = _infer_chain_loop
-        BACKEND = "numba"

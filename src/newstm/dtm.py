@@ -195,6 +195,12 @@ def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
     for topic, by_word in grouped.items():
         words = tuple(by_word)
         labels = tuple(label for label, _ in by_word[words[0]])
+        for word in words[1:]:
+            if tuple(label for label, _ in by_word[word]) != labels:
+                raise ValueError(
+                    f"{path}: topic {topic} word {word!r} has slice_start dates "
+                    f"other than those of word {words[0]!r}"
+                )
         series = {w: np.array([p for _, p in by_word[w]], dtype=np.float64) for w in words}
         out.append(
             TrajectorySeries(topic_id=topic, words=words, series=series, slice_labels=labels)
@@ -242,11 +248,17 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         for s in meta["slices"]
     ]
     rows = [int(n) for n in meta["theta_rows"]]
+    hyper, vocab_size = LdaHyperparams(**meta["base_hyper"]), int(meta["vocab_size"])
     thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
-    if not len(slices) == len(rows) == betas.shape[0]:
+    if len(rows) != len(slices):
+        raise ValueError(f"{len(slices)} slices and {len(rows)} theta row counts")
+    if betas.shape != (len(slices), hyper.k, vocab_size):
         raise ValueError(
-            f"{len(slices)} slices, {len(rows)} theta row counts and {betas.shape[0]} betas"
+            f"per_slice_beta has shape {betas.shape}, "
+            f"expected {(len(slices), hyper.k, vocab_size)}"
         )
+    if thetas.shape[1:] != (hyper.k,):
+        raise ValueError(f"per_slice_theta has shape {thetas.shape}, expected {hyper.k} columns")
     if min(rows, default=0) < 0 or sum(rows) != thetas.shape[0]:
         raise ValueError(f"theta row counts {rows} do not add up to {thetas.shape[0]} rows")
     return DtmModel(
@@ -254,9 +266,9 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         per_slice_beta=betas,
         per_slice_theta=np.split(thetas, np.cumsum(rows)[:-1]),
         kappa=float(meta["kappa"]),
-        base_hyper=LdaHyperparams(**meta["base_hyper"]),
+        base_hyper=hyper,
         slice_seeds=[int(s) for s in meta["slice_seeds"]],
-        vocab_size=int(meta["vocab_size"]),
+        vocab_size=vocab_size,
     )
 
 

@@ -8,8 +8,7 @@ parameters and resamples one token's topic at a time from
 where the counts exclude the current token. Point estimates are posterior
 means averaged over thinned post-burn-in sweeps. All randomness flows
 through one seeded PCG64 generator (initial assignments, then one uniform
-per token per sweep), so runs are reproducible across platforms and across
-the numba/numpy kernel backends.
+per token per sweep), so runs are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -61,6 +60,8 @@ class LdaHyperparams:
             )
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -307,11 +308,11 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     averages the per-sweep posterior-mean estimates and sums to 1. An empty
     document yields the uniform vector.
     """
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     k = model.n_topics
     if not doc.counts:
         return np.full(k, 1.0 / k)
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     _, word_ids, _ = _expand_bows([doc], model.vocab_size)
     n = word_ids.size
 
@@ -438,7 +439,13 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
 def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
     hyper = LdaHyperparams(**meta["hyper"])
     vocab_size = int(meta["vocab_size"])
-    doc_lengths = arrays["doc_lengths"]
+    beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
+    if beta.shape != (hyper.k, vocab_size):
+        raise ValueError(f"beta has shape {beta.shape}, expected {(hyper.k, vocab_size)}")
+    if theta.shape != (doc_lengths.size, hyper.k):
+        raise ValueError(
+            f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"
+        )
     assignments = word_ids = n_dk = n_kw = n_k = None
     if "z" in arrays:
         z, word_ids = arrays["z"], arrays["word_ids"]
@@ -453,8 +460,8 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
         )
         assignments = np.split(z, np.cumsum(doc_lengths)[:-1])
     return LdaModel(
-        beta=arrays["beta"],
-        theta=arrays["theta"],
+        beta=beta,
+        theta=theta,
         assignments=assignments,
         n_dk=n_dk,
         n_kw=n_kw,

@@ -15,20 +15,6 @@ def sample_corpus_path() -> Path:
     return DATA_DIR / "sample_news.jsonl"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed acceptance windows measure
-    steady-state sampling, not compilation."""
-    from newstm.lda import LdaHyperparams, train_lda
-    from newstm.preprocess import BowDoc
-
-    train_lda(
-        [BowDoc("warm", {0: 2, 1: 1})],
-        vocab_size=2,
-        hyper=LdaHyperparams(k=2, alpha=1.0, iterations=3, burn_in=1, thin=1),
-    )
-
-
 _ACCEPTANCE: dict[str, str] = {}
 
 

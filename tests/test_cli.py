@@ -89,6 +89,9 @@ def test_config_validates_values(tmp_path, sample_corpus_path):
         load_config(config, overrides=["preprocess.no_above=0"])
     with pytest.raises(ValidationError):
         load_config(config, overrides=["corpus.first_start=2020-01-18"])
+    for kwargs in ({"overrides": ["lda.seed=-1"]}, {"seed": -1}):
+        with pytest.raises(ValidationError, match=r"config \[lda\]: seed must be >= 0, got -1"):
+            load_config(config, **kwargs)
     load_config(config, overrides=["corpus.first_start=2020-01-17"])
 
 

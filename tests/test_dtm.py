@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_trajectory_csv_roundtrip(tmp_path):
         assert got.slice_labels == want.slice_labels
         for word in want.words:
             assert np.array_equal(got.series[word], want.series[word])
+
+
+def test_trajectory_csv_rejects_words_with_other_slice_dates(tmp_path):
+    path = tmp_path / "traj.csv"
+    rows = [
+        "topic,word,slice_start,probability",
+        "0,w1,2020-01-17,0.5",
+        "0,w1,2020-02-17,0.5",
+        "0,w5,2020-03-17,0.25",
+        "0,w5,2020-04-17,0.25",
+    ]
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: topic 0 word 'w5'"):
+        read_trajectory_csv(path)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -41,6 +41,8 @@ def test_hyperparams_validation():
         LdaHyperparams(k=2, iterations=10, burn_in=10)
     with pytest.raises(ValueError):
         LdaHyperparams(k=2, thin=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        LdaHyperparams(k=2, seed=-1)
 
 
 @pytest.mark.parametrize("prior", ["alpha", "eta"])
@@ -247,6 +249,14 @@ def _planted_model(seed=33):
 def test_infer_theta_empty_doc_is_uniform():
     model, _, _, _ = _planted_model()
     assert np.array_equal(infer_theta(model, BowDoc("new", {})), np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("sweeps", [0, -5])
+@pytest.mark.parametrize("counts", [{}, {0: 2}], ids=["empty", "nonempty"])
+def test_infer_theta_rejects_fewer_than_one_sweep(counts, sweeps):
+    model, _, _, _ = _planted_model()
+    with pytest.raises(ValueError, match=f"sweeps must be >= 1, got {sweeps}"):
+        infer_theta(model, BowDoc("new", counts), sweeps=sweeps)
 
 
 def test_infer_theta_recovers_planted_topic():

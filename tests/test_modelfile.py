@@ -3,6 +3,7 @@ import datetime
 import json
 import logging
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,10 @@ def _shrink_first_shape(header):
     header["arrays"][0]["shape"][-1] -= 1
 
 
+def _grow_vocab_size(header):
+    header["meta"]["vocab_size"] += 1
+
+
 # Each way a model file can be malformed, and what the error says about it.
 CASES = {
     "old-json": "version 1, expected 2",
@@ -80,6 +85,7 @@ CASES = {
     "truncated": "Failed to read all data",
     "trailing-bytes": "trailing bytes after the last array",
     "shape-mismatch": r"header says <f8\[",
+    "vocab-size": r"beta has shape \(.*10\), expected \(.*11\)",
 }
 
 
@@ -99,6 +105,8 @@ def _corrupt(case, path, models, kind):
         path.write_bytes(path.read_bytes() + b"\0")
     elif case == "shape-mismatch":
         _with_header(path, _shrink_first_shape)
+    elif case == "vocab-size":
+        _with_header(path, _grow_vocab_size)
 
 
 @pytest.mark.parametrize("kind", ["lda", "dtm"])
@@ -312,3 +320,30 @@ def test_only_modelfile_writes_files():
         "os.open(p, os.O_RDONLY)",
     ):
         assert _file_writes(snippet) == [], snippet
+
+
+def _third_party_imports(source: str) -> list[str]:
+    """The modules `source` imports from outside the standard library, numpy
+    and newstm; relative imports are newstm's own."""
+    allowed = sys.stdlib_module_names | {"numpy", "newstm"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.partition(".")[0] not in allowed]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # pyproject.toml declares numpy as the one dependency.
+    package = Path(modelfile.__file__).parent
+    imports = {
+        path.name: _third_party_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in imports.items() if found} == {}
+    for snippet in ("import numba", "from numba import njit", "import scipy.sparse as sp"):
+        assert _third_party_imports(snippet) == [snippet.split()[1]], snippet
+    for snippet in ("import os.path", "from numpy.lib import format", "from . import lda"):
+        assert _third_party_imports(snippet) == [], snippet
