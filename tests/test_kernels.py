@@ -92,11 +92,14 @@ def test_list_infer_kernel_matches_array_kernel(k, n):
         assert np.array_equal(probs_a, probs_b)
 
 
+# The chain ids keep the case names from when a second (loop) chain was
+# tested beside the list chain.
+@pytest.mark.parametrize("chain", [pytest.param(_kernels.gibbs_chain, id="_gibbs_chain_lists")])
 @pytest.mark.parametrize("sweeps", [1, 5])
 @pytest.mark.parametrize("n", [400, 0])
 @pytest.mark.parametrize("prior", ["symmetric", "dtm"])
 @pytest.mark.parametrize("k", [2, 20])
-def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps):
+def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps, chain):
     """One chain call equals that many calls of the array kernel."""
     doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(7, n=n, k=k)
     if prior == "dtm":
@@ -107,7 +110,7 @@ def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps):
     state_a = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
     state_b = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
     probs_a, probs_b = np.zeros(k), np.zeros(k)
-    _kernels.gibbs_chain(
+    chain(
         doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms), probs_a
     )
     for u in uniforms:
@@ -118,10 +121,11 @@ def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps):
         assert not np.array_equal(state_a[0], z)
 
 
+@pytest.mark.parametrize("chain", [pytest.param(_kernels.infer_chain, id="_infer_chain_lists")])
 @pytest.mark.parametrize("sweeps", [1, 5])
 @pytest.mark.parametrize("n", [60, 0])
 @pytest.mark.parametrize("k", [2, 20])
-def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps):
+def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps, chain):
     """Equal state, probs and per-sweep theta sums, also for zero-mass words."""
     rng = np.random.default_rng(9)
     v, alpha = 20, 0.2
@@ -134,7 +138,7 @@ def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps):
     uniforms = [rng.random(n) for _ in range(sweeps)]
     za, ma, probs_a, acc_a = z0.copy(), m0.copy(), np.zeros(k), np.full(k, 0.5)
     zb, mb, probs_b, acc_b = z0.copy(), m0.copy(), np.zeros(k), np.full(k, 0.5)
-    _kernels.infer_chain(
+    chain(
         word_ids, za, ma, beta, alpha, (u for u in uniforms), probs_a, acc_a
     )
     for u in uniforms:
