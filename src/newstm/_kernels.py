@@ -2,17 +2,22 @@
 
 `_gibbs_sweep_py` and `_infer_sweep_py` are the reference kernels: one sweep
 over NumPy arrays, indexed one scalar at a time, which tests compare the
-kernels below against. The entry points callers use are `gibbs_chain` and
-`infer_chain`: the same state as one sweep, but in place of one uniform
-array an iterable that yields one per sweep, so a run of sweeps is one call.
-They do the same floating-point operations in the same order as the
-reference kernels, on Python lists converted once per call, not once per
-sweep, and written back before returning. `gibbs_sweep` and `infer_sweep`
-are one-sweep calls of the chains.
+kernels below against. They do the same floating-point operations in the
+same order, on Python lists converted once, not once per sweep.
+
+`GibbsLists` holds a training chain's state as lists for as many sweeps as
+its caller runs, and writes back on request; `lda` builds one per chain.
+`gibbs_chain` and `infer_chain` take the state as arrays and, in place of
+one uniform array, an iterable that yields one per sweep, so a run of
+sweeps is one call that converts on entry and writes back before
+returning. `gibbs_sweep` and `infer_sweep` are one-sweep calls of the
+chains.
 """
 
 from itertools import accumulate
-from operator import add, mul, truediv
+from operator import mul, truediv
+
+import numpy as np
 
 
 def _gibbs_sweep_py(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
@@ -88,61 +93,101 @@ def _infer_sweep_py(word_ids, z, m_k, beta, alpha, uniforms, probs):
         m_k[k_new] += 1
 
 
+class GibbsLists:
+    """A Gibbs chain's state as Python lists, for any number of `sweep` calls.
+
+    The lists are converted once, on construction, and hold only the word
+    columns of `n_kw` and `eta_kw` that some token uses, so set-up follows
+    the tokens, not K x V. `store_z` and `store_counts` copy the lists back
+    into the arrays the state was built from; the columns of words no token
+    uses are never read or written.
+    """
+
+    def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
+        present, local_ids = np.unique(word_ids, return_inverse=True)
+        self.arrays = z, n_dk, n_kw, n_k
+        self.present = present
+        self.alpha = alpha
+        self.tokens = list(zip(doc_ids.tolist(), local_ids.tolist()))
+        self.zs = z.tolist()
+        word_counts, word_eta = n_kw.T[present], eta_kw.T[present]
+        self.doc_counts = n_dk.tolist()
+        self.word_counts = word_counts.tolist()
+        self.topic_counts = n_k.tolist()
+        self.word_eta = word_eta.tolist()
+        self.topic_eta = eta_sum.tolist()
+        # count + prior in float64, the same one rounding as Python's int + float
+        self.doc_terms = (n_dk + alpha).tolist()
+        self.word_terms = (word_counts + word_eta).tolist()
+        self.topic_terms = (n_k + eta_sum).tolist()
+        self.weights = None  # the last token's weights, once a token is sampled
+
+    def sweep(self, uniforms):
+        """Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields.
+
+        Each factor of the conditional is kept as a float term (count +
+        prior), refreshed from the integer count whenever that count
+        changes, so every weight is the same float product and quotient as
+        in _gibbs_sweep_py. The running sums of the weights equal both its
+        `total` and its `acc` sequences.
+        """
+        tokens, zs, alpha = self.tokens, self.zs, self.alpha
+        doc_counts, word_counts, topic_counts = self.doc_counts, self.word_counts, self.topic_counts
+        doc_terms, word_terms, topic_terms = self.doc_terms, self.word_terms, self.topic_terms
+        word_eta, topic_eta = self.word_eta, self.topic_eta
+        last = len(topic_counts) - 1
+        weights = self.weights
+        for sweep_uniforms in uniforms:
+            for i, ((d, w), u) in enumerate(zip(tokens, sweep_uniforms.tolist())):
+                dc, wc, dt, wt, we = doc_counts[d], word_counts[w], doc_terms[d], word_terms[w], word_eta[w]
+                k = zs[i]
+                dc[k] -= 1
+                wc[k] -= 1
+                topic_counts[k] -= 1
+                dt[k] = dc[k] + alpha
+                wt[k] = wc[k] + we[k]
+                topic_terms[k] = topic_counts[k] + topic_eta[k]
+
+                weights = list(map(truediv, map(mul, dt, wt), topic_terms))
+                cum = list(accumulate(weights))
+                r = u * cum[-1]
+                k = last
+                for j, acc in enumerate(cum):
+                    if r < acc:
+                        k = j
+                        break
+
+                zs[i] = k
+                dc[k] += 1
+                wc[k] += 1
+                topic_counts[k] += 1
+                dt[k] = dc[k] + alpha
+                wt[k] = wc[k] + we[k]
+                topic_terms[k] = topic_counts[k] + topic_eta[k]
+        self.weights = weights
+
+    def store_z(self) -> None:
+        self.arrays[0][:] = self.zs
+
+    def store_counts(self) -> None:
+        """Write n_dk, n_k and the present columns of n_kw."""
+        if not self.tokens:
+            return  # no count has changed, and n_kw.T[present] would be (0, K)
+        _, n_dk, n_kw, n_k = self.arrays
+        n_dk[:] = self.doc_counts
+        n_kw.T[self.present] = self.word_counts
+        n_k[:] = self.topic_counts
+
+
 def gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
-    # Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields, on
-    # Python lists converted on entry and written back once on return. Each
-    # factor of the conditional is kept as a float term (count + prior),
-    # refreshed from the integer count whenever that count changes, so every
-    # weight is the same float product and quotient as in _gibbs_sweep_py.
-    # The running sums of the weights equal both its `total` and its `acc`
-    # sequences.
-    if doc_ids.shape[0] == 0:
-        return  # nothing to write back, no weights for probs, and n_dk may have no rows
-    last = n_kw.shape[0] - 1
-    tokens = list(zip(doc_ids.tolist(), word_ids.tolist()))
-    zs = z.tolist()
-    doc_counts = n_dk.tolist()
-    word_counts = n_kw.T.tolist()
-    topic_counts = n_k.tolist()
-    word_eta = eta_kw.T.tolist()
-    topic_eta = eta_sum.tolist()
-    doc_terms = [[c + alpha for c in row] for row in doc_counts]
-    word_terms = [list(map(add, c, e)) for c, e in zip(word_counts, word_eta)]
-    topic_terms = list(map(add, topic_counts, topic_eta))
-    weights = None
-    for sweep_uniforms in uniforms:
-        for i, ((d, w), u) in enumerate(zip(tokens, sweep_uniforms.tolist())):
-            dc, wc, dt, wt, we = doc_counts[d], word_counts[w], doc_terms[d], word_terms[w], word_eta[w]
-            k = zs[i]
-            dc[k] -= 1
-            wc[k] -= 1
-            topic_counts[k] -= 1
-            dt[k] = dc[k] + alpha
-            wt[k] = wc[k] + we[k]
-            topic_terms[k] = topic_counts[k] + topic_eta[k]
-
-            weights = list(map(truediv, map(mul, dt, wt), topic_terms))
-            cum = list(accumulate(weights))
-            r = u * cum[-1]
-            k = last
-            for j, acc in enumerate(cum):
-                if r < acc:
-                    k = j
-                    break
-
-            zs[i] = k
-            dc[k] += 1
-            wc[k] += 1
-            topic_counts[k] += 1
-            dt[k] = dc[k] + alpha
-            wt[k] = wc[k] + we[k]
-            topic_terms[k] = topic_counts[k] + topic_eta[k]
-    z[:] = zs
-    n_dk[:] = doc_counts
-    n_kw.T[:] = word_counts
-    n_k[:] = topic_counts
-    if weights is not None:
-        probs[:] = weights
+    # Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields,
+    # on a GibbsLists state written back once on return.
+    state = GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
+    state.sweep(uniforms)
+    state.store_z()
+    state.store_counts()
+    if state.weights is not None:
+        probs[:] = state.weights
 
 
 def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from newstm._kernels import gibbs_chain, infer_chain
+from newstm._kernels import GibbsLists, infer_chain
 # Unused here, but perfbench/spans.py looks these two names up on this module.
 from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
 from newstm.modelfile import read_model, write_model
@@ -205,13 +205,13 @@ def _run_chain(
 
     doc_lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
     alpha = float(hyper.alpha)
-    probs = np.empty(k, dtype=np.float64)
+    state = GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
 
     def run(n_sweeps: int) -> None:
-        uniforms = (rng.random(n_tokens) for _ in range(n_sweeps))
-        gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs)
+        state.sweep(rng.random(n_tokens) for _ in range(n_sweeps))
 
-    # One chain call per block that ends on a retained sweep, then the tail.
+    # The list state lives for the whole chain. At each retained sweep only
+    # what the next lines read is written back to the arrays.
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta_acc = np.zeros((k, vocab_size), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
@@ -221,15 +221,18 @@ def _run_chain(
         run(sweep + 1 - done)
         done = sweep + 1
         if collect_z:
+            state.store_z()
             z_samples.append(z.copy())
         else:
+            state.store_counts()
             beta_acc += (n_kw + eta_kw) / (n_k + eta_sum)[:, None]
             theta_acc += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
+    if collect_z:
+        return z_samples  # the sweeps after the last retained one would change no sample
     if done < hyper.iterations:
         run(hyper.iterations - done)
-
-    if collect_z:
-        return z_samples
+        state.store_counts()
+    state.store_z()
     beta = beta_acc / len(retained)
     theta = theta_acc / len(retained)
     return z, n_dk, n_kw, n_k, beta, theta, doc_lengths
@@ -310,6 +313,8 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     k = model.n_topics
     if not doc.counts:
         return np.full(k, 1.0 / k)

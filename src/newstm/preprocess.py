@@ -67,7 +67,7 @@ class TokenStream:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if tok.split() != [tok]:  # empty, or holds a character that isspace()
                 raise ValueError(
                     f"document {self.doc_id!r}: token {tok!r} is empty or contains whitespace"
                 )

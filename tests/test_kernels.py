@@ -146,3 +146,38 @@ def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps, chain):
         acc_b += (mb + alpha) / (n + k * alpha)
     for got, want in zip((za, ma, probs_a, acc_a), (zb, mb, probs_b, acc_b)):
         assert np.array_equal(got, want)
+
+
+def test_gibbs_chain_on_a_sparse_vocabulary_leaves_unused_columns_alone():
+    """A few tokens over a wide vocabulary, as in one DTM slice: equal to
+    repeated array sweeps, and the n_kw columns of words no token uses keep
+    their bytes, nonzero counts included."""
+    k, v, n = 20, 5_000, 40
+    rng = np.random.default_rng(21)
+    doc_ids = np.sort(rng.integers(0, 4, n)).astype(np.int64)
+    word_ids = rng.choice(v, 12, replace=False)[rng.integers(0, 12, n)].astype(np.int64)
+    z = rng.integers(0, k, n).astype(np.int64)
+    n_dk = np.zeros((4, k), np.int64)
+    n_kw = np.zeros((k, v), np.int64)
+    np.add.at(n_dk, (doc_ids, z), 1)
+    np.add.at(n_kw, (z, word_ids), 1)
+    unused = np.setdiff1d(np.arange(v), word_ids)
+    n_kw[:, unused[::7]] = rng.integers(1, 5, (k, unused[::7].size))
+    n_k = n_kw.sum(axis=1)
+    # eta + kappa * V * beta_prev at kappa = 1, as chained DTM training builds it
+    eta_kw = 0.01 + v * rng.dirichlet(np.full(v, 0.05), size=k)
+    eta_sum = eta_kw.sum(axis=1)
+    unused_before = n_kw[:, unused].tobytes()
+    uniforms = [rng.random(n) for _ in range(4)]
+    state_a = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
+    state_b = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
+    probs_a, probs_b = np.zeros(k), np.zeros(k)
+    _kernels.gibbs_chain(
+        doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms), probs_a
+    )
+    for u in uniforms:
+        _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, u, probs_b)
+    for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+        assert np.array_equal(got, want)
+    assert state_a[2][:, unused].tobytes() == unused_before
+    assert not np.array_equal(state_a[0], z)

@@ -193,6 +193,18 @@ def _per_sweep_infer(model, doc, sweeps, seed):
     return acc / sweeps
 
 
+def test_corpus_without_tokens_gives_uniform_estimates():
+    bows = [BowDoc(f"d{i}", {}) for i in range(3)]
+    hyper = LdaHyperparams(k=4, iterations=9, burn_in=3, thin=2, seed=1)
+    model = train_lda(bows, 6, hyper)
+    assert np.allclose(model.beta, 1 / 6, rtol=0, atol=1e-15)
+    assert np.allclose(model.theta, 1 / 4, rtol=0, atol=1e-15)
+    assert (model.beta == model.beta[0, 0]).all() and (model.theta == model.theta[0, 0]).all()
+    assert model.n_kw.sum() == 0 and [a.size for a in model.assignments] == [0, 0, 0]
+    samples, doc_ids, word_ids = posterior_assignment_samples(bows, 6, hyper)
+    assert samples.shape == (3, 0) and doc_ids.size == word_ids.size == 0
+
+
 @pytest.mark.parametrize(
     "iterations, burn_in, thin, empty_doc, dtm",
     [
@@ -257,6 +269,13 @@ def test_infer_theta_rejects_fewer_than_one_sweep(counts, sweeps):
     model, _, _, _ = _planted_model()
     with pytest.raises(ValueError, match=f"sweeps must be >= 1, got {sweeps}"):
         infer_theta(model, BowDoc("new", counts), sweeps=sweeps)
+
+
+@pytest.mark.parametrize("counts", [{}, {0: 2}], ids=["empty", "nonempty"])
+def test_infer_theta_rejects_a_negative_seed(counts):
+    model, _, _, _ = _planted_model()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        infer_theta(model, BowDoc("new", counts), seed=-1)
 
 
 def test_infer_theta_recovers_planted_topic():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -131,6 +132,28 @@ def test_token_stream_rejects_bad_tokens():
         TokenStream("d0", ["ok", ""])
     with pytest.raises(ValueError):
         TokenStream("d0", ["two words"])
+
+
+def test_token_check_agrees_with_a_per_character_isspace_test():
+    """TokenStream tests each token with one str.split(); that rejects
+    exactly the tokens that are empty or hold a character with isspace()."""
+
+    def per_character(tok):
+        return not tok or any(ch.isspace() for ch in tok)
+
+    def per_token(tok):
+        return tok.split() != [tok]
+
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    for tokens in (chars, [f"a{c}b" for c in chars]):
+        assert list(map(per_character, tokens)) == list(map(per_token, tokens))
+    for tok in ("", "\u00a0", "a\u2028b", "\u001c", "a\u0085b"):
+        assert per_character(tok)
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            TokenStream("d0", ["ok", tok])
+    for tok in ("\u200b", "a\u200bb"):  # zero-width space is not whitespace to Python
+        assert not per_character(tok)
+        assert TokenStream("d0", [tok]).tokens == (tok,)
 
 
 def _streams(docs: dict[str, list[str]]):
