@@ -14,8 +14,9 @@ returning. `gibbs_sweep` and `infer_sweep` are one-sweep calls of the
 chains.
 """
 
-from itertools import accumulate
-from operator import mul, truediv
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class GibbsLists:
         self.doc_terms = (n_dk + alpha).tolist()
         self.word_terms = (word_counts + word_eta).tolist()
         self.topic_terms = (n_k + eta_sum).tolist()
-        self.weights = None  # the last token's weights, once a token is sampled
+        self.last = -1  # index of the last token sampled, -1 before any
 
     def sweep(self, uniforms):
         """Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields.
@@ -129,14 +130,15 @@ class GibbsLists:
         prior), refreshed from the integer count whenever that count
         changes, so every weight is the same float product and quotient as
         in _gibbs_sweep_py. The running sums of the weights equal both its
-        `total` and its `acc` sequences.
+        `total` and its `acc` sequences; as every weight is >= 0 they never
+        decrease, so the first sum above `r` is `bisect_right`'s index.
         """
         tokens, zs, alpha = self.tokens, self.zs, self.alpha
         doc_counts, word_counts, topic_counts = self.doc_counts, self.word_counts, self.topic_counts
         doc_terms, word_terms, topic_terms = self.doc_terms, self.word_terms, self.topic_terms
         word_eta, topic_eta = self.word_eta, self.topic_eta
         last = len(topic_counts) - 1
-        weights = self.weights
+        i = self.last
         for sweep_uniforms in uniforms:
             for i, ((d, w), u) in enumerate(zip(tokens, sweep_uniforms.tolist())):
                 dc, wc, dt, wt, we = doc_counts[d], word_counts[w], doc_terms[d], word_terms[w], word_eta[w]
@@ -148,14 +150,10 @@ class GibbsLists:
                 wt[k] = wc[k] + we[k]
                 topic_terms[k] = topic_counts[k] + topic_eta[k]
 
-                weights = list(map(truediv, map(mul, dt, wt), topic_terms))
-                cum = list(accumulate(weights))
-                r = u * cum[-1]
-                k = last
-                for j, acc in enumerate(cum):
-                    if r < acc:
-                        k = j
-                        break
+                cum = list(accumulate(map(truediv, map(mul, dt, wt), topic_terms)))
+                k = bisect_right(cum, u * cum[-1])
+                if k > last:
+                    k = last  # the final bucket absorbs any shortfall
 
                 zs[i] = k
                 dc[k] += 1
@@ -164,7 +162,21 @@ class GibbsLists:
                 dt[k] = dc[k] + alpha
                 wt[k] = wc[k] + we[k]
                 topic_terms[k] = topic_counts[k] + topic_eta[k]
-        self.weights = weights
+        self.last = i
+
+    def last_weights(self):
+        """The weights that sampled the last token, as _gibbs_sweep_py leaves
+        them in `probs`; None before any token is sampled."""
+        if self.last < 0:
+            return None
+        d, w = self.tokens[self.last]
+        k = self.zs[self.last]
+        # the terms before the token's new topic was counted
+        dt, wt, tt = self.doc_terms[d][:], self.word_terms[w][:], self.topic_terms[:]
+        dt[k] = (self.doc_counts[d][k] - 1) + self.alpha
+        wt[k] = (self.word_counts[w][k] - 1) + self.word_eta[w][k]
+        tt[k] = (self.topic_counts[k] - 1) + self.topic_eta[k]
+        return list(map(truediv, map(mul, dt, wt), tt))
 
     def store_z(self) -> None:
         self.arrays[0][:] = self.zs
@@ -186,8 +198,9 @@ def gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, u
     state.sweep(uniforms)
     state.store_z()
     state.store_counts()
-    if state.weights is not None:
-        probs[:] = state.weights
+    weights = state.last_weights()
+    if weights is not None:
+        probs[:] = weights
 
 
 def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
@@ -195,41 +208,41 @@ def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, probs, acc=None):
     # beta columns of the document's own words are converted, once per call.
     # After each sweep, acc (if given) gains (m_k + alpha) / (n + K*alpha).
     n_topics = m_k.shape[0]
+    last = n_topics - 1
     denom = word_ids.shape[0] + n_topics * alpha
     zs = z.tolist()
     counts = m_k.tolist()
     terms = [c + alpha for c in counts]
     columns = beta.T[word_ids].tolist()
     sums = None if acc is None else acc.tolist()
-    weights = None
+    i = -1
     for sweep_uniforms in uniforms:
         for i, (column, u) in enumerate(zip(columns, sweep_uniforms.tolist())):
             k = zs[i]
             counts[k] -= 1
             terms[k] = counts[k] + alpha
 
-            weights = list(map(mul, terms, column))
-            cum = list(accumulate(weights))
+            cum = list(accumulate(map(mul, terms, column)))
             total = cum[-1]
             if total <= 0.0:
-                k = min(int(u * n_topics), n_topics - 1)
+                k = min(int(u * n_topics), last)
             else:
-                r = u * total
-                k = n_topics - 1
-                for j, c in enumerate(cum):
-                    if r < c:
-                        k = j
-                        break
+                k = bisect_right(cum, u * total)
+                if k > last:
+                    k = last
 
             zs[i] = k
             counts[k] += 1
             terms[k] = counts[k] + alpha
         if sums is not None:
-            sums = [s + t / denom for s, t in zip(sums, terms)]
+            sums = list(map(add, sums, map(truediv, terms, repeat(denom))))
     z[:] = zs
     m_k[:] = counts
-    if weights is not None:
-        probs[:] = weights
+    if i >= 0:
+        # the last token's weights, from the terms before its new topic was counted
+        k = zs[i]
+        terms[k] = (counts[k] - 1) + alpha
+        probs[:] = list(map(mul, terms, columns[i]))
     if sums is not None:
         acc[:] = sums
 

@@ -309,7 +309,9 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
 
     Gibbs runs over the new document's assignments only; the returned vector
     averages the per-sweep posterior-mean estimates and sums to 1. An empty
-    document yields the uniform vector.
+    document yields the uniform vector. Raises ValueError if beta has a
+    negative, NaN or infinite entry in the column of one of the document's
+    words.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -320,13 +322,21 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
         return np.full(k, 1.0 / k)
     _, word_ids, _ = _expand_bows([doc], model.vocab_size)
     n = word_ids.size
+    # The sampler's topic search needs every weight >= 0 and finite.
+    present = np.array(sorted(doc.counts), dtype=np.int64)
+    columns = model.beta[:, present]
+    bad = ~np.isfinite(columns) | (columns < 0)
+    if bad.any():
+        word = int(present[bad.any(axis=0)][0])
+        raise ValueError(f"beta has a negative, NaN or infinite entry for word {word}")
 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, n, dtype=np.int64)
     m_k = np.bincount(z, minlength=k).astype(np.int64)
     probs = np.empty(k, dtype=np.float64)
     acc = np.zeros(k, dtype=np.float64)
-    uniforms = (rng.random(n) for _ in range(sweeps))
+    # one block: its rows are the same stream as `sweeps` successive random(n) draws
+    uniforms = rng.random((sweeps, n))
     infer_chain(word_ids, z, m_k, model.beta, float(model.hyper.alpha), uniforms, probs, acc)
     return acc / sweeps
 

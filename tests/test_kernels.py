@@ -20,7 +20,7 @@ def _random_state(seed, n=400, n_docs=12, vocab_size=30, k=6):
 
 
 def test_backend_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "numpy"
 
 
 def test_gibbs_sweep_preserves_count_invariants():
@@ -181,3 +181,134 @@ def test_gibbs_chain_on_a_sparse_vocabulary_leaves_unused_columns_alone():
         assert np.array_equal(got, want)
     assert state_a[2][:, unused].tobytes() == unused_before
     assert not np.array_equal(state_a[0], z)
+
+
+def _counted(doc_ids, word_ids, z, n_docs, k, v):
+    n_dk = np.zeros((n_docs, k), np.int64)
+    n_kw = np.zeros((k, v), np.int64)
+    np.add.at(n_dk, (doc_ids, z), 1)
+    np.add.at(n_kw, (z, word_ids), 1)
+    return z, n_dk, n_kw, n_kw.sum(axis=1)
+
+
+def _gibbs_search_edge(case):
+    """(doc_ids, word_ids, state, alpha, eta_kw, uniforms) on one edge of the
+    topic search."""
+    k, v, n, sweeps = 4, 12, 48, 3
+    rng = np.random.default_rng(31)
+    doc_ids = np.sort(rng.integers(0, 6, n))
+    word_ids = rng.integers(0, 8, n)
+    z = rng.integers(0, k, n)
+    alpha, eta_kw = 0.3, np.full((k, v), 0.05)
+    uniforms = [rng.random(n) for _ in range(sweeps)]
+    if case == "zero_uniforms":
+        uniforms = [np.zeros(n)] * sweeps
+    elif case == "top_uniforms":
+        uniforms = [np.full(n, np.nextafter(1.0, 0.0))] * sweeps
+    elif case == "leading_zero_weights":
+        # topics 0 and 1 hold no token and no prior mass on the words used, so
+        # both weigh 0; a draw of exactly 0.0 lands on their equal sums
+        z = rng.integers(2, k, n)
+        eta_kw[:2, :8] = 0.0
+        for u in uniforms:
+            u[::3] = 0.0
+    elif case == "tied_weights":
+        # one token: with it removed every topic weighs 0.5 * 0.25 / 1.0, and
+        # draws of j/4 land exactly on the cumulative sums
+        doc_ids, word_ids, z = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
+        v, alpha, eta_kw = 4, 0.5, np.full((k, 4), 0.25)
+        uniforms = [rng.choice([0.0, 0.25, 0.5, 0.75], 1) for _ in range(12)]
+    elif case == "subnormal_total":
+        # every weight is the smallest subnormal, so u * total rounds up to
+        # total and the search falls back to the last topic
+        doc_ids, word_ids, z = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
+        v, alpha, eta_kw = 1, float(np.nextafter(0.0, 1.0)), np.ones((k, 1))
+        uniforms = [np.full(1, np.nextafter(1.0, 0.0))] * sweeps
+    state = _counted(doc_ids, word_ids, z, doc_ids.max() + 1, k, v)
+    return doc_ids, word_ids, state, alpha, eta_kw, uniforms
+
+
+SEARCH_EDGES = [
+    "zero_uniforms", "top_uniforms", "leading_zero_weights", "tied_weights", "subnormal_total"
+]
+
+
+@pytest.mark.parametrize("case", SEARCH_EDGES)
+def test_gibbs_chain_matches_array_sweeps_on_search_edges(case):
+    doc_ids, word_ids, state, alpha, eta_kw, uniforms = _gibbs_search_edge(case)
+    eta_sum = eta_kw.sum(axis=1)
+    k = eta_kw.shape[0]
+    state_a = tuple(a.copy() for a in state)
+    state_b = tuple(a.copy() for a in state)
+    probs_a, probs_b = np.zeros(k), np.zeros(k)
+    _kernels.gibbs_chain(
+        doc_ids, word_ids, *state_a, alpha, eta_kw, eta_sum, iter(uniforms), probs_a
+    )
+    for u in uniforms:
+        _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, alpha, eta_kw, eta_sum, u, probs_b)
+    for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+        assert np.array_equal(got, want)
+    if case == "leading_zero_weights":
+        assert probs_a[:2].tolist() == [0.0, 0.0] and state_a[0].min() >= 2
+
+
+def _infer_search_edge(case):
+    """(word_ids, z, beta, alpha, uniforms) on one edge of the topic search."""
+    k, v, n, sweeps = 4, 10, 24, 3
+    rng = np.random.default_rng(37)
+    word_ids = rng.integers(0, v, n)
+    beta = rng.dirichlet(np.ones(v), size=k)
+    alpha = 0.2
+    uniforms = [rng.random(n) for _ in range(sweeps)]
+    if case == "zero_uniforms":
+        uniforms = [np.zeros(n)] * sweeps
+    elif case == "top_uniforms":
+        uniforms = [np.full(n, np.nextafter(1.0, 0.0))] * sweeps
+    elif case == "leading_zero_weights":
+        beta[:2, word_ids] = 0.0
+        for u in uniforms:
+            u[::3] = 0.0
+    elif case == "tied_weights":
+        # weights are (m_k + 0.5) * 0.25: topics with equal counts tie, and
+        # every sum and every u * total is exact
+        n, alpha, beta = 7, 0.5, np.full((k, v), 0.25)
+        word_ids = word_ids[:n]
+        uniforms = [rng.choice([0.0, 0.25, 0.5, 0.75], n) for _ in range(12)]
+    elif case == "subnormal_total":
+        alpha, beta = 1.0, np.full((k, v), np.nextafter(0.0, 1.0))
+        uniforms = [np.full(n, np.nextafter(1.0, 0.0))] * sweeps
+    return word_ids, rng.integers(0, k, n), beta, alpha, uniforms
+
+
+@pytest.mark.parametrize("case", SEARCH_EDGES)
+def test_infer_chain_matches_array_sweeps_on_search_edges(case):
+    word_ids, z0, beta, alpha, uniforms = _infer_search_edge(case)
+    k, n = beta.shape[0], word_ids.size
+    m0 = np.bincount(z0, minlength=k)
+    za, ma, probs_a, acc_a = z0.copy(), m0.copy(), np.zeros(k), np.zeros(k)
+    zb, mb, probs_b, acc_b = z0.copy(), m0.copy(), np.zeros(k), np.zeros(k)
+    _kernels.infer_chain(word_ids, za, ma, beta, alpha, iter(uniforms), probs_a, acc_a)
+    for u in uniforms:
+        _kernels._infer_sweep_py(word_ids, zb, mb, beta, alpha, u, probs_b)
+        acc_b += (mb + alpha) / (n + k * alpha)
+    for got, want in zip((za, ma, probs_a, acc_a), (zb, mb, probs_b, acc_b)):
+        assert np.array_equal(got, want)
+
+
+def test_chains_without_sweeps_change_nothing():
+    """An empty uniforms iterable leaves z, the counts, probs and acc alone."""
+    doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(13, n=50, k=5)
+    state = (z, n_dk, n_kw, n_k)
+    before = [a.copy() for a in state]
+    probs = np.full(5, 7.0)
+    _kernels.gibbs_chain(doc_ids, word_ids, *state, 0.3, eta_kw, eta_sum, (), probs)
+    for got, want in zip(state, before):
+        assert np.array_equal(got, want)
+    assert probs.tolist() == [7.0] * 5
+
+    beta = rng.dirichlet(np.ones(30), size=5)
+    m_k = np.bincount(z, minlength=5)
+    m_before, acc = m_k.copy(), np.full(5, 0.5)
+    _kernels.infer_chain(word_ids, z, m_k, beta, 0.2, (), probs, acc)
+    assert np.array_equal(z, before[0]) and np.array_equal(m_k, m_before)
+    assert probs.tolist() == [7.0] * 5 and acc.tolist() == [0.5] * 5

@@ -278,6 +278,50 @@ def test_infer_theta_rejects_a_negative_seed(counts):
         infer_theta(model, BowDoc("new", counts), seed=-1)
 
 
+@pytest.mark.parametrize("seed", [0, 4, 11])
+@pytest.mark.parametrize("sweeps", [1, 200])
+@pytest.mark.parametrize("length", [1, 7, 12])
+def test_infer_theta_equals_one_draw_per_sweep(length, sweeps, seed):
+    """The one (sweeps, n) block of uniforms gives the bytes of one random(n)
+    draw per sweep."""
+    rng = np.random.default_rng(40 + length)
+    model = model_from_beta(rng.dirichlet(np.full(10, 0.5), size=4))
+    doc = docs_to_bows([rng.integers(0, 10, length).tolist()])[0]
+    assert doc.total() == length
+    want = _per_sweep_infer(model, doc, sweeps, seed)
+    assert np.array_equal(infer_theta(model, doc, sweeps=sweeps, seed=seed), want)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+@pytest.mark.parametrize("shape", [(7, 13), (200, 1), (3, 0)])
+def test_a_block_of_uniforms_is_the_stream_of_row_draws(shape, seed):
+    """numpy's random((S, n)) rows are S successive random(n) draws, and both
+    leave the generator in the same state; infer_theta relies on this."""
+    sweeps, n = shape
+    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = block_rng.random(shape)
+    rows = [row_rng.random(n) for _ in range(sweeps)]
+    assert block.shape == shape and np.array_equal(block, np.stack(rows))
+    assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.4], ids=["nan", "inf", "negative"])
+def test_infer_theta_rejects_bad_beta_in_the_documents_columns(bad):
+    beta = np.full((2, 4), 0.25)
+    beta[1, 2] = bad
+    with pytest.raises(ValueError, match="for word 2$"):
+        infer_theta(model_from_beta(beta), BowDoc("new", {0: 1, 2: 3}), sweeps=5)
+
+
+def test_infer_theta_draws_uniformly_for_a_zero_column():
+    beta = np.random.default_rng(3).dirichlet(np.ones(4), size=2)
+    beta[:, 2] = 0.0
+    model = model_from_beta(beta)
+    doc = BowDoc("new", {0: 1, 2: 3})
+    want = _per_sweep_infer(model, doc, 20, seed=4)
+    assert np.array_equal(infer_theta(model, doc, sweeps=20, seed=4), want)
+
+
 def test_infer_theta_recovers_planted_topic():
     model, bows, labels, supports = _planted_model()
     # The topic index matching planted label 0 is whichever one puts more
