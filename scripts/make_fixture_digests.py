@@ -10,16 +10,10 @@ compares. Regenerate only when an output changes on purpose, and name each
 moved digest and its reason in CHANGES.md. Runs from a checkout:
 
     python3 scripts/make_fixture_digests.py
-
-With `--check` it writes nothing: it prints each digest that differs from
-the pinned file, by name, and exits 1 if any does.
-
-    python3 scripts/make_fixture_digests.py --check
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -93,36 +87,14 @@ def library_digests() -> dict[str, str]:
     }
 
 
-def moved_digests(pinned: dict, fresh: dict) -> list[str]:
-    """`section/name` of every digest that differs, is new or is gone."""
-    return [
-        f"{section}/{name}"
-        for section in ("workspace", "library")
-        for name in sorted(pinned[section].keys() | fresh[section].keys())
-        if pinned[section].get(name) != fresh[section].get(name)
-    ]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="compare with the pinned file; write nothing"
-    )
-    args = parser.parse_args()
+def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         workspace = workspace_digests(Path(tmp) / "ws")
     payload = {"note": NOTE, "workspace": workspace, "library": library_digests()}
-    if args.check:
-        moved = moved_digests(json.loads(OUT.read_text(encoding="utf-8")), payload)
-        for name in moved:
-            print(f"moved: {name}")
-        print(f"{len(moved)} of {len(workspace) + len(payload['library'])} digests moved")
-        return 1 if moved else 0
     OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(workspace)} workspace and {len(payload['library'])} library digests")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

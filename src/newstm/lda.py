@@ -312,6 +312,10 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     document yields the uniform vector. Raises ValueError if beta has a
     negative, NaN or infinite entry in the column of one of the document's
     words.
+
+    The document's uniforms are drawn up front as one (sweeps, n) float64
+    block, so memory grows as O(sweeps * n): 16 MB for a 10,000-token
+    document at the default 200 sweeps.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -323,11 +327,10 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     _, word_ids, _ = _expand_bows([doc], model.vocab_size)
     n = word_ids.size
     # The sampler's topic search needs every weight >= 0 and finite.
-    present = np.array(sorted(doc.counts), dtype=np.int64)
-    columns = model.beta[:, present]
+    columns = model.beta[:, word_ids]
     bad = ~np.isfinite(columns) | (columns < 0)
     if bad.any():
-        word = int(present[bad.any(axis=0)][0])
+        word = int(word_ids[bad.any(axis=0)][0])
         raise ValueError(f"beta has a negative, NaN or infinite entry for word {word}")
 
     rng = np.random.default_rng(seed)

@@ -25,11 +25,3 @@ def test_fixture_workspace_matches_pinned_digests(tmp_path):
 
 def test_inference_and_posterior_samples_match_pinned_digests():
     assert digests.library_digests() == PINNED["library"]
-
-
-def test_check_names_every_moved_new_and_missing_digest():
-    pinned = {"workspace": {"a": "1", "b": "2", "gone": "3"}, "library": {"x": "4"}}
-    fresh = {"workspace": {"a": "1", "b": "5", "new": "6"}, "library": {"x": "4"}}
-    assert digests.moved_digests(pinned, pinned) == []
-    moved = digests.moved_digests(pinned, fresh)
-    assert moved == ["workspace/b", "workspace/gone", "workspace/new"]

@@ -292,19 +292,6 @@ def test_infer_theta_equals_one_draw_per_sweep(length, sweeps, seed):
     assert np.array_equal(infer_theta(model, doc, sweeps=sweeps, seed=seed), want)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**40])
-@pytest.mark.parametrize("shape", [(7, 13), (200, 1), (3, 0)])
-def test_a_block_of_uniforms_is_the_stream_of_row_draws(shape, seed):
-    """numpy's random((S, n)) rows are S successive random(n) draws, and both
-    leave the generator in the same state; infer_theta relies on this."""
-    sweeps, n = shape
-    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = block_rng.random(shape)
-    rows = [row_rng.random(n) for _ in range(sweeps)]
-    assert block.shape == shape and np.array_equal(block, np.stack(rows))
-    assert block_rng.bit_generator.state == row_rng.bit_generator.state
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.4], ids=["nan", "inf", "negative"])
 def test_infer_theta_rejects_bad_beta_in_the_documents_columns(bad):
     beta = np.full((2, 4), 0.25)
