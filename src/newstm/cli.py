@@ -276,6 +276,8 @@ def _manifest_fault(manifest: Any) -> str | None:
             and isinstance(entry.get("inputs"), dict)
         ):
             return f"artifact {name!r} needs a string path, a string sha256 and an inputs object"
+        if Path(entry["path"]).is_absolute() or ".." in Path(entry["path"]).parts:
+            return f"artifact {name!r} has path {entry['path']!r} outside the workspace"
     return None
 
 
@@ -369,18 +371,15 @@ class Workspace:
             lock_path.unlink(missing_ok=True)
 
 
-def cmd_ingest(config: RunConfig, ws: Workspace) -> None:
+def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     corpus = load_corpus(config.corpus_path)
     series = articles_per_day(corpus)  # publication timeline over the full load
     filtered = filter_by_category(corpus, config.keep_categories)
-    manifest = ws.load_manifest()
     save_corpus(filtered, ws.path_for("corpus"))
     write_timeline_csv(series, ws.path_for("timeline"))
-    ws.record(manifest, "corpus", "timeline")
 
 
-def cmd_preprocess(config: RunConfig, ws: Workspace) -> None:
-    manifest = ws.load_manifest()
+def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     corpus = load_corpus(ws.require(manifest, "corpus"))
     stopwords = load_stopwords(config.stoplist)
     streams = [
@@ -393,36 +392,30 @@ def cmd_preprocess(config: RunConfig, ws: Workspace) -> None:
     bows = [to_bow(s, vocab) for s in merged]
     write_vocabulary(vocab, ws.path_for("vocab"))
     write_bows(bows, ws.path_for("bows"))
-    ws.record(manifest, "vocab", "bows")
 
 
-def cmd_train(config: RunConfig, ws: Workspace, mode: str) -> None:
-    manifest = ws.load_manifest()
+def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
-    if mode == "static":
-        model = train_lda(bows, len(vocab), config.hyper)
-        save_lda(model, ws.path_for("model_static"))
-        ws.record(manifest, "model_static")
-    else:
-        corpus = load_corpus(ws.require(manifest, "corpus"))
-        slices = slice_monthly(
-            corpus, config.anchor_day, config.first_start, config.n_slices
-        )
-        sizes = [len(s) for s in slices]
-        logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
-        by_id = {bow.doc_id: bow for bow in bows}
-        # require() checked bows against this corpus, and preprocess wrote one per document.
-        sliced = [(s, [by_id[doc_id] for doc_id in s.doc_ids]) for s in slices]
-        model = train_dtm(
-            sliced, config.hyper.k, config.hyper, config.kappa, vocab_size=len(vocab)
-        )
-        save_dtm(model, ws.path_for("model_dtm"))
-        ws.record(manifest, "model_dtm")
+    model = train_lda(bows, len(vocab), config.hyper)
+    save_lda(model, ws.path_for("model_static"))
 
 
-def cmd_report(config: RunConfig, ws: Workspace) -> None:
-    manifest = ws.load_manifest()
+def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    bows = read_bows(ws.require(manifest, "bows"))
+    vocab = read_vocabulary(ws.require(manifest, "vocab"))
+    corpus = load_corpus(ws.require(manifest, "corpus"))
+    slices = slice_monthly(corpus, config.anchor_day, config.first_start, config.n_slices)
+    sizes = [len(s) for s in slices]
+    logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
+    by_id = {bow.doc_id: bow for bow in bows}
+    # require() checked bows against this corpus, and preprocess wrote one per document.
+    sliced = [(s, [by_id[doc_id] for doc_id in s.doc_ids]) for s in slices]
+    model = train_dtm(sliced, config.hyper, config.kappa, vocab_size=len(vocab))
+    save_dtm(model, ws.path_for("model_dtm"))
+
+
+def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     model = load_lda(ws.require(manifest, "model_static"))
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
@@ -444,13 +437,10 @@ def cmd_report(config: RunConfig, ws: Workspace) -> None:
         all_series.append(trajectory(dtm_model, topic, words, vocab))
     write_trajectory_csv(all_series, ws.path_for("trajectories"))
 
-    ws.record(manifest, "coherence", "overlap", "intertopic", "trajectories")
 
-
-def cmd_plot(config: RunConfig, ws: Workspace) -> None:
+def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
-    manifest = ws.load_manifest()
     series = read_timeline_csv(ws.require(manifest, "timeline"))
     topic_map = read_intertopic_csv(ws.require(manifest, "intertopic"))
     trajectories = read_trajectory_csv(ws.require(manifest, "trajectories"))
@@ -470,6 +460,17 @@ def cmd_plot(config: RunConfig, ws: Workspace) -> None:
         if stale.name not in written:
             stale.unlink()
     logger.info("figures written to %s", figures_dir)
+
+
+# Producer name, as `_ARTIFACTS` spells it -> the command that writes its artifacts.
+_COMMANDS: dict[str, Callable[[RunConfig, Workspace, dict], None]] = {
+    "ingest": cmd_ingest,
+    "preprocess": cmd_preprocess,
+    "train --mode static": cmd_train_static,
+    "train --mode dtm": cmd_train_dtm,
+    "report": cmd_report,
+    "plot": cmd_plot,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -520,17 +521,13 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "overrides", None),
             getattr(args, "seed", None),
         )
+        command = args.command + (f" --mode {args.mode}" if "mode" in args else "")
+        outputs = [name for name, (_, producer, _) in _ARTIFACTS.items() if producer == command]
         with workspace.lock():
-            if args.command == "ingest":
-                cmd_ingest(config, workspace)
-            elif args.command == "preprocess":
-                cmd_preprocess(config, workspace)
-            elif args.command == "train":
-                cmd_train(config, workspace, args.mode)
-            elif args.command == "report":
-                cmd_report(config, workspace)
-            elif args.command == "plot":
-                cmd_plot(config, workspace)
+            manifest = workspace.load_manifest()
+            _COMMANDS[command](config, workspace, manifest)
+            if outputs:  # plot writes figures only and leaves manifest.json alone
+                workspace.record(manifest, *outputs)
         return 0
     except ValidationError as exc:
         logger.error("%s", exc)

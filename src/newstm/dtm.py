@@ -63,7 +63,7 @@ class TrajectorySeries:
             values = self.series[word]
             if len(values) != t:
                 raise ValueError(f"series for {word!r} has length {len(values)}, expected {t}")
-            if ((values < 0) | (values > 1)).any():
+            if not ((values >= 0) & (values <= 1)).all():
                 raise ValueError(f"series for {word!r} leaves [0, 1]")
 
 
@@ -79,7 +79,6 @@ def slice_seeds_for(base_seed: int, n_slices: int) -> list[int]:
 
 def train_dtm(
     sliced_corpus: Sequence[tuple[TimeSlice, Sequence[BowDoc]]],
-    k: int,
     base_hyper: LdaHyperparams,
     kappa: float = 1.0,
     *,
@@ -96,13 +95,12 @@ def train_dtm(
     slices_in = list(sliced_corpus)
     if not slices_in:
         raise ValueError("need at least one time slice")
-    if k != base_hyper.k:
-        raise ValueError(f"K mismatch: requested k={k} but hyperparameters carry k={base_hyper.k}")
     if not (kappa >= 0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
 
+    k = base_hyper.k
     seeds = slice_seeds_for(base_hyper.seed, len(slices_in))
     betas = np.empty((len(slices_in), k, vocab_size), dtype=np.float64)
     thetas: list[np.ndarray] = []

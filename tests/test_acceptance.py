@@ -150,7 +150,7 @@ def test_criterion_4_dtm_degeneracies():
         for t, bows in enumerate([bows_a, bows_b])
     ]
 
-    chained = train_dtm(sliced, 3, base, kappa=0.0, vocab_size=10, warm_start=False)
+    chained = train_dtm(sliced, base, kappa=0.0, vocab_size=10, warm_start=False)
     for t, (_, bows) in enumerate(sliced):
         independent = train_lda(
             bows, 10, dataclasses.replace(base, seed=chained.slice_seeds[t])
@@ -158,7 +158,7 @@ def test_criterion_4_dtm_degeneracies():
         assert np.array_equal(chained.per_slice_beta[t], independent.beta)
         assert np.array_equal(chained.per_slice_theta[t], independent.theta)
 
-    single = train_dtm(sliced[:1], 3, base, kappa=1.0, vocab_size=10)
+    single = train_dtm(sliced[:1], base, kappa=1.0, vocab_size=10)
     static = train_lda(bows_a, 10, base)
     assert np.array_equal(single.per_slice_beta[0], static.beta)
     assert np.array_equal(single.per_slice_theta[0], static.theta)
@@ -172,7 +172,7 @@ def test_criterion_5_drift_response():
         k=2, alpha=1.0, eta=0.01, iterations=200, burn_in=80, thin=5, seed=17
     )
     for kappa in (0.0, 1.0):
-        model = train_dtm(sliced, 2, hyper, kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
+        model = train_dtm(sliced, hyper, kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
         topic_a = int(np.argmax(model.per_slice_beta[0, :, DRIFT_MARKER_WORD]))
         series = trajectory(
             model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from newstm.cli import _ARTIFACTS, _SCHEMA, ValidationError, Workspace, load_config, main
+from newstm.cli import (
+    _ARTIFACTS,
+    _COMMANDS,
+    _SCHEMA,
+    ValidationError,
+    Workspace,
+    load_config,
+    main,
+)
 
 FAST_SETTINGS = """\
 [preprocess]
@@ -163,6 +171,18 @@ def test_readme_config_loads_at_the_defaults_and_lists_every_key(tmp_path):
     assert loaded == load_config(None, overrides=[f"corpus.path={loaded.corpus_path}"])
 
 
+def test_readme_artifact_table_lists_every_declared_artifact():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| artifact | written by | inputs |\n|---|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        files, producer, inputs = (cell.strip() for cell in row.strip("|").split("|"))
+        for file in files.split(", "):
+            sources = () if inputs == "none" else tuple(inputs.split(", "))
+            listed[file.strip("`")] = (producer.strip("`"), sources)
+    assert listed == {path: (producer, inputs) for path, producer, inputs in _ARTIFACTS.values()}
+
+
 def test_empty_keep_set_fails_before_any_io(tmp_path, sample_corpus_path):
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"
@@ -304,6 +324,36 @@ def test_manifest_lists_exactly_the_declared_inputs(pipeline_ws):
         assert sorted(artifacts[name]["inputs"]) == sorted(inputs), name
 
 
+def test_each_command_reads_and_records_what_its_artifacts_declare(
+    tmp_path, sample_corpus_path, monkeypatch
+):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    manifest_path = ws / "manifest.json"
+    require, read = Workspace.require, []
+
+    def logged_require(self, manifest, name):
+        read.append(name)
+        return require(self, manifest, name)
+
+    monkeypatch.setattr(Workspace, "require", logged_require)
+    done = set()
+    for producer in _COMMANDS:
+        read.clear()
+        before = manifest_path.stat() if manifest_path.exists() else None
+        assert main(["--workspace", str(ws), "--config", str(config), *producer.split()]) == 0
+        outputs = [name for name, (_, by, _) in _ARTIFACTS.items() if by == producer]
+        declared = {source for name in outputs for source in _ARTIFACTS[name][2]}
+        if producer == "plot":
+            declared = {"timeline", "intertopic", "trajectories"}
+            after = manifest_path.stat()
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert set(read) == declared, producer
+        done.add(producer)
+        artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
+        assert sorted(artifacts) == sorted(n for n, (_, by, _) in _ARTIFACTS.items() if by in done)
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -314,8 +364,16 @@ def _drop_sha256(text):
     return json.dumps(manifest)
 
 
+def _path_outside(text):
+    manifest = json.loads(text)
+    manifest["artifacts"]["corpus"]["path"] = "../ws/corpus.jsonl"
+    return json.dumps(manifest)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_truncate, lambda text: "[]", _drop_sha256], ids=["truncated", "list", "no-sha256"]
+    "corrupt",
+    [_truncate, lambda text: "[]", _drop_sha256, _path_outside],
+    ids=["truncated", "list", "no-sha256", "path-outside"],
 )
 def test_corrupt_manifest_is_a_one_line_validation_error(
     tmp_path, sample_corpus_path, caplog, corrupt

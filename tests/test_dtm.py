@@ -16,6 +16,7 @@ from helpers import (
 )
 from newstm.corpus import TimeSlice
 from newstm.dtm import (
+    TrajectorySeries,
     load_dtm,
     read_trajectory_csv,
     save_dtm,
@@ -50,7 +51,7 @@ BASE = LdaHyperparams(k=3, alpha=0.8, eta=0.05, iterations=40, burn_in=10, thin=
 
 def test_kappa_zero_equivalence_mode_is_bitwise_independent_lda():
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=0.0, vocab_size=10, warm_start=False)
+    model = train_dtm(sliced, BASE, kappa=0.0, vocab_size=10, warm_start=False)
     for t, (_, bows) in enumerate(sliced):
         hyper_t = dataclasses.replace(BASE, seed=model.slice_seeds[t])
         independent = train_lda(bows, 10, hyper_t)
@@ -60,7 +61,7 @@ def test_kappa_zero_equivalence_mode_is_bitwise_independent_lda():
 
 def test_single_slice_dtm_equals_static_lda_bitwise():
     sliced = _two_slice_corpus()[:1]
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     static = train_lda(sliced[0][1], 10, BASE)
     assert model.slice_seeds == [BASE.seed]
     assert np.array_equal(model.per_slice_beta[0], static.beta)
@@ -69,31 +70,29 @@ def test_single_slice_dtm_equals_static_lda_bitwise():
 
 def test_validation_errors():
     sliced = _two_slice_corpus()
-    with pytest.raises(ValueError, match="K mismatch"):
-        train_dtm(sliced, 4, BASE, vocab_size=10)
     with pytest.raises(ValueError, match="kappa"):
-        train_dtm(sliced, 3, BASE, kappa=-1.0, vocab_size=10)
+        train_dtm(sliced, BASE, kappa=-1.0, vocab_size=10)
     with pytest.raises(ValueError, match="slice"):
-        train_dtm([], 3, BASE, vocab_size=10)
+        train_dtm([], BASE, vocab_size=10)
 
 
 def test_nan_kappa_is_rejected():
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
-            train_dtm(_two_slice_corpus(), 3, BASE, kappa=kappa, vocab_size=10)
+            train_dtm(_two_slice_corpus(), BASE, kappa=kappa, vocab_size=10)
 
 
 def test_empty_slice_carries_beta_forward_verbatim():
     sliced = _two_slice_corpus()
     sliced.append((_slice_meta(2), []))
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     assert np.array_equal(model.per_slice_beta[2], model.per_slice_beta[1])
     assert model.per_slice_theta[2].shape == (0, 3)
 
 
 def test_leading_empty_slice_starts_uniform():
     sliced = [(_slice_meta(0), [])] + _two_slice_corpus()[:1]
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     assert np.array_equal(model.per_slice_beta[0], np.full((3, 10), 0.1))
 
 
@@ -111,7 +110,7 @@ def _drift_topic_index(model):
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_planted_drift_trajectories(kappa):
     sliced = planted_drift_sliced_corpus(seed=3)
-    model = train_dtm(sliced, 2, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
+    model = train_dtm(sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
     topic_a = _drift_topic_index(model)
     series = trajectory(
         model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()
@@ -129,7 +128,7 @@ def test_chain_strength_tightens_consecutive_slices():
     tv = {}
     for kappa in (0.0, 1.0, 10.0):
         model = train_dtm(
-            sliced, 2, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
+            sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
         )
         diffs = np.abs(model.per_slice_beta[1:] - model.per_slice_beta[:-1])
         tv[kappa] = float(diffs.sum(axis=-1).mean() / 2)
@@ -140,7 +139,7 @@ def test_all_slice_rows_are_distributions():
     sliced = planted_drift_sliced_corpus(seed=3)
     for kappa in (0.0, 1.0, 10.0):
         model = train_dtm(
-            sliced, 2, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
+            sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
         )
         sums = model.per_slice_beta.sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-9)
@@ -149,7 +148,7 @@ def test_all_slice_rows_are_distributions():
 
 def test_trajectory_values_are_raw_beta_entries():
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     vocab = drift_vocab()
     series = trajectory(model, 1, ["w2", "w7"], vocab)
     assert np.array_equal(series.series["w2"], model.per_slice_beta[:, 1, 2])
@@ -159,7 +158,7 @@ def test_trajectory_values_are_raw_beta_entries():
 
 def test_trajectory_rejects_oov_words():
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     with pytest.raises(ValueError, match="okänt"):
         trajectory(model, 0, ["w1", "okänt"], drift_vocab())
     with pytest.raises(ValueError, match="topic_id"):
@@ -170,7 +169,7 @@ def test_unseen_word_series_is_smoothing_floor():
     # Word 9 never occurs in the drift corpus; its probability stays at the
     # strictly positive prior floor in every slice.
     sliced = planted_drift_sliced_corpus(seed=3)
-    model = train_dtm(sliced, 2, _drift_hyper(), kappa=0.0, vocab_size=DRIFT_VOCAB_SIZE)
+    model = train_dtm(sliced, _drift_hyper(), kappa=0.0, vocab_size=DRIFT_VOCAB_SIZE)
     series = trajectory(model, 0, ["w9"], drift_vocab())
     values = series.series["w9"]
     assert (values > 0).all()
@@ -179,7 +178,7 @@ def test_unseen_word_series_is_smoothing_floor():
 
 def test_top_words_at_matches_slice_rows():
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=0.0, vocab_size=10, warm_start=False)
+    model = train_dtm(sliced, BASE, kappa=0.0, vocab_size=10, warm_start=False)
     for t, (_, bows) in enumerate(sliced):
         hyper_t = dataclasses.replace(BASE, seed=model.slice_seeds[t])
         independent = train_lda(bows, 10, hyper_t)
@@ -190,14 +189,14 @@ def test_top_words_at_matches_slice_rows():
 
 def test_top_words_at_uniform_row_tie_break():
     sliced = [(_slice_meta(0), [])]  # empty leading slice trains nothing: uniform rows
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     summary = top_words_at(model, 1, 0, 3)
     assert [term for term, _ in summary.terms] == ["0", "1", "2"]
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     vocab = drift_vocab()
     series_list = [trajectory(model, k, ["w1", "w5"], vocab) for k in range(3)]
     path = tmp_path / "traj.csv"
@@ -226,9 +225,19 @@ def test_trajectory_csv_rejects_words_with_other_slice_dates(tmp_path):
         read_trajectory_csv(path)
 
 
+def test_trajectory_series_rejects_nan(tmp_path):
+    with pytest.raises(ValueError, match=r"'a' leaves \[0, 1\]"):
+        TrajectorySeries(0, ("a",), {"a": np.array([np.nan])}, ("2020-01-17",))
+    path = tmp_path / "traj.csv"
+    rows = ["topic,word,slice_start,probability", "0,w1,2020-01-17,nan"]
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"'w1' leaves \[0, 1\]"):
+        read_trajectory_csv(path)
+
+
 def test_save_load_roundtrip(tmp_path):
     sliced = _two_slice_corpus()
-    model = train_dtm(sliced, 3, BASE, kappa=1.0, vocab_size=10)
+    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     path = tmp_path / "dtm.json"
     save_dtm(model, path)
     loaded = load_dtm(path)

@@ -53,7 +53,7 @@ def models():
     for t, docs in enumerate([bows[:7], [], bows[7:]]):
         start, end = datetime.date(2020, 1 + t, 17), datetime.date(2020, 2 + t, 17)
         sliced.append((TimeSlice(t, start, end, tuple(b.doc_id for b in docs)), docs))
-    dtm = train_dtm(sliced, 3, HYPER, kappa=1.0, vocab_size=10)
+    dtm = train_dtm(sliced, HYPER, kappa=1.0, vocab_size=10)
     return {"lda": (lda, save_lda, load_lda, "static"), "dtm": (dtm, save_dtm, load_dtm, "dtm")}
 
 

@@ -179,7 +179,7 @@ def test_drifted_in_word_curve_rises(tmp_path):
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=0.01, iterations=200, burn_in=80, thin=5, seed=17
     )
-    model = train_dtm(sliced, 2, hyper, kappa=1.0, vocab_size=DRIFT_VOCAB_SIZE)
+    model = train_dtm(sliced, hyper, kappa=1.0, vocab_size=DRIFT_VOCAB_SIZE)
     topic_a = int(np.argmax(model.per_slice_beta[0, :, DRIFT_MARKER_WORD]))
     series = trajectory(
         model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()
