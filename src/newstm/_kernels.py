@@ -3,22 +3,40 @@
 `_gibbs_sweep_py` and `_infer_sweep_py` are the reference kernels: one sweep
 over NumPy arrays, indexed one scalar at a time, which tests compare the
 kernels below against. They do the same floating-point operations in the
-same order, on Python lists converted once, not once per sweep.
+same order, on Python lists converted once, not once per sweep, or in C.
 
-`GibbsLists` holds a training chain's state as lists for as many sweeps as
-its caller runs, and writes back on request; `lda` builds one per chain.
+A training chain's state is a `GibbsArrays` when the C `gibbs_chain` of
+`_kernels.c` is compiled and loaded, else a `GibbsLists`; `lda` builds one
+per chain and passes it blocks of uniforms, one row per sweep. The C file
+is compiled on first import with the system `cc` into the user's cache
+directory (`$XDG_CACHE_HOME/newstm`, else `~/.cache/newstm`), under a name
+that hashes the source, the flags and the compiler's file, so later imports
+start no process. Without a compiler, or if the build or load fails, the
+import logs one line and the list kernels run; `BACKEND` says which.
+
 `gibbs_chain` and `infer_chain` take the state as arrays and, in place of
 one uniform array, an iterable that yields one per sweep, so a run of
 sweeps is one call that converts on entry and writes back before
 returning. `gibbs_sweep` and `infer_sweep` are one-sweep calls of the
-chains.
+chains. Held-out inference stays on lists.
 """
 
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import tempfile
 from bisect import bisect_right
 from itertools import accumulate, repeat
 from operator import add, mul, truediv
+from pathlib import Path
 
 import numpy as np
+
+from newstm.modelfile import replacing
+
+logger = logging.getLogger(__name__)
 
 
 def _gibbs_sweep_py(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
@@ -191,6 +209,70 @@ class GibbsLists:
         n_k[:] = self.topic_counts
 
 
+def _address(arr, dtype, shape, written=False) -> int:
+    """The data address of `arr`, checked to be a C-contiguous `dtype` array
+    of `shape`, and writeable if the kernel writes it."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.shape == shape
+        and arr.flags.c_contiguous
+        and (arr.flags.writeable or not written)
+    ):
+        raise ValueError(
+            f"the C kernel needs a C-contiguous{' writeable' if written else ''} "
+            f"{np.dtype(dtype)} array of shape {shape}, got {getattr(arr, 'dtype', type(arr))} "
+            f"of shape {np.shape(arr)}"
+        )
+    return arr.ctypes.data
+
+
+class GibbsArrays:
+    """A Gibbs chain's state as its own arrays, swept by the C `gibbs_chain`.
+
+    It has GibbsLists' interface. The arrays are checked once, on
+    construction: dtype, shape, C-contiguity, and that every doc, word and
+    topic id indexes its matrix, so the kernel never reads or writes outside
+    them. The kernel updates them in place, so there is nothing to store.
+    `probs` receives the weights of the last token sampled.
+    """
+
+    def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, probs=None):
+        (n,), (n_docs, k), (_, v) = z.shape, n_dk.shape, n_kw.shape
+        probs = np.empty(k) if probs is None else probs
+        i8, f8 = np.int64, np.float64
+        addresses = (
+            _address(doc_ids, i8, (n,)),
+            _address(word_ids, i8, (n,)),
+            _address(z, i8, (n,), written=True),
+            _address(n_dk, i8, (n_docs, k), written=True),
+            _address(n_kw, i8, (k, v), written=True),
+            _address(n_k, i8, (k,), written=True),
+        )
+        for name, ids, bound in (("doc", doc_ids, n_docs), ("word", word_ids, v), ("topic", z, k)):
+            if n and (ids.min() < 0 or ids.max() >= bound):
+                raise ValueError(f"{name} ids must lie in 0..{bound - 1}")
+        self.args = (
+            n, k, v, *addresses, float(alpha),
+            _address(eta_kw, f8, (k, v)), _address(eta_sum, f8, (k,)),
+            _address(probs, f8, (k,), written=True),
+        )
+        # the kernel holds these addresses, so the arrays must outlive it
+        self.arrays = doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, probs
+
+    def sweep(self, uniforms) -> None:
+        """Repeated _gibbs_sweep_py, one sweep per row of the (sweeps, n)
+        float64 block `uniforms`."""
+        address = _address(uniforms, np.float64, (len(uniforms), self.args[0]))
+        c_gibbs_chain(len(uniforms), address, *self.args)
+
+    def store_z(self) -> None:
+        """Nothing to copy: the kernel writes z itself."""
+
+    def store_counts(self) -> None:
+        """Nothing to copy: the kernel writes the counts themselves."""
+
+
 def gibbs_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
     # Repeated _gibbs_sweep_py, one sweep per array that `uniforms` yields,
     # on a GibbsLists state written back once on return.
@@ -255,5 +337,74 @@ def infer_sweep(word_ids, z, m_k, beta, alpha, uniforms, probs):
     infer_chain(word_ids, z, m_k, beta, alpha, (uniforms,), probs)
 
 
+_SOURCE = Path(__file__).with_name("_kernels.c")
+# -ffp-contract=off: a contracted multiply-add (gcc does it by default on
+# aarch64) rounds once where the Python kernels round twice. No -ffast-math.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_INT, _PTR = ctypes.c_int64, ctypes.c_void_p
+_ARGTYPES = (_INT, _PTR, _INT, _INT, _INT) + (_PTR,) * 6 + (ctypes.c_double,) + (_PTR,) * 3
+
+
+def _cache_dir() -> Path:
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "newstm"
+
+
+def _intact(library: Path) -> bool:
+    """Whether `library` holds a complete build: its bytes end with their own
+    sha256. dlopen of a truncated file can kill the process with SIGBUS."""
+    try:
+        data = library.read_bytes()
+    except FileNotFoundError:
+        return False
+    return hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _build(cc: str, library: Path) -> None:
+    """Compile _kernels.c into `library`, followed by the sha256 of the build."""
+    import subprocess  # only a cache miss pays for it
+
+    library.parent.mkdir(parents=True, exist_ok=True)
+    # the cache's temp file opens first, so an unwritable cache starts no compiler
+    with replacing(library, "wb") as fh, tempfile.TemporaryDirectory() as tmp:
+        built = Path(tmp) / library.name
+        done = subprocess.run(
+            [cc, *_FLAGS, "-o", str(built), str(_SOURCE)],
+            capture_output=True,
+            text=True,
+            errors="replace",
+        )
+        if done.returncode != 0:
+            why = (done.stderr.strip().splitlines() or [""])[0]
+            raise OSError(f"{cc} exited {done.returncode}: {why}")
+        data = built.read_bytes()
+        fh.write(data + hashlib.sha256(data).digest())
+
+
+def _load_gibbs_chain():
+    """The compiled `gibbs_chain`, built on a cache miss, or None, with one
+    logged line that says why."""
+    try:
+        cc = shutil.which("cc")
+        if cc is None:
+            raise OSError("no `cc` on PATH")
+        resolved = os.path.realpath(cc)
+        stat = os.stat(resolved)
+        key = hashlib.sha256(_SOURCE.read_bytes())
+        key.update(repr((_FLAGS, resolved, stat.st_size, stat.st_mtime_ns)).encode())
+        library = _cache_dir() / f"gibbs_chain-{key.hexdigest()}.so"
+        if not _intact(library):
+            _build(cc, library)
+        function = ctypes.CDLL(str(library)).gibbs_chain
+    except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() with no home
+        logger.warning("C Gibbs kernel unavailable, training on the list kernel: %s", exc)
+        return None
+    function.argtypes = _ARGTYPES
+    function.restype = None
+    return function
+
+
+# The compiled chain that GibbsArrays calls, or None.
+c_gibbs_chain = _load_gibbs_chain()
 # The sampler backend in use; perfbench/run.py records it with every run.
-BACKEND = "numpy"
+BACKEND = "numpy" if c_gibbs_chain is None else "c"

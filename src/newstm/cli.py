@@ -300,12 +300,15 @@ class Workspace:
         else:
             fault = _manifest_fault(manifest)
         if fault is not None:
-            # ingest loads the manifest too, so the file itself has to go.
-            raise ValidationError(
-                f"workspace manifest {self.manifest_path}: {fault}; "
-                "delete it and re-run from `newstm ingest`"
-            )
+            raise self._malformed(fault)
         return manifest
+
+    def _malformed(self, fault: str) -> ValidationError:
+        # ingest loads the manifest too, so the file itself has to go.
+        return ValidationError(
+            f"workspace manifest {self.manifest_path}: {fault}; "
+            "delete it and re-run from `newstm ingest`"
+        )
 
     def save_manifest(self, manifest: dict) -> None:
         text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
@@ -338,6 +341,8 @@ class Workspace:
             raise ValidationError(
                 f"artifact file {path} has been removed: re-run `newstm {producer}`"
             )
+        if path.is_dir():  # "", "." or a directory's name: no writer records such a path
+            raise self._malformed(f"artifact {name!r} has path {entry['path']!r}, a directory")
         if _sha256(path) != entry["sha256"]:
             raise ValidationError(
                 f"artifact {name!r} was modified outside the pipeline: re-run `newstm {producer}`"

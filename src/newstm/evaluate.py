@@ -68,8 +68,8 @@ def umass_coherence(
     needed = {w for ids in top_ids for w in ids}
     docs_with: dict[int, set[int]] = {w: set() for w in needed}
     for d, bow in enumerate(bows):
-        for w in needed:
-            if bow.counts.get(w, 0) > 0:
+        for w in needed.intersection(bow.counts):
+            if bow.counts[w] > 0:
                 docs_with[w].add(d)
 
     scores: list[float] = []

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from newstm._kernels import GibbsLists, infer_chain
+from newstm import _kernels
+from newstm._kernels import infer_chain
 # Unused here, but perfbench/spans.py looks these two names up on this module.
 from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
 from newstm.modelfile import read_model, write_model
@@ -31,6 +32,7 @@ from newstm.preprocess import BowDoc, Vocabulary
 logger = logging.getLogger(__name__)
 
 _FORMAT = "newstm-lda"
+_BLOCK_VALUES = 65_536  # uniforms per block (512 KB), or one sweep's if it needs more
 
 
 @dataclass(frozen=True)
@@ -205,13 +207,17 @@ def _run_chain(
 
     doc_lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
     alpha = float(hyper.alpha)
-    state = GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
+    chain = _kernels.GibbsLists if _kernels.c_gibbs_chain is None else _kernels.GibbsArrays
+    state = chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
+    block_rows = max(1, _BLOCK_VALUES // max(n_tokens, 1))
 
     def run(n_sweeps: int) -> None:
-        state.sweep(rng.random(n_tokens) for _ in range(n_sweeps))
+        # a (rows, n) block is the same stream as `rows` calls of random(n)
+        for start in range(0, n_sweeps, block_rows):
+            state.sweep(rng.random((min(block_rows, n_sweeps - start), n_tokens)))
 
-    # The list state lives for the whole chain. At each retained sweep only
-    # what the next lines read is written back to the arrays.
+    # The state lives for the whole chain. At each retained sweep the list
+    # state writes back only what the next lines read.
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta_acc = np.zeros((k, vocab_size), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
@@ -265,11 +271,12 @@ def train_lda(
     )
     assignments = np.split(z, np.cumsum(lengths)[:-1])
     logger.info(
-        "trained LDA: k=%d docs=%d tokens=%d iterations=%d",
+        "trained LDA: k=%d docs=%d tokens=%d iterations=%d backend=%s",
         hyper.k,
         len(bows),
         word_ids.size,
         hyper.iterations,
+        _kernels.BACKEND,
     )
     return LdaModel(
         beta=beta,

@@ -396,6 +396,27 @@ def test_corrupt_manifest_is_a_one_line_validation_error(
         assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("path", ["", ".", "figures"])
+def test_manifest_path_naming_a_directory_is_a_validation_error(
+    tmp_path, sample_corpus_path, caplog, path
+):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
+    (ws / "figures").mkdir(exist_ok=True)
+    manifest_path = ws / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["artifacts"]["corpus"]["path"] = path
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with caplog.at_level(logging.ERROR):
+        code = main(["--workspace", str(ws), "--config", str(config), "preprocess"])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and f"workspace manifest {manifest_path}: " in errors[0]
+    assert f"artifact 'corpus' has path {path!r}, a directory" in errors[0]
+    assert "delete it and re-run from `newstm ingest`" in errors[0]
+
+
 def test_lock_blocks_concurrent_commands(tmp_path, sample_corpus_path):
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from newstm import _kernels
+from test_digests import PINNED, digests
+
+requires_c = pytest.mark.skipif(_kernels.BACKEND != "c", reason="no compiled C kernel here")
 
 
 def _random_state(seed, n=400, n_docs=12, vocab_size=30, k=6):
@@ -20,7 +28,22 @@ def _random_state(seed, n=400, n_docs=12, vocab_size=30, k=6):
 
 
 def test_backend_reported():
-    assert _kernels.BACKEND == "numpy"
+    assert _kernels.BACKEND in ("c", "numpy")
+    assert (_kernels.BACKEND == "c") == (_kernels.c_gibbs_chain is not None)
+
+
+def _compiled_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
+    """gibbs_chain's call on the compiled kernel, the uniforms stacked into one block."""
+    rows = list(uniforms)
+    block = np.stack(rows) if rows else np.empty((0, doc_ids.size))
+    state = _kernels.GibbsArrays(
+        doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, probs
+    )
+    state.sweep(block)
+
+
+# Every training chain this machine can run: the list chain, and the compiled one.
+GIBBS_CHAINS = [_kernels.gibbs_chain] + [_compiled_chain] * (_kernels.BACKEND == "c")
 
 
 def test_gibbs_sweep_preserves_count_invariants():
@@ -92,9 +115,13 @@ def test_list_infer_kernel_matches_array_kernel(k, n):
         assert np.array_equal(probs_a, probs_b)
 
 
-# The chain ids keep the case names from when a second (loop) chain was
-# tested beside the list chain.
-@pytest.mark.parametrize("chain", [pytest.param(_kernels.gibbs_chain, id="_gibbs_chain_lists")])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        pytest.param(_kernels.gibbs_chain, id="_gibbs_chain_lists"),
+        pytest.param(_compiled_chain, id="_gibbs_chain_c", marks=requires_c),
+    ],
+)
 @pytest.mark.parametrize("sweeps", [1, 5])
 @pytest.mark.parametrize("n", [400, 0])
 @pytest.mark.parametrize("prior", ["symmetric", "dtm"])
@@ -238,18 +265,18 @@ def test_gibbs_chain_matches_array_sweeps_on_search_edges(case):
     doc_ids, word_ids, state, alpha, eta_kw, uniforms = _gibbs_search_edge(case)
     eta_sum = eta_kw.sum(axis=1)
     k = eta_kw.shape[0]
-    state_a = tuple(a.copy() for a in state)
     state_b = tuple(a.copy() for a in state)
-    probs_a, probs_b = np.zeros(k), np.zeros(k)
-    _kernels.gibbs_chain(
-        doc_ids, word_ids, *state_a, alpha, eta_kw, eta_sum, iter(uniforms), probs_a
-    )
+    probs_b = np.zeros(k)
     for u in uniforms:
         _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, alpha, eta_kw, eta_sum, u, probs_b)
-    for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
-        assert np.array_equal(got, want)
-    if case == "leading_zero_weights":
-        assert probs_a[:2].tolist() == [0.0, 0.0] and state_a[0].min() >= 2
+    for chain in GIBBS_CHAINS:
+        state_a = tuple(a.copy() for a in state)
+        probs_a = np.zeros(k)
+        chain(doc_ids, word_ids, *state_a, alpha, eta_kw, eta_sum, iter(uniforms), probs_a)
+        for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+            assert np.array_equal(got, want), chain.__name__
+        if case == "leading_zero_weights":
+            assert probs_a[:2].tolist() == [0.0, 0.0] and state_a[0].min() >= 2
 
 
 def _infer_search_edge(case):
@@ -301,10 +328,11 @@ def test_chains_without_sweeps_change_nothing():
     state = (z, n_dk, n_kw, n_k)
     before = [a.copy() for a in state]
     probs = np.full(5, 7.0)
-    _kernels.gibbs_chain(doc_ids, word_ids, *state, 0.3, eta_kw, eta_sum, (), probs)
-    for got, want in zip(state, before):
-        assert np.array_equal(got, want)
-    assert probs.tolist() == [7.0] * 5
+    for chain in GIBBS_CHAINS:
+        chain(doc_ids, word_ids, *state, 0.3, eta_kw, eta_sum, (), probs)
+        for got, want in zip(state, before):
+            assert np.array_equal(got, want), chain.__name__
+        assert probs.tolist() == [7.0] * 5
 
     beta = rng.dirichlet(np.ones(30), size=5)
     m_k = np.bincount(z, minlength=5)
@@ -312,3 +340,95 @@ def test_chains_without_sweeps_change_nothing():
     _kernels.infer_chain(word_ids, z, m_k, beta, 0.2, (), probs, acc)
     assert np.array_equal(z, before[0]) and np.array_equal(m_k, m_before)
     assert probs.tolist() == [7.0] * 5 and acc.tolist() == [0.5] * 5
+
+
+@requires_c
+@pytest.mark.parametrize(
+    "fault", ["float_z", "strided_n_kw", "read_only_n_dk", "doc_id", "word_id", "topic_id", "block"]
+)
+def test_compiled_state_checks_every_array_it_passes(fault):
+    """Wrong dtypes, layouts and ids raise before any address reaches C."""
+    doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(3, n=50, k=5)
+    block = rng.random((2, 50))
+    if fault == "float_z":
+        z = z.astype(np.float64)
+    elif fault == "strided_n_kw":
+        n_kw = np.asfortranarray(n_kw)
+    elif fault == "read_only_n_dk":
+        n_dk.flags.writeable = False
+    elif fault == "doc_id":
+        doc_ids[-1] = n_dk.shape[0]
+    elif fault == "word_id":
+        word_ids[0] = -1
+    elif fault == "topic_id":
+        z[7] = n_k.size
+    else:
+        block = block[:, ::2]
+    with pytest.raises(ValueError):
+        state = _kernels.GibbsArrays(doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.3, eta_kw, eta_sum)
+        state.sweep(block)
+
+
+_TRAIN = """
+import hashlib
+from newstm import _kernels
+from newstm.lda import LdaHyperparams, train_lda
+from newstm.preprocess import BowDoc
+
+bows = [BowDoc(f"d{d}", {w: 1 + w * d % 3 for w in range(d % 5, 12, 2)}) for d in range(30)]
+model = train_lda(bows, 12, LdaHyperparams(k=4, iterations=30, burn_in=10, thin=5, seed=3))
+arrays = (model.beta, model.theta, *model.assignments)
+print(_kernels.BACKEND, hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def _import_and_train(cache: Path, path: str | None = None) -> tuple[str, str, list[str]]:
+    """(BACKEND, a digest of a trained model, stderr lines) of a fresh
+    interpreter with `cache` as XDG_CACHE_HOME and, if given, `path` as PATH."""
+    src = str(Path(_kernels.__file__).parent.parent)
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": src}
+    if path is not None:
+        env["PATH"] = path
+    done = subprocess.run(
+        [sys.executable, "-c", _TRAIN], env=env, capture_output=True, text=True, check=True
+    )
+    backend, digest = done.stdout.split()
+    return backend, digest, done.stderr.splitlines()
+
+
+@requires_c
+@pytest.mark.parametrize("case", ["no_compiler", "failing_compiler", "unwritable_cache"])
+def test_import_falls_back_to_the_list_chain_with_one_line(tmp_path, case):
+    _, want, _ = _import_and_train(tmp_path / "cache")
+    path, cache, reason = None, tmp_path / "fresh-cache", None
+    if case == "no_compiler":
+        path, reason = str(tmp_path), "no `cc` on PATH"
+    elif case == "failing_compiler":
+        (tmp_path / "cc").write_text("#!/bin/sh\necho 'cc: error: broken' >&2\nexit 3\n")
+        (tmp_path / "cc").chmod(0o755)
+        path, reason = str(tmp_path), "exited 3: cc: error: broken"
+    else:
+        (tmp_path / "file").write_text("")
+        cache, reason = tmp_path / "file" / "cache", "Not a directory"
+    backend, digest, stderr = _import_and_train(cache, path)
+    assert backend == "numpy" and digest == want
+    assert len(stderr) == 1 and reason in stderr[0], stderr
+    assert "training on the list kernel" in stderr[0]
+    assert not list(cache.glob("newstm/*"))
+
+
+@requires_c
+def test_truncated_library_in_the_cache_is_rebuilt(tmp_path):
+    _, want, _ = _import_and_train(tmp_path)
+    (library,) = (tmp_path / "newstm").iterdir()
+    built = library.read_bytes()
+    library.write_bytes(built[: len(built) // 2])  # dlopen of this can raise SIGBUS
+    assert _import_and_train(tmp_path) == ("c", want, [])
+    assert library.read_bytes() == built
+
+
+def test_list_fallback_gives_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    monkeypatch.setattr(_kernels, "BACKEND", "numpy")
+    assert digests.workspace_digests(tmp_path / "ws") == PINNED["workspace"]
+    assert digests.library_digests() == PINNED["library"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from helpers import (
     model_from_beta,
     planted_two_topic_bows,
 )
-from newstm import _kernels
+from newstm import _kernels, lda
 from newstm.lda import (
     LdaHyperparams,
     _count_matrices,
@@ -216,9 +217,11 @@ def test_corpus_without_tokens_gives_uniform_estimates():
         (8, 2, 3, False, True),  # DTM-style eta_kw and init_beta
     ],
 )
-def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, dtm):
+def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, dtm, monkeypatch):
     """train_lda, posterior_assignment_samples and infer_theta are bitwise
-    equal to the per-sweep loops over the uncompiled array kernels."""
+    equal to the per-sweep loops over the uncompiled array kernels, on the
+    training backend in use and on the list fallback, in uniform blocks of
+    any number of sweeps."""
     bows, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=5)
     if empty_doc:
         bows.insert(3, BowDoc("empty", {}))
@@ -234,20 +237,31 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
         bows, 10, hyper, eta_kw, init_beta
     )
 
-    model = train_lda(bows, 10, hyper, eta_kw=eta_kw, init_beta=init_beta)
-    assert np.array_equal(np.concatenate(model.assignments), z)
-    for got, want in ((model.n_dk, n_dk), (model.n_kw, n_kw), (model.n_k, n_k)):
-        assert np.array_equal(got, want)
-    assert np.array_equal(model.beta, beta)
-    assert np.array_equal(model.theta, theta)
-    if not dtm:
-        got_samples, _, _ = posterior_assignment_samples(bows, 10, hyper)
-        assert np.array_equal(got_samples, samples)
+    n_tokens = sum(sum(bow.counts.values()) for bow in bows)
+    for chain in (_kernels.c_gibbs_chain, None):
+        for block_values in (lda._BLOCK_VALUES, 2 * n_tokens):
+            monkeypatch.setattr(_kernels, "c_gibbs_chain", chain)
+            monkeypatch.setattr(lda, "_BLOCK_VALUES", block_values)
+            model = train_lda(bows, 10, hyper, eta_kw=eta_kw, init_beta=init_beta)
+            assert np.array_equal(np.concatenate(model.assignments), z)
+            for got, want in ((model.n_dk, n_dk), (model.n_kw, n_kw), (model.n_k, n_k)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(model.beta, beta)
+            assert np.array_equal(model.theta, theta)
+            if not dtm:
+                got_samples, _, _ = posterior_assignment_samples(bows, 10, hyper)
+                assert np.array_equal(got_samples, samples)
 
     for doc in (bows[0], BowDoc("repeats", {7: 3, 1: 2, 4: 1})):
         for sweeps in (1, 7):
             want = _per_sweep_infer(model, doc, sweeps, seed=sweeps)
             assert np.array_equal(infer_theta(model, doc, sweeps=sweeps, seed=sweeps), want)
+
+
+def test_trained_lda_log_line_names_the_backend(caplog):
+    with caplog.at_level(logging.INFO, logger="newstm.lda"):
+        train_lda([BowDoc("d", {0: 2, 1: 1})], 2, LdaHyperparams(k=2, iterations=2, burn_in=0))
+    assert f"iterations=2 backend={_kernels.BACKEND}" in caplog.text
 
 
 def _planted_model(seed=33):
