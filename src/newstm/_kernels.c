@@ -1,14 +1,16 @@
-/* The compiled training chain: `_gibbs_sweep_py` repeated over the rows of
- * an (n_sweeps, n) block of uniforms, on the arrays themselves.
+/* The compiled training chain: the reference sweep `_gibbs_sweep_py` of
+ * `tests/reference_kernels.py` repeated over the rows of an (n_sweeps, n)
+ * block of uniforms, on the arrays themselves.
  *
  * Every weight is the same float64 product and quotient, and every sum is
- * taken in the same order, as in `_gibbs_sweep_py`, so a chain gives the
- * same bits as the Python kernels. That holds only without floating-point
+ * taken in the same order, as in the reference, so a chain gives the same
+ * bits as the Python kernels. That holds only without floating-point
  * contraction: `_kernels.py` builds this file with -ffp-contract=off, since
  * a fused multiply-add rounds once where Python rounds twice.
  *
  * The caller checks dtypes, shapes and contiguity, and that every doc id,
  * word id and topic id indexes its matrix; nothing is checked here.
+ * `weights` is the caller's scratch row for one token's K weights.
  */
 
 #include <stdint.h>
@@ -16,7 +18,7 @@
 void gibbs_chain(int64_t n_sweeps, const double *uniforms, int64_t n_tokens, int64_t n_topics,
                  int64_t vocab_size, const int64_t *doc_ids, const int64_t *word_ids, int64_t *z,
                  int64_t *n_dk, int64_t *n_kw, int64_t *n_k, double alpha,
-                 const double *eta_kw, const double *eta_sum, double *probs)
+                 const double *eta_kw, const double *eta_sum, double *weights)
 {
     for (int64_t s = 0; s < n_sweeps; s++) {
         const double *u = uniforms + s * n_tokens;
@@ -33,7 +35,7 @@ void gibbs_chain(int64_t n_sweeps, const double *uniforms, int64_t n_tokens, int
                 double p = ((double)dk[k] + alpha)
                            * ((double)n_kw[k * vocab_size + w] + eta_kw[k * vocab_size + w])
                            / ((double)n_k[k] + eta_sum[k]);
-                probs[k] = p;
+                weights[k] = p;
                 total += p;
             }
 
@@ -43,7 +45,7 @@ void gibbs_chain(int64_t n_sweeps, const double *uniforms, int64_t n_tokens, int
             double acc = 0.0;
             int64_t k_new = n_topics - 1;
             for (k = 0; k < n_topics; k++) {
-                acc += probs[k];
+                acc += weights[k];
                 if (r < acc) {
                     k_new = k;
                     break;

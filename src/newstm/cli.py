@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import fcntl
 import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -358,22 +360,22 @@ class Workspace:
 
     @contextmanager
     def lock(self):
+        """Hold an exclusive flock on the workspace directory. The kernel
+        drops it when the holder exits or is killed, so no lock outlives
+        its command."""
         self.root.mkdir(parents=True, exist_ok=True)
-        lock_path = self.root / ".lock"
+        fd = os.open(self.root, os.O_RDONLY)
         try:
-            lock_path.touch(exist_ok=False)
-        except FileExistsError:
-            raise RuntimeError(
-                f"workspace {self.root} is locked by another command "
-                f"(remove {lock_path} if stale)"
-            ) from None
-        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise RuntimeError(f"workspace {self.root} is locked by another command") from None
             # Holding the lock, no other command can be writing here.
             remove_stray_temps(self.root)
             remove_stray_temps(self.figures_dir)
             yield
         finally:
-            lock_path.unlink(missing_ok=True)
+            os.close(fd)
 
 
 def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:

@@ -172,6 +172,17 @@ def _count_matrices(
     return n_dk, n_kw, n_kw.sum(axis=1)
 
 
+def _finite_matrix(name: str, array, shape: tuple[int, int]) -> np.ndarray:
+    """`array` as a C-contiguous float64 matrix, checked to have `shape` and
+    only finite entries."""
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+    return array
+
+
 def _run_chain(
     doc_ids: np.ndarray,
     word_ids: np.ndarray,
@@ -191,9 +202,7 @@ def _run_chain(
     if eta_kw is None:
         eta_kw = np.full((k, vocab_size), hyper.eta, dtype=np.float64)
     else:
-        eta_kw = np.ascontiguousarray(eta_kw, dtype=np.float64)
-        if eta_kw.shape != (k, vocab_size):
-            raise ValueError(f"eta_kw must have shape {(k, vocab_size)}, got {eta_kw.shape}")
+        eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
         if (eta_kw <= 0).any():
             raise ValueError("eta_kw entries must be > 0")
     eta_sum = eta_kw.sum(axis=1)
@@ -201,7 +210,13 @@ def _run_chain(
     if init_beta is None:
         z = rng.integers(0, k, n_tokens, dtype=np.int64)
     else:
-        z = _sample_topics_from_beta(np.asarray(init_beta, dtype=np.float64), word_ids, rng)
+        init_beta = _finite_matrix("init_beta", init_beta, (k, vocab_size))
+        if (init_beta < 0).any():
+            raise ValueError("init_beta entries must be >= 0")
+        empty = init_beta.sum(axis=0)[word_ids] == 0
+        if empty.any():
+            raise ValueError(f"init_beta has no mass for word {int(word_ids[empty][0])}")
+        z = _sample_topics_from_beta(init_beta, word_ids, rng)
 
     n_dk, n_kw, n_k = _count_matrices(doc_ids, word_ids, z, n_docs, k, vocab_size)
 
@@ -343,11 +358,10 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, n, dtype=np.int64)
     m_k = np.bincount(z, minlength=k).astype(np.int64)
-    probs = np.empty(k, dtype=np.float64)
     acc = np.zeros(k, dtype=np.float64)
     # one block: its rows are the same stream as `sweeps` successive random(n) draws
     uniforms = rng.random((sweeps, n))
-    infer_chain(word_ids, z, m_k, model.beta, float(model.hyper.alpha), uniforms, probs, acc)
+    infer_chain(word_ids, z, m_k, model.beta, float(model.hyper.alpha), uniforms, acc)
     return acc / sweeps
 
 
@@ -392,6 +406,7 @@ def perplexity(
 
     `theta` defaults to the training estimate and must then match the corpus
     by position; pass explicit rows (e.g. from infer_theta) for held-out docs.
+    Raises ValueError if theta has a negative, NaN or infinite entry.
     """
     bows = list(corpus)
     theta = model.theta if theta is None else np.asarray(theta, dtype=np.float64)
@@ -399,6 +414,10 @@ def perplexity(
         raise ValueError(
             f"theta shape {theta.shape} does not match {len(bows)} docs x {model.n_topics} topics"
         )
+    bad = ~np.isfinite(theta) | (theta < 0)
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(f"theta has a negative, NaN or infinite entry in row {row}")
     log_lik = 0.0
     total = 0
     for d, bow in enumerate(bows):

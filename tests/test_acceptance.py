@@ -249,12 +249,8 @@ def test_criterion_7_end_to_end_determinism(tmp_path, sample_corpus_path):
     ws_a = run(tmp_path / "a")
     ws_b = run(tmp_path / "b")
 
-    files_a = sorted(
-        p.relative_to(ws_a) for p in ws_a.rglob("*") if p.is_file() and p.name != ".lock"
-    )
-    files_b = sorted(
-        p.relative_to(ws_b) for p in ws_b.rglob("*") if p.is_file() and p.name != ".lock"
-    )
+    files_a = sorted(p.relative_to(ws_a) for p in ws_a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(ws_b) for p in ws_b.rglob("*") if p.is_file())
     assert files_a == files_b
     assert any(str(p).endswith(".svg") for p in files_a)
     for rel in files_a:

@@ -1,7 +1,12 @@
 import configparser
+import fcntl
 import json
 import logging
+import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -417,15 +422,54 @@ def test_manifest_path_naming_a_directory_is_a_validation_error(
     assert "delete it and re-run from `newstm ingest`" in errors[0]
 
 
-def test_lock_blocks_concurrent_commands(tmp_path, sample_corpus_path):
+def test_lock_blocks_concurrent_commands(tmp_path, sample_corpus_path, caplog):
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"
     ws.mkdir()
-    (ws / ".lock").write_text("12345\n")
-    code = main(["--workspace", str(ws), "--config", str(config), "ingest"])
-    assert code == 2
-    (ws / ".lock").unlink()
+    fd = os.open(ws, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with caplog.at_level(logging.ERROR):
+            code = main(["--workspace", str(ws), "--config", str(config), "ingest"])
+        assert code == 2
+        assert f"workspace {ws} is locked by another command" in caplog.text
+        assert not (ws / "manifest.json").exists()
+    finally:
+        os.close(fd)
     assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
+
+
+_HOLD_LOCK = """
+import sys, time
+from newstm.cli import Workspace
+
+with Workspace(sys.argv[1]).lock():
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_killed_lock_holder_does_not_block_the_next_command(tmp_path, sample_corpus_path):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    args = ["--workspace", str(ws), "--config", str(config), "ingest"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(ws)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        assert main(args) == 2
+        holder.send_signal(signal.SIGKILL)
+        assert holder.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    assert main(args) == 0
 
 
 def test_runtime_error_exit_code_on_malformed_corpus(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,12 @@ import numpy as np
 import pytest
 
 from newstm import _kernels
+from reference_kernels import (
+    _gibbs_sweep_py,
+    _infer_sweep_py,
+    pinned_gibbs_uniforms,
+    pinned_infer_uniforms,
+)
 from test_digests import PINNED, digests
 
 requires_c = pytest.mark.skipif(_kernels.BACKEND != "c", reason="no compiled C kernel here")
@@ -32,27 +39,54 @@ def test_backend_reported():
     assert (_kernels.BACKEND == "c") == (_kernels.c_gibbs_chain is not None)
 
 
-def _compiled_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
-    """gibbs_chain's call on the compiled kernel, the uniforms stacked into one block."""
+def _list_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms):
+    """A chain on a GibbsLists state, one sweep per array that `uniforms`
+    yields, written back once at the end."""
+    state = _kernels.GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
+    state.sweep(uniforms)
+    state.store_z()
+    state.store_counts()
+
+
+def _compiled_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms):
+    """The same chain on the compiled kernel, the uniforms stacked into one block."""
     rows = list(uniforms)
     block = np.stack(rows) if rows else np.empty((0, doc_ids.size))
-    state = _kernels.GibbsArrays(
-        doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, probs
-    )
+    state = _kernels.GibbsArrays(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
     state.sweep(block)
 
 
 # Every training chain this machine can run: the list chain, and the compiled one.
-GIBBS_CHAINS = [_kernels.gibbs_chain] + [_compiled_chain] * (_kernels.BACKEND == "c")
+GIBBS_CHAINS = [_list_chain] + [_compiled_chain] * (_kernels.BACKEND == "c")
+
+
+def _pinned_gibbs(doc_ids, word_ids, state, alpha, eta_kw, eta_sum, sweeps, rng):
+    """Uniforms whose draws land on the reference's cumulative sums (see
+    reference_kernels), so a kernel passes the bitwise tests only if every
+    weight and sum it forms has the reference's bits."""
+    uniforms, exact = pinned_gibbs_uniforms(
+        doc_ids, word_ids, state, alpha, eta_kw, eta_sum, sweeps, rng
+    )
+    assert exact >= 0.9 * uniforms.size  # a changed weight shows only in pinned draws
+    return uniforms
+
+
+def _pinned_infer(word_ids, z, m_k, beta, alpha, sweeps, rng):
+    """As _pinned_gibbs, for held-out sweeps. Only the draws of words with
+    mass under some topic can be pinned."""
+    uniforms, exact = pinned_infer_uniforms(word_ids, z, m_k, beta, alpha, sweeps, rng)
+    pinnable = (beta[:, word_ids].sum(axis=0) > 0).mean() if word_ids.size else 1.0
+    assert exact >= 0.9 * pinnable * uniforms.size
+    return uniforms
 
 
 def test_gibbs_sweep_preserves_count_invariants():
     doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(11)
-    probs = np.empty(n_kw.shape[0])
     for _ in range(3):
         uniforms = rng.random(doc_ids.size)
+        # the one-sweep call takes `probs` for the benchmark's sake and never writes it
         _kernels.gibbs_sweep(
-            doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.5, eta_kw, eta_sum, uniforms, probs
+            doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.5, eta_kw, eta_sum, uniforms, None
         )
         want_dk = np.zeros_like(n_dk)
         want_kw = np.zeros_like(n_kw)
@@ -61,6 +95,22 @@ def test_gibbs_sweep_preserves_count_invariants():
         assert np.array_equal(n_dk, want_dk)
         assert np.array_equal(n_kw, want_kw)
         assert np.array_equal(n_k, np.bincount(z, minlength=n_k.size))
+
+
+def test_pinned_uniforms_expose_a_weight_one_ulp_off(monkeypatch):
+    """What the bitwise tests rest on: a list chain whose every product is
+    one ulp high makes the reference's draws under random uniforms, and
+    other draws under pinned ones."""
+    doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(7, k=6)
+    state = (z, n_dk, n_kw, n_k)
+    pinned = _pinned_gibbs(doc_ids, word_ids, state, 0.3, eta_kw, eta_sum, 1, rng)
+    monkeypatch.setattr(_kernels, "mul", lambda a, b: math.nextafter(a * b, math.inf))
+    for uniforms, same in ((rng.random((1, z.size)), True), (pinned, False)):
+        state_a = tuple(a.copy() for a in state)
+        state_b = tuple(a.copy() for a in state)
+        _list_chain(doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, uniforms)
+        _gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, uniforms[0], np.zeros(6))
+        assert np.array_equal(state_a[0], state_b[0]) == same
 
 
 @pytest.mark.parametrize("n", [400, 0])
@@ -75,17 +125,11 @@ def test_list_gibbs_kernel_matches_array_kernel(k, prior, n):
         eta_sum = eta_kw.sum(axis=1)
     state_a = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
     state_b = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
-    probs_a, probs_b = np.zeros(k), np.zeros(k)
-    for _ in range(5):
-        uniforms = rng.random(n)
-        _kernels.gibbs_sweep(
-            doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, uniforms, probs_a
-        )
-        _kernels._gibbs_sweep_py(
-            doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, uniforms, probs_b
-        )
-        # probs holds the last token's weights, so it shows a changed float op
-        for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+    pinned = _pinned_gibbs(doc_ids, word_ids, state_a, 0.3, eta_kw, eta_sum, 5, rng)
+    for uniforms in pinned:
+        _kernels.gibbs_sweep(doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, uniforms, None)
+        _gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, uniforms, np.zeros(k))
+        for got, want in zip(state_a, state_b):
             assert np.array_equal(got, want)
     if n:
         assert not np.array_equal(state_a[0], z)
@@ -105,20 +149,17 @@ def test_list_infer_kernel_matches_array_kernel(k, n):
     m0 = np.bincount(z0, minlength=k).astype(np.int64)
     za, ma = z0.copy(), m0.copy()
     zb, mb = z0.copy(), m0.copy()
-    probs_a, probs_b = np.zeros(k), np.zeros(k)
-    for _ in range(5):
-        uniforms = rng.random(n)
-        _kernels.infer_sweep(word_ids, za, ma, beta, 0.2, uniforms, probs_a)
-        _kernels._infer_sweep_py(word_ids, zb, mb, beta, 0.2, uniforms, probs_b)
+    for uniforms in _pinned_infer(word_ids, z0, m0, beta, 0.2, 5, rng):
+        _kernels.infer_sweep(word_ids, za, ma, beta, 0.2, uniforms, None)
+        _infer_sweep_py(word_ids, zb, mb, beta, 0.2, uniforms, np.zeros(k))
         assert np.array_equal(za, zb)
         assert np.array_equal(ma, mb)
-        assert np.array_equal(probs_a, probs_b)
 
 
 @pytest.mark.parametrize(
     "chain",
     [
-        pytest.param(_kernels.gibbs_chain, id="_gibbs_chain_lists"),
+        pytest.param(_list_chain, id="_gibbs_chain_lists"),
         pytest.param(_compiled_chain, id="_gibbs_chain_c", marks=requires_c),
     ],
 )
@@ -133,16 +174,14 @@ def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps, chain):
         # eta + kappa * V * beta_prev at kappa = 1, as chained DTM training builds it
         eta_kw = 0.01 + 30 * rng.dirichlet(np.full(30, 0.1), size=k)
         eta_sum = eta_kw.sum(axis=1)
-    uniforms = [rng.random(n) for _ in range(sweeps)]
+    state = (z, n_dk, n_kw, n_k)
+    uniforms = _pinned_gibbs(doc_ids, word_ids, state, 0.3, eta_kw, eta_sum, sweeps, rng)
     state_a = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
     state_b = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
-    probs_a, probs_b = np.zeros(k), np.zeros(k)
-    chain(
-        doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms), probs_a
-    )
+    chain(doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms))
     for u in uniforms:
-        _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, u, probs_b)
-    for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+        _gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, u, np.zeros(k))
+    for got, want in zip(state_a, state_b):
         assert np.array_equal(got, want)
     if n:
         assert not np.array_equal(state_a[0], z)
@@ -153,7 +192,7 @@ def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps, chain):
 @pytest.mark.parametrize("n", [60, 0])
 @pytest.mark.parametrize("k", [2, 20])
 def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps, chain):
-    """Equal state, probs and per-sweep theta sums, also for zero-mass words."""
+    """Equal state and per-sweep theta sums, also for zero-mass words."""
     rng = np.random.default_rng(9)
     v, alpha = 20, 0.2
     word_ids = rng.integers(0, v, n).astype(np.int64)
@@ -162,16 +201,14 @@ def test_infer_chain_matches_repeated_array_sweeps(k, n, sweeps, chain):
     word_ids[::4] = 3  # takes the uniform-draw branch of the sweep
     z0 = rng.integers(0, k, n).astype(np.int64)
     m0 = np.bincount(z0, minlength=k).astype(np.int64)
-    uniforms = [rng.random(n) for _ in range(sweeps)]
-    za, ma, probs_a, acc_a = z0.copy(), m0.copy(), np.zeros(k), np.full(k, 0.5)
-    zb, mb, probs_b, acc_b = z0.copy(), m0.copy(), np.zeros(k), np.full(k, 0.5)
-    chain(
-        word_ids, za, ma, beta, alpha, (u for u in uniforms), probs_a, acc_a
-    )
+    uniforms = _pinned_infer(word_ids, z0, m0, beta, alpha, sweeps, rng)
+    za, ma, acc_a = z0.copy(), m0.copy(), np.full(k, 0.5)
+    zb, mb, acc_b = z0.copy(), m0.copy(), np.full(k, 0.5)
+    chain(word_ids, za, ma, beta, alpha, (u for u in uniforms), acc_a)
     for u in uniforms:
-        _kernels._infer_sweep_py(word_ids, zb, mb, beta, alpha, u, probs_b)
+        _infer_sweep_py(word_ids, zb, mb, beta, alpha, u, np.zeros(k))
         acc_b += (mb + alpha) / (n + k * alpha)
-    for got, want in zip((za, ma, probs_a, acc_a), (zb, mb, probs_b, acc_b)):
+    for got, want in zip((za, ma, acc_a), (zb, mb, acc_b)):
         assert np.array_equal(got, want)
 
 
@@ -195,16 +232,14 @@ def test_gibbs_chain_on_a_sparse_vocabulary_leaves_unused_columns_alone():
     eta_kw = 0.01 + v * rng.dirichlet(np.full(v, 0.05), size=k)
     eta_sum = eta_kw.sum(axis=1)
     unused_before = n_kw[:, unused].tobytes()
-    uniforms = [rng.random(n) for _ in range(4)]
+    state = (z, n_dk, n_kw, n_k)
+    uniforms = _pinned_gibbs(doc_ids, word_ids, state, 0.3, eta_kw, eta_sum, 4, rng)
     state_a = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
     state_b = (z.copy(), n_dk.copy(), n_kw.copy(), n_k.copy())
-    probs_a, probs_b = np.zeros(k), np.zeros(k)
-    _kernels.gibbs_chain(
-        doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms), probs_a
-    )
+    _list_chain(doc_ids, word_ids, *state_a, 0.3, eta_kw, eta_sum, (u for u in uniforms))
     for u in uniforms:
-        _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, u, probs_b)
-    for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+        _gibbs_sweep_py(doc_ids, word_ids, *state_b, 0.3, eta_kw, eta_sum, u, np.zeros(k))
+    for got, want in zip(state_a, state_b):
         assert np.array_equal(got, want)
     assert state_a[2][:, unused].tobytes() == unused_before
     assert not np.array_equal(state_a[0], z)
@@ -266,17 +301,15 @@ def test_gibbs_chain_matches_array_sweeps_on_search_edges(case):
     eta_sum = eta_kw.sum(axis=1)
     k = eta_kw.shape[0]
     state_b = tuple(a.copy() for a in state)
-    probs_b = np.zeros(k)
     for u in uniforms:
-        _kernels._gibbs_sweep_py(doc_ids, word_ids, *state_b, alpha, eta_kw, eta_sum, u, probs_b)
+        _gibbs_sweep_py(doc_ids, word_ids, *state_b, alpha, eta_kw, eta_sum, u, np.zeros(k))
     for chain in GIBBS_CHAINS:
         state_a = tuple(a.copy() for a in state)
-        probs_a = np.zeros(k)
-        chain(doc_ids, word_ids, *state_a, alpha, eta_kw, eta_sum, iter(uniforms), probs_a)
-        for got, want in zip((*state_a, probs_a), (*state_b, probs_b)):
+        chain(doc_ids, word_ids, *state_a, alpha, eta_kw, eta_sum, iter(uniforms))
+        for got, want in zip(state_a, state_b):
             assert np.array_equal(got, want), chain.__name__
         if case == "leading_zero_weights":
-            assert probs_a[:2].tolist() == [0.0, 0.0] and state_a[0].min() >= 2
+            assert state_a[0].min() >= 2
 
 
 def _infer_search_edge(case):
@@ -312,34 +345,32 @@ def test_infer_chain_matches_array_sweeps_on_search_edges(case):
     word_ids, z0, beta, alpha, uniforms = _infer_search_edge(case)
     k, n = beta.shape[0], word_ids.size
     m0 = np.bincount(z0, minlength=k)
-    za, ma, probs_a, acc_a = z0.copy(), m0.copy(), np.zeros(k), np.zeros(k)
-    zb, mb, probs_b, acc_b = z0.copy(), m0.copy(), np.zeros(k), np.zeros(k)
-    _kernels.infer_chain(word_ids, za, ma, beta, alpha, iter(uniforms), probs_a, acc_a)
+    za, ma, acc_a = z0.copy(), m0.copy(), np.zeros(k)
+    zb, mb, acc_b = z0.copy(), m0.copy(), np.zeros(k)
+    _kernels.infer_chain(word_ids, za, ma, beta, alpha, iter(uniforms), acc_a)
     for u in uniforms:
-        _kernels._infer_sweep_py(word_ids, zb, mb, beta, alpha, u, probs_b)
+        _infer_sweep_py(word_ids, zb, mb, beta, alpha, u, np.zeros(k))
         acc_b += (mb + alpha) / (n + k * alpha)
-    for got, want in zip((za, ma, probs_a, acc_a), (zb, mb, probs_b, acc_b)):
+    for got, want in zip((za, ma, acc_a), (zb, mb, acc_b)):
         assert np.array_equal(got, want)
 
 
 def test_chains_without_sweeps_change_nothing():
-    """An empty uniforms iterable leaves z, the counts, probs and acc alone."""
+    """An empty uniforms iterable leaves z, the counts and acc alone."""
     doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(13, n=50, k=5)
     state = (z, n_dk, n_kw, n_k)
     before = [a.copy() for a in state]
-    probs = np.full(5, 7.0)
     for chain in GIBBS_CHAINS:
-        chain(doc_ids, word_ids, *state, 0.3, eta_kw, eta_sum, (), probs)
+        chain(doc_ids, word_ids, *state, 0.3, eta_kw, eta_sum, ())
         for got, want in zip(state, before):
             assert np.array_equal(got, want), chain.__name__
-        assert probs.tolist() == [7.0] * 5
 
     beta = rng.dirichlet(np.ones(30), size=5)
     m_k = np.bincount(z, minlength=5)
     m_before, acc = m_k.copy(), np.full(5, 0.5)
-    _kernels.infer_chain(word_ids, z, m_k, beta, 0.2, (), probs, acc)
+    _kernels.infer_chain(word_ids, z, m_k, beta, 0.2, (), acc)
     assert np.array_equal(z, before[0]) and np.array_equal(m_k, m_before)
-    assert probs.tolist() == [7.0] * 5 and acc.tolist() == [0.5] * 5
+    assert acc.tolist() == [0.5] * 5
 
 
 @requires_c

@@ -14,6 +14,7 @@ from helpers import (
     planted_two_topic_bows,
 )
 from newstm import _kernels, lda
+from reference_kernels import _gibbs_sweep_py, _infer_sweep_py
 from newstm.lda import (
     LdaHyperparams,
     _count_matrices,
@@ -66,6 +67,40 @@ def test_train_rejects_bad_corpus():
         train_lda([BowDoc("d", {5: 1})], 3, hyper)
     with pytest.raises(ValueError):
         train_lda([BowDoc("d", {0: 1})], 0, hyper)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_train_rejects_a_non_finite_or_non_positive_eta_kw(value):
+    eta_kw = np.full((2, 3), 0.1)
+    eta_kw[0, 1] = value
+    hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
+    with pytest.raises(ValueError, match="^eta_kw "):
+        train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, eta_kw=eta_kw)
+
+
+@pytest.mark.parametrize(
+    "init_beta, message",
+    [
+        (np.full((3, 3), 0.5), r"init_beta must have shape \(2, 3\), got \(3, 3\)"),
+        (np.full((2, 2), 0.5), r"init_beta must have shape \(2, 3\), got \(2, 2\)"),
+        (np.full((2, 3), np.nan), "init_beta has a NaN or infinite entry"),
+        ([[0.5, np.inf, 0.5], [0.5, 0.5, 0.5]], "init_beta has a NaN or infinite entry"),
+        ([[0.5, -0.1, 0.5], [0.5, 0.5, 0.5]], "init_beta entries must be >= 0"),
+        ([[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]], "init_beta has no mass for word 1"),
+    ],
+    ids=["too-many-topics", "too-few-words", "all-nan", "inf", "negative", "zero-column"],
+)
+def test_train_rejects_a_bad_init_beta(init_beta, message):
+    hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, init_beta=np.array(init_beta))
+
+
+def test_train_accepts_an_init_beta_with_no_mass_on_unused_words():
+    hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
+    init_beta = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    model = train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, init_beta=init_beta)
+    assert np.isfinite(model.beta).all()
 
 
 def test_training_is_deterministic():
@@ -166,7 +201,7 @@ def _per_sweep_chain(bows, vocab_size, hyper, eta_kw=None, init_beta=None):
     beta_acc, theta_acc, z_samples = 0.0, 0.0, []
     for sweep in range(hyper.iterations):
         uniforms = rng.random(word_ids.size)
-        _kernels._gibbs_sweep_py(
+        _gibbs_sweep_py(
             doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs
         )
         if sweep >= hyper.burn_in and (sweep - hyper.burn_in) % hyper.thin == 0:
@@ -189,7 +224,7 @@ def _per_sweep_infer(model, doc, sweeps, seed):
     probs = np.empty(k)
     acc = np.zeros(k)
     for _ in range(sweeps):
-        _kernels._infer_sweep_py(word_ids, z, m_k, model.beta, alpha, rng.random(n), probs)
+        _infer_sweep_py(word_ids, z, m_k, model.beta, alpha, rng.random(n), probs)
         acc += (m_k + alpha) / (n + k * alpha)
     return acc / sweeps
 
@@ -408,6 +443,20 @@ def test_perplexity_rejects_bad_word_ids_and_counts(counts, message):
     # with the same words.
     with pytest.raises(ValueError, match=f"^document 'bad': {message}$"):
         _expand_bows(corpus, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_perplexity_rejects_a_negative_or_non_finite_theta(bad):
+    model = model_from_beta(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+    corpus = [BowDoc("a", {0: 1}), BowDoc("b", {1: 2, 2: 1})]
+    theta = np.array([[0.0, 1.0], [bad, 2.0]])
+    message = r"^theta has a negative, NaN or infinite entry in row 1$"
+    with pytest.raises(ValueError, match=message):
+        perplexity(model, corpus, theta=theta)
+    theta[1] = [0.25, 0.75]  # a zero entry is a valid proportion
+    assert perplexity(model, corpus, theta=theta) == pytest.approx(
+        math.exp(-(math.log(0.2) + 2 * math.log(0.3) + math.log(0.425)) / 4), rel=1e-12
+    )
 
 
 def test_trained_model_beats_unigram_baseline():
