@@ -5,14 +5,18 @@ Each kernel does the floating-point operations of the reference sweeps in
 scalar at a time) in the same order, so it gives their bits: on Python
 lists converted once, not once per sweep, or in C.
 
+Every call has one contract: it runs one sweep per row of uniforms it is
+given and returns with z and every count written into the caller's arrays.
+
 A training chain's state is a `GibbsArrays` when the C `gibbs_chain` of
 `_kernels.c` is compiled and loaded, else a `GibbsLists`; `lda` builds one
 per chain and passes it blocks of uniforms, one row per sweep. The C file
 is compiled on first import with the system `cc` into the user's cache
 directory (`$XDG_CACHE_HOME/newstm`, else `~/.cache/newstm`), under a name
 that hashes the source, the flags and the compiler's file, so later imports
-start no process. Without a compiler, or if the build or load fails, the
-import logs one line and the list kernels run; `BACKEND` says which.
+start no process. Without a compiler, or if the build or load fails or
+runs past `_BUILD_TIMEOUT`, the import logs one line and the list kernels
+run; `BACKEND` says which.
 
 `infer_chain` takes a held-out document's state as arrays and, in place of
 one uniform array, an iterable that yields one per sweep, so a run of
@@ -44,9 +48,9 @@ class GibbsLists:
 
     The lists are converted once, on construction, and hold only the word
     columns of `n_kw` and `eta_kw` that some token uses, so set-up follows
-    the tokens, not K x V. `store_z` and `store_counts` copy the lists back
-    into the arrays the state was built from; the columns of words no token
-    uses are never read or written.
+    the tokens, not K x V. Each `sweep` call copies z and the counts back
+    into the arrays the state was built from before it returns; the columns
+    of words no token uses are never read or written.
     """
 
     def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
@@ -105,18 +109,13 @@ class GibbsLists:
                 dt[k] = dc[k] + alpha
                 wt[k] = wc[k] + we[k]
                 topic_terms[k] = topic_counts[k] + topic_eta[k]
-
-    def store_z(self) -> None:
-        self.arrays[0][:] = self.zs
-
-    def store_counts(self) -> None:
-        """Write n_dk, n_k and the present columns of n_kw."""
-        if not self.tokens:
-            return  # no count has changed, and n_kw.T[present] would be (0, K)
-        _, n_dk, n_kw, n_k = self.arrays
-        n_dk[:] = self.doc_counts
-        n_kw.T[self.present] = self.word_counts
-        n_k[:] = self.topic_counts
+        if not tokens:
+            return  # nothing has changed, and n_kw.T[present] would be (0, K)
+        z, n_dk, n_kw, n_k = self.arrays
+        z[:] = zs
+        n_dk[:] = doc_counts
+        n_kw.T[self.present] = word_counts
+        n_k[:] = topic_counts
 
 
 def _address(arr, dtype, shape, written=False) -> int:
@@ -143,7 +142,7 @@ class GibbsArrays:
     It has GibbsLists' interface. The arrays are checked once, on
     construction: dtype, shape, C-contiguity, and that every doc, word and
     topic id indexes its matrix, so the kernel never reads or writes outside
-    them. The kernel updates them in place, so there is nothing to store.
+    them. The kernel updates them in place.
     """
 
     def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
@@ -175,18 +174,12 @@ class GibbsArrays:
         address = _address(uniforms, np.float64, (len(uniforms), self.args[0]))
         c_gibbs_chain(len(uniforms), address, *self.args)
 
-    def store_z(self) -> None:
-        """Nothing to copy: the kernel writes z itself."""
 
-    def store_counts(self) -> None:
-        """Nothing to copy: the kernel writes the counts themselves."""
-
-
-def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, acc=None):
+def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, acc):
     # Repeated reference held-out sweeps on Python lists, one per array that
     # `uniforms` yields, with GibbsLists' running sums and search. Only the
     # beta columns of the document's own words are converted, once per call.
-    # After each sweep, acc (if given) gains (m_k + alpha) / (n + K*alpha).
+    # After each sweep, acc gains (m_k + alpha) / (n + K*alpha).
     n_topics = m_k.shape[0]
     last = n_topics - 1
     denom = word_ids.shape[0] + n_topics * alpha
@@ -194,7 +187,7 @@ def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, acc=None):
     counts = m_k.tolist()
     terms = [c + alpha for c in counts]
     columns = beta.T[word_ids].tolist()
-    sums = None if acc is None else acc.tolist()
+    sums = acc.tolist()
     for sweep_uniforms in uniforms:
         for i, (column, u) in enumerate(zip(columns, sweep_uniforms.tolist())):
             k = zs[i]
@@ -213,12 +206,10 @@ def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, acc=None):
             zs[i] = k
             counts[k] += 1
             terms[k] = counts[k] + alpha
-        if sums is not None:
-            sums = list(map(add, sums, map(truediv, terms, repeat(denom))))
+        sums = list(map(add, sums, map(truediv, terms, repeat(denom))))
     z[:] = zs
     m_k[:] = counts
-    if sums is not None:
-        acc[:] = sums
+    acc[:] = sums
 
 
 # The one-sweep calls keep the `probs` argument, unwritten, only because the
@@ -226,18 +217,17 @@ def infer_chain(word_ids, z, m_k, beta, alpha, uniforms, acc=None):
 def gibbs_sweep(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms, probs):
     state = GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
     state.sweep((uniforms,))
-    state.store_z()
-    state.store_counts()
 
 
 def infer_sweep(word_ids, z, m_k, beta, alpha, uniforms, probs):
-    infer_chain(word_ids, z, m_k, beta, alpha, (uniforms,))
+    infer_chain(word_ids, z, m_k, beta, alpha, (uniforms,), np.zeros(m_k.shape[0]))
 
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 # -ffp-contract=off: a contracted multiply-add (gcc does it by default on
 # aarch64) rounds once where the Python kernels round twice. No -ffast-math.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT = 60  # seconds; a hung compiler must not hang every import
 _INT, _PTR = ctypes.c_int64, ctypes.c_void_p
 _ARGTYPES = (_INT, _PTR, _INT, _INT, _INT) + (_PTR,) * 6 + (ctypes.c_double,) + (_PTR,) * 3
 
@@ -265,12 +255,16 @@ def _build(cc: str, library: Path) -> None:
     # the cache's temp file opens first, so an unwritable cache starts no compiler
     with replacing(library, "wb") as fh, tempfile.TemporaryDirectory() as tmp:
         built = Path(tmp) / library.name
-        done = subprocess.run(
-            [cc, *_FLAGS, "-o", str(built), str(_SOURCE)],
-            capture_output=True,
-            text=True,
-            errors="replace",
-        )
+        try:
+            done = subprocess.run(
+                [cc, *_FLAGS, "-o", str(built), str(_SOURCE)],
+                capture_output=True,
+                text=True,
+                errors="replace",
+                timeout=_BUILD_TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            raise OSError(f"{cc} ran past {_BUILD_TIMEOUT} s and was killed") from None
         if done.returncode != 0:
             why = (done.stderr.strip().splitlines() or [""])[0]
             raise OSError(f"{cc} exited {done.returncode}: {why}")

@@ -427,6 +427,11 @@ def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
     dtm_model = load_dtm(ws.require(manifest, "model_dtm"))
+    for key, value in (("top_n", config.top_n), ("trajectory_words", config.trajectory_words)):
+        if value > len(vocab):
+            raise ValidationError(
+                f"config report.{key} {value} exceeds the vocabulary size {len(vocab)}"
+            )
 
     report = umass_coherence(model, bows, config.top_n)
     logger.info("mean UMass coherence over %d topics: %.4f", model.n_topics, report.mean)

@@ -119,7 +119,7 @@ def train_dtm(
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
         else:
-            if t == 0 or prev_beta is None:
+            if prev_beta is None:
                 eta_kw = None
                 init_beta = None
             else:

@@ -14,6 +14,7 @@ per token per sweep), so runs are reproducible across platforms.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -183,10 +184,19 @@ def _finite_matrix(name: str, array, shape: tuple[int, int]) -> np.ndarray:
     return array
 
 
+def _uniform_blocks(rng, n_sweeps: int, n: int):
+    """The uniforms of `n_sweeps` sweeps over `n` tokens, as (rows, n) blocks
+    of at most _BLOCK_VALUES values, or of one row if a row needs more. The
+    rows are the same stream as `n_sweeps` successive rng.random(n) calls."""
+    rows = max(1, _BLOCK_VALUES // max(n, 1))
+    for start in range(0, n_sweeps, rows):
+        yield rng.random((min(rows, n_sweeps - start), n))
+
+
 def _run_chain(
     doc_ids: np.ndarray,
     word_ids: np.ndarray,
-    n_docs: int,
+    doc_lengths: np.ndarray,
     vocab_size: int,
     hyper: LdaHyperparams,
     eta_kw: np.ndarray | None,
@@ -196,7 +206,7 @@ def _run_chain(
     """Run one chain; return its final state and estimates, or with
     `collect_z` only the z of every retained sweep (no estimates)."""
     k = hyper.k
-    n_tokens = word_ids.size
+    n_docs, n_tokens = doc_lengths.size, word_ids.size
     rng = np.random.default_rng(hyper.seed)
 
     if eta_kw is None:
@@ -220,19 +230,14 @@ def _run_chain(
 
     n_dk, n_kw, n_k = _count_matrices(doc_ids, word_ids, z, n_docs, k, vocab_size)
 
-    doc_lengths = np.bincount(doc_ids, minlength=n_docs).astype(np.int64)
     alpha = float(hyper.alpha)
     chain = _kernels.GibbsLists if _kernels.c_gibbs_chain is None else _kernels.GibbsArrays
     state = chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
-    block_rows = max(1, _BLOCK_VALUES // max(n_tokens, 1))
 
     def run(n_sweeps: int) -> None:
-        # a (rows, n) block is the same stream as `rows` calls of random(n)
-        for start in range(0, n_sweeps, block_rows):
-            state.sweep(rng.random((min(block_rows, n_sweeps - start), n_tokens)))
+        for block in _uniform_blocks(rng, n_sweeps, n_tokens):
+            state.sweep(block)
 
-    # The state lives for the whole chain. At each retained sweep the list
-    # state writes back only what the next lines read.
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta_acc = np.zeros((k, vocab_size), dtype=np.float64)
     theta_acc = np.zeros((n_docs, k), dtype=np.float64)
@@ -242,21 +247,16 @@ def _run_chain(
         run(sweep + 1 - done)
         done = sweep + 1
         if collect_z:
-            state.store_z()
             z_samples.append(z.copy())
         else:
-            state.store_counts()
             beta_acc += (n_kw + eta_kw) / (n_k + eta_sum)[:, None]
             theta_acc += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
     if collect_z:
         return z_samples  # the sweeps after the last retained one would change no sample
-    if done < hyper.iterations:
-        run(hyper.iterations - done)
-        state.store_counts()
-    state.store_z()
+    run(hyper.iterations - done)
     beta = beta_acc / len(retained)
     theta = theta_acc / len(retained)
-    return z, n_dk, n_kw, n_k, beta, theta, doc_lengths
+    return z, n_dk, n_kw, n_k, beta, theta
 
 
 def train_lda(
@@ -281,8 +281,8 @@ def train_lda(
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
     doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
-    z, n_dk, n_kw, n_k, beta, theta, doc_lengths = _run_chain(
-        doc_ids, word_ids, len(bows), vocab_size, hyper, eta_kw, init_beta, collect_z=False
+    z, n_dk, n_kw, n_k, beta, theta = _run_chain(
+        doc_ids, word_ids, lengths, vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
     assignments = np.split(z, np.cumsum(lengths)[:-1])
     logger.info(
@@ -302,7 +302,7 @@ def train_lda(
         n_k=n_k,
         hyper=hyper,
         vocab_size=vocab_size,
-        doc_lengths=doc_lengths,
+        doc_lengths=lengths,
         word_ids=word_ids,
     )
 
@@ -319,9 +319,9 @@ def posterior_assignment_samples(
     bows = list(corpus)
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
-    doc_ids, word_ids, _ = _expand_bows(bows, vocab_size)
+    doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
     z_samples = _run_chain(
-        doc_ids, word_ids, len(bows), vocab_size, hyper, None, None, collect_z=True
+        doc_ids, word_ids, lengths, vocab_size, hyper, None, None, collect_z=True
     )
     return np.stack(z_samples), doc_ids, word_ids
 
@@ -335,9 +335,8 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     negative, NaN or infinite entry in the column of one of the document's
     words.
 
-    The document's uniforms are drawn up front as one (sweeps, n) float64
-    block, so memory grows as O(sweeps * n): 16 MB for a 10,000-token
-    document at the default 200 sweeps.
+    The uniforms are drawn in the blocks training draws, so at most
+    _BLOCK_VALUES of them are held at once, or one sweep's if it needs more.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -359,8 +358,7 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     z = rng.integers(0, k, n, dtype=np.int64)
     m_k = np.bincount(z, minlength=k).astype(np.int64)
     acc = np.zeros(k, dtype=np.float64)
-    # one block: its rows are the same stream as `sweeps` successive random(n) draws
-    uniforms = rng.random((sweeps, n))
+    uniforms = itertools.chain.from_iterable(_uniform_blocks(rng, sweeps, n))
     infer_chain(word_ids, z, m_k, model.beta, float(model.hyper.alpha), uniforms, acc)
     return acc / sweeps
 
@@ -436,34 +434,6 @@ def perplexity(
     if total == 0:
         raise ValueError("perplexity is undefined for a corpus with no tokens")
     return float(np.exp(-log_lik / total))
-
-
-def audit_counts(model: LdaModel) -> None:
-    """Recompute the count matrices from stored assignments and verify invariants.
-
-    Raises ValueError on any inconsistency; intended as a debug/test hook.
-    """
-    if model.assignments is None or model.word_ids is None:
-        raise ValueError("model carries no assignments to audit")
-    n_docs = len(model.assignments)
-    lengths = np.array([a.size for a in model.assignments], dtype=np.int64)
-    doc_ids = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    z = _concat(model.assignments)
-    n_dk, n_kw, n_k = _count_matrices(
-        doc_ids, model.word_ids, z, n_docs, model.n_topics, model.vocab_size
-    )
-    if not np.array_equal(n_dk, model.n_dk):
-        raise ValueError("n_dk is inconsistent with the stored assignments")
-    if not np.array_equal(n_kw, model.n_kw):
-        raise ValueError("n_kw is inconsistent with the stored assignments")
-    if not np.array_equal(n_k, model.n_k):
-        raise ValueError("n_k is inconsistent with the stored assignments")
-    if int(n_k.sum()) != int(model.word_ids.size):
-        raise ValueError("topic totals do not sum to the token count")
-    if not np.allclose(model.beta.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("beta rows do not sum to 1")
-    if not np.allclose(model.theta.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("theta rows do not sum to 1")
 
 
 def save_lda(model: LdaModel, path: str | Path) -> None:

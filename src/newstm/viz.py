@@ -234,13 +234,13 @@ def plot_intertopic(topic_map: IntertopicMap, spec: FigureSpec) -> str:
     x0, y0, x1, y1 = _plot_frame(spec)
     cx = (x0 + x1) / 2
     cy = (y0 + y1) / 2
-    extent = float(np.abs(coords).max()) if k else 0.0
+    extent = float(np.abs(coords).max())
     if extent <= 0:
         extent = 1.0
     scale = 0.38 * min(x1 - x0, y1 - y0) / extent
 
     r_max = 0.12 * min(x1 - x0, y1 - y0)
-    p_max = float(prevalence.max()) if k else 0.0
+    p_max = float(prevalence.max())
 
     body: list[str] = []
     for topic in range(k):

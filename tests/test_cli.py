@@ -20,6 +20,7 @@ from newstm.cli import (
     load_config,
     main,
 )
+from newstm.preprocess import read_vocabulary
 
 FAST_SETTINGS = """\
 [preprocess]
@@ -573,3 +574,22 @@ def test_lock_holder_deletes_temp_files_of_killed_writes(tmp_path, sample_corpus
         path.write_bytes(b"partial")
     assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
     assert [path.exists() for path in strays + kept] == [False, False, True, True]
+
+
+@pytest.mark.parametrize("key", ["top_n", "trajectory_words"])
+def test_report_setting_beyond_the_vocabulary_names_its_key(pipeline_ws, tmp_path, caplog, key):
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    outputs = [ws / name for name, producer, _ in _ARTIFACTS.values() if producer == "report"]
+    for path in outputs:
+        path.unlink()
+    manifest = (ws / "manifest.json").read_bytes()
+    size = len(read_vocabulary(ws / "vocab.json"))
+    args = ["--workspace", str(ws), "--config", str(config), "--set", f"report.{key}={size + 1}"]
+    with caplog.at_level(logging.ERROR):
+        code = main([*args, "report"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 1
+    assert errors == [f"config report.{key} {size + 1} exceeds the vocabulary size {size}"]
+    assert not any(path.exists() for path in outputs)
+    assert (ws / "manifest.json").read_bytes() == manifest

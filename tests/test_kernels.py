@@ -1,5 +1,7 @@
+import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,11 +43,9 @@ def test_backend_reported():
 
 def _list_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms):
     """A chain on a GibbsLists state, one sweep per array that `uniforms`
-    yields, written back once at the end."""
+    yields, written back as the call returns."""
     state = _kernels.GibbsLists(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
     state.sweep(uniforms)
-    state.store_z()
-    state.store_counts()
 
 
 def _compiled_chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum, uniforms):
@@ -185,6 +185,30 @@ def test_gibbs_chain_matches_repeated_array_sweeps(k, prior, n, sweeps, chain):
         assert np.array_equal(got, want)
     if n:
         assert not np.array_equal(state_a[0], z)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param(_kernels.GibbsLists, id="lists"),
+        pytest.param(_kernels.GibbsArrays, id="c", marks=requires_c),
+    ],
+)
+def test_every_sweep_call_returns_with_the_arrays_written(backend):
+    """Two sweep calls on one state: after each, with nothing else called,
+    z and every count are bitwise the reference's."""
+    doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(5, k=6)
+    state = (z, n_dk, n_kw, n_k)
+    uniforms = _pinned_gibbs(doc_ids, word_ids, state, 0.3, eta_kw, eta_sum, 3, rng)
+    z0, want = z.copy(), tuple(a.copy() for a in state)
+    chain = backend(doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.3, eta_kw, eta_sum)
+    for block in (uniforms[:1], uniforms[1:]):
+        chain.sweep(block)
+        for u in block:
+            _gibbs_sweep_py(doc_ids, word_ids, *want, 0.3, eta_kw, eta_sum, u, np.zeros(6))
+        assert not np.array_equal(want[0], z0)
+        for got, expected in zip(state, want):
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("chain", [pytest.param(_kernels.infer_chain, id="_infer_chain_lists")])
@@ -398,6 +422,39 @@ def test_compiled_state_checks_every_array_it_passes(fault):
     with pytest.raises(ValueError):
         state = _kernels.GibbsArrays(doc_ids, word_ids, z, n_dk, n_kw, n_k, 0.3, eta_kw, eta_sum)
         state.sweep(block)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no `cc` on PATH")
+def test_c_kernel_compiles_clean_under_strict_warnings(tmp_path):
+    """The kernel is called through ctypes with no type checks of its own, so
+    a warning in it fails here before it can change a sample."""
+    strict = ("-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wconversion", "-Werror")
+    library = tmp_path / "gibbs_chain.so"
+    done = subprocess.run(
+        ["cc", *_kernels._FLAGS, *strict, "-o", str(library), str(_kernels._SOURCE)],
+        capture_output=True,
+        text=True,
+        timeout=_kernels._BUILD_TIMEOUT,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_hung_compiler_is_killed_and_the_list_chain_kept(tmp_path, monkeypatch, caplog):
+    """A compiler that runs past _BUILD_TIMEOUT is killed, and the load logs
+    one line and caches nothing. The fake `cc` execs sleep, so the killed
+    child is the sleep itself."""
+    (tmp_path / "cc").write_text("#!/bin/sh\nexec sleep 6\n")
+    (tmp_path / "cc").chmod(0o755)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(_kernels, "_BUILD_TIMEOUT", 0.3)
+    with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
+        assert _kernels._load_gibbs_chain() is None
+    (record,) = caplog.records
+    assert "training on the list kernel" in record.getMessage()
+    assert "ran past 0.3 s" in record.getMessage()
+    assert not list(cache.glob("newstm/*"))
 
 
 _TRAIN = """

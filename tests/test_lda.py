@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    audit_counts,
     docs_to_bows,
     enumerate_collapsed_posterior,
     gibbs_marginals,
@@ -20,7 +21,6 @@ from newstm.lda import (
     _count_matrices,
     _expand_bows,
     _sample_topics_from_beta,
-    audit_counts,
     infer_theta,
     load_lda,
     perplexity,
@@ -286,11 +286,12 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
             if not dtm:
                 got_samples, _, _ = posterior_assignment_samples(bows, 10, hyper)
                 assert np.array_equal(got_samples, samples)
-
-    for doc in (bows[0], BowDoc("repeats", {7: 3, 1: 2, 4: 1})):
-        for sweeps in (1, 7):
-            want = _per_sweep_infer(model, doc, sweeps, seed=sweeps)
-            assert np.array_equal(infer_theta(model, doc, sweeps=sweeps, seed=sweeps), want)
+            # 25 sweeps of a 6-token document span two blocks of 2 * n_tokens values
+            for doc in (bows[0], BowDoc("repeats", {7: 3, 1: 2, 4: 1})):
+                for sweeps in (1, 7, 25):
+                    want = _per_sweep_infer(model, doc, sweeps, seed=sweeps)
+                    got = infer_theta(model, doc, sweeps=sweeps, seed=sweeps)
+                    assert np.array_equal(got, want)
 
 
 def test_trained_lda_log_line_names_the_backend(caplog):
