@@ -16,7 +16,10 @@ directory (`$XDG_CACHE_HOME/newstm`, else `~/.cache/newstm`), under a name
 that hashes the source, the flags and the compiler's file, so later imports
 start no process. Without a compiler, or if the build or load fails or
 runs past `_BUILD_TIMEOUT`, the import logs one line and the list kernels
-run; `BACKEND` says which.
+run; `BACKEND` says which. A compiler that failed or ran past the timeout
+leaves a `.failed` marker beside the library's name with its reason, so
+later imports with the same key log that reason and start no compiler
+until the marker is deleted or the source, flags or compiler change.
 
 `infer_chain` takes a held-out document's state as arrays and, in place of
 one uniform array, an iterable that yields one per sweep, so a run of
@@ -38,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from newstm.modelfile import replacing
+from newstm.modelfile import replace_text, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -248,7 +251,12 @@ def _intact(library: Path) -> bool:
 
 
 def _build(cc: str, library: Path) -> None:
-    """Compile _kernels.c into `library`, followed by the sha256 of the build."""
+    """Compile _kernels.c into `library`, followed by the sha256 of the build.
+
+    A compiler that exits non-zero or runs past _BUILD_TIMEOUT leaves its
+    one-line reason in `library`'s `.failed` marker, which stops later
+    imports from starting it again.
+    """
     import subprocess  # only a cache miss pays for it
 
     library.parent.mkdir(parents=True, exist_ok=True)
@@ -264,10 +272,13 @@ def _build(cc: str, library: Path) -> None:
                 timeout=_BUILD_TIMEOUT,
             )
         except subprocess.TimeoutExpired:
-            raise OSError(f"{cc} ran past {_BUILD_TIMEOUT} s and was killed") from None
-        if done.returncode != 0:
-            why = (done.stderr.strip().splitlines() or [""])[0]
-            raise OSError(f"{cc} exited {done.returncode}: {why}")
+            why = f"{cc} ran past {_BUILD_TIMEOUT} s and was killed"
+        else:
+            first_line = (done.stderr.strip().splitlines() or [""])[0]
+            why = f"{cc} exited {done.returncode}: {first_line}" if done.returncode else ""
+        if why:
+            replace_text(library.with_suffix(".failed"), why + "\n")
+            raise OSError(why)
         data = built.read_bytes()
         fh.write(data + hashlib.sha256(data).digest())
 
@@ -285,6 +296,10 @@ def _load_gibbs_chain():
         key.update(repr((_FLAGS, resolved, stat.st_size, stat.st_mtime_ns)).encode())
         library = _cache_dir() / f"gibbs_chain-{key.hexdigest()}.so"
         if not _intact(library):
+            failed = library.with_suffix(".failed")
+            if failed.exists():
+                why = failed.read_text(encoding="utf-8").strip()
+                raise OSError(f"{why}, at an earlier import; delete {failed} to retry")
             _build(cc, library)
         function = ctypes.CDLL(str(library)).gibbs_chain
     except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() with no home

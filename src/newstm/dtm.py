@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, TopicSummary, _topic_summary, train_lda
+from newstm.lda import LdaHyperparams, TopicSummary, _expand_bows, _run_chain, _topic_summary
+# Unused here, but perfbench/spans.py looks this name up on this module.
+from newstm.lda import train_lda  # noqa: F401
 from newstm.modelfile import read_csv, read_model, write_csv, write_model
 from newstm.preprocess import BowDoc, Vocabulary
 
@@ -103,34 +105,32 @@ def train_dtm(
     k = base_hyper.k
     seeds = slice_seeds_for(base_hyper.seed, len(slices_in))
     betas = np.empty((len(slices_in), k, vocab_size), dtype=np.float64)
+    prior = np.empty((k, vocab_size), dtype=np.float64)  # each slice's chained eta_kw
     thetas: list[np.ndarray] = []
     metas: list[TimeSlice] = []
-    prev_beta: np.ndarray | None = None
 
     for t, (meta, bows) in enumerate(slices_in):
         bows = list(bows)
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
+        prev_beta = betas[t - 1] if t else None
         if not bows:
-            beta_t = (
-                prev_beta.copy()
-                if prev_beta is not None
-                else np.full((k, vocab_size), 1.0 / vocab_size)
-            )
+            betas[t] = prev_beta if prev_beta is not None else 1.0 / vocab_size
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
         else:
-            if prev_beta is None:
-                eta_kw = None
-                init_beta = None
-            else:
-                eta_kw = base_hyper.eta + kappa * vocab_size * prev_beta
+            eta_kw = init_beta = None
+            if prev_beta is not None:
+                # eta + kappa * V * prev_beta, with the same two roundings
+                eta_kw = np.multiply(prev_beta, kappa * vocab_size, out=prior)
+                eta_kw += base_hyper.eta
                 init_beta = prev_beta if warm_start else None
-            model_t = train_lda(bows, vocab_size, hyper_t, eta_kw=eta_kw, init_beta=init_beta)
-            beta_t, theta_t = model_t.beta, model_t.theta
-        betas[t] = beta_t
+            doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
+            *_, theta_t = _run_chain(
+                doc_ids, word_ids, lengths, vocab_size, hyper_t, eta_kw, init_beta,
+                collect_z=False, out=betas[t],
+            )
         thetas.append(theta_t)
         metas.append(meta)
-        prev_beta = beta_t
 
     return DtmModel(
         slices=metas,

@@ -117,20 +117,25 @@ def _expand_bows(bows: Sequence[BowDoc], vocab_size: int):
     """Flatten bag-of-words docs into parallel doc-index/word-id token arrays.
 
     Within a document tokens are laid out in ascending word-id order, making
-    the expansion (and everything downstream) deterministic.
+    the expansion (and everything downstream) deterministic. A bad id or
+    count raises `_bow_arrays`' error for the first bad document.
     """
-    per_doc: list[np.ndarray] = []
-    for bow in bows:
-        if bow.counts:
-            ids, cnt = _bow_arrays(bow, vocab_size)
-            order = np.argsort(ids, kind="stable")
-            per_doc.append(np.repeat(ids[order], cnt[order]))
-        else:
-            per_doc.append(np.zeros(0, dtype=np.int64))
-    lengths = np.array([arr.size for arr in per_doc], dtype=np.int64)
-    word_ids = np.concatenate(per_doc) if per_doc else np.zeros(0, dtype=np.int64)
-    doc_ids = np.repeat(np.arange(len(per_doc), dtype=np.int64), lengths)
-    return doc_ids, word_ids, lengths
+    counts = [bow.counts for bow in bows]
+    n_keys = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+    starts = np.concatenate(([0], np.cumsum(n_keys)))  # each document's first key
+    n = int(starts[-1])
+    chain = itertools.chain.from_iterable
+    ids = np.fromiter(chain(counts), dtype=np.int64, count=n)
+    cnt = np.fromiter(chain(c.values() for c in counts), dtype=np.int64, count=n)
+    doc_of_key = np.repeat(np.arange(len(counts), dtype=np.int64), n_keys)
+    bad = (ids < 0) | (ids >= vocab_size) | (cnt < 1)
+    if bad.any():  # _bow_arrays raises, an id error before a count error
+        _bow_arrays(bows[doc_of_key[np.argmax(bad)]], vocab_size)
+    if (np.diff(ids)[doc_of_key[1:] == doc_of_key[:-1]] <= 0).any():
+        order = np.lexsort((ids, doc_of_key))  # only hand-built dicts get here
+        ids, cnt = ids[order], cnt[order]
+    lengths = np.diff(np.concatenate(([0], np.cumsum(cnt)))[starts])
+    return np.repeat(doc_of_key, cnt), np.repeat(ids, cnt), lengths
 
 
 def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.ndarray:
@@ -202,20 +207,38 @@ def _run_chain(
     eta_kw: np.ndarray | None,
     init_beta: np.ndarray | None,
     collect_z: bool,
+    out: np.ndarray | None = None,
 ):
     """Run one chain; return its final state and estimates, or with
-    `collect_z` only the z of every retained sweep (no estimates)."""
+    `collect_z` only the z of every retained sweep (no estimates).
+
+    The chain's state holds only the word columns its tokens use: the
+    returned n_kw has one column per word of `present`, the ascending ids of
+    those words. A column no token uses has count 0 at every sweep, so its β
+    entries are the mean of eta_kw / (n_k + eta_sum) over the retained
+    sweeps, and no K x V array but β itself is built for it. β is written
+    into `out`, a C-contiguous (k, V) float64 array, when one is given.
+    """
     k = hyper.k
     n_docs, n_tokens = doc_lengths.size, word_ids.size
     rng = np.random.default_rng(hyper.seed)
+    used = np.zeros(vocab_size, dtype=bool)
+    used[word_ids] = True
+    present = np.flatnonzero(used)  # the columns of the chain's state
+    local_ids = (np.cumsum(used) - 1)[word_ids]
 
     if eta_kw is None:
-        eta_kw = np.full((k, vocab_size), hyper.eta, dtype=np.float64)
+        # One (k, 1) row per topic broadcasts over the columns. The row sum of
+        # np.full(V, eta) has the bits of np.full((k, V), eta).sum(axis=1).
+        eta_kw = np.full((k, 1), hyper.eta)
+        eta_sum = np.full(k, np.full(vocab_size, hyper.eta).sum())
+        eta_local = np.full((k, present.size), hyper.eta)
     else:
         eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
         if (eta_kw <= 0).any():
             raise ValueError("eta_kw entries must be > 0")
-    eta_sum = eta_kw.sum(axis=1)
+        eta_sum = eta_kw.sum(axis=1)
+        eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
 
     if init_beta is None:
         z = rng.integers(0, k, n_tokens, dtype=np.int64)
@@ -228,19 +251,18 @@ def _run_chain(
             raise ValueError(f"init_beta has no mass for word {int(word_ids[empty][0])}")
         z = _sample_topics_from_beta(init_beta, word_ids, rng)
 
-    n_dk, n_kw, n_k = _count_matrices(doc_ids, word_ids, z, n_docs, k, vocab_size)
+    n_dk, n_kw, n_k = _count_matrices(doc_ids, local_ids, z, n_docs, k, present.size)
 
     alpha = float(hyper.alpha)
     chain = _kernels.GibbsLists if _kernels.c_gibbs_chain is None else _kernels.GibbsArrays
-    state = chain(doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum)
+    state = chain(doc_ids, local_ids, z, n_dk, n_kw, n_k, alpha, eta_local, eta_sum)
 
     def run(n_sweeps: int) -> None:
         for block in _uniform_blocks(rng, n_sweeps, n_tokens):
             state.sweep(block)
 
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
-    beta_acc = np.zeros((k, vocab_size), dtype=np.float64)
-    theta_acc = np.zeros((n_docs, k), dtype=np.float64)
+    beta = np.empty((k, vocab_size)) if out is None else out
     z_samples: list[np.ndarray] = []
     done = 0
     for sweep in retained:
@@ -248,15 +270,30 @@ def _run_chain(
         done = sweep + 1
         if collect_z:
             z_samples.append(z.copy())
+            continue
+        denom = (n_k + eta_sum)[:, None]
+        term = n_kw + eta_local
+        term /= denom  # in place: one K x P temporary
+        theta_term = (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
+        if sweep == hyper.burn_in:  # each sum starts from its first term, as 0.0 + term would
+            np.divide(eta_kw, denom, out=beta)
+            beta_local, theta = term, theta_term
         else:
-            beta_acc += (n_kw + eta_kw) / (n_k + eta_sum)[:, None]
-            theta_acc += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
+            for row, eta_row, row_denom in zip(beta, eta_kw, denom):
+                row += eta_row / row_denom  # row by row: no K x V temporary
+            beta_local += term
+            theta += theta_term
     if collect_z:
         return z_samples  # the sweeps after the last retained one would change no sample
     run(hyper.iterations - done)
-    beta = beta_acc / len(retained)
-    theta = theta_acc / len(retained)
-    return z, n_dk, n_kw, n_k, beta, theta
+    beta[:, present] = beta_local
+    beta /= len(retained)
+    theta /= len(retained)
+    logger.info(
+        "trained LDA: k=%d docs=%d tokens=%d iterations=%d backend=%s",
+        k, n_docs, n_tokens, hyper.iterations, _kernels.BACKEND,
+    )
+    return z, n_dk, n_kw, n_k, present, beta, theta
 
 
 def train_lda(
@@ -281,18 +318,12 @@ def train_lda(
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
     doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
-    z, n_dk, n_kw, n_k, beta, theta = _run_chain(
+    z, n_dk, columns, n_k, present, beta, theta = _run_chain(
         doc_ids, word_ids, lengths, vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
+    n_kw = np.zeros((hyper.k, vocab_size), dtype=np.int64)
+    n_kw[:, present] = columns
     assignments = np.split(z, np.cumsum(lengths)[:-1])
-    logger.info(
-        "trained LDA: k=%d docs=%d tokens=%d iterations=%d backend=%s",
-        hyper.k,
-        len(bows),
-        word_ids.size,
-        hyper.iterations,
-        _kernels.BACKEND,
-    )
     return LdaModel(
         beta=beta,
         theta=theta,

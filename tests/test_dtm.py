@@ -1,6 +1,8 @@
 import dataclasses
 import datetime
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,18 +16,21 @@ from helpers import (
     planted_drift_sliced_corpus,
     planted_two_topic_bows,
 )
+from newstm import _kernels
 from newstm.corpus import TimeSlice
 from newstm.dtm import (
     TrajectorySeries,
     load_dtm,
     read_trajectory_csv,
     save_dtm,
+    slice_seeds_for,
     top_words_at,
     train_dtm,
     trajectory,
     write_trajectory_csv,
 )
 from newstm.lda import LdaHyperparams, top_words, train_lda
+from newstm.preprocess import BowDoc
 
 
 def _slice_meta(t, doc_ids=()):
@@ -94,6 +99,86 @@ def test_leading_empty_slice_starts_uniform():
     sliced = [(_slice_meta(0), [])] + _two_slice_corpus()[:1]
     model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
     assert np.array_equal(model.per_slice_beta[0], np.full((3, 10), 0.1))
+
+
+def _chained_by_train_lda(sliced, base, kappa, vocab_size, warm_start):
+    """Each slice's beta and theta as one train_lda call per slice gives them,
+    with the previous slice's beta as prior and start: train_dtm's oracle."""
+    seeds = slice_seeds_for(base.seed, len(sliced))
+    prev, betas, thetas = None, [], []
+    for t, (_, bows) in enumerate(sliced):
+        if not bows:
+            beta = prev.copy() if prev is not None else np.full((base.k, vocab_size), 1 / vocab_size)
+            theta = np.zeros((0, base.k))
+        else:
+            eta_kw = None if prev is None else base.eta + kappa * vocab_size * prev
+            init_beta = prev if prev is not None and warm_start else None
+            hyper = dataclasses.replace(base, seed=seeds[t])
+            model = train_lda(bows, vocab_size, hyper, eta_kw=eta_kw, init_beta=init_beta)
+            beta, theta = model.beta, model.theta
+        betas.append(beta)
+        thetas.append(theta)
+        prev = beta
+    return betas, thetas
+
+
+def _slices_over_vocabulary_subsets(vocab_size=40, seed=11):
+    """Five slices: words 0-9, an empty slice, words 10-19, words 5-14 and
+    words 30-39, so most slices leave most columns without a token."""
+    rng = np.random.default_rng(seed)
+    sliced = []
+    for t, words in enumerate([range(0, 10), (), range(10, 20), range(5, 15), range(30, 40)]):
+        draws = [Counter(rng.choice(list(words), size=7).tolist()) for _ in range(6 if words else 0)]
+        bows = [BowDoc(f"s{t}d{d}", dict(sorted(c.items()))) for d, c in enumerate(draws)]
+        sliced.append((_slice_meta(t, [b.doc_id for b in bows]), bows))
+    return sliced
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param("c", marks=pytest.mark.skipif(_kernels.BACKEND != "c", reason="no C kernel")),
+        "lists",
+    ],
+)
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("kappa", [1.0, 0.5])
+def test_chain_is_bitwise_the_composition_of_train_lda_calls(kappa, warm_start, backend, monkeypatch):
+    if backend == "lists":
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    sliced = _slices_over_vocabulary_subsets()
+    base = LdaHyperparams(k=3, alpha=0.4, eta=0.05, iterations=12, burn_in=3, thin=2, seed=5)
+    model = train_dtm(sliced, base, kappa=kappa, vocab_size=40, warm_start=warm_start)
+    betas, thetas = _chained_by_train_lda(sliced, base, kappa, 40, warm_start)
+    for t in range(len(sliced)):
+        assert np.array_equal(model.per_slice_beta[t], betas[t]), t
+        assert np.array_equal(model.per_slice_theta[t], thetas[t]), t
+    assert np.array_equal(model.per_slice_beta[1], model.per_slice_beta[0])
+
+
+@pytest.mark.parametrize("iterations", [2, 4], ids=["one-retained-sweep", "three"])
+def test_dtm_holds_its_betas_and_at_most_four_k_by_v_arrays_more(iterations):
+    """Traced allocations (numpy's buffers included) during train_dtm peak at
+    per_slice_beta plus at most 4 K x V float64 arrays: slices that use a few
+    hundred of V words get no K x V chain state of their own."""
+    k, v = 20, 20_000
+    rng = np.random.default_rng(4)
+    sliced = []
+    for t in range(6):
+        bows = [
+            BowDoc(f"s{t}d{d}", {int(w): 1 for w in np.unique(rng.integers(0, v, 30))})
+            for d in range(20)
+        ]
+        sliced.append((_slice_meta(t), bows))
+    hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=1, thin=1, seed=3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model = train_dtm(sliced, hyper, kappa=1.0, vocab_size=v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= model.per_slice_beta.nbytes + 4 * k * v * 8
 
 
 def _drift_hyper(seed=17):

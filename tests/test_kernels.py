@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -441,8 +442,8 @@ def test_c_kernel_compiles_clean_under_strict_warnings(tmp_path):
 
 def test_hung_compiler_is_killed_and_the_list_chain_kept(tmp_path, monkeypatch, caplog):
     """A compiler that runs past _BUILD_TIMEOUT is killed, and the load logs
-    one line and caches nothing. The fake `cc` execs sleep, so the killed
-    child is the sleep itself."""
+    one line and caches no library, only the marker of the failed build. The
+    fake `cc` execs sleep, so the killed child is the sleep itself."""
     (tmp_path / "cc").write_text("#!/bin/sh\nexec sleep 6\n")
     (tmp_path / "cc").chmod(0o755)
     cache = tmp_path / "cache"
@@ -454,7 +455,36 @@ def test_hung_compiler_is_killed_and_the_list_chain_kept(tmp_path, monkeypatch, 
     (record,) = caplog.records
     assert "training on the list kernel" in record.getMessage()
     assert "ran past 0.3 s" in record.getMessage()
-    assert not list(cache.glob("newstm/*"))
+    assert [path.suffix for path in cache.glob("newstm/*")] == [".failed"]
+
+
+def test_a_failed_build_is_not_retried_until_its_key_changes(tmp_path, monkeypatch, caplog):
+    """A second load after a timed-out build starts no compiler: it logs the
+    recorded reason and the marker to delete. A changed compiler file gives
+    a new key, and so a fresh attempt."""
+    runs, cc = tmp_path / "runs", tmp_path / "cc"
+    cc.write_text(f"#!/bin/sh\necho run >> '{runs}'\nexec sleep 6\n")
+    cc.chmod(0o755)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(_kernels, "_BUILD_TIMEOUT", 0.3)
+    with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
+        assert _kernels._load_gibbs_chain() is None
+        start = time.monotonic()
+        assert _kernels._load_gibbs_chain() is None
+        assert time.monotonic() - start < 0.2
+    assert runs.read_text().splitlines() == ["run"]
+    (marker,) = cache.glob("newstm/*.failed")
+    first, second = (record.getMessage() for record in caplog.records)
+    assert "ran past 0.3 s" in first
+    assert "ran past 0.3 s" in second and f"delete {marker} to retry" in second
+
+    mtime = cc.stat().st_mtime_ns + 1_000_000_000
+    os.utime(cc, ns=(mtime, mtime))
+    assert _kernels._load_gibbs_chain() is None
+    assert runs.read_text().splitlines() == ["run", "run"]
+    assert len(list(cache.glob("newstm/*.failed"))) == 2
 
 
 _TRAIN = """
@@ -502,7 +532,9 @@ def test_import_falls_back_to_the_list_chain_with_one_line(tmp_path, case):
     assert backend == "numpy" and digest == want
     assert len(stderr) == 1 and reason in stderr[0], stderr
     assert "training on the list kernel" in stderr[0]
-    assert not list(cache.glob("newstm/*"))
+    # only a compiler that ran and failed leaves a marker, and no case a library
+    marker = [".failed"] if case == "failing_compiler" else []
+    assert [path.suffix for path in cache.glob("newstm/*")] == marker
 
 
 @requires_c

@@ -446,6 +446,48 @@ def test_perplexity_rejects_bad_word_ids_and_counts(counts, message):
         _expand_bows(corpus, 3)
 
 
+def test_expand_bows_lays_hand_built_descending_keys_out_ascending():
+    bows = [BowDoc("a", {2: 1, 0: 2}), BowDoc("b", {4: 3}), BowDoc("c", {9: 1, 7: 2, 8: 1})]
+    doc_ids, word_ids, lengths = _expand_bows(bows, 10)
+    assert word_ids.tolist() == [0, 0, 2, 4, 4, 4, 7, 7, 8, 9]
+    assert doc_ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+    assert lengths.tolist() == [3, 3, 4]
+
+
+def test_expand_bows_gives_an_empty_document_length_zero():
+    bows = [BowDoc("a", {1: 2}), BowDoc("empty", {}), BowDoc("c", {0: 1, 3: 1})]
+    doc_ids, word_ids, lengths = _expand_bows(bows, 4)
+    assert lengths.tolist() == [2, 0, 2]
+    assert doc_ids.tolist() == [0, 0, 2, 2]
+    assert word_ids.tolist() == [1, 1, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ({1: 0}, {7: 1}, "counts must be >= 1"),
+        ({7: 1}, {1: 0}, "word id out of range for vocab_size=3"),
+        ({0: 1, 5: 0}, {1: 0}, "word id out of range for vocab_size=3"),
+    ],
+    ids=["count-then-id", "id-then-count", "id-beats-count-in-one-document"],
+)
+def test_expand_bows_names_the_first_bad_document(first, second, message):
+    bows = [BowDoc("good", {0: 1}), BowDoc("empty", {}), BowDoc("first", first), BowDoc("second", second)]
+    with pytest.raises(ValueError, match=f"^document 'first': {message}$"):
+        _expand_bows(bows, 3)
+
+
+def test_symmetric_prior_row_sum_is_the_full_matrix_row_sum_bitwise():
+    """_run_chain sums one V-long row of eta for the symmetric prior in place
+    of np.full((k, V), eta).sum(axis=1); both sum in the same order."""
+    sizes = [*range(1, 1025), 14_949, 16_012, 20_000]
+    sizes += [2**e + d for e in range(10, 17) for d in (-1, 0, 1)]
+    for eta in (0.01, 0.05, 0.1, 1 / 3):
+        for v in sizes:
+            rows = np.full((3, v), eta).sum(axis=1)
+            assert (rows == np.full(v, eta).sum()).all(), (eta, v)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_perplexity_rejects_a_negative_or_non_finite_theta(bad):
     model = model_from_beta(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
