@@ -59,6 +59,7 @@ from newstm.evaluate import (
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
 from newstm.modelfile import remove_stray_temps, replace_text
 from newstm.preprocess import (
+    Bows,
     TokenStream,
     apply_phrases,
     build_vocabulary,
@@ -243,7 +244,7 @@ _ARTIFACTS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "corpus": ("corpus.jsonl", "ingest", ()),
     "timeline": ("timeline.csv", "ingest", ()),
     "vocab": ("vocab.json", "preprocess", ("corpus",)),
-    "bows": ("bows.jsonl", "preprocess", ("corpus",)),
+    "bows": ("bows.newstm", "preprocess", ("corpus",)),
     "model_static": ("model_static.newstm", "train --mode static", ("vocab", "bows")),
     "model_dtm": ("model_dtm.newstm", "train --mode dtm", ("corpus", "vocab", "bows")),
     "coherence": ("coherence.json", "report", ("model_static", "bows")),
@@ -396,35 +397,35 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     phrases = fit_phrases(streams, config.min_count, config.threshold)
     merged = [TokenStream(s.doc_id, apply_phrases(phrases, s.tokens)) for s in streams]
     vocab = build_vocabulary(merged, config.no_below, config.no_above)
-    bows = [to_bow(s, vocab) for s in merged]
+    bows = Bows.from_docs([to_bow(s, vocab) for s in merged], len(vocab))
     write_vocabulary(vocab, ws.path_for("vocab"))
     write_bows(bows, ws.path_for("bows"))
 
 
+# Both trains take V from the bows file's header. They still require vocab.json,
+# whose hash makes the model stale when it changes, but do not parse it.
 def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
-    vocab = read_vocabulary(ws.require(manifest, "vocab"))
-    model = train_lda(bows, len(vocab), config.hyper)
+    ws.require(manifest, "vocab")
+    model = train_lda(bows, bows.vocab_size, config.hyper)
     save_lda(model, ws.path_for("model_static"))
 
 
 def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
-    vocab = read_vocabulary(ws.require(manifest, "vocab"))
+    ws.require(manifest, "vocab")
     corpus = load_corpus(ws.require(manifest, "corpus"))
     slices = slice_monthly(corpus, config.anchor_day, config.first_start, config.n_slices)
     sizes = [len(s) for s in slices]
     logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
-    by_id = {bow.doc_id: bow for bow in bows}
-    # require() checked bows against this corpus, and preprocess wrote one per document.
-    sliced = [(s, [by_id[doc_id] for doc_id in s.doc_ids]) for s in slices]
-    model = train_dtm(sliced, config.hyper, config.kappa, vocab_size=len(vocab))
+    sliced = [(s, bows.select(s.doc_ids)) for s in slices]
+    model = train_dtm(sliced, config.hyper, config.kappa, vocab_size=bows.vocab_size)
     save_dtm(model, ws.path_for("model_dtm"))
 
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     model = load_lda(ws.require(manifest, "model_static"))
-    bows = read_bows(ws.require(manifest, "bows"))
+    bows = read_bows(ws.require(manifest, "bows")).docs()
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
     dtm_model = load_dtm(ws.require(manifest, "model_dtm"))
     for key, value in (("top_n", config.top_n), ("trajectory_words", config.trajectory_words)):

@@ -22,11 +22,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, TopicSummary, _expand_bows, _run_chain, _topic_summary
+from newstm.lda import (
+    LdaHyperparams,
+    TopicSummary,
+    _as_bows,
+    _expand_bows,
+    _run_chain,
+    _topic_summary,
+)
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
 from newstm.modelfile import read_csv, read_model, write_csv, write_model
-from newstm.preprocess import BowDoc, Vocabulary
+from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +87,7 @@ def slice_seeds_for(base_seed: int, n_slices: int) -> list[int]:
 
 
 def train_dtm(
-    sliced_corpus: Sequence[tuple[TimeSlice, Sequence[BowDoc]]],
+    sliced_corpus: Sequence[tuple[TimeSlice, Sequence[BowDoc] | Bows]],
     base_hyper: LdaHyperparams,
     kappa: float = 1.0,
     *,
@@ -89,6 +96,7 @@ def train_dtm(
 ) -> DtmModel:
     """Train the chained per-slice model over an ordered sliced corpus.
 
+    Each slice's documents are BowDoc or Bows, as `train_lda` takes them.
     Empty slices (no documents) inherit the previous slice's topic-word
     rows verbatim; an empty slice 0 starts from the uniform distribution.
     warm_start=False disables assignment initialization from the previous
@@ -109,8 +117,8 @@ def train_dtm(
     thetas: list[np.ndarray] = []
     metas: list[TimeSlice] = []
 
-    for t, (meta, bows) in enumerate(slices_in):
-        bows = list(bows)
+    for t, (meta, docs) in enumerate(slices_in):
+        bows = _as_bows(docs, vocab_size)
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
         prev_beta = betas[t - 1] if t else None
         if not bows:
@@ -124,7 +132,7 @@ def train_dtm(
                 eta_kw = np.multiply(prev_beta, kappa * vocab_size, out=prior)
                 eta_kw += base_hyper.eta
                 init_beta = prev_beta if warm_start else None
-            doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
+            doc_ids, word_ids, lengths = _expand_bows(bows)
             *_, theta_t = _run_chain(
                 doc_ids, word_ids, lengths, vocab_size, hyper_t, eta_kw, init_beta,
                 collect_z=False, out=betas[t],

@@ -28,7 +28,7 @@ from newstm._kernels import infer_chain
 # Unused here, but perfbench/spans.py looks these two names up on this module.
 from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
 from newstm.modelfile import read_model, write_model
-from newstm.preprocess import BowDoc, Vocabulary
+from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -99,43 +99,29 @@ class TopicSummary:
     terms: tuple[tuple[str, float], ...]
 
 
-def _bow_arrays(bow: BowDoc, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The word ids and counts of a nonempty document, in its dict order,
-    checked to be ids in 0..vocab_size-1 and counts >= 1."""
-    ids = np.fromiter(bow.counts.keys(), dtype=np.int64, count=len(bow.counts))
-    cnt = np.fromiter(bow.counts.values(), dtype=np.int64, count=len(bow.counts))
-    if ids.min() < 0 or ids.max() >= vocab_size:
+def _as_bows(corpus: Iterable[BowDoc] | Bows, vocab_size: int) -> Bows:
+    """`corpus` as Bows over `vocab_size` words; BowDoc sequences are converted."""
+    if not isinstance(corpus, Bows):
+        return Bows.from_docs(corpus, vocab_size)
+    if corpus.vocab_size != vocab_size:
         raise ValueError(
-            f"document {bow.doc_id!r}: word id out of range for vocab_size={vocab_size}"
+            f"the bags of words have vocab_size={corpus.vocab_size}, not {vocab_size}"
         )
-    if (cnt < 1).any():
-        raise ValueError(f"document {bow.doc_id!r}: counts must be >= 1")
-    return ids, cnt
+    return corpus
 
 
-def _expand_bows(bows: Sequence[BowDoc], vocab_size: int):
-    """Flatten bag-of-words docs into parallel doc-index/word-id token arrays.
+def _expand_bows(bows: Bows):
+    """Flatten bags of words into parallel doc-index/word-id token arrays and
+    the token count of each document.
 
-    Within a document tokens are laid out in ascending word-id order, making
-    the expansion (and everything downstream) deterministic. A bad id or
-    count raises `_bow_arrays`' error for the first bad document.
+    Within a document tokens are laid out in ascending word-id order, as
+    Bows stores them, making the expansion (and everything downstream)
+    deterministic.
     """
-    counts = [bow.counts for bow in bows]
-    n_keys = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
-    starts = np.concatenate(([0], np.cumsum(n_keys)))  # each document's first key
-    n = int(starts[-1])
-    chain = itertools.chain.from_iterable
-    ids = np.fromiter(chain(counts), dtype=np.int64, count=n)
-    cnt = np.fromiter(chain(c.values() for c in counts), dtype=np.int64, count=n)
-    doc_of_key = np.repeat(np.arange(len(counts), dtype=np.int64), n_keys)
-    bad = (ids < 0) | (ids >= vocab_size) | (cnt < 1)
-    if bad.any():  # _bow_arrays raises, an id error before a count error
-        _bow_arrays(bows[doc_of_key[np.argmax(bad)]], vocab_size)
-    if (np.diff(ids)[doc_of_key[1:] == doc_of_key[:-1]] <= 0).any():
-        order = np.lexsort((ids, doc_of_key))  # only hand-built dicts get here
-        ids, cnt = ids[order], cnt[order]
-    lengths = np.diff(np.concatenate(([0], np.cumsum(cnt)))[starts])
-    return np.repeat(doc_of_key, cnt), np.repeat(ids, cnt), lengths
+    entry_bounds = np.concatenate(([0], np.cumsum(bows.doc_lengths)))
+    lengths = np.diff(np.concatenate(([0], np.cumsum(bows.counts)))[entry_bounds])
+    doc_ids = np.repeat(np.arange(len(bows), dtype=np.int64), lengths)
+    return doc_ids, np.repeat(bows.word_ids, bows.counts), lengths
 
 
 def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.ndarray:
@@ -297,7 +283,7 @@ def _run_chain(
 
 
 def train_lda(
-    corpus: Iterable[BowDoc],
+    corpus: Iterable[BowDoc] | Bows,
     vocab_size: int,
     hyper: LdaHyperparams,
     *,
@@ -306,18 +292,17 @@ def train_lda(
 ) -> LdaModel:
     """Run collapsed Gibbs sampling over the corpus and return the trained model.
 
-    `eta_kw` overrides the symmetric word prior with a per-topic-per-word
-    pseudo-count matrix, and `init_beta` seeds the initial assignments from
-    an existing topic-word estimate instead of the uniform draw; both hooks
-    exist for chained dynamic training and leave the default behaviour
-    untouched when None.
+    A BowDoc corpus is converted with `Bows.from_docs`; a Bows corpus must
+    have `vocab_size` words. `eta_kw` overrides the symmetric word prior
+    with a per-topic-per-word pseudo-count matrix, and `init_beta` seeds the
+    initial assignments from an existing topic-word estimate instead of the
+    uniform draw; both hooks exist for chained dynamic training and leave
+    the default behaviour untouched when None.
     """
-    bows = list(corpus)
+    bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot train on an empty corpus")
-    if vocab_size < 1:
-        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
+    doc_ids, word_ids, lengths = _expand_bows(bows)
     z, n_dk, columns, n_k, present, beta, theta = _run_chain(
         doc_ids, word_ids, lengths, vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
@@ -339,7 +324,7 @@ def train_lda(
 
 
 def posterior_assignment_samples(
-    corpus: Iterable[BowDoc], vocab_size: int, hyper: LdaHyperparams
+    corpus: Iterable[BowDoc] | Bows, vocab_size: int, hyper: LdaHyperparams
 ):
     """Collect retained post-burn-in assignment sweeps for diagnostics.
 
@@ -347,10 +332,10 @@ def posterior_assignment_samples(
     (n_retained, n_tokens). Intended for small corpora: every retained sweep
     stores a full copy of z.
     """
-    bows = list(corpus)
+    bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
-    doc_ids, word_ids, lengths = _expand_bows(bows, vocab_size)
+    doc_ids, word_ids, lengths = _expand_bows(bows)
     z_samples = _run_chain(
         doc_ids, word_ids, lengths, vocab_size, hyper, None, None, collect_z=True
     )
@@ -376,7 +361,8 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
     k = model.n_topics
     if not doc.counts:
         return np.full(k, 1.0 / k)
-    _, word_ids, _ = _expand_bows([doc], model.vocab_size)
+    bow = Bows.from_docs([doc], model.vocab_size)
+    word_ids = np.repeat(bow.word_ids, bow.counts)
     n = word_ids.size
     # The sampler's topic search needs every weight >= 0 and finite.
     columns = model.beta[:, word_ids]
@@ -437,23 +423,25 @@ def perplexity(
     by position; pass explicit rows (e.g. from infer_theta) for held-out docs.
     Raises ValueError if theta has a negative, NaN or infinite entry.
     """
-    bows = list(corpus)
+    docs = list(corpus)
     theta = model.theta if theta is None else np.asarray(theta, dtype=np.float64)
-    if theta.shape != (len(bows), model.n_topics):
+    if theta.shape != (len(docs), model.n_topics):
         raise ValueError(
-            f"theta shape {theta.shape} does not match {len(bows)} docs x {model.n_topics} topics"
+            f"theta shape {theta.shape} does not match {len(docs)} docs x {model.n_topics} topics"
         )
     bad = ~np.isfinite(theta) | (theta < 0)
     if bad.any():
         row = int(np.flatnonzero(bad.any(axis=1))[0])
         raise ValueError(f"theta has a negative, NaN or infinite entry in row {row}")
+    bows = Bows.from_docs(docs, model.vocab_size)
+    bounds = np.cumsum(bows.doc_lengths).tolist()
     log_lik = 0.0
     total = 0
-    for d, bow in enumerate(bows):
-        if not bow.counts:
+    for d, (start, end) in enumerate(zip([0, *bounds], bounds)):
+        if start == end:
             continue
-        ids, counts = _bow_arrays(bow, model.vocab_size)
-        cnt = counts.astype(np.float64)
+        ids = bows.word_ids[start:end]
+        cnt = bows.counts[start:end].astype(np.float64)
         p = theta[d] @ model.beta[:, ids]
         if (p <= 0).any():
             raise ValueError(

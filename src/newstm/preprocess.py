@@ -12,12 +12,15 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from newstm.modelfile import replace_text, replacing
+import numpy as np
+
+from newstm.modelfile import read_model, replace_text, write_model
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +82,8 @@ class PhraseModel:
 
     A bigram (a, b) scores (count(ab) - min_count) * total_tokens /
     (count(a) * count(b)) and qualifies for merging when the score reaches
-    `threshold`. Unseen bigrams never qualify.
+    `threshold`. Unseen bigrams never qualify. The qualifying pairs are
+    decided once, when the model is built, and kept in `pairs`.
     """
 
     unigram_counts: dict[str, int]
@@ -87,6 +91,14 @@ class PhraseModel:
     total_tokens: int
     min_count: int
     threshold: float
+    pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        candidates: Iterable[tuple[str, str]] = self.bigram_counts
+        if self.threshold > 0:  # a pair counted min_count times or fewer scores <= 0
+            candidates = [pair for pair, n in self.bigram_counts.items() if n > self.min_count]
+        pairs = frozenset(pair for pair in candidates if self.score(*pair) >= self.threshold)
+        object.__setattr__(self, "pairs", pairs)
 
     def score(self, first: str, second: str) -> float:
         pair_count = self.bigram_counts.get((first, second), 0)
@@ -99,7 +111,7 @@ class PhraseModel:
         )
 
     def qualifies(self, first: str, second: str) -> bool:
-        return self.score(first, second) >= self.threshold
+        return (first, second) in self.pairs
 
 
 def fit_phrases(
@@ -126,11 +138,12 @@ def apply_phrases(model: PhraseModel, tokens: Sequence[str]) -> list[str]:
 
     A merged token is skipped over, so it cannot re-merge within the pass.
     """
+    pairs = model.pairs
     merged: list[str] = []
     i = 0
     n = len(tokens)
     while i < n:
-        if i + 1 < n and model.qualifies(tokens[i], tokens[i + 1]):
+        if i + 1 < n and (tokens[i], tokens[i + 1]) in pairs:
             merged.append(tokens[i] + "_" + tokens[i + 1])
             i += 2
         else:
@@ -174,20 +187,13 @@ def build_vocabulary(
     streams = list(streams)
     if not streams:
         raise ValueError("cannot build a vocabulary from zero documents")
-    df: Counter[str] = Counter()
-    first_seen: list[str] = []
-    known: set[str] = set()
-    for stream in streams:
-        for tok in dict.fromkeys(stream.tokens):
-            if tok not in known:
-                known.add(tok)
-                first_seen.append(tok)
-            df[tok] += 1
+    # A Counter keeps its keys in first-insertion order: first appearance.
+    df = Counter(chain.from_iterable(dict.fromkeys(stream.tokens) for stream in streams))
     n_docs = len(streams)
-    kept = [tok for tok in first_seen if df[tok] >= no_below and df[tok] / n_docs <= no_above]
+    kept = [tok for tok, n in df.items() if n >= no_below and n / n_docs <= no_above]
     if not kept:
         raise ValueError("vocabulary is empty after frequency filtering")
-    logger.info("vocabulary: kept %d of %d distinct tokens", len(kept), len(first_seen))
+    logger.info("vocabulary: kept %d of %d distinct tokens", len(kept), len(df))
     return Vocabulary(
         token_to_id={tok: i for i, tok in enumerate(kept)},
         id_to_token=tuple(kept),
@@ -211,12 +217,113 @@ class BowDoc:
 
 def to_bow(stream: TokenStream, vocab: Vocabulary) -> BowDoc:
     """Encode a token stream against `vocab`; out-of-vocabulary tokens are dropped."""
-    counts: dict[int, int] = {}
-    for tok in stream.tokens:
-        wid = vocab.encode(tok)
-        if wid is not None:
-            counts[wid] = counts.get(wid, 0) + 1
+    counts = Counter(map(vocab.token_to_id.get, stream.tokens))
+    counts.pop(None, None)
     return BowDoc(stream.doc_id, dict(sorted(counts.items())))
+
+
+def _falls(doc_lengths: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
+    """Whether each word id after the first is not above the one before it
+    in its document: a bool array one shorter than `word_ids`."""
+    falls = np.diff(word_ids) <= 0
+    if falls.any():  # a fall into the next document's first entry is allowed
+        starts = np.cumsum(doc_lengths[:-1])  # the first entries of documents 1..D-1
+        falls[starts[(starts > 0) & (starts < word_ids.size)] - 1] = False
+    return falls
+
+
+@dataclass(frozen=True, eq=False)
+class Bows:
+    """The bags of words of a corpus as compressed sparse rows (CSR).
+
+    Document d owns the doc_lengths[d] entries of `word_ids` and `counts`
+    that follow those of documents 0..d-1: its distinct word ids, strictly
+    ascending, each with how often it occurs (>= 1). So doc_lengths counts
+    distinct words, not tokens. Every word id lies in 0..vocab_size-1.
+    Construction checks all of this and raises ValueError on a fault.
+    """
+
+    doc_ids: tuple[str, ...]
+    doc_lengths: np.ndarray
+    word_ids: np.ndarray
+    counts: np.ndarray
+    vocab_size: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
+        for name in ("doc_lengths", "word_ids", "counts"):
+            array = np.asarray(getattr(self, name))
+            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+                shape = f"{array.dtype}{list(array.shape)}"
+                raise ValueError(f"{name} must be a flat integer array, got {shape}")
+            object.__setattr__(self, name, array.astype(np.int64, copy=False))
+        lengths, ids, counts, v = self.doc_lengths, self.word_ids, self.counts, self.vocab_size
+        if v < 1:
+            raise ValueError(f"vocab_size must be >= 1, got {v}")
+        if lengths.size != len(self.doc_ids) or (lengths.size and lengths.min() < 0):
+            raise ValueError(f"need one doc_length >= 0 for each of {len(self.doc_ids)} documents")
+        if not int(lengths.sum()) == ids.size == counts.size:
+            raise ValueError(
+                f"doc_lengths sum to {int(lengths.sum())}, "
+                f"but there are {ids.size} word ids and {counts.size} counts"
+            )
+        if ids.size and (ids.min() < 0 or ids.max() >= v or counts.min() < 1):
+            # Name the first bad document, and an id error before a count error.
+            bad_id = (ids < 0) | (ids >= v)
+            ends = np.cumsum(lengths)
+            doc = int(np.searchsorted(ends, np.argmax(bad_id | (counts < 1)), side="right"))
+            if bad_id[ends[doc] - lengths[doc] : ends[doc]].any():
+                fault = f"word id out of range for vocab_size={v}"
+            else:
+                fault = "counts must be >= 1"
+            raise ValueError(f"document {self.doc_ids[doc]!r}: {fault}")
+        falls = _falls(lengths, ids)
+        if falls.any():
+            doc = int(np.searchsorted(np.cumsum(lengths), np.argmax(falls) + 1, side="right"))
+            raise ValueError(f"document {self.doc_ids[doc]!r}: word ids must be strictly ascending")
+
+    @classmethod
+    def from_docs(cls, docs: Iterable[BowDoc], vocab_size: int) -> Bows:
+        """The documents' bags of words, each laid out in ascending word-id
+        order. A bad id or count raises for the first bad document."""
+        docs = list(docs)
+        counts = [doc.counts for doc in docs]
+        lengths = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+        n = int(lengths.sum())
+        ids = np.fromiter(chain.from_iterable(counts), dtype=np.int64, count=n)
+        cnt = np.fromiter(chain.from_iterable(c.values() for c in counts), dtype=np.int64, count=n)
+        if _falls(lengths, ids).any():  # only hand-built dicts get here
+            order = np.lexsort((ids, np.repeat(np.arange(len(docs)), lengths)))
+            ids, cnt = ids[order], cnt[order]
+        return cls(tuple(doc.doc_id for doc in docs), lengths, ids, cnt, vocab_size)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def docs(self) -> list[BowDoc]:
+        """One BowDoc per document, in order."""
+        bounds = np.cumsum(self.doc_lengths).tolist()
+        ids, counts = self.word_ids.tolist(), self.counts.tolist()
+        return [
+            BowDoc(doc_id, dict(zip(ids[start:end], counts[start:end])))
+            for doc_id, start, end in zip(self.doc_ids, [0, *bounds], bounds)
+        ]
+
+    def select(self, doc_ids: Sequence[str]) -> Bows:
+        """The documents named by `doc_ids`, in that order."""
+        row_of = {doc_id: row for row, doc_id in enumerate(self.doc_ids)}
+        try:
+            rows = np.fromiter(map(row_of.__getitem__, doc_ids), np.int64, count=len(doc_ids))
+        except KeyError as exc:
+            raise ValueError(f"no bag of words for document {exc.args[0]!r}") from None
+        lengths = self.doc_lengths[rows]
+        starts = np.cumsum(self.doc_lengths) - self.doc_lengths
+        # Entry j of a selected row sits at its start + j; `lengths` entries per row.
+        entries = np.repeat(starts[rows] - (np.cumsum(lengths) - lengths), lengths)
+        entries += np.arange(entries.size)
+        return Bows(
+            tuple(doc_ids), lengths, self.word_ids[entries], self.counts[entries], self.vocab_size
+        )
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -259,34 +366,29 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
         raise ValueError(f"{path}: not a valid vocabulary export ({exc})") from exc
 
 
-def write_bows(bows: Iterable[BowDoc], path: str | Path) -> None:
-    """One JSON object per line: {"doc_id": ..., "counts": {word_id: count}}."""
-    with replacing(path, "w", encoding="utf-8") as fh:
-        for bow in bows:
-            record = {
-                "doc_id": bow.doc_id,
-                "counts": {str(w): c for w, c in sorted(bow.counts.items())},
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+_BOWS_FORMAT = "newstm-bows"
 
 
-def read_bows(path: str | Path) -> list[BowDoc]:
-    """Read a `write_bows` export; a malformed line raises ValueError naming it."""
-    bows: list[BowDoc] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                counts = {int(w): int(c) for w, c in record["counts"].items()}
-                doc_id = str(record["doc_id"])
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
-            except (AttributeError, LookupError, TypeError, ValueError) as exc:
-                fault = f"not a bag-of-words record ({exc})"
-                raise ValueError(f"{path} line {lineno}: {fault}") from exc
-            if counts and min(counts.values()) < 1:
-                raise ValueError(f"{path} line {lineno}: counts must be >= 1")
-            bows.append(BowDoc(doc_id, dict(sorted(counts.items()))))
-    return bows
+def write_bows(bows: Bows, path: str | Path) -> None:
+    """Write the bags of words as a `newstm.modelfile` file: the doc ids and
+    vocab_size in the header, then doc_lengths, word_ids and counts."""
+    meta = {"doc_ids": list(bows.doc_ids), "vocab_size": bows.vocab_size}
+    arrays = {"doc_lengths": bows.doc_lengths, "word_ids": bows.word_ids, "counts": bows.counts}
+    write_model(path, _BOWS_FORMAT, meta, arrays)
+
+
+def _bows_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> Bows:
+    doc_ids, vocab_size = meta["doc_ids"], meta["vocab_size"]
+    if not (isinstance(doc_ids, list) and all(isinstance(d, str) for d in doc_ids)):
+        raise ValueError("doc_ids must be a list of strings")
+    if type(vocab_size) is not int:
+        raise ValueError(f"vocab_size must be an integer, got {vocab_size!r}")
+    return Bows(
+        tuple(doc_ids), arrays["doc_lengths"], arrays["word_ids"], arrays["counts"], vocab_size
+    )
+
+
+def read_bows(path: str | Path) -> Bows:
+    """Read a `write_bows` file. A malformed file, or one whose arrays fail
+    the `Bows` checks, raises one ValueError naming `path`."""
+    return read_model(path, _BOWS_FORMAT, "newstm preprocess", _bows_from_file)

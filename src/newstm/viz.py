@@ -9,10 +9,10 @@ embedded. Data curves are the only <polyline> elements; axes and ticks are
 from __future__ import annotations
 
 import datetime
+import html
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -54,6 +54,11 @@ class FigureSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"figure size must be positive, got {self.width}x{self.height}")
+
+
+def escape(text: str) -> str:
+    """Replace &, < and > with entities, as XML text needs; quotes stay."""
+    return html.escape(text, quote=False)
 
 
 def _fmt(value: float) -> str:

@@ -20,6 +20,7 @@ from newstm.cli import (
     load_config,
     main,
 )
+from newstm import cli
 from newstm.preprocess import read_vocabulary
 
 FAST_SETTINGS = """\
@@ -568,12 +569,28 @@ def test_lock_holder_deletes_temp_files_of_killed_writes(tmp_path, sample_corpus
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"
     (ws / "figures").mkdir(parents=True)
-    strays = [ws / ".bows.jsonl.4242.tmp", ws / "figures" / ".timeline.svg.4242.tmp"]
+    strays = [ws / ".bows.newstm.4242.tmp", ws / "figures" / ".timeline.svg.4242.tmp"]
     kept = [ws / ".notes.tmp", ws / "figures" / "notes.4242.tmp"]
     for path in strays + kept:
         path.write_bytes(b"partial")
     assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
     assert [path.exists() for path in strays + kept] == [False, False, True, True]
+
+
+def test_train_commands_do_not_parse_the_vocabulary(pipeline_ws, tmp_path, monkeypatch):
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    models = {"static": ws / "model_static.newstm", "dtm": ws / "model_dtm.newstm"}
+    before = {mode: path.read_bytes() for mode, path in models.items()}
+
+    def refuse(path):
+        raise AssertionError(f"read_vocabulary({path}) called")
+
+    monkeypatch.setattr(cli, "read_vocabulary", refuse)
+    for mode, path in models.items():
+        path.unlink()
+        assert main(["--workspace", str(ws), "--config", str(config), "train", "--mode", mode]) == 0
+        assert path.read_bytes() == before[mode]
 
 
 @pytest.mark.parametrize("key", ["top_n", "trajectory_words"])

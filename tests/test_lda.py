@@ -29,7 +29,7 @@ from newstm.lda import (
     top_words,
     train_lda,
 )
-from newstm.preprocess import BowDoc, Vocabulary
+from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
 def test_hyperparams_validation():
@@ -185,7 +185,7 @@ def _per_sweep_chain(bows, vocab_size, hyper, eta_kw=None, init_beta=None):
     """The sampling loop as it was before chain calls: one array-kernel call
     per sweep, estimates and z copies taken after each retained sweep."""
     k = hyper.k
-    doc_ids, word_ids, _ = _expand_bows(bows, vocab_size)
+    doc_ids, word_ids, _ = _expand_bows(Bows.from_docs(bows, vocab_size))
     rng = np.random.default_rng(hyper.seed)
     if eta_kw is None:
         eta_kw = np.full((k, vocab_size), hyper.eta)
@@ -440,15 +440,15 @@ def test_perplexity_rejects_bad_word_ids_and_counts(counts, message):
     corpus = [BowDoc("good", {0: 1}), BowDoc("bad", counts)]
     with pytest.raises(ValueError, match=f"^document 'bad': {message}$"):
         perplexity(model, corpus)
-    # _expand_bows, which feeds training and inference, rejects the same input
-    # with the same words.
+    # Bows.from_docs, which feeds training and inference, rejects the same
+    # input with the same words.
     with pytest.raises(ValueError, match=f"^document 'bad': {message}$"):
-        _expand_bows(corpus, 3)
+        Bows.from_docs(corpus, 3)
 
 
 def test_expand_bows_lays_hand_built_descending_keys_out_ascending():
     bows = [BowDoc("a", {2: 1, 0: 2}), BowDoc("b", {4: 3}), BowDoc("c", {9: 1, 7: 2, 8: 1})]
-    doc_ids, word_ids, lengths = _expand_bows(bows, 10)
+    doc_ids, word_ids, lengths = _expand_bows(Bows.from_docs(bows, 10))
     assert word_ids.tolist() == [0, 0, 2, 4, 4, 4, 7, 7, 8, 9]
     assert doc_ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
     assert lengths.tolist() == [3, 3, 4]
@@ -456,7 +456,7 @@ def test_expand_bows_lays_hand_built_descending_keys_out_ascending():
 
 def test_expand_bows_gives_an_empty_document_length_zero():
     bows = [BowDoc("a", {1: 2}), BowDoc("empty", {}), BowDoc("c", {0: 1, 3: 1})]
-    doc_ids, word_ids, lengths = _expand_bows(bows, 4)
+    doc_ids, word_ids, lengths = _expand_bows(Bows.from_docs(bows, 4))
     assert lengths.tolist() == [2, 0, 2]
     assert doc_ids.tolist() == [0, 0, 2, 2]
     assert word_ids.tolist() == [1, 1, 0, 3]
@@ -474,7 +474,7 @@ def test_expand_bows_gives_an_empty_document_length_zero():
 def test_expand_bows_names_the_first_bad_document(first, second, message):
     bows = [BowDoc("good", {0: 1}), BowDoc("empty", {}), BowDoc("first", first), BowDoc("second", second)]
     with pytest.raises(ValueError, match=f"^document 'first': {message}$"):
-        _expand_bows(bows, 3)
+        Bows.from_docs(bows, 3)
 
 
 def test_symmetric_prior_row_sum_is_the_full_matrix_row_sum_bitwise():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import planted_two_topic_bows
-from newstm import modelfile
+from newstm import _kernels, modelfile
 from newstm.cli import Workspace, _sha256, main
 from newstm.corpus import (
     Corpus,
@@ -37,7 +37,15 @@ from newstm.evaluate import (
     write_overlap_json,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
-from newstm.preprocess import BowDoc, TokenStream, build_vocabulary, write_bows, write_vocabulary
+from newstm.preprocess import (
+    BowDoc,
+    Bows,
+    TokenStream,
+    build_vocabulary,
+    read_bows,
+    write_bows,
+    write_vocabulary,
+)
 from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
@@ -138,6 +146,36 @@ def test_dtm_theta_rows_come_from_the_header(tmp_path, models):
     assert [t.shape[0] for t in load_dtm(path).per_slice_theta] == [6, 1, 5]
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param("c", marks=pytest.mark.skipif(_kernels.BACKEND != "c", reason="no C kernel")),
+        "lists",
+    ],
+)
+def test_training_from_the_bows_file_gives_the_same_model_bytes(tmp_path, monkeypatch, backend):
+    if backend == "lists":
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    docs, _, _ = planted_two_topic_bows(n_docs=12, doc_len=6, seed=2)
+    docs.insert(5, BowDoc("empty", {}))
+    write_bows(Bows.from_docs(docs, 10), tmp_path / "bows.newstm")
+    stored = read_bows(tmp_path / "bows.newstm")
+    parts = [docs[:7], [], docs[7:]]
+    files = {}
+    for name, corpus, select in (
+        ("docs", docs, lambda part: part),
+        ("file", stored, lambda part: stored.select([b.doc_id for b in part])),
+    ):
+        save_lda(train_lda(corpus, 10, HYPER), tmp_path / f"lda_{name}.newstm")
+        sliced = []
+        for t, part in enumerate(parts):
+            start, end = datetime.date(2020, 1 + t, 17), datetime.date(2020, 2 + t, 17)
+            sliced.append((TimeSlice(t, start, end, tuple(b.doc_id for b in part)), select(part)))
+        save_dtm(train_dtm(sliced, HYPER, vocab_size=10), tmp_path / f"dtm_{name}.newstm")
+        files[name] = [(tmp_path / f"{kind}_{name}.newstm").read_bytes() for kind in ("lda", "dtm")]
+    assert files["file"] == files["docs"]
+
+
 @pytest.mark.parametrize("kind", ["lda", "dtm"])
 def test_failed_write_keeps_previous_file(tmp_path, models, monkeypatch, kind):
     model, save, _, _ = models[kind]
@@ -199,7 +237,7 @@ WRITERS = {
     "write_vocabulary": lambda path, models: write_vocabulary(
         build_vocabulary([TokenStream("a", ("x", "y"))], no_below=1, no_above=1.0), path
     ),
-    "write_bows": lambda path, models: write_bows([BowDoc("a", {0: 1})], path),
+    "write_bows": lambda path, models: write_bows(Bows.from_docs([BowDoc("a", {0: 1})], 1), path),
     "write_coherence_json": lambda path, models: write_coherence_json(
         CoherenceReport((0.5,), 0.5, 2, 0), path
     ),

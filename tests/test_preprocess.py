@@ -1,10 +1,13 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
+from newstm.modelfile import write_model
 from newstm.preprocess import (
     BowDoc,
+    Bows,
     TokenStream,
     apply_phrases,
     build_vocabulary,
@@ -116,6 +119,23 @@ def test_apply_phrases_shortens_or_preserves_length():
     model = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
     for tokens in (["anders", "tegnell"] * 3, ["x"], [], ["anders"] * 4):
         assert len(apply_phrases(model, tokens)) <= len(tokens)
+
+
+@pytest.mark.parametrize("threshold", [-1e9, 0.0, 10.0])
+def test_qualifies_matches_the_score_rule(threshold):
+    # Pairs counted below, at and above min_count=2 over 100 tokens: (a, b)
+    # 4 times scores 8, (x, y) 3 times scores 11.1, (b, a) twice scores 0.
+    tokens = "a b a b a b c d c d e f a c e g b d f h a b g h x y x y x y".split()
+    tokens += [f"f{i}" for i in range(70)]
+    model = fit_phrases([TokenStream("d0", tokens)], min_count=2, threshold=threshold)
+    words = set(tokens[:30])
+    for first in words:
+        for second in words:
+            want = model.score(first, second) >= threshold
+            assert model.qualifies(first, second) == want, (first, second)
+    qualifying = {model.bigram_counts[pair] for pair in model.pairs}
+    # Below 0 a pair seen fewer than min_count times merges; at 0 one seen exactly that often.
+    assert qualifying == {-1e9: {1, 2, 3, 4}, 0.0: {2, 3, 4}, 10.0: {3}}[threshold]
 
 
 def test_fit_phrases_validates_inputs():
@@ -233,11 +253,26 @@ def test_vocabulary_json_roundtrip(tmp_path):
     assert payload["tokens"] == {"a": 0, "b": 1, "c": 2}
 
 
-def test_bows_jsonl_roundtrip(tmp_path):
-    bows = [BowDoc("d0", {0: 2, 3: 1}), BowDoc("d1", {})]
-    path = tmp_path / "bows.jsonl"
+def test_bows_file_roundtrip(tmp_path):
+    docs = [BowDoc("d0", {0: 2, 3: 1}), BowDoc("d1", {}), BowDoc("d2", {1: 4})]
+    bows = Bows.from_docs(docs, 5)
+    path = tmp_path / "bows.newstm"
     write_bows(bows, path)
-    assert read_bows(path) == bows
+    again = read_bows(path)
+    assert again.doc_ids == ("d0", "d1", "d2") and again.vocab_size == 5
+    assert again.doc_lengths.tolist() == [2, 0, 1]
+    assert again.word_ids.tolist() == [0, 3, 1]
+    assert again.counts.tolist() == [2, 1, 4]
+    assert again.docs() == docs
+
+
+def test_bows_select_takes_rows_by_doc_id():
+    docs = [BowDoc("d0", {0: 2, 3: 1}), BowDoc("d1", {}), BowDoc("d2", {1: 4}), BowDoc("d3", {2: 1})]
+    bows = Bows.from_docs(docs, 5)
+    assert bows.select(["d2", "d1", "d0"]).docs() == [docs[2], docs[1], docs[0]]
+    assert len(bows.select([])) == 0
+    with pytest.raises(ValueError, match="^no bag of words for document 'd9'$"):
+        bows.select(["d0", "d9"])
 
 
 def test_pipeline_determinism(tmp_path):
@@ -256,9 +291,9 @@ def test_pipeline_determinism(tmp_path):
         phrases = fit_phrases(streams, min_count=1, threshold=1.0)
         merged = [TokenStream(s.doc_id, apply_phrases(phrases, s.tokens)) for s in streams]
         vocab = build_vocabulary(merged, no_below=1, no_above=1.0)
-        bows = [to_bow(s, vocab) for s in merged]
+        bows = Bows.from_docs([to_bow(s, vocab) for s in merged], len(vocab))
         write_vocabulary(vocab, out_dir / "vocab.json")
-        write_bows(bows, out_dir / "bows.jsonl")
+        write_bows(bows, out_dir / "bows.newstm")
 
     first, second = tmp_path / "a", tmp_path / "b"
     first.mkdir()
@@ -266,7 +301,7 @@ def test_pipeline_determinism(tmp_path):
     run(first)
     run(second)
     assert (first / "vocab.json").read_bytes() == (second / "vocab.json").read_bytes()
-    assert (first / "bows.jsonl").read_bytes() == (second / "bows.jsonl").read_bytes()
+    assert (first / "bows.newstm").read_bytes() == (second / "bows.newstm").read_bytes()
 
 
 def _vocab_file(path, tokens):
@@ -289,19 +324,59 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
     assert str(info.value).startswith(f"{path}: ")
 
 
+def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows"):
+    """A bows file with these arrays for documents d0, d1, ..., over 3 words,
+    written without the checks of `Bows`."""
+    meta = {"doc_ids": [f"d{i}" for i in range(len(doc_lengths))], "vocab_size": 3}
+    arrays = {"doc_lengths": doc_lengths, "word_ids": word_ids, "counts": counts}
+    write_model(path, fmt, meta, {name: np.array(a, dtype=np.int64) for name, a in arrays.items()})
+    return path
+
+
+def _rejection(path):
+    with pytest.raises(ValueError) as info:
+        read_bows(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: not a valid newstm-bows model file (")
+    assert message.endswith("); re-run `newstm preprocess`")
+    assert "\n" not in message
+    return message
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_read_bows_rejects_counts_below_one(tmp_path, count):
-    path = tmp_path / "bows.jsonl"
-    write_bows([BowDoc("d0", {0: 1}), BowDoc("d1", {0: 2, 3: count})], path)
-    with pytest.raises(ValueError) as info:
-        read_bows(path)
-    assert str(info.value).startswith(f"{path} line 2: ")
+    path = _raw_bows_file(tmp_path / "bows.newstm", [1, 2], [0, 0, 2], [1, 2, count])
+    assert "(document 'd1': counts must be >= 1)" in _rejection(path)
 
 
-def test_read_bows_names_the_line_of_a_malformed_record(tmp_path):
-    path = tmp_path / "bows.jsonl"
-    path.write_text('{"doc_id": "d0", "counts": {"0": 1}}\n{"doc_id": \n', encoding="utf-8")
-    with pytest.raises(ValueError) as info:
-        read_bows(path)
-    assert str(info.value).startswith(f"{path} line 2: ")
-    assert not isinstance(info.value, json.JSONDecodeError)
+def _truncated(path):
+    _raw_bows_file(path, [1, 2], [0, 0, 2], [1, 2, 1])
+    path.write_bytes(path.read_bytes()[:-3])
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, fault",
+    [
+        (_truncated, "not fully written"),
+        (
+            lambda path: _raw_bows_file(path, [1], [0], [1], fmt="newstm-lda"),
+            "format is 'newstm-lda', expected 'newstm-bows'",
+        ),
+        (
+            lambda path: _raw_bows_file(path, [1, 2], [0, 1, 3], [1, 1, 1]),
+            "document 'd1': word id out of range for vocab_size=3",
+        ),
+        (
+            lambda path: _raw_bows_file(path, [1, 2], [0, 2, 1], [1, 1, 1]),
+            "document 'd1': word ids must be strictly ascending",
+        ),
+        (
+            lambda path: _raw_bows_file(path, [1, 3], [0, 1, 2], [1, 1, 1]),
+            "doc_lengths sum to 4, but there are 3 word ids and 3 counts",
+        ),
+    ],
+    ids=["truncated", "other-format", "id-at-vocab-size", "unsorted-ids", "doc-lengths"],
+)
+def test_read_bows_rejects_a_malformed_file(tmp_path, make, fault):
+    assert fault in _rejection(make(tmp_path / "bows.newstm"))
