@@ -414,8 +414,12 @@ def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
     ws.require(manifest, "vocab")
-    corpus = load_corpus(ws.require(manifest, "corpus"))
-    slices = slice_monthly(corpus, config.anchor_day, config.first_start, config.n_slices)
+    slices = slice_monthly(
+        load_corpus(ws.require(manifest, "corpus")),
+        config.anchor_day,
+        config.first_start,
+        config.n_slices,
+    )
     sizes = [len(s) for s in slices]
     logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
     sliced = [(s, bows.select(s.doc_ids)) for s in slices]
@@ -425,7 +429,7 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     model = load_lda(ws.require(manifest, "model_static"))
-    bows = read_bows(ws.require(manifest, "bows")).docs()
+    bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
     dtm_model = load_dtm(ws.require(manifest, "model_dtm"))
     for key, value in (("top_n", config.top_n), ("trajectory_words", config.trajectory_words)):

@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from newstm.lda import LdaModel, _top_order
+from newstm.lda import LdaModel, _as_bows, _top_order
 from newstm.modelfile import read_csv, replace_text, write_csv
-from newstm.preprocess import BowDoc
+from newstm.preprocess import BowDoc, Bows
 
 logger = logging.getLogger(__name__)
 
@@ -46,43 +46,47 @@ class IntertopicMap:
 
 
 def umass_coherence(
-    model: LdaModel, corpus: Iterable[BowDoc], top_n: int = 10
+    model: LdaModel, corpus: Bows | Iterable[BowDoc], top_n: int = 10
 ) -> CoherenceReport:
-    """UMass coherence of each topic's top_n words over the supplied corpus.
+    """UMass coherence of each topic's top_n words over the supplied corpus,
+    after Mimno et al. (2011).
 
     score = sum_{i=2..N} sum_{j<i} log((D(w_i, w_j) + 1) / D(w_j)) with D the
     document occurrence / co-occurrence counts. Pairs whose conditioning word
     never occurs (D(w_j) = 0) are skipped and tallied in the report.
+    A BowDoc corpus is checked as `Bows` checks its rows, so a zero count
+    raises ValueError, as do `Bows` over another vocab_size than the model's.
     """
     if top_n < 2:
         raise ValueError(f"top_n must be >= 2, got {top_n}")
     if top_n > model.vocab_size:
         raise ValueError(f"top_n {top_n} exceeds vocabulary size {model.vocab_size}")
-    bows = list(corpus)
-    if not bows:
+    bows = _as_bows(corpus, model.vocab_size)
+    if not len(bows):
         raise ValueError("coherence requires a nonempty corpus")
 
-    top_ids = [
-        [int(w) for w in _top_order(model.beta[k], top_n)] for k in range(model.n_topics)
-    ]
-    needed = {w for ids in top_ids for w in ids}
-    docs_with: dict[int, set[int]] = {w: set() for w in needed}
-    for d, bow in enumerate(bows):
-        for w in needed.intersection(bow.counts):
-            if bow.counts[w] > 0:
-                docs_with[w].add(d)
+    top_ids = np.array([_top_order(model.beta[k], top_n) for k in range(model.n_topics)])
+    # holds[r, d]: document d contains needed[r], the r-th distinct top word.
+    needed, top_rows = np.unique(top_ids, return_inverse=True)
+    row_of = np.full(model.vocab_size, -1, dtype=np.int64)
+    row_of[needed] = np.arange(needed.size)
+    rows = row_of[bows.word_ids]
+    hit = rows >= 0
+    holds = np.zeros((needed.size, len(bows)), dtype=bool)
+    holds[rows[hit], np.repeat(np.arange(len(bows)), bows.doc_lengths)[hit]] = True
+    df = holds.sum(axis=1).tolist()
 
     scores: list[float] = []
     skipped = 0
-    for ids in top_ids:
+    for topic_rows in top_rows.reshape(top_ids.shape).tolist():
         total = 0.0
-        for i in range(1, len(ids)):
+        for i in range(1, top_n):
             for j in range(i):
-                d_j = len(docs_with[ids[j]])
+                d_j = df[topic_rows[j]]
                 if d_j == 0:
                     skipped += 1
                     continue
-                d_ij = len(docs_with[ids[i]] & docs_with[ids[j]])
+                d_ij = int(np.count_nonzero(holds[topic_rows[i]] & holds[topic_rows[j]]))
                 total += math.log((d_ij + 1) / d_j)
         scores.append(total)
     return CoherenceReport(

@@ -12,7 +12,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -76,48 +76,15 @@ class TokenStream:
                 )
 
 
-@dataclass(frozen=True)
-class PhraseModel:
-    """Corpus counts backing the bigram score.
-
-    A bigram (a, b) scores (count(ab) - min_count) * total_tokens /
-    (count(a) * count(b)) and qualifies for merging when the score reaches
-    `threshold`. Unseen bigrams never qualify. The qualifying pairs are
-    decided once, when the model is built, and kept in `pairs`.
-    """
-
-    unigram_counts: dict[str, int]
-    bigram_counts: dict[tuple[str, str], int]
-    total_tokens: int
-    min_count: int
-    threshold: float
-    pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        candidates: Iterable[tuple[str, str]] = self.bigram_counts
-        if self.threshold > 0:  # a pair counted min_count times or fewer scores <= 0
-            candidates = [pair for pair, n in self.bigram_counts.items() if n > self.min_count]
-        pairs = frozenset(pair for pair in candidates if self.score(*pair) >= self.threshold)
-        object.__setattr__(self, "pairs", pairs)
-
-    def score(self, first: str, second: str) -> float:
-        pair_count = self.bigram_counts.get((first, second), 0)
-        if pair_count == 0:
-            return float("-inf")
-        return (
-            (pair_count - self.min_count)
-            * self.total_tokens
-            / (self.unigram_counts[first] * self.unigram_counts[second])
-        )
-
-    def qualifies(self, first: str, second: str) -> bool:
-        return (first, second) in self.pairs
-
-
 def fit_phrases(
     streams: Iterable[TokenStream], min_count: int = 5, threshold: float = 10.0
-) -> PhraseModel:
-    """Count unigrams and adjacent bigrams over the streams and fix the score cutoffs."""
+) -> frozenset[tuple[str, str]]:
+    """The adjacent pairs to merge, counted within each stream.
+
+    A bigram (a, b) scores (count(ab) - min_count) * total_tokens /
+    (count(a) * count(b)), after Mikolov et al. (2013), and merges when the
+    score reaches `threshold`. Unseen bigrams never merge.
+    """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     unigrams: Counter[str] = Counter()
@@ -130,15 +97,21 @@ def fit_phrases(
         total += len(toks)
     if total == 0:
         raise ValueError("cannot fit phrases on an empty corpus")
-    return PhraseModel(dict(unigrams), dict(bigrams), total, min_count, threshold)
+    # A pair counted min_count times or fewer scores <= 0, below any threshold > 0.
+    return frozenset(
+        (a, b)
+        for (a, b), n in bigrams.items()
+        if (threshold <= 0 or n > min_count)
+        and (n - min_count) * total / (unigrams[a] * unigrams[b]) >= threshold
+    )
 
 
-def apply_phrases(model: PhraseModel, tokens: Sequence[str]) -> list[str]:
-    """Greedy left-to-right single pass: qualifying adjacent pairs become "a_b".
+def apply_phrases(pairs: frozenset[tuple[str, str]], tokens: Sequence[str]) -> list[str]:
+    """Greedy left-to-right single pass: adjacent tokens that form one of
+    `pairs` become "a_b".
 
     A merged token is skipped over, so it cannot re-merge within the pass.
     """
-    pairs = model.pairs
     merged: list[str] = []
     i = 0
     n = len(tokens)
@@ -299,15 +272,6 @@ class Bows:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    def docs(self) -> list[BowDoc]:
-        """One BowDoc per document, in order."""
-        bounds = np.cumsum(self.doc_lengths).tolist()
-        ids, counts = self.word_ids.tolist(), self.counts.tolist()
-        return [
-            BowDoc(doc_id, dict(zip(ids[start:end], counts[start:end])))
-            for doc_id, start, end in zip(self.doc_ids, [0, *bounds], bounds)
-        ]
 
     def select(self, doc_ids: Sequence[str]) -> Bows:
         """The documents named by `doc_ids`, in that order."""

@@ -4,9 +4,12 @@
 `micro.metrics()` on `benchmarks/bench_gibbs.build_state`, builds the
 held-out model through `heldout_job.build_inputs` and records
 `_kernels.BACKEND`. A rename of any of these fails here, in the test suite,
-before it fails a benchmark run.
+before it fails a benchmark run. So does a held-out job that becomes too
+short for the reference loop that `--trace 1` times beside it.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,12 @@ def test_heldout_inputs_build():
 
 def test_environment_reports_the_backend():
     assert run.environment()["backend"] == _kernels.BACKEND
+
+
+def test_heldout_trace_run_is_correct():
+    argv = [sys.executable, str(PERFBENCH / "run.py"), "--workload", "heldout"]
+    proc = subprocess.run(
+        [*argv, "--seed", "0", "--trace", "1"], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -13,7 +13,7 @@ from newstm.evaluate import (
     umass_coherence,
     write_intertopic_csv,
 )
-from newstm.preprocess import BowDoc
+from newstm.preprocess import BowDoc, Bows
 
 
 def _beta_with_top(order, v=6):
@@ -88,6 +88,56 @@ def test_umass_permutation_invariance():
     flipped = umass_coherence(model_from_beta(beta[::-1].copy()), corpus, top_n=2)
     assert flipped.per_topic == report.per_topic[::-1]
     assert flipped.mean == pytest.approx(report.mean, abs=1e-12)
+
+
+def _random_corpus(seed, n_docs=40, v=30):
+    """BowDocs over words 0..v-2 (word v-1 occurs nowhere), some of them empty."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for d in range(n_docs):
+        words = rng.choice(v - 1, size=rng.integers(0, 8), replace=False)
+        docs.append(BowDoc(f"d{d}", {int(w): int(rng.integers(1, 4)) for w in sorted(words)}))
+    return docs
+
+
+def test_umass_matches_a_set_intersection_oracle():
+    for seed in range(5):
+        docs = _random_corpus(seed)
+        beta = np.random.default_rng(seed).dirichlet(np.full(30, 0.3), size=4)
+        beta[0, 29] = 1.0  # the absent word leads topic 0, so its pairs are skipped
+        beta /= beta.sum(axis=1, keepdims=True)
+        model = model_from_beta(beta)
+        docs_with = {w: {d for d, doc in enumerate(docs) if w in doc.counts} for w in range(30)}
+        want, skipped = [], 0
+        for k in range(4):
+            top = [int(w) for w in np.lexsort((np.arange(30), -beta[k]))[:6]]
+            total = 0.0
+            for i in range(1, 6):
+                for j in range(i):
+                    if not docs_with[top[j]]:
+                        skipped += 1
+                        continue
+                    d_ij = len(docs_with[top[i]] & docs_with[top[j]])
+                    total += math.log((d_ij + 1) / len(docs_with[top[j]]))
+            want.append(total)
+        report = umass_coherence(model, docs, top_n=6)
+        assert report.per_topic == tuple(want)
+        assert report.skipped_pairs == skipped >= 5
+
+
+def test_umass_gives_one_report_for_bows_and_bowdocs():
+    docs = _random_corpus(7)
+    model = model_from_beta(np.random.default_rng(7).dirichlet(np.full(30, 0.3), size=3))
+    report = umass_coherence(model, Bows.from_docs(docs, 30), top_n=5)
+    assert umass_coherence(model, docs, top_n=5) == report
+    assert umass_coherence(model, iter(docs), top_n=5) == report
+
+
+def test_umass_rejects_a_zero_count_as_bows_does():
+    model = model_from_beta(_beta_with_top([0, 1]))
+    corpus = [BowDoc("d0", {0: 1}), BowDoc("d1", {0: 2, 1: 0})]
+    with pytest.raises(ValueError, match="^document 'd1': counts must be >= 1$"):
+        umass_coherence(model, corpus, top_n=2)
 
 
 def test_overlap_identical_rows():

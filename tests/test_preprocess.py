@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -72,53 +74,84 @@ def _phrase_corpus():
     return [TokenStream("d0", tokens)]
 
 
+def _bigram_oracle(streams, min_count):
+    """Each bigram seen inside a stream -> (its count, its score), counted
+    token by token: (count(ab) - min_count) * total / (count(a) * count(b))."""
+    unigrams, bigrams = Counter(), Counter()
+    for stream in streams:
+        toks = stream.tokens
+        for i in range(len(toks)):
+            unigrams[toks[i]] += 1
+            if i + 1 < len(toks):
+                bigrams[toks[i], toks[i + 1]] += 1
+    total = sum(unigrams.values())
+    return {
+        (a, b): (n, (n - min_count) * total / (unigrams[a] * unigrams[b]))
+        for (a, b), n in bigrams.items()
+    }
+
+
 def test_phrase_score_matches_hand_computation():
-    model = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
     # (count(ab) - min_count) * total / (count(a) * count(b)) = (3-1)*10/(3*3)
-    assert model.score("anders", "tegnell") == pytest.approx(20.0 / 9.0, rel=1e-12)
-    assert model.qualifies("anders", "tegnell")
+    pair = ("anders", "tegnell")
+    assert _bigram_oracle(_phrase_corpus(), 1)[pair] == (3, 20 / 9)
+    assert pair in fit_phrases(_phrase_corpus(), min_count=1, threshold=20 / 9)
+    above = math.nextafter(20 / 9, math.inf)
+    assert pair not in fit_phrases(_phrase_corpus(), min_count=1, threshold=above)
 
 
 def test_phrase_merge_emits_joined_token():
-    model = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
-    merged = apply_phrases(model, ["anders", "tegnell", "x"])
+    pairs = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
+    merged = apply_phrases(pairs, ["anders", "tegnell", "x"])
     assert merged == ["anders_tegnell", "x"]
 
 
 def test_phrase_score_zero_at_min_count_boundary():
     # count(ab) == min_count makes the numerator zero: never merged for threshold > 0.
     streams = [TokenStream("d0", ["a", "b", "c", "d"])]
-    model = fit_phrases(streams, min_count=1, threshold=0.5)
-    assert model.score("a", "b") == 0.0
-    assert not model.qualifies("a", "b")
+    assert _bigram_oracle(streams, 1)[("a", "b")] == (1, 0.0)
+    assert fit_phrases(streams, min_count=1, threshold=0.5) == frozenset()
+    assert ("a", "b") in fit_phrases(streams, min_count=1, threshold=0.0)
 
 
 def test_unseen_bigram_never_merges():
-    model = fit_phrases(_phrase_corpus(), min_count=1, threshold=-100.0)
-    assert not model.qualifies("x", "z")
-    assert apply_phrases(model, ["x", "z"]) == ["x", "z"]
+    pairs = fit_phrases(_phrase_corpus(), min_count=1, threshold=-100.0)
+    assert ("x", "z") not in pairs
+    assert pairs == set(_bigram_oracle(_phrase_corpus(), 1))
+    assert apply_phrases(pairs, ["x", "z"]) == ["x", "z"]
+
+
+def test_a_pair_split_across_two_documents_is_neither_counted_nor_merged():
+    # (a, b) and (c, c) only ever span a boundary between two documents.
+    streams = [TokenStream(f"d{i}", ["b", "c"] if i % 2 else ["c", "a"]) for i in range(10)]
+    pairs = fit_phrases(streams, min_count=1, threshold=-1e9)  # every counted pair merges
+    assert pairs == {("c", "a"), ("b", "c")} == set(_bigram_oracle(streams, 1))
+    joined = [TokenStream("all", [tok for s in streams for tok in s.tokens])]
+    assert ("a", "b") in fit_phrases(joined, min_count=1, threshold=-1e9)
+    assert [apply_phrases(pairs, s.tokens) for s in streams[:2]] == [["c_a"], ["b_c"]]
+    assert apply_phrases(pairs, ["a", "b"]) == ["a", "b"]
 
 
 def test_apply_phrases_empty_and_identity():
-    model = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
-    assert apply_phrases(model, []) == []
-    assert apply_phrases(model, ["z", "w", "x"]) == ["z", "w", "x"]
+    pairs = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
+    assert apply_phrases(pairs, []) == []
+    assert apply_phrases(pairs, ["z", "w", "x"]) == ["z", "w", "x"]
 
 
 def test_apply_phrases_no_remerge_in_single_pass():
     # scores: (a,b) = (5-1)*20/(5*15) = 1.07, (b,b) = (10-1)*20/(15*15) = 0.8
     streams = [TokenStream("d0", ["a", "b"] * 5 + ["b", "b"] * 5)]
-    model = fit_phrases(streams, min_count=1, threshold=0.7)
-    assert model.qualifies("a", "b") and model.qualifies("b", "b")
+    pairs = fit_phrases(streams, min_count=1, threshold=0.7)
+    assert {("a", "b"), ("b", "b")} <= pairs
     # Greedy pass merges (a, b) then moves past it; the emitted "a_b" cannot
     # combine with the following "b".
-    assert apply_phrases(model, ["a", "b", "b"]) == ["a_b", "b"]
+    assert apply_phrases(pairs, ["a", "b", "b"]) == ["a_b", "b"]
 
 
 def test_apply_phrases_shortens_or_preserves_length():
-    model = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
+    pairs = fit_phrases(_phrase_corpus(), min_count=1, threshold=1.0)
     for tokens in (["anders", "tegnell"] * 3, ["x"], [], ["anders"] * 4):
-        assert len(apply_phrases(model, tokens)) <= len(tokens)
+        assert len(apply_phrases(pairs, tokens)) <= len(tokens)
 
 
 @pytest.mark.parametrize("threshold", [-1e9, 0.0, 10.0])
@@ -127,13 +160,11 @@ def test_qualifies_matches_the_score_rule(threshold):
     # 4 times scores 8, (x, y) 3 times scores 11.1, (b, a) twice scores 0.
     tokens = "a b a b a b c d c d e f a c e g b d f h a b g h x y x y x y".split()
     tokens += [f"f{i}" for i in range(70)]
-    model = fit_phrases([TokenStream("d0", tokens)], min_count=2, threshold=threshold)
-    words = set(tokens[:30])
-    for first in words:
-        for second in words:
-            want = model.score(first, second) >= threshold
-            assert model.qualifies(first, second) == want, (first, second)
-    qualifying = {model.bigram_counts[pair] for pair in model.pairs}
+    streams = [TokenStream("d0", tokens)]
+    pairs = fit_phrases(streams, min_count=2, threshold=threshold)
+    oracle = _bigram_oracle(streams, 2)
+    assert pairs == {pair for pair, (_, score) in oracle.items() if score >= threshold}
+    qualifying = {oracle[pair][0] for pair in pairs}
     # Below 0 a pair seen fewer than min_count times merges; at 0 one seen exactly that often.
     assert qualifying == {-1e9: {1, 2, 3, 4}, 0.0: {2, 3, 4}, 10.0: {3}}[threshold]
 
@@ -253,6 +284,16 @@ def test_vocabulary_json_roundtrip(tmp_path):
     assert payload["tokens"] == {"a": 0, "b": 1, "c": 2}
 
 
+def _csr(bows):
+    return (
+        bows.doc_ids,
+        bows.vocab_size,
+        bows.doc_lengths.tolist(),
+        bows.word_ids.tolist(),
+        bows.counts.tolist(),
+    )
+
+
 def test_bows_file_roundtrip(tmp_path):
     docs = [BowDoc("d0", {0: 2, 3: 1}), BowDoc("d1", {}), BowDoc("d2", {1: 4})]
     bows = Bows.from_docs(docs, 5)
@@ -263,13 +304,14 @@ def test_bows_file_roundtrip(tmp_path):
     assert again.doc_lengths.tolist() == [2, 0, 1]
     assert again.word_ids.tolist() == [0, 3, 1]
     assert again.counts.tolist() == [2, 1, 4]
-    assert again.docs() == docs
+    assert _csr(again) == _csr(bows)
 
 
 def test_bows_select_takes_rows_by_doc_id():
     docs = [BowDoc("d0", {0: 2, 3: 1}), BowDoc("d1", {}), BowDoc("d2", {1: 4}), BowDoc("d3", {2: 1})]
     bows = Bows.from_docs(docs, 5)
-    assert bows.select(["d2", "d1", "d0"]).docs() == [docs[2], docs[1], docs[0]]
+    want = Bows.from_docs([docs[2], docs[1], docs[0]], 5)
+    assert _csr(bows.select(["d2", "d1", "d0"])) == _csr(want)
     assert len(bows.select([])) == 0
     with pytest.raises(ValueError, match="^no bag of words for document 'd9'$"):
         bows.select(["d0", "d9"])
