@@ -7,7 +7,9 @@ write for the bundled corpus at K=5 and 20 sweeps (including
 `posterior_assignment_samples` at thin=1 on a small planted model.
 `tests/test_digests.py` recomputes them with this module's functions and
 compares. Regenerate only when an output changes on purpose, and name each
-moved digest and its reason in CHANGES.md. Runs from a checkout:
+moved digest and its reason in CHANGES.md; the script prints every digest
+that changed, appeared or disappeared since the file it replaced. Runs from
+a checkout:
 
     python3 scripts/make_fixture_digests.py
 """
@@ -87,13 +89,30 @@ def library_digests() -> dict[str, str]:
     }
 
 
+def moved_digests(old: dict, new: dict) -> list[str]:
+    """`section/name` of each workspace or library digest that changed,
+    appeared or disappeared between two payloads, sorted."""
+    moved = []
+    for section in ("workspace", "library"):
+        before, after = old.get(section, {}), new[section]
+        for name in sorted(before.keys() | after.keys()):
+            was, now = before.get(name), after.get(name)
+            if was != now:
+                how = "appeared" if was is None else "disappeared" if now is None else "changed"
+                moved.append(f"{section}/{name} {how}")
+    return moved
+
+
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         workspace = workspace_digests(Path(tmp) / "ws")
     payload = {"note": NOTE, "workspace": workspace, "library": library_digests()}
+    old = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
     OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(workspace)} workspace and {len(payload['library'])} library digests")
+    moved = moved_digests(old, payload)
+    print(f"{len(moved)} moved since the file it replaced" + "".join(f"\n  {m}" for m in moved))
 
 
 if __name__ == "__main__":

@@ -49,21 +49,19 @@ logger = logging.getLogger(__name__)
 class GibbsLists:
     """A Gibbs chain's state as Python lists, for any number of `sweep` calls.
 
-    The lists are converted once, on construction, and hold only the word
-    columns of `n_kw` and `eta_kw` that some token uses, so set-up follows
-    the tokens, not K x V. Each `sweep` call copies z and the counts back
-    into the arrays the state was built from before it returns; the columns
-    of words no token uses are never read or written.
+    The lists are converted once, on construction, from every column of
+    `n_kw` and `eta_kw`; `lda` builds the state on only the word columns its
+    tokens use, so set-up follows the tokens, not K x V. Each `sweep` call
+    copies z and the counts back into the arrays the state was built from
+    before it returns.
     """
 
     def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
-        present, local_ids = np.unique(word_ids, return_inverse=True)
         self.arrays = z, n_dk, n_kw, n_k
-        self.present = present
         self.alpha = alpha
-        self.tokens = list(zip(doc_ids.tolist(), local_ids.tolist()))
+        self.tokens = list(zip(doc_ids.tolist(), word_ids.tolist()))
         self.zs = z.tolist()
-        word_counts, word_eta = n_kw.T[present], eta_kw.T[present]
+        word_counts, word_eta = n_kw.T, eta_kw.T
         self.doc_counts = n_dk.tolist()
         self.word_counts = word_counts.tolist()
         self.topic_counts = n_k.tolist()
@@ -113,11 +111,11 @@ class GibbsLists:
                 wt[k] = wc[k] + we[k]
                 topic_terms[k] = topic_counts[k] + topic_eta[k]
         if not tokens:
-            return  # nothing has changed, and n_kw.T[present] would be (0, K)
+            return  # nothing has changed, and an empty list does not broadcast to (0, K)
         z, n_dk, n_kw, n_k = self.arrays
         z[:] = zs
         n_dk[:] = doc_counts
-        n_kw.T[self.present] = word_counts
+        n_kw.T[:] = word_counts
         n_k[:] = topic_counts
 
 

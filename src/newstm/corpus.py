@@ -247,7 +247,4 @@ def write_timeline_csv(series: list[tuple[datetime.date, int]], path: str | Path
 
 
 def read_timeline_csv(path: str | Path) -> list[tuple[datetime.date, int]]:
-    return [
-        (datetime.date.fromisoformat(day), int(count))
-        for day, count in read_csv(path, ("date", "count"))
-    ]
+    return list(read_csv(path, {"date": datetime.date.fromisoformat, "count": int}))

@@ -195,8 +195,9 @@ def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Pa
 
 def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
     grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}  # in first-seen order
-    for topic, word, label, prob in read_csv(path, ("topic", "word", "slice_start", "probability")):
-        grouped.setdefault(int(topic), {}).setdefault(word, []).append((label, float(prob)))
+    columns = {"topic": int, "word": str, "slice_start": str, "probability": float}
+    for topic, word, label, prob in read_csv(path, columns):
+        grouped.setdefault(topic, {}).setdefault(word, []).append((label, prob))
     out: list[TrajectorySeries] = []
     for topic, by_word in grouped.items():
         words = tuple(by_word)

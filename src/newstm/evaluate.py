@@ -202,8 +202,8 @@ def write_intertopic_csv(topic_map: IntertopicMap, path: str | Path) -> None:
 
 
 def read_intertopic_csv(path: str | Path) -> IntertopicMap:
-    rows = list(read_csv(path, ("topic", "x", "y", "prevalence")))
+    rows = list(read_csv(path, {"topic": int, "x": float, "y": float, "prevalence": float}))
     return IntertopicMap(
-        coordinates=np.asarray([[float(x), float(y)] for _, x, y, _ in rows], dtype=np.float64),
-        prevalence=np.asarray([float(p) for *_, p in rows], dtype=np.float64),
+        coordinates=np.asarray([[x, y] for _, x, y, _ in rows], dtype=np.float64),
+        prevalence=np.asarray([p for *_, p in rows], dtype=np.float64),
     )

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,7 +69,12 @@ class LdaHyperparams:
 
 @dataclass
 class LdaModel:
-    """Trained model state: estimates, final assignments and count matrices."""
+    """A model's estimates β and θ and its document lengths.
+
+    `train_lda` also fills the final assignments, the token stream and the
+    count matrices; `load_lda` gives None for them, as the model file holds
+    only the estimates and the document lengths.
+    """
 
     beta: np.ndarray  # (k, V) row-stochastic topic-word estimate
     theta: np.ndarray  # (D, k) row-stochastic doc-topic estimate
@@ -138,10 +143,6 @@ def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.
     return z
 
 
-def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if len(arrays) else np.zeros(0, dtype=np.int64)
-
-
 def _count_matrices(
     doc_ids: np.ndarray,
     word_ids: np.ndarray,
@@ -150,14 +151,8 @@ def _count_matrices(
     k: int,
     vocab_size: int,
 ):
-    """The doc-topic, topic-word and topic counts (n_dk, n_kw, n_k) of an assignment.
-
-    Raises ValueError when a topic or word id is out of range, as in a
-    malformed model file.
-    """
-    for name, ids, bound in (("topic", z, k), ("word", word_ids, vocab_size)):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise ValueError(f"{name} ids must lie in 0..{bound - 1}")
+    """The doc-topic, topic-word and topic counts (n_dk, n_kw, n_k) of an
+    assignment; every doc, word and topic id must be in range."""
     n_dk = np.bincount(doc_ids * k + z, minlength=n_docs * k).reshape(n_docs, k)
     n_kw = np.bincount(z * vocab_size + word_ids, minlength=k * vocab_size).reshape(k, vocab_size)
     n_dk, n_kw = n_dk.astype(np.int64, copy=False), n_kw.astype(np.int64, copy=False)
@@ -456,20 +451,16 @@ def perplexity(
 
 
 def save_lda(model: LdaModel, path: str | Path) -> None:
-    """Write the model as a binary model file (see `newstm.modelfile`).
-
-    With assignments the file also holds the flat topic assignments `z` and
-    the token stream `word_ids`, from which `load_lda` rebuilds the counts.
-    """
+    """Write the model's estimates β and θ and its document lengths as a
+    binary model file (see `newstm.modelfile`)."""
     arrays = {"beta": model.beta, "theta": model.theta, "doc_lengths": model.doc_lengths}
-    if model.assignments is not None and model.word_ids is not None:
-        arrays["z"] = _concat(model.assignments)
-        arrays["word_ids"] = model.word_ids
     meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
     write_model(path, _FORMAT, meta, arrays)
 
 
 def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
+    # A file written before the format held only the estimates also has the
+    # final `z` and `word_ids`; they are read and not used.
     hyper = LdaHyperparams(**meta["hyper"])
     vocab_size = int(meta["vocab_size"])
     beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
@@ -479,30 +470,16 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
         raise ValueError(
             f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"
         )
-    assignments = word_ids = n_dk = n_kw = n_k = None
-    if "z" in arrays:
-        z, word_ids = arrays["z"], arrays["word_ids"]
-        if not z.size == word_ids.size == int(doc_lengths.sum()):
-            raise ValueError(
-                f"z has {z.size} and word_ids {word_ids.size} tokens, "
-                f"doc_lengths sum to {int(doc_lengths.sum())}"
-            )
-        doc_ids = np.repeat(np.arange(doc_lengths.size, dtype=np.int64), doc_lengths)
-        n_dk, n_kw, n_k = _count_matrices(
-            doc_ids, word_ids, z, doc_lengths.size, hyper.k, vocab_size
-        )
-        assignments = np.split(z, np.cumsum(doc_lengths)[:-1])
     return LdaModel(
         beta=beta,
         theta=theta,
-        assignments=assignments,
-        n_dk=n_dk,
-        n_kw=n_kw,
-        n_k=n_k,
+        assignments=None,
+        n_dk=None,
+        n_kw=None,
+        n_k=None,
         hyper=hyper,
         vocab_size=vocab_size,
         doc_lengths=doc_lengths,
-        word_ids=word_ids,
     )
 
 

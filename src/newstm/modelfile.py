@@ -26,7 +26,7 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.format import read_array, write_array
@@ -74,18 +74,30 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path, header: Sequence[str]) -> Iterator[list[str]]:
-    """Yield the rows after a first row that must be `header`."""
+def read_csv(path: str | Path, columns: dict[str, Callable[[str], Any]]) -> Iterator[tuple]:
+    """Yield the rows after a first row that must be the names of `columns`,
+    each field converted by its column's function.
+
+    A short or long row, or a field its function rejects with ValueError,
+    raises ValueError naming the path and the line.
+    """
+    header = list(columns)
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
-        if found != list(header):
+        if found != header:
             raise ValueError(f"{path}: expected a {','.join(header)!r} header, got {found}")
         for row in reader:
+            n = reader.line_num
             if len(row) != len(header):
-                n = reader.line_num
                 raise ValueError(f"{path} line {n}: expected {len(header)} fields, got {len(row)}")
-            yield row
+            values = []
+            for (name, convert), field in zip(columns.items(), row):
+                try:
+                    values.append(convert(field))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {n}: column {name!r}: {exc}") from exc
+            yield tuple(values)
 
 
 def write_model(

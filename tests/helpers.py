@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, LdaModel, _concat, _count_matrices
+from newstm.lda import LdaHyperparams, LdaModel, _count_matrices
 from newstm.preprocess import BowDoc, Vocabulary
 
 
@@ -163,6 +163,10 @@ def model_from_beta(beta, theta=None, doc_lengths=None) -> LdaModel:
         vocab_size=v,
         doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
     )
+
+
+def _concat(arrays) -> np.ndarray:
+    return np.concatenate(arrays) if len(arrays) else np.zeros(0, dtype=np.int64)
 
 
 def audit_counts(model: LdaModel) -> None:

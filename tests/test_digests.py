@@ -25,3 +25,16 @@ def test_fixture_workspace_matches_pinned_digests(tmp_path):
 
 def test_inference_and_posterior_samples_match_pinned_digests():
     assert digests.library_digests() == PINNED["library"]
+
+
+def test_moved_digests_names_changed_new_and_gone_entries():
+    old = {"workspace": {"a": "1", "b": "2"}, "library": {"x": "9"}}
+    new = {"workspace": {"a": "1", "b": "3", "c": "4"}, "library": {}}
+    assert digests.moved_digests(old, new) == [
+        "workspace/b changed",
+        "workspace/c appeared",
+        "library/x disappeared",
+    ]
+    assert digests.moved_digests({}, {"workspace": {"a": "1"}, "library": {}}) == [
+        "workspace/a appeared"
+    ]

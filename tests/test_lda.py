@@ -29,6 +29,7 @@ from newstm.lda import (
     top_words,
     train_lda,
 )
+from newstm.modelfile import write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
@@ -229,7 +230,10 @@ def _per_sweep_infer(model, doc, sweeps, seed):
     return acc / sweeps
 
 
-def test_corpus_without_tokens_gives_uniform_estimates():
+@pytest.mark.parametrize("list_fallback", [False, True], ids=["training_backend", "list_fallback"])
+def test_corpus_without_tokens_gives_uniform_estimates(list_fallback, monkeypatch):
+    if list_fallback:
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
     bows = [BowDoc(f"d{i}", {}) for i in range(3)]
     hyper = LdaHyperparams(k=4, iterations=9, burn_in=3, thin=2, seed=1)
     model = train_lda(bows, 6, hyper)
@@ -533,23 +537,56 @@ def test_save_load_roundtrip_is_lossless(tmp_path):
     assert np.array_equal(loaded.beta, model.beta)
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.doc_lengths, model.doc_lengths)
-    assert np.array_equal(loaded.n_kw, model.n_kw)
     assert loaded.hyper == model.hyper
-    audit_counts(loaded)
     # Byte-stable second generation proves full float precision survived.
     path2 = tmp_path / "model2.json"
     save_lda(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_without_assignments_supports_diagnostics(tmp_path):
+def _array_names(path) -> list[str]:
+    return [a["name"] for a in json.loads(path.read_bytes().partition(b"\n")[0])["arrays"]]
+
+
+def test_saved_model_holds_exactly_its_estimates(tmp_path):
     model, bows, _, _ = _planted_model()
-    path = tmp_path / "slim.json"
-    save_lda(dataclasses.replace(model, assignments=None), path)
-    loaded = load_lda(path)
-    assert loaded.assignments is None
-    assert not {"z", "word_ids"} & {a["name"] for a in json.loads(path.read_bytes().partition(b"\n")[0])["arrays"]}
-    top_words(loaded, 0, 5)
-    perplexity(loaded, bows)
-    with pytest.raises(ValueError):
-        audit_counts(loaded)
+    for name, saved in (
+        ("trained", model),
+        ("slim", dataclasses.replace(model, assignments=None)),
+        ("hand-built", model_from_beta(model.beta, model.theta, model.doc_lengths)),
+    ):
+        path = tmp_path / f"{name}.newstm"
+        save_lda(saved, path)
+        assert _array_names(path) == ["beta", "theta", "doc_lengths"], name
+        loaded = load_lda(path)
+        assert loaded.assignments is loaded.word_ids is None
+        assert loaded.n_dk is loaded.n_kw is loaded.n_k is None
+        top_words(loaded, 0, 5)
+        perplexity(loaded, bows)
+
+
+def test_model_file_with_assignments_still_loads(tmp_path):
+    """A file of the earlier layout, which also holds the final z and the
+    token stream, loads to the same estimates and saves to the new bytes."""
+    model, _, _, _ = _planted_model()
+    old = tmp_path / "old.newstm"
+    arrays = {
+        "beta": model.beta,
+        "theta": model.theta,
+        "doc_lengths": model.doc_lengths,
+        "z": np.concatenate(model.assignments),
+        "word_ids": model.word_ids,
+    }
+    meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
+    write_model(old, lda._FORMAT, meta, arrays)
+    assert _array_names(old) == list(arrays)
+    loaded = load_lda(old)
+    assert np.array_equal(loaded.beta, model.beta)
+    assert np.array_equal(loaded.theta, model.theta)
+    assert np.array_equal(loaded.doc_lengths, model.doc_lengths)
+    assert loaded.hyper == model.hyper
+    assert loaded.assignments is loaded.n_kw is None
+    new, resaved = tmp_path / "new.newstm", tmp_path / "resaved.newstm"
+    save_lda(model, new)
+    save_lda(loaded, resaved)
+    assert resaved.read_bytes() == new.read_bytes()

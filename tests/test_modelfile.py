@@ -300,6 +300,35 @@ def test_csv_reader_rejects_short_row(tmp_path, read, lines, fields):
     assert str(info.value) == f"{path} line 3: expected {columns} fields, got {fields}"
 
 
+@pytest.mark.parametrize(
+    "read, lines, message",
+    [
+        (
+            read_timeline_csv,
+            ["date,count", "2020-01-17,1", "2020-01-18,x"],
+            "column 'count': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            read_trajectory_csv,
+            ["topic,word,slice_start,probability", "0,x,2020-01-17,0.5", "0,x,2020-02-17,zz"],
+            "column 'probability': could not convert string to float: 'zz'",
+        ),
+        (
+            read_intertopic_csv,
+            ["topic,x,y,prevalence", "0,0.0,0.0,0.5", "1,0.0,y,0.5"],
+            "column 'y': could not convert string to float: 'y'",
+        ),
+    ],
+    ids=["timeline", "trajectory", "intertopic"],
+)
+def test_csv_reader_rejects_bad_value(tmp_path, read, lines, message):
+    path = tmp_path / "table.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path} line 3: {message}"
+
+
 _OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_TRUNC", "O_CREAT"}
 
 
