@@ -133,7 +133,7 @@ def train_dtm(
                 eta_kw += base_hyper.eta
                 init_beta = prev_beta if warm_start else None
             doc_ids, word_ids, lengths = _expand_bows(bows)
-            *_, theta_t = _run_chain(
+            _, theta_t = _run_chain(
                 doc_ids, word_ids, lengths, vocab_size, hyper_t, eta_kw, init_beta,
                 collect_z=False, out=betas[t],
             )

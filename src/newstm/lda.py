@@ -5,10 +5,12 @@ parameters and resamples one token's topic at a time from
 
     p(z_i = k | z_-i, w)  ~  (n_dk + alpha) * (n_kw + eta) / (n_k + V*eta)
 
-where the counts exclude the current token. Point estimates are posterior
-means averaged over thinned post-burn-in sweeps. All randomness flows
-through one seeded PCG64 generator (initial assignments, then one uniform
-per token per sweep), so runs are reproducible across platforms.
+where the counts exclude the current token. A trained model is its point
+estimates: the posterior means β and θ, averaged over thinned post-burn-in
+sweeps. A chain stops after its last retained sweep, as later sweeps would
+change no estimate, and keeps no assignments or counts. All randomness
+flows through one seeded PCG64 generator (initial assignments, then one
+uniform per token per sweep), so runs are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -69,31 +71,23 @@ class LdaHyperparams:
 
 @dataclass
 class LdaModel:
-    """A model's estimates β and θ and its document lengths.
-
-    `train_lda` also fills the final assignments, the token stream and the
-    count matrices; `load_lda` gives None for them, as the model file holds
-    only the estimates and the document lengths.
-    """
+    """A model's estimates β and θ and its document lengths, as `train_lda`
+    returns them and the model file holds them."""
 
     beta: np.ndarray  # (k, V) row-stochastic topic-word estimate
     theta: np.ndarray  # (D, k) row-stochastic doc-topic estimate
-    assignments: list[np.ndarray] | None  # per-document final z
-    n_dk: np.ndarray | None
-    n_kw: np.ndarray | None
-    n_k: np.ndarray | None
     hyper: LdaHyperparams
     vocab_size: int
     doc_lengths: np.ndarray
-    word_ids: np.ndarray | None = None  # concatenated token stream backing assignments
+    # Always None: kept only because perfbench/heldout_job.py passes them by name.
+    assignments: None = None
+    n_dk: None = None
+    n_kw: None = None
+    n_k: None = None
 
     @property
     def n_topics(self) -> int:
         return self.beta.shape[0]
-
-    @property
-    def n_docs(self) -> int:
-        return self.theta.shape[0]
 
 
 @dataclass(frozen=True)
@@ -190,15 +184,16 @@ def _run_chain(
     collect_z: bool,
     out: np.ndarray | None = None,
 ):
-    """Run one chain; return its final state and estimates, or with
-    `collect_z` only the z of every retained sweep (no estimates).
+    """Run one chain; return its estimates (beta, theta), or with
+    `collect_z` the z of every retained sweep instead.
 
-    The chain's state holds only the word columns its tokens use: the
-    returned n_kw has one column per word of `present`, the ascending ids of
-    those words. A column no token uses has count 0 at every sweep, so its β
-    entries are the mean of eta_kw / (n_k + eta_sum) over the retained
-    sweeps, and no K x V array but β itself is built for it. β is written
-    into `out`, a C-contiguous (k, V) float64 array, when one is given.
+    The chain stops after its last retained sweep: a later sweep would
+    change no estimate and no sample. Its state holds only the word columns
+    its tokens use, the ascending ids of `present`. A column no token uses
+    has count 0 at every sweep, so its β entries are the mean of
+    eta_kw / (n_k + eta_sum) over the retained sweeps, and no K x V array
+    but β itself is built for it. β is written into `out`, a C-contiguous
+    (k, V) float64 array, when one is given.
     """
     k = hyper.k
     n_docs, n_tokens = doc_lengths.size, word_ids.size
@@ -265,8 +260,7 @@ def _run_chain(
             beta_local += term
             theta += theta_term
     if collect_z:
-        return z_samples  # the sweeps after the last retained one would change no sample
-    run(hyper.iterations - done)
+        return z_samples
     beta[:, present] = beta_local
     beta /= len(retained)
     theta /= len(retained)
@@ -274,7 +268,7 @@ def _run_chain(
         "trained LDA: k=%d docs=%d tokens=%d iterations=%d backend=%s",
         k, n_docs, n_tokens, hyper.iterations, _kernels.BACKEND,
     )
-    return z, n_dk, n_kw, n_k, present, beta, theta
+    return beta, theta
 
 
 def train_lda(
@@ -285,7 +279,8 @@ def train_lda(
     eta_kw: np.ndarray | None = None,
     init_beta: np.ndarray | None = None,
 ) -> LdaModel:
-    """Run collapsed Gibbs sampling over the corpus and return the trained model.
+    """Run collapsed Gibbs sampling over the corpus and return the trained
+    model: its estimates β and θ and its document lengths.
 
     A BowDoc corpus is converted with `Bows.from_docs`; a Bows corpus must
     have `vocab_size` words. `eta_kw` overrides the symmetric word prior
@@ -298,24 +293,10 @@ def train_lda(
     if not bows:
         raise ValueError("cannot train on an empty corpus")
     doc_ids, word_ids, lengths = _expand_bows(bows)
-    z, n_dk, columns, n_k, present, beta, theta = _run_chain(
+    beta, theta = _run_chain(
         doc_ids, word_ids, lengths, vocab_size, hyper, eta_kw, init_beta, collect_z=False
     )
-    n_kw = np.zeros((hyper.k, vocab_size), dtype=np.int64)
-    n_kw[:, present] = columns
-    assignments = np.split(z, np.cumsum(lengths)[:-1])
-    return LdaModel(
-        beta=beta,
-        theta=theta,
-        assignments=assignments,
-        n_dk=n_dk,
-        n_kw=n_kw,
-        n_k=n_k,
-        hyper=hyper,
-        vocab_size=vocab_size,
-        doc_lengths=lengths,
-        word_ids=word_ids,
-    )
+    return LdaModel(beta, theta, hyper, vocab_size, lengths)
 
 
 def posterior_assignment_samples(
@@ -410,25 +391,26 @@ def top_words(
 
 
 def perplexity(
-    model: LdaModel, corpus: Iterable[BowDoc], theta: np.ndarray | None = None
+    model: LdaModel, corpus: Iterable[BowDoc] | Bows, theta: np.ndarray | None = None
 ) -> float:
     """exp of the negative mean per-token log-likelihood under the mixture.
 
-    `theta` defaults to the training estimate and must then match the corpus
-    by position; pass explicit rows (e.g. from infer_theta) for held-out docs.
-    Raises ValueError if theta has a negative, NaN or infinite entry.
+    A BowDoc corpus is converted with `Bows.from_docs`; a Bows corpus must
+    have the model's vocab_size words. `theta` defaults to the training
+    estimate and must then match the corpus by position; pass explicit rows
+    (e.g. from infer_theta) for held-out docs. Raises ValueError if theta
+    has a negative, NaN or infinite entry.
     """
-    docs = list(corpus)
+    bows = _as_bows(corpus, model.vocab_size)
     theta = model.theta if theta is None else np.asarray(theta, dtype=np.float64)
-    if theta.shape != (len(docs), model.n_topics):
+    if theta.shape != (len(bows), model.n_topics):
         raise ValueError(
-            f"theta shape {theta.shape} does not match {len(docs)} docs x {model.n_topics} topics"
+            f"theta shape {theta.shape} does not match {len(bows)} docs x {model.n_topics} topics"
         )
     bad = ~np.isfinite(theta) | (theta < 0)
     if bad.any():
         row = int(np.flatnonzero(bad.any(axis=1))[0])
         raise ValueError(f"theta has a negative, NaN or infinite entry in row {row}")
-    bows = Bows.from_docs(docs, model.vocab_size)
     bounds = np.cumsum(bows.doc_lengths).tolist()
     log_lik = 0.0
     total = 0
@@ -470,17 +452,7 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
         raise ValueError(
             f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"
         )
-    return LdaModel(
-        beta=beta,
-        theta=theta,
-        assignments=None,
-        n_dk=None,
-        n_kw=None,
-        n_k=None,
-        hyper=hyper,
-        vocab_size=vocab_size,
-        doc_lengths=doc_lengths,
-    )
+    return LdaModel(beta, theta, hyper, vocab_size, doc_lengths)
 
 
 def load_lda(path: str | Path) -> LdaModel:

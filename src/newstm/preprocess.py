@@ -212,8 +212,9 @@ class Bows:
     Document d owns the doc_lengths[d] entries of `word_ids` and `counts`
     that follow those of documents 0..d-1: its distinct word ids, strictly
     ascending, each with how often it occurs (>= 1). So doc_lengths counts
-    distinct words, not tokens. Every word id lies in 0..vocab_size-1.
-    Construction checks all of this and raises ValueError on a fault.
+    distinct words, not tokens. Every word id lies in 0..vocab_size-1, and
+    no two documents share a doc id. Construction checks all of this and
+    raises ValueError on a fault.
     """
 
     doc_ids: tuple[str, ...]
@@ -224,6 +225,11 @@ class Bows:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
+        seen: set[str] = set()
+        for doc_id in self.doc_ids:
+            if doc_id in seen:
+                raise ValueError(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
         for name in ("doc_lengths", "word_ids", "counts"):
             array = np.asarray(getattr(self, name))
             if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):

@@ -1,5 +1,5 @@
-"""Shared test fixtures: brute-force oracles, planted synthetic corpora and a
-model-consistency audit."""
+"""Shared test fixtures: brute-force oracles, planted synthetic corpora and
+hand-built models."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, LdaModel, _count_matrices
+from newstm.lda import LdaHyperparams, LdaModel
 from newstm.preprocess import BowDoc, Vocabulary
 
 
@@ -155,43 +155,7 @@ def model_from_beta(beta, theta=None, doc_lengths=None) -> LdaModel:
     return LdaModel(
         beta=beta,
         theta=theta,
-        assignments=None,
-        n_dk=None,
-        n_kw=None,
-        n_k=None,
         hyper=LdaHyperparams(k=max(k, 2), alpha=1.0, iterations=2, burn_in=1, thin=1),
         vocab_size=v,
         doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
     )
-
-
-def _concat(arrays) -> np.ndarray:
-    return np.concatenate(arrays) if len(arrays) else np.zeros(0, dtype=np.int64)
-
-
-def audit_counts(model: LdaModel) -> None:
-    """Recompute the count matrices from stored assignments and verify invariants.
-
-    Raises ValueError on any inconsistency; intended as a debug/test hook.
-    """
-    if model.assignments is None or model.word_ids is None:
-        raise ValueError("model carries no assignments to audit")
-    n_docs = len(model.assignments)
-    lengths = np.array([a.size for a in model.assignments], dtype=np.int64)
-    doc_ids = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    z = _concat(model.assignments)
-    n_dk, n_kw, n_k = _count_matrices(
-        doc_ids, model.word_ids, z, n_docs, model.n_topics, model.vocab_size
-    )
-    if not np.array_equal(n_dk, model.n_dk):
-        raise ValueError("n_dk is inconsistent with the stored assignments")
-    if not np.array_equal(n_kw, model.n_kw):
-        raise ValueError("n_kw is inconsistent with the stored assignments")
-    if not np.array_equal(n_k, model.n_k):
-        raise ValueError("n_k is inconsistent with the stored assignments")
-    if int(n_k.sum()) != int(model.word_ids.size):
-        raise ValueError("topic totals do not sum to the token count")
-    if not np.allclose(model.beta.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("beta rows do not sum to 1")
-    if not np.allclose(model.theta.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("theta rows do not sum to 1")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    audit_counts,
     docs_to_bows,
     enumerate_collapsed_posterior,
     gibbs_marginals,
@@ -111,17 +110,9 @@ def test_training_is_deterministic():
     b = train_lda(bows, 10, hyper)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.theta, b.theta)
-    assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
-
-
-def test_count_invariants_hold_at_every_sweep_boundary():
-    bows, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=1)
-    for iterations in (1, 2, 3, 5):
-        hyper = LdaHyperparams(
-            k=3, alpha=0.5, iterations=iterations, burn_in=0, thin=1, seed=2
-        )
-        model = train_lda(bows, 10, hyper)
-        audit_counts(model)  # raises on any inconsistency
+    samples_a, _, _ = posterior_assignment_samples(bows, 10, hyper)
+    samples_b, _, _ = posterior_assignment_samples(bows, 10, hyper)
+    assert np.array_equal(samples_a, samples_b)
 
 
 def test_estimates_are_row_stochastic():
@@ -213,6 +204,34 @@ def _per_sweep_chain(bows, vocab_size, hyper, eta_kw=None, init_beta=None):
     return z, n_dk, n_kw, n_k, beta_acc / n, theta_acc / n, np.stack(z_samples)
 
 
+@pytest.mark.parametrize("list_fallback", [False, True], ids=["training_backend", "list_fallback"])
+def test_chain_stops_after_its_last_retained_sweep(list_fallback, monkeypatch):
+    """A chain runs sweeps 0..last retained and no more, in both modes; the
+    sweeps after the last retained one could change no estimate."""
+    if list_fallback:
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    sweeps = []
+    blocks = lda._uniform_blocks
+
+    def counted(rng, n_sweeps, n):
+        sweeps.append(n_sweeps)
+        return blocks(rng, n_sweeps, n)
+
+    monkeypatch.setattr(lda, "_uniform_blocks", counted)
+    bows, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=5)
+    models = {}
+    for schedule, want in (((11, 2, 3), 9), ((9, 2, 3), 9), ((7, 0, 2), 7), ((1, 0, 1), 1)):
+        iterations, burn_in, thin = schedule
+        hyper = LdaHyperparams(k=2, iterations=iterations, burn_in=burn_in, thin=thin, seed=17)
+        for sample in (train_lda, posterior_assignment_samples):
+            sweeps.clear()
+            models[schedule, sample] = sample(bows, 10, hyper)
+            assert sum(sweeps) == want, (schedule, sample.__name__)
+    longer, shorter = models[(11, 2, 3), train_lda], models[(9, 2, 3), train_lda]
+    assert longer.beta.tobytes() == shorter.beta.tobytes()
+    assert longer.theta.tobytes() == shorter.theta.tobytes()
+
+
 def _per_sweep_infer(model, doc, sweeps, seed):
     k = model.n_topics
     ids = sorted(doc.counts)
@@ -240,7 +259,7 @@ def test_corpus_without_tokens_gives_uniform_estimates(list_fallback, monkeypatc
     assert np.allclose(model.beta, 1 / 6, rtol=0, atol=1e-15)
     assert np.allclose(model.theta, 1 / 4, rtol=0, atol=1e-15)
     assert (model.beta == model.beta[0, 0]).all() and (model.theta == model.theta[0, 0]).all()
-    assert model.n_kw.sum() == 0 and [a.size for a in model.assignments] == [0, 0, 0]
+    assert model.doc_lengths.tolist() == [0, 0, 0]
     samples, doc_ids, word_ids = posterior_assignment_samples(bows, 6, hyper)
     assert samples.shape == (3, 0) and doc_ids.size == word_ids.size == 0
 
@@ -272,9 +291,7 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
     if dtm:
         init_beta = np.random.default_rng(2).dirichlet(np.ones(10), size=k)
         eta_kw = 0.05 + 10 * init_beta
-    z, n_dk, n_kw, n_k, beta, theta, samples = _per_sweep_chain(
-        bows, 10, hyper, eta_kw, init_beta
-    )
+    *_, beta, theta, samples = _per_sweep_chain(bows, 10, hyper, eta_kw, init_beta)
 
     n_tokens = sum(sum(bow.counts.values()) for bow in bows)
     for chain in (_kernels.c_gibbs_chain, None):
@@ -282,9 +299,6 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
             monkeypatch.setattr(_kernels, "c_gibbs_chain", chain)
             monkeypatch.setattr(lda, "_BLOCK_VALUES", block_values)
             model = train_lda(bows, 10, hyper, eta_kw=eta_kw, init_beta=init_beta)
-            assert np.array_equal(np.concatenate(model.assignments), z)
-            for got, want in ((model.n_dk, n_dk), (model.n_kw, n_kw), (model.n_k, n_k)):
-                assert np.array_equal(got, want)
             assert np.array_equal(model.beta, beta)
             assert np.array_equal(model.theta, theta)
             if not dtm:
@@ -529,6 +543,13 @@ def test_perplexity_invariant_under_topic_permutation():
     assert perplexity(permuted, bows) == pytest.approx(perplexity(model, bows), rel=1e-10)
 
 
+def test_perplexity_takes_bows_as_well_as_bow_docs():
+    model, bows, _, _ = _planted_model()
+    assert perplexity(model, Bows.from_docs(bows, 10)) == perplexity(model, bows)
+    with pytest.raises(ValueError, match="the bags of words have vocab_size=11, not 10"):
+        perplexity(model, Bows.from_docs(bows, 11))
+
+
 def test_save_load_roundtrip_is_lossless(tmp_path):
     model, bows, _, _ = _planted_model()
     path = tmp_path / "model.json"
@@ -552,15 +573,13 @@ def test_saved_model_holds_exactly_its_estimates(tmp_path):
     model, bows, _, _ = _planted_model()
     for name, saved in (
         ("trained", model),
-        ("slim", dataclasses.replace(model, assignments=None)),
         ("hand-built", model_from_beta(model.beta, model.theta, model.doc_lengths)),
     ):
         path = tmp_path / f"{name}.newstm"
         save_lda(saved, path)
         assert _array_names(path) == ["beta", "theta", "doc_lengths"], name
         loaded = load_lda(path)
-        assert loaded.assignments is loaded.word_ids is None
-        assert loaded.n_dk is loaded.n_kw is loaded.n_k is None
+        assert loaded.assignments is loaded.n_dk is loaded.n_kw is loaded.n_k is None
         top_words(loaded, 0, 5)
         perplexity(loaded, bows)
 
@@ -568,14 +587,15 @@ def test_saved_model_holds_exactly_its_estimates(tmp_path):
 def test_model_file_with_assignments_still_loads(tmp_path):
     """A file of the earlier layout, which also holds the final z and the
     token stream, loads to the same estimates and saves to the new bytes."""
-    model, _, _, _ = _planted_model()
+    model, bows, _, _ = _planted_model()
     old = tmp_path / "old.newstm"
+    _, word_ids, _ = _expand_bows(Bows.from_docs(bows, model.vocab_size))
     arrays = {
         "beta": model.beta,
         "theta": model.theta,
         "doc_lengths": model.doc_lengths,
-        "z": np.concatenate(model.assignments),
-        "word_ids": model.word_ids,
+        "z": np.random.default_rng(0).integers(0, model.n_topics, word_ids.size),
+        "word_ids": word_ids,
     }
     meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
     write_model(old, lda._FORMAT, meta, arrays)

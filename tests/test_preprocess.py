@@ -366,10 +366,12 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
     assert str(info.value).startswith(f"{path}: ")
 
 
-def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows"):
-    """A bows file with these arrays for documents d0, d1, ..., over 3 words,
-    written without the checks of `Bows`."""
-    meta = {"doc_ids": [f"d{i}" for i in range(len(doc_lengths))], "vocab_size": 3}
+def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows", doc_ids=None):
+    """A bows file with these arrays for documents `doc_ids` (by default d0,
+    d1, ...), over 3 words, written without the checks of `Bows`."""
+    if doc_ids is None:
+        doc_ids = [f"d{i}" for i in range(len(doc_lengths))]
+    meta = {"doc_ids": doc_ids, "vocab_size": 3}
     arrays = {"doc_lengths": doc_lengths, "word_ids": word_ids, "counts": counts}
     write_model(path, fmt, meta, {name: np.array(a, dtype=np.int64) for name, a in arrays.items()})
     return path
@@ -389,6 +391,19 @@ def _rejection(path):
 def test_read_bows_rejects_counts_below_one(tmp_path, count):
     path = _raw_bows_file(tmp_path / "bows.newstm", [1, 2], [0, 0, 2], [1, 2, count])
     assert "(document 'd1': counts must be >= 1)" in _rejection(path)
+
+
+def test_bows_rejects_a_repeated_doc_id():
+    docs = [BowDoc("a", {0: 1}), BowDoc("b", {2: 1}), BowDoc("a", {1: 1})]
+    with pytest.raises(ValueError, match="^duplicate document id 'a'$"):
+        Bows.from_docs(docs, 5)
+
+
+def test_read_bows_rejects_a_repeated_doc_id(tmp_path):
+    path = _raw_bows_file(
+        tmp_path / "bows.newstm", [1, 1, 1], [0, 1, 2], [1, 1, 1], doc_ids=["x", "y", "y"]
+    )
+    assert "(duplicate document id 'y')" in _rejection(path)
 
 
 def _truncated(path):
