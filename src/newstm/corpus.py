@@ -246,5 +246,12 @@ def write_timeline_csv(series: list[tuple[datetime.date, int]], path: str | Path
     write_csv(path, ("date", "count"), ((day.isoformat(), count) for day, count in series))
 
 
+def _count(field: str) -> int:
+    count = int(field)
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
+    return count
+
+
 def read_timeline_csv(path: str | Path) -> list[tuple[datetime.date, int]]:
-    return list(read_csv(path, {"date": datetime.date.fromisoformat, "count": int}))
+    return list(read_csv(path, {"date": datetime.date.fromisoformat, "count": _count}))

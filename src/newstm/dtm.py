@@ -26,7 +26,6 @@ from newstm.lda import (
     LdaHyperparams,
     TopicSummary,
     _as_bows,
-    _expand_bows,
     _run_chain,
     _topic_summary,
 )
@@ -126,16 +125,14 @@ def train_dtm(
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
         else:
-            eta_kw = init_beta = None
-            if prev_beta is not None:
-                # eta + kappa * V * prev_beta, with the same two roundings
-                eta_kw = np.multiply(prev_beta, kappa * vocab_size, out=prior)
-                eta_kw += base_hyper.eta
-                init_beta = prev_beta if warm_start else None
-            doc_ids, word_ids, lengths = _expand_bows(bows)
-            _, theta_t = _run_chain(
-                doc_ids, word_ids, lengths, vocab_size, hyper_t, eta_kw, init_beta,
-                collect_z=False, out=betas[t],
+            if prev_beta is None:
+                prior.fill(base_hyper.eta)
+            else:  # eta + kappa * V * prev_beta, with the same two roundings
+                np.multiply(prev_beta, kappa * vocab_size, out=prior)
+                prior += base_hyper.eta
+            init_beta = prev_beta if warm_start else None
+            _, theta_t, _ = _run_chain(
+                bows, hyper_t, prior, init_beta, collect_z=False, out=betas[t]
             )
         thetas.append(theta_t)
         metas.append(meta)

@@ -201,8 +201,23 @@ def write_intertopic_csv(topic_map: IntertopicMap, path: str | Path) -> None:
     write_csv(path, ("topic", "x", "y", "prevalence"), rows)
 
 
+def _finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _prevalence(field: str) -> float:
+    value = _finite(field)
+    if value < 0:
+        raise ValueError(f"prevalence {value} is negative")
+    return value
+
+
 def read_intertopic_csv(path: str | Path) -> IntertopicMap:
-    rows = list(read_csv(path, {"topic": int, "x": float, "y": float, "prevalence": float}))
+    columns = {"topic": int, "x": _finite, "y": _finite, "prevalence": _prevalence}
+    rows = list(read_csv(path, columns))
     return IntertopicMap(
         coordinates=np.asarray([[x, y] for _, x, y, _ in rows], dtype=np.float64),
         prevalence=np.asarray([p for *_, p in rows], dtype=np.float64),

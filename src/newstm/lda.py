@@ -174,28 +174,31 @@ def _uniform_blocks(rng, n_sweeps: int, n: int):
 
 
 def _run_chain(
-    doc_ids: np.ndarray,
-    word_ids: np.ndarray,
-    doc_lengths: np.ndarray,
-    vocab_size: int,
+    bows: Bows,
     hyper: LdaHyperparams,
     eta_kw: np.ndarray | None,
     init_beta: np.ndarray | None,
+    *,
     collect_z: bool,
     out: np.ndarray | None = None,
 ):
-    """Run one chain; return its estimates (beta, theta), or with
-    `collect_z` the z of every retained sweep instead.
+    """Run one chain over the bags of words; return (beta, theta, lengths),
+    its estimates and the token count of each document, or with `collect_z`
+    (samples, doc_ids, word_ids), the z of every retained sweep stacked and
+    the token arrays they index.
 
-    The chain stops after its last retained sweep: a later sweep would
-    change no estimate and no sample. Its state holds only the word columns
-    its tokens use, the ascending ids of `present`. A column no token uses
-    has count 0 at every sweep, so its β entries are the mean of
-    eta_kw / (n_k + eta_sum) over the retained sweeps, and no K x V array
-    but β itself is built for it. β is written into `out`, a C-contiguous
-    (k, V) float64 array, when one is given.
+    The word prior is the (k, V) matrix `eta_kw`; None is the symmetric
+    prior, np.full((k, V), hyper.eta). The chain stops after its last
+    retained sweep: a later sweep would change no estimate and no sample.
+    Its state holds only the word columns its tokens use, the ascending ids
+    of `present`. A column no token uses has count 0 at every sweep, so its
+    β entries are the mean of eta_kw / (n_k + eta_sum) over the retained
+    sweeps, and the chain builds no K x V float64 array but the prior and
+    β. β is written into `out`, a C-contiguous (k, V) float64 array, when
+    one is given.
     """
-    k = hyper.k
+    k, vocab_size = hyper.k, bows.vocab_size
+    doc_ids, word_ids, doc_lengths = _expand_bows(bows)
     n_docs, n_tokens = doc_lengths.size, word_ids.size
     rng = np.random.default_rng(hyper.seed)
     used = np.zeros(vocab_size, dtype=bool)
@@ -204,17 +207,12 @@ def _run_chain(
     local_ids = (np.cumsum(used) - 1)[word_ids]
 
     if eta_kw is None:
-        # One (k, 1) row per topic broadcasts over the columns. The row sum of
-        # np.full(V, eta) has the bits of np.full((k, V), eta).sum(axis=1).
-        eta_kw = np.full((k, 1), hyper.eta)
-        eta_sum = np.full(k, np.full(vocab_size, hyper.eta).sum())
-        eta_local = np.full((k, present.size), hyper.eta)
-    else:
-        eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
-        if (eta_kw <= 0).any():
-            raise ValueError("eta_kw entries must be > 0")
-        eta_sum = eta_kw.sum(axis=1)
-        eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
+        eta_kw = np.full((k, vocab_size), hyper.eta)
+    eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
+    if (eta_kw <= 0).any():
+        raise ValueError("eta_kw entries must be > 0")
+    eta_sum = eta_kw.sum(axis=1)
+    eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
 
     if init_beta is None:
         z = rng.integers(0, k, n_tokens, dtype=np.int64)
@@ -260,7 +258,7 @@ def _run_chain(
             beta_local += term
             theta += theta_term
     if collect_z:
-        return z_samples
+        return np.stack(z_samples), doc_ids, word_ids
     beta[:, present] = beta_local
     beta /= len(retained)
     theta /= len(retained)
@@ -268,7 +266,7 @@ def _run_chain(
         "trained LDA: k=%d docs=%d tokens=%d iterations=%d backend=%s",
         k, n_docs, n_tokens, hyper.iterations, _kernels.BACKEND,
     )
-    return beta, theta
+    return beta, theta, doc_lengths
 
 
 def train_lda(
@@ -284,18 +282,17 @@ def train_lda(
 
     A BowDoc corpus is converted with `Bows.from_docs`; a Bows corpus must
     have `vocab_size` words. `eta_kw` overrides the symmetric word prior
-    with a per-topic-per-word pseudo-count matrix, and `init_beta` seeds the
-    initial assignments from an existing topic-word estimate instead of the
-    uniform draw; both hooks exist for chained dynamic training and leave
-    the default behaviour untouched when None.
+    with a (k, V) per-topic-per-word pseudo-count matrix, and `init_beta`
+    seeds the initial assignments from an existing topic-word estimate
+    instead of the uniform draw; both leave the default behaviour untouched
+    when None. `train_dtm` calls `_run_chain` directly, so the hooks' one
+    caller is the per-slice chain of `train_lda` calls that the DTM tests
+    compare `train_dtm` against.
     """
     bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot train on an empty corpus")
-    doc_ids, word_ids, lengths = _expand_bows(bows)
-    beta, theta = _run_chain(
-        doc_ids, word_ids, lengths, vocab_size, hyper, eta_kw, init_beta, collect_z=False
-    )
+    beta, theta, lengths = _run_chain(bows, hyper, eta_kw, init_beta, collect_z=False)
     return LdaModel(beta, theta, hyper, vocab_size, lengths)
 
 
@@ -311,11 +308,7 @@ def posterior_assignment_samples(
     bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
-    doc_ids, word_ids, lengths = _expand_bows(bows)
-    z_samples = _run_chain(
-        doc_ids, word_ids, lengths, vocab_size, hyper, None, None, collect_z=True
-    )
-    return np.stack(z_samples), doc_ids, word_ids
+    return _run_chain(bows, hyper, None, None, collect_z=True)
 
 
 def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) -> np.ndarray:
@@ -448,6 +441,8 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
     beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
     if beta.shape != (hyper.k, vocab_size):
         raise ValueError(f"beta has shape {beta.shape}, expected {(hyper.k, vocab_size)}")
+    if doc_lengths.ndim != 1 or doc_lengths.dtype.kind != "i" or (doc_lengths < 0).any():
+        raise ValueError("doc_lengths must be a 1-D array of token counts, each >= 0")
     if theta.shape != (doc_lengths.size, hyper.k):
         raise ValueError(
             f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"

@@ -317,17 +317,19 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
         if payload.get("format") != "newstm-vocab":
             raise ValueError(f"format is {payload.get('format')!r}")
         token_to_id = {str(tok): int(i) for tok, i in payload["tokens"].items()}
-        df = {int(key): int(value) for key, value in payload["document_frequency"].items()}
+        df = payload["document_frequency"]
         ids = list(range(len(token_to_id)))
         if sorted(token_to_id.values()) != ids:
             raise ValueError(f"token ids must be 0..{len(ids) - 1}, each used once")
-        if sorted(df) != ids:
-            raise ValueError(f"document frequencies must be given for ids 0..{len(ids) - 1}")
+        if len(df) != len(ids) or not all(str(i) in df for i in ids):
+            raise ValueError(
+                f"document frequencies must be keyed by the ids 0..{len(ids) - 1} in decimal"
+            )
         id_to_token = sorted(token_to_id, key=token_to_id.__getitem__)
         return Vocabulary(
             token_to_id=token_to_id,
             id_to_token=tuple(id_to_token),
-            document_frequency=tuple(df[i] for i in ids),
+            document_frequency=tuple(int(df[str(i)]) for i in ids),
             no_below=int(payload["no_below"]),
             no_above=float(payload["no_above"]),
             n_docs=int(payload["n_docs"]),

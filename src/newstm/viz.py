@@ -145,6 +145,9 @@ def plot_timeline(
     counts = [count for _, count in series]
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValueError("timeline dates must be strictly ascending")
+    for day, count in series:
+        if count < 0:
+            raise ValueError(f"timeline count for {day.isoformat()} is negative: {count}")
 
     x0, y0, x1, y1 = _plot_frame(spec)
     t_lo, t_hi = dates[0].toordinal(), dates[-1].toordinal()
@@ -235,6 +238,12 @@ def plot_intertopic(topic_map: IntertopicMap, spec: FigureSpec) -> str:
     k = coords.shape[0]
     if k < 1:
         raise ValueError("intertopic map holds no topics")
+    for topic in range(k):
+        if not np.isfinite(coords[topic]).all():
+            raise ValueError(f"topic {topic} has a NaN or infinite coordinate")
+        if not 0 <= prevalence[topic] < np.inf:
+            value = float(prevalence[topic])
+            raise ValueError(f"topic {topic} has prevalence {value}; it must be finite and >= 0")
 
     x0, y0, x1, y1 = _plot_frame(spec)
     cx = (x0 + x1) / 2

@@ -496,8 +496,9 @@ def test_expand_bows_names_the_first_bad_document(first, second, message):
 
 
 def test_symmetric_prior_row_sum_is_the_full_matrix_row_sum_bitwise():
-    """_run_chain sums one V-long row of eta for the symmetric prior in place
-    of np.full((k, V), eta).sum(axis=1); both sum in the same order."""
+    """Summing one V-long row of eta gives the bits of
+    np.full((k, V), eta).sum(axis=1), the row sums _run_chain takes of the
+    symmetric prior; both sum in the same order."""
     sizes = [*range(1, 1025), 14_949, 16_012, 20_000]
     sizes += [2**e + d for e in range(10, 17) for d in (-1, 0, 1)]
     for eta in (0.01, 0.05, 0.1, 1 / 3):
@@ -531,6 +532,24 @@ def test_trained_model_beats_unigram_baseline():
         (totals / totals.sum())[None, :], theta=np.ones((len(bows), 1))
     )
     assert perplexity(model, bows) < perplexity(unigram, bows)
+
+
+@pytest.mark.parametrize("list_fallback", [False, True], ids=["training_backend", "list_fallback"])
+def test_default_prior_equals_the_constant_eta_kw_bitwise(list_fallback, monkeypatch):
+    """train_lda's symmetric prior is np.full((k, V), eta) as eta_kw: the two
+    give the same β and θ bytes, in the word columns no token uses too."""
+    if list_fallback:
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    bows, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=5)
+    vocab_size = 25  # words 10..24 are in no document
+    assert max(w for bow in bows for w in bow.counts) < 10
+    for eta in (0.01, 1 / 3):
+        hyper = LdaHyperparams(k=3, alpha=0.8, eta=eta, iterations=12, burn_in=3, thin=2, seed=9)
+        default = train_lda(bows, vocab_size, hyper)
+        eta_kw = np.full((hyper.k, vocab_size), eta)
+        constant = train_lda(bows, vocab_size, hyper, eta_kw=eta_kw)
+        assert default.beta.tobytes() == constant.beta.tobytes(), eta
+        assert default.theta.tobytes() == constant.theta.tobytes(), eta
 
 
 def test_perplexity_invariant_under_topic_permutation():
@@ -582,6 +601,24 @@ def test_saved_model_holds_exactly_its_estimates(tmp_path):
         assert loaded.assignments is loaded.n_dk is loaded.n_kw is loaded.n_k is None
         top_words(loaded, 0, 5)
         perplexity(loaded, bows)
+
+
+@pytest.mark.parametrize(
+    "doc_lengths",
+    [np.array([[5], [-7]]), np.array([5, -7]), np.array([5.0, 7.0])],
+    ids=["two-dimensional", "negative", "float"],
+)
+def test_load_lda_rejects_malformed_doc_lengths(tmp_path, doc_lengths):
+    model = model_from_beta(np.array([[0.5, 0.5], [0.1, 0.9]]), theta=np.full((2, 2), 0.5))
+    arrays = {"beta": model.beta, "theta": model.theta, "doc_lengths": doc_lengths}
+    meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
+    path = tmp_path / "model.newstm"
+    write_model(path, lda._FORMAT, meta, arrays)
+    with pytest.raises(ValueError, match="doc_lengths must be a 1-D array of token counts"):
+        load_lda(path)
+    arrays["doc_lengths"] = np.array([5, 0])
+    write_model(path, lda._FORMAT, meta, arrays)
+    assert load_lda(path).doc_lengths.tolist() == [5, 0]
 
 
 def test_model_file_with_assignments_still_loads(tmp_path):

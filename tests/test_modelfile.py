@@ -329,6 +329,33 @@ def test_csv_reader_rejects_bad_value(tmp_path, read, lines, message):
     assert str(info.value) == f"{path} line 3: {message}"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,nan,0.0,0.5", "column 'x': nan is not finite"),
+        ("1,0.0,inf,0.5", "column 'y': inf is not finite"),
+        ("1,0.0,0.0,-inf", "column 'prevalence': -inf is not finite"),
+        ("1,0.0,0.0,-0.5", "column 'prevalence': prevalence -0.5 is negative"),
+    ],
+    ids=["nan-x", "inf-y", "inf-prevalence", "negative-prevalence"],
+)
+def test_intertopic_csv_rejects_a_non_finite_or_negative_field(tmp_path, row, message):
+    path = tmp_path / "intertopic.csv"
+    lines = ["topic,x,y,prevalence", "0,0.0,0.0,0.5", row]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_intertopic_csv(path)
+    assert str(info.value) == f"{path} line 3: {message}"
+
+
+def test_timeline_csv_rejects_a_negative_count(tmp_path):
+    path = tmp_path / "timeline.csv"
+    path.write_text("date,count\r\n2020-01-17,1\r\n2020-01-18,-3\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_timeline_csv(path)
+    assert str(info.value) == f"{path} line 3: column 'count': count -3 is negative"
+
+
 _OS_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_TRUNC", "O_CREAT"}
 
 

@@ -366,6 +366,23 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize(
+    "df",
+    [{"0": 1, "1": 2, "01": 5}, {"0": 1, "01": 2}, {"0": 1, "+1": 2}, {"0": 1, " 1": 2}],
+    ids=["alias", "leading-zero", "plus-sign", "space"],
+)
+def test_read_vocabulary_rejects_document_frequency_keys_other_than_decimal_ids(tmp_path, df):
+    path = _vocab_file(tmp_path / "vocab.json", {"a": 0, "b": 1})
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["document_frequency"] = df
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="document frequencies must be keyed by the ids 0..1"):
+        read_vocabulary(path)
+    payload["document_frequency"] = {"1": 2, "0": 1}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert read_vocabulary(path).document_frequency == (1, 2)
+
+
 def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows", doc_ids=None):
     """A bows file with these arrays for documents `doc_ids` (by default d0,
     d1, ...), over 3 words, written without the checks of `Bows`."""

@@ -1,4 +1,5 @@
 import datetime
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -58,6 +59,11 @@ def test_timeline_requires_ascending_nonempty():
     day = datetime.date(2020, 1, 1)
     with pytest.raises(ValueError):
         plot_timeline([(day, 1), (day, 2)], FigureSpec(title="x"))
+
+
+def test_timeline_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"^timeline count for 2020-01-02 is negative: -3$"):
+        plot_timeline(_days(1, -3, 2), FigureSpec(title="x"))
 
 
 def test_timeline_byte_determinism(tmp_path):
@@ -141,6 +147,21 @@ def test_intertopic_identical_topics_concentric():
     assert len(centers) == 1
     radii = [float(c.get("r")) for c in circles]
     assert radii[0] > radii[1]  # area tracks prevalence
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_intertopic_rejects_a_non_finite_coordinate(bad):
+    topic_map = IntertopicMap(np.array([[0.0, 1.0], [0.5, bad]]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^topic 1 has a NaN or infinite coordinate$"):
+        plot_intertopic(topic_map, FigureSpec(title="map"))
+
+
+@pytest.mark.parametrize("bad", [-0.25, np.nan, np.inf])
+def test_intertopic_rejects_a_negative_or_non_finite_prevalence(bad):
+    topic_map = IntertopicMap(np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([0.5, bad]))
+    message = f"topic 1 has prevalence {bad}; it must be finite and >= 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        plot_intertopic(topic_map, FigureSpec(title="map"))
 
 
 def test_intertopic_figure_regenerates_from_csv_export(tmp_path):
