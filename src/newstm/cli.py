@@ -19,7 +19,6 @@ import fcntl
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -33,6 +32,7 @@ from newstm.corpus import (
     articles_per_day,
     filter_by_category,
     load_corpus,
+    max_slices,
     read_timeline_csv,
     save_corpus,
     slice_monthly,
@@ -57,7 +57,7 @@ from newstm.evaluate import (
     write_overlap_json,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
-from newstm.modelfile import remove_stray_temps, replace_text
+from newstm.modelfile import finite_float, remove_stray_temps, replace_text
 from newstm.preprocess import (
     Bows,
     TokenStream,
@@ -79,13 +79,6 @@ logger = logging.getLogger(__name__)
 
 class ValidationError(ValueError):
     """Bad configuration or an unmet stage precondition; maps to exit code 1."""
-
-
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
 
 
 def _date(raw: str) -> datetime.date:
@@ -114,20 +107,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any], _Check | None]]] =
     "preprocess": {
         "stoplist": ("", Path, None),
         "min_count": ("5", int, _AT_LEAST_1),
-        "threshold": ("10.0", _finite_float, None),
+        "threshold": ("10.0", finite_float, None),
         "no_below": ("2", int, _AT_LEAST_1),
-        "no_above": ("0.5", _finite_float, (lambda v: 0 < v <= 1, "must be in (0, 1]")),
+        "no_above": ("0.5", finite_float, (lambda v: 0 < v <= 1, "must be in (0, 1]")),
     },
     "lda": {
         "k": ("20", int, None),
-        "alpha": ("", _finite_float, None),
-        "eta": ("0.01", _finite_float, None),
+        "alpha": ("", finite_float, None),
+        "eta": ("0.01", finite_float, None),
         "iterations": ("1000", int, None),
         "burn_in": ("200", int, None),
         "thin": ("10", int, None),
         "seed": ("0", int, None),
     },
-    "dtm": {"kappa": ("1.0", _finite_float, (lambda v: v >= 0, "must be >= 0"))},
+    "dtm": {"kappa": ("1.0", finite_float, (lambda v: v >= 0, "must be >= 0"))},
     "report": {
         "top_n": ("10", int, (lambda v: v >= 2, "must be >= 2")),
         "trajectory_words": ("5", int, _AT_LEAST_1),
@@ -222,6 +215,11 @@ def load_config(
     first_start, anchor_day = corpus["first_start"], corpus["anchor_day"]
     if first_start != _anchor_in_month(first_start.year, first_start.month, anchor_day):
         raise ValidationError(f"corpus.first_start {first_start} is not on anchor day {anchor_day}")
+    most, n_slices = max_slices(first_start), corpus["n_slices"]
+    if n_slices > most:
+        raise ValidationError(
+            f"config corpus.n_slices must be <= {most} from {first_start}, got {n_slices}"
+        )
     try:
         hyper = LdaHyperparams(**values["lda"])
     except ValueError as exc:
@@ -274,13 +272,10 @@ def _manifest_fault(manifest: Any) -> str | None:
     for name, entry in artifacts.items():
         if not (
             isinstance(entry, dict)
-            and isinstance(entry.get("path"), str)
             and isinstance(entry.get("sha256"), str)
             and isinstance(entry.get("inputs"), dict)
         ):
-            return f"artifact {name!r} needs a string path, a string sha256 and an inputs object"
-        if Path(entry["path"]).is_absolute() or ".." in Path(entry["path"]).parts:
-            return f"artifact {name!r} has path {entry['path']!r} outside the workspace"
+            return f"artifact {name!r} needs a string sha256 and an inputs object"
     return None
 
 
@@ -325,10 +320,9 @@ class Workspace:
         declared inputs and save the manifest."""
         artifacts = manifest["artifacts"]
         for name in names:
-            relpath, _, inputs = _ARTIFACTS[name]
+            _, _, inputs = _ARTIFACTS[name]
             artifacts[name] = {
-                "path": relpath,
-                "sha256": _sha256(self.root / relpath),
+                "sha256": _sha256(self.path_for(name)),
                 "inputs": {source: artifacts[source]["sha256"] for source in inputs},
             }
         self.save_manifest(manifest)
@@ -339,13 +333,11 @@ class Workspace:
         entry = manifest["artifacts"].get(name)
         if entry is None:
             raise ValidationError(f"missing artifact {name!r}: run `newstm {producer}` first")
-        path = self.root / entry["path"]
+        path = self.path_for(name)
         if not path.exists():
             raise ValidationError(
                 f"artifact file {path} has been removed: re-run `newstm {producer}`"
             )
-        if path.is_dir():  # "", "." or a directory's name: no writer records such a path
-            raise self._malformed(f"artifact {name!r} has path {entry['path']!r}, a directory")
         if _sha256(path) != entry["sha256"]:
             raise ValidationError(
                 f"artifact {name!r} was modified outside the pipeline: re-run `newstm {producer}`"

@@ -183,6 +183,12 @@ def _anchor_in_month(year: int, month: int, anchor_day: int) -> datetime.date:
     return datetime.date(year, month, min(anchor_day, monthrange(year, month)[1]))
 
 
+def max_slices(first_start: datetime.date) -> int:
+    """The most monthly slices from `first_start` that end by December 9999,
+    the last month a `datetime.date` can hold."""
+    return (9999 - first_start.year) * 12 + 12 - first_start.month
+
+
 def slice_monthly(
     corpus: Corpus,
     anchor_day: int,
@@ -197,8 +203,9 @@ def slice_monthly(
     """
     if not 1 <= anchor_day <= 31:
         raise ValueError(f"anchor_day must be in 1..31, got {anchor_day}")
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
+    most = max_slices(first_start)
+    if not 1 <= n_slices <= most:
+        raise ValueError(f"n_slices must be in 1..{most} from {first_start}, got {n_slices}")
     if first_start != _anchor_in_month(first_start.year, first_start.month, anchor_day):
         raise ValueError(f"first_start {first_start} does not fall on anchor day {anchor_day}")
 
@@ -254,4 +261,14 @@ def _count(field: str) -> int:
 
 
 def read_timeline_csv(path: str | Path) -> list[tuple[datetime.date, int]]:
-    return list(read_csv(path, {"date": datetime.date.fromisoformat, "count": _count}))
+    """Read a `write_timeline_csv` export, whose dates strictly ascend."""
+    previous: datetime.date | None = None
+
+    def ascending(row: tuple) -> None:
+        nonlocal previous
+        if previous is not None and row[0] <= previous:
+            raise ValueError(f"date {row[0]} is not after {previous}")
+        previous = row[0]
+
+    columns = {"date": datetime.date.fromisoformat, "count": _count}
+    return list(read_csv(path, columns, ascending))

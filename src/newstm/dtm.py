@@ -49,7 +49,6 @@ class DtmModel:
     kappa: float
     base_hyper: LdaHyperparams
     slice_seeds: list[int]
-    vocab_size: int
 
     @property
     def n_slices(self) -> int:
@@ -67,10 +66,12 @@ class TrajectorySeries:
 
     def __post_init__(self) -> None:
         t = len(self.slice_labels)
+        if sorted(self.words) != sorted(self.series):  # the words, each once
+            raise ValueError(f"series has the words {list(self.series)}, not {list(self.words)}")
         for word in self.words:
             values = self.series[word]
-            if len(values) != t:
-                raise ValueError(f"series for {word!r} has length {len(values)}, expected {t}")
+            if np.shape(values) != (t,):
+                raise ValueError(f"series for {word!r} has shape {np.shape(values)}, not ({t},)")
             if not ((values >= 0) & (values <= 1)).all():
                 raise ValueError(f"series for {word!r} leaves [0, 1]")
 
@@ -95,9 +96,10 @@ def train_dtm(
 ) -> DtmModel:
     """Train the chained per-slice model over an ordered sliced corpus.
 
-    Each slice's documents are BowDoc or Bows, as `train_lda` takes them.
-    Empty slices (no documents) inherit the previous slice's topic-word
-    rows verbatim; an empty slice 0 starts from the uniform distribution.
+    Each slice's documents are BowDoc or Bows, as `train_lda` takes them,
+    and must be the slice's `doc_ids`, in that order. Empty slices (no
+    documents) inherit the previous slice's topic-word rows verbatim; an
+    empty slice 0 starts from the uniform distribution.
     warm_start=False disables assignment initialization from the previous
     slice (the equivalence mode used to compare against independent runs).
     """
@@ -118,6 +120,8 @@ def train_dtm(
 
     for t, (meta, docs) in enumerate(slices_in):
         bows = _as_bows(docs, vocab_size)
+        if bows.doc_ids != tuple(meta.doc_ids):
+            raise ValueError(f"slice {t}: the bags of words are not for the slice's doc_ids")
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
         prev_beta = betas[t - 1] if t else None
         if not bows:
@@ -144,7 +148,6 @@ def train_dtm(
         kappa=kappa,
         base_hyper=base_hyper,
         slice_seeds=seeds,
-        vocab_size=vocab_size,
     )
 
 
@@ -190,10 +193,37 @@ def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Pa
     write_csv(path, ("topic", "word", "slice_start", "probability"), rows)
 
 
+def _slice_start(field: str) -> str:
+    # fromisoformat also takes forms such as 20200117; only YYYY-MM-DD is written.
+    if datetime.date.fromisoformat(field).isoformat() != field:
+        raise ValueError(f"{field!r} is not a YYYY-MM-DD date")
+    return field
+
+
+def _probability(field: str) -> float:
+    value = float(field)
+    if not 0 <= value <= 1:  # false for nan too
+        raise ValueError(f"probability {value} is not in [0, 1]")
+    return value
+
+
 def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
+    """Read a `write_trajectory_csv` export: each word's slice_start dates
+    strictly ascend, and each topic's words share one list of dates."""
     grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}  # in first-seen order
-    columns = {"topic": int, "word": str, "slice_start": str, "probability": float}
-    for topic, word, label, prob in read_csv(path, columns):
+    latest: dict[tuple[int, str], str] = {}  # each word's last slice_start so far
+
+    def ascending(row: tuple) -> None:
+        topic, word, label, _ = row
+        before = latest.get((topic, word), "")
+        if label <= before:
+            raise ValueError(
+                f"topic {topic} word {word!r}: slice_start {label} is not after {before}"
+            )
+        latest[topic, word] = label
+
+    columns = {"topic": int, "word": str, "slice_start": _slice_start, "probability": _probability}
+    for topic, word, label, prob in read_csv(path, columns, ascending):
         grouped.setdefault(topic, {}).setdefault(word, []).append((label, prob))
     out: list[TrajectorySeries] = []
     for topic, by_word in grouped.items():
@@ -215,11 +245,10 @@ def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
 def save_dtm(model: DtmModel, path: str | Path) -> None:
     """Write the model as a binary model file (see `newstm.modelfile`).
 
-    All slice thetas go into one array of stacked rows; the header records
-    each slice's row count, so empty slices survive the round trip.
+    All slice thetas go into one array of stacked rows, a slice's rows
+    being its documents in `doc_ids` order.
     """
     meta = {
-        "vocab_size": model.vocab_size,
         "kappa": model.kappa,
         "slice_seeds": model.slice_seeds,
         "base_hyper": dataclasses.asdict(model.base_hyper),
@@ -232,7 +261,6 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
             }
             for s in model.slices
         ],
-        "theta_rows": [theta.shape[0] for theta in model.per_slice_theta],
     }
     arrays = {
         "per_slice_beta": model.per_slice_beta,
@@ -251,20 +279,15 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         )
         for s in meta["slices"]
     ]
-    rows = [int(n) for n in meta["theta_rows"]]
-    hyper, vocab_size = LdaHyperparams(**meta["base_hyper"]), int(meta["vocab_size"])
+    rows = [len(s) for s in slices]  # a slice's theta rows are its documents, in order
+    hyper = LdaHyperparams(**meta["base_hyper"])
     thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
-    if len(rows) != len(slices):
-        raise ValueError(f"{len(slices)} slices and {len(rows)} theta row counts")
-    if betas.shape != (len(slices), hyper.k, vocab_size):
+    if betas.ndim != 3 or betas.shape[:2] != (len(slices), hyper.k):
         raise ValueError(
-            f"per_slice_beta has shape {betas.shape}, "
-            f"expected {(len(slices), hyper.k, vocab_size)}"
+            f"per_slice_beta has shape {betas.shape}, not ({len(slices)}, {hyper.k}, V)"
         )
-    if thetas.shape[1:] != (hyper.k,):
-        raise ValueError(f"per_slice_theta has shape {thetas.shape}, expected {hyper.k} columns")
-    if min(rows, default=0) < 0 or sum(rows) != thetas.shape[0]:
-        raise ValueError(f"theta row counts {rows} do not add up to {thetas.shape[0]} rows")
+    if thetas.shape != (sum(rows), hyper.k):
+        raise ValueError(f"per_slice_theta has shape {thetas.shape}, not ({sum(rows)}, {hyper.k})")
     return DtmModel(
         slices=slices,
         per_slice_beta=betas,
@@ -272,7 +295,6 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         kappa=float(meta["kappa"]),
         base_hyper=hyper,
         slice_seeds=[int(s) for s in meta["slice_seeds"]],
-        vocab_size=vocab_size,
     )
 
 

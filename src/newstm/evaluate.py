@@ -6,6 +6,7 @@ here mutates model state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -16,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from newstm.lda import LdaModel, _as_bows, _top_order
-from newstm.modelfile import read_csv, replace_text, write_csv
+from newstm.modelfile import finite_float, read_csv, replace_text, write_csv
 from newstm.preprocess import BowDoc, Bows
 
 logger = logging.getLogger(__name__)
@@ -201,23 +202,24 @@ def write_intertopic_csv(topic_map: IntertopicMap, path: str | Path) -> None:
     write_csv(path, ("topic", "x", "y", "prevalence"), rows)
 
 
-def _finite(field: str) -> float:
-    value = float(field)
-    if not math.isfinite(value):
-        raise ValueError(f"{value} is not finite")
-    return value
-
-
 def _prevalence(field: str) -> float:
-    value = _finite(field)
+    value = finite_float(field)
     if value < 0:
         raise ValueError(f"prevalence {value} is negative")
     return value
 
 
 def read_intertopic_csv(path: str | Path) -> IntertopicMap:
-    columns = {"topic": int, "x": _finite, "y": _finite, "prevalence": _prevalence}
-    rows = list(read_csv(path, columns))
+    """Read a `write_intertopic_csv` export, whose topics are 0..K-1 in row order."""
+    order = itertools.count()
+
+    def in_row_order(row: tuple) -> None:
+        expected = next(order)
+        if row[0] != expected:
+            raise ValueError(f"topic {row[0]} where topic {expected} belongs (0..K-1 in row order)")
+
+    columns = {"topic": int, "x": finite_float, "y": finite_float, "prevalence": _prevalence}
+    rows = list(read_csv(path, columns, in_row_order))
     return IntertopicMap(
         coordinates=np.asarray([[x, y] for _, x, y, _ in rows], dtype=np.float64),
         prevalence=np.asarray([p for *_, p in rows], dtype=np.float64),

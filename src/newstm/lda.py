@@ -429,25 +429,24 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
     """Write the model's estimates β and θ and its document lengths as a
     binary model file (see `newstm.modelfile`)."""
     arrays = {"beta": model.beta, "theta": model.theta, "doc_lengths": model.doc_lengths}
-    meta = {"vocab_size": model.vocab_size, "hyper": dataclasses.asdict(model.hyper)}
-    write_model(path, _FORMAT, meta, arrays)
+    write_model(path, _FORMAT, {"hyper": dataclasses.asdict(model.hyper)}, arrays)
 
 
 def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
     # A file written before the format held only the estimates also has the
-    # final `z` and `word_ids`; they are read and not used.
+    # final `z` and `word_ids`, which are read and not used; a `vocab_size` in
+    # an older header is ignored, as V is beta's last axis.
     hyper = LdaHyperparams(**meta["hyper"])
-    vocab_size = int(meta["vocab_size"])
     beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
-    if beta.shape != (hyper.k, vocab_size):
-        raise ValueError(f"beta has shape {beta.shape}, expected {(hyper.k, vocab_size)}")
+    if beta.ndim != 2 or beta.shape[0] != hyper.k:
+        raise ValueError(f"beta has shape {beta.shape}, not ({hyper.k}, V)")
     if doc_lengths.ndim != 1 or doc_lengths.dtype.kind != "i" or (doc_lengths < 0).any():
         raise ValueError("doc_lengths must be a 1-D array of token counts, each >= 0")
     if theta.shape != (doc_lengths.size, hyper.k):
         raise ValueError(
             f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"
         )
-    return LdaModel(beta, theta, hyper, vocab_size, doc_lengths)
+    return LdaModel(beta, theta, hyper, beta.shape[1], doc_lengths)
 
 
 def load_lda(path: str | Path) -> LdaModel:

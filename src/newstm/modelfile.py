@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -74,12 +75,26 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path, columns: dict[str, Callable[[str], Any]]) -> Iterator[tuple]:
-    """Yield the rows after a first row that must be the names of `columns`,
-    each field converted by its column's function.
+def finite_float(field: str) -> float:
+    """`field` as a float, which must be finite; a CSV or config converter."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
 
-    A short or long row, or a field its function rejects with ValueError,
-    raises ValueError naming the path and the line.
+
+def read_csv(
+    path: str | Path,
+    columns: dict[str, Callable[[str], Any]],
+    check: Callable[[tuple], None] | None = None,
+) -> Iterator[tuple]:
+    """Yield the rows after a first row that must be the names of `columns`,
+    each field converted by its column's function. `check`, if given, sees
+    each converted row in file order, for rules that span rows.
+
+    A short or long row, a field its function rejects with ValueError, or a
+    row `check` rejects with ValueError raises ValueError naming the path
+    and the line.
     """
     header = list(columns)
     with Path(path).open(encoding="utf-8", newline="") as fh:
@@ -97,7 +112,13 @@ def read_csv(path: str | Path, columns: dict[str, Callable[[str], Any]]) -> Iter
                     values.append(convert(field))
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: column {name!r}: {exc}") from exc
-            yield tuple(values)
+            row = tuple(values)
+            if check is not None:
+                try:
+                    check(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {n}: {exc}") from exc
+            yield row
 
 
 def write_model(

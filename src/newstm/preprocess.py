@@ -297,45 +297,45 @@ class Bows:
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Export as JSON: {token: id} plus per-id document frequencies and thresholds."""
+    """Export as JSON: the tokens and their document frequencies, each a list
+    indexed by word id, plus the filter thresholds."""
     payload = {
         "format": "newstm-vocab",
-        "version": 1,
+        "version": 2,
         "no_below": vocab.no_below,
         "no_above": vocab.no_above,
         "n_docs": vocab.n_docs,
-        "tokens": vocab.token_to_id,
-        "document_frequency": {str(i): df for i, df in enumerate(vocab.document_frequency)},
+        "tokens": vocab.id_to_token,
+        "document_frequency": vocab.document_frequency,
     }
     replace_text(path, json.dumps(payload, ensure_ascii=False))
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a `write_vocabulary` export; a malformed one raises ValueError naming `path`."""
+    """Read a `write_vocabulary` export; a malformed one raises ValueError
+    naming `path` and `newstm preprocess`, which rewrites it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "newstm-vocab":
-            raise ValueError(f"format is {payload.get('format')!r}")
-        token_to_id = {str(tok): int(i) for tok, i in payload["tokens"].items()}
-        df = payload["document_frequency"]
-        ids = list(range(len(token_to_id)))
-        if sorted(token_to_id.values()) != ids:
-            raise ValueError(f"token ids must be 0..{len(ids) - 1}, each used once")
-        if len(df) != len(ids) or not all(str(i) in df for i in ids):
-            raise ValueError(
-                f"document frequencies must be keyed by the ids 0..{len(ids) - 1} in decimal"
-            )
-        id_to_token = sorted(token_to_id, key=token_to_id.__getitem__)
+        if (payload.get("format"), payload.get("version")) != ("newstm-vocab", 2):
+            raise ValueError("not a version 2 newstm-vocab file")
+        tokens, df = payload["tokens"], payload["document_frequency"]
+        token_to_id = {tok: i for i, tok in enumerate(tokens) if isinstance(tok, str)}
+        if not isinstance(tokens, list) or len(token_to_id) != len(tokens):
+            raise ValueError("tokens must be a list of strings, none of them repeated")
+        if not (isinstance(df, list) and len(df) == len(tokens)):
+            raise ValueError(f"document_frequency must be a list of {len(tokens)} counts")
         return Vocabulary(
             token_to_id=token_to_id,
-            id_to_token=tuple(id_to_token),
-            document_frequency=tuple(int(df[str(i)]) for i in ids),
+            id_to_token=tuple(tokens),
+            document_frequency=tuple(map(int, df)),
             no_below=int(payload["no_below"]),
             no_above=float(payload["no_above"]),
             n_docs=int(payload["n_docs"]),
         )
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a valid vocabulary export ({exc})") from exc
+        raise ValueError(
+            f"{path}: not a valid vocabulary export ({exc}); re-run `newstm preprocess`"
+        ) from exc
 
 
 _BOWS_FORMAT = "newstm-bows"

@@ -149,6 +149,18 @@ def test_config_rejects_non_finite_numbers(setting):
         load_config(None, overrides=["corpus.path=x.jsonl", setting])
 
 
+def test_config_rejects_a_slice_calendar_past_9999(tmp_path, sample_corpus_path, caplog):
+    assert load_config(None, overrides=["corpus.path=x.jsonl", "corpus.n_slices=95759"])
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    args = ["--workspace", str(ws), "--config", str(config), "--set", "corpus.n_slices=100000"]
+    with caplog.at_level(logging.ERROR):
+        assert main([*args, "ingest"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["config corpus.n_slices must be <= 95759 from 2020-01-17, got 100000"]
+    assert not ws.exists()
+
+
 @pytest.mark.parametrize(
     ("text", "lineno"),
     [("k = 4\n[lda]\nk = 6\n", 1), ("[lda]\nk = 4\nthin = 2\nk = 6\n", 4)],
@@ -223,8 +235,8 @@ def test_pipeline_produces_all_artifacts(pipeline_ws):
         "intertopic",
         "trajectories",
     ):
-        entry = manifest["artifacts"][name]
-        assert (ws / entry["path"]).exists()
+        assert sorted(manifest["artifacts"][name]) == ["inputs", "sha256"]
+        assert (ws / _ARTIFACTS[name][0]).exists()
     assert (ws / "figures" / "timeline.svg").exists()
     assert (ws / "figures" / "intertopic.svg").exists()
     assert (ws / "figures" / "trajectory_topic_0.svg").exists()
@@ -371,16 +383,10 @@ def _drop_sha256(text):
     return json.dumps(manifest)
 
 
-def _path_outside(text):
-    manifest = json.loads(text)
-    manifest["artifacts"]["corpus"]["path"] = "../ws/corpus.jsonl"
-    return json.dumps(manifest)
-
-
 @pytest.mark.parametrize(
     "corrupt",
-    [_truncate, lambda text: "[]", _drop_sha256, _path_outside],
-    ids=["truncated", "list", "no-sha256", "path-outside"],
+    [_truncate, lambda text: "[]", _drop_sha256],
+    ids=["truncated", "list", "no-sha256"],
 )
 def test_corrupt_manifest_is_a_one_line_validation_error(
     tmp_path, sample_corpus_path, caplog, corrupt
@@ -403,25 +409,25 @@ def test_corrupt_manifest_is_a_one_line_validation_error(
         assert "Traceback" not in caplog.text
 
 
-@pytest.mark.parametrize("path", ["", ".", "figures"])
-def test_manifest_path_naming_a_directory_is_a_validation_error(
-    tmp_path, sample_corpus_path, caplog, path
+def test_manifest_entries_that_still_hold_a_path_load_and_the_path_is_ignored(
+    tmp_path, sample_corpus_path
 ):
+    # Entries once held their file's path too; each name's file is fixed in
+    # `_ARTIFACTS`, so even a path outside the workspace is never read.
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"
     assert main(["--workspace", str(ws), "--config", str(config), "ingest"]) == 0
-    (ws / "figures").mkdir(exist_ok=True)
     manifest_path = ws / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["artifacts"]["corpus"]["path"] = path
+    for entry in manifest["artifacts"].values():
+        entry["path"] = "../elsewhere"
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    with caplog.at_level(logging.ERROR):
-        code = main(["--workspace", str(ws), "--config", str(config), "preprocess"])
-    assert code == 1
-    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and f"workspace manifest {manifest_path}: " in errors[0]
-    assert f"artifact 'corpus' has path {path!r}, a directory" in errors[0]
-    assert "delete it and re-run from `newstm ingest`" in errors[0]
+    assert main(["--workspace", str(ws), "--config", str(config), "preprocess"]) == 0
+    artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
+    corpus_hash = manifest["artifacts"]["corpus"]["sha256"]
+    for name in ("vocab", "bows"):
+        assert artifacts[name]["inputs"] == {"corpus": corpus_hash}
+        assert sorted(artifacts[name]) == ["inputs", "sha256"]
 
 
 def test_lock_blocks_concurrent_commands(tmp_path, sample_corpus_path, caplog):
@@ -610,3 +616,28 @@ def test_report_setting_beyond_the_vocabulary_names_its_key(pipeline_ws, tmp_pat
     assert errors == [f"config report.{key} {size + 1} exceeds the vocabulary size {size}"]
     assert not any(path.exists() for path in outputs)
     assert (ws / "manifest.json").read_bytes() == manifest
+
+
+def test_report_on_a_version_1_vocabulary_asks_for_preprocess(pipeline_ws, tmp_path, caplog):
+    # A workspace from before `vocab.json` held lists: its hashes agree, so
+    # only the reader can reject the file.
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    path = ws / "vocab.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.update(
+        version=1,
+        tokens={tok: i for i, tok in enumerate(payload["tokens"])},
+        document_frequency={str(i): n for i, n in enumerate(payload["document_frequency"])},
+    )
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    workspace = Workspace(ws)
+    workspace.record(workspace.load_manifest(), "vocab", "model_static", "model_dtm")
+    with caplog.at_level(logging.ERROR):
+        code = main(["--workspace", str(ws), "--config", str(config), "report"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2
+    assert errors == [
+        f"{path}: not a valid vocabulary export (not a version 2 newstm-vocab file); "
+        "re-run `newstm preprocess`"
+    ]

@@ -169,6 +169,15 @@ def test_slice_first_start_off_anchor_raises():
         slice_monthly(corpus, 17, datetime.date(2020, 1, 18), 1)
 
 
+def test_slice_calendar_ends_by_december_9999():
+    first = datetime.date(2020, 1, 17)
+    slices = slice_monthly(Corpus(()), 17, first, 95_759)
+    assert slices[-1].end == datetime.date(9999, 12, 17)
+    with pytest.raises(ValueError) as info:
+        slice_monthly(Corpus(()), 17, first, 95_760)
+    assert str(info.value) == "n_slices must be in 1..95759 from 2020-01-17, got 95760"
+
+
 def test_slice_partition_property():
     import numpy as np
 
@@ -222,3 +231,12 @@ def test_timeline_csv_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     write_timeline_csv(series, path)
     assert read_timeline_csv(path) == series
+
+
+@pytest.mark.parametrize("second", ["2020-01-16", "2020-01-17"], ids=["descending", "repeated"])
+def test_timeline_csv_rejects_dates_that_do_not_ascend(tmp_path, second):
+    path = tmp_path / "timeline.csv"
+    path.write_text(f"date,count\r\n2020-01-17,1\r\n{second},2\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_timeline_csv(path)
+    assert str(info.value) == f"{path} line 3: date {second} is not after 2020-01-17"

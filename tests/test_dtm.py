@@ -81,6 +81,16 @@ def test_validation_errors():
         train_dtm([], BASE, vocab_size=10)
 
 
+def test_slice_whose_bags_are_not_its_doc_ids_is_rejected():
+    sliced = _two_slice_corpus()
+    meta, bows = sliced[1]
+    for docs in (bows[::-1], bows[1:], [*bows, BowDoc("extra", {0: 1})], []):
+        sliced[1] = (meta, docs)
+        with pytest.raises(ValueError) as info:
+            train_dtm(sliced, BASE, vocab_size=10)
+        assert str(info.value) == "slice 1: the bags of words are not for the slice's doc_ids"
+
+
 def test_nan_kappa_is_rejected():
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
@@ -169,7 +179,7 @@ def test_dtm_holds_its_betas_and_at_most_four_k_by_v_arrays_more(iterations):
             BowDoc(f"s{t}d{d}", {int(w): 1 for w in np.unique(rng.integers(0, v, 30))})
             for d in range(20)
         ]
-        sliced.append((_slice_meta(t), bows))
+        sliced.append((_slice_meta(t, [b.doc_id for b in bows]), bows))
     hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=1, thin=1, seed=3)
     tracemalloc.start()
     try:
@@ -316,8 +326,72 @@ def test_trajectory_series_rejects_nan(tmp_path):
     path = tmp_path / "traj.csv"
     rows = ["topic,word,slice_start,probability", "0,w1,2020-01-17,nan"]
     path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"'w1' leaves \[0, 1\]"):
+    with pytest.raises(ValueError) as info:
         read_trajectory_csv(path)
+    assert str(info.value) == (
+        f"{path} line 2: column 'probability': probability nan is not in [0, 1]"
+    )
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,w1,not-a-date,0.5", "column 'slice_start': Invalid isoformat string: 'not-a-date'"),
+        ("0,w1,20200217,0.5", "column 'slice_start': '20200217' is not a YYYY-MM-DD date"),
+        ("0,w1,2020-02-17,1.5", "column 'probability': probability 1.5 is not in [0, 1]"),
+        ("0,w1,2020-02-17,-inf", "column 'probability': probability -inf is not in [0, 1]"),
+        (
+            "0,w1,2020-01-17,0.5",
+            "topic 0 word 'w1': slice_start 2020-01-17 is not after 2020-01-17",
+        ),
+        (
+            "0,w1,2019-12-17,0.5",
+            "topic 0 word 'w1': slice_start 2019-12-17 is not after 2020-01-17",
+        ),
+    ],
+    ids=["not-a-date", "basic-format", "above-1", "minus-inf", "repeated", "descending"],
+)
+def test_trajectory_csv_rejects_a_bad_row_naming_its_line(tmp_path, row, message):
+    path = tmp_path / "traj.csv"
+    rows = ["topic,word,slice_start,probability", "0,w1,2020-01-17,0.5", row]
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == f"{path} line 3: {message}"
+
+
+def test_trajectory_csv_rejects_a_word_that_comes_back_with_an_earlier_date(tmp_path):
+    path = tmp_path / "traj.csv"
+    rows = [
+        "topic,word,slice_start,probability",
+        "0,w1,2020-02-17,0.5",
+        "0,w2,2020-02-17,0.5",
+        "0,w1,2020-01-17,0.5",
+    ]
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == (
+        f"{path} line 4: topic 0 word 'w1': slice_start 2020-01-17 is not after 2020-02-17"
+    )
+
+
+@pytest.mark.parametrize(
+    "words, series, message",
+    [
+        (("a", "b"), {"a": [0.5]}, "series has the words ['a'], not ['a', 'b']"),
+        (("a",), {"a": [0.5], "b": [0.5]}, "series has the words ['a', 'b'], not ['a']"),
+        (("a", "a"), {"a": [0.5]}, "series has the words ['a'], not ['a', 'a']"),
+        (("a",), {"a": [[0.5]]}, "series for 'a' has shape (1, 1), not (1,)"),
+        (("a",), {"a": [0.5, 0.5]}, "series for 'a' has shape (2,), not (1,)"),
+    ],
+    ids=["missing-word", "extra-word", "repeated-word", "two-dimensional", "too-long"],
+)
+def test_trajectory_series_rejects_a_series_that_does_not_match_its_words(words, series, message):
+    series = {word: np.array(values) for word, values in series.items()}
+    with pytest.raises(ValueError) as info:
+        TrajectorySeries(0, words, series, ("2020-01-17",))
+    assert str(info.value) == message
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -46,6 +46,7 @@ from newstm.preprocess import (
     write_bows,
     write_vocabulary,
 )
+from newstm.modelfile import write_model
 from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
@@ -82,8 +83,9 @@ def _shrink_first_shape(header):
     header["arrays"][0]["shape"][-1] -= 1
 
 
-def _grow_vocab_size(header):
-    header["meta"]["vocab_size"] += 1
+def _add_a_topic(header):
+    meta = header["meta"]
+    (meta["hyper"] if "hyper" in meta else meta["base_hyper"])["k"] += 1
 
 
 # Each way a model file can be malformed, and what the error says about it.
@@ -93,7 +95,7 @@ CASES = {
     "truncated": "Failed to read all data",
     "trailing-bytes": "trailing bytes after the last array",
     "shape-mismatch": r"header says <f8\[",
-    "vocab-size": r"beta has shape \(.*10\), expected \(.*11\)",
+    "topic-count": r"beta has shape \((3, )?3, 10\), not \((3, )?4, V\)",
 }
 
 
@@ -113,8 +115,8 @@ def _corrupt(case, path, models, kind):
         path.write_bytes(path.read_bytes() + b"\0")
     elif case == "shape-mismatch":
         _with_header(path, _shrink_first_shape)
-    elif case == "vocab-size":
-        _with_header(path, _grow_vocab_size)
+    elif case == "topic-count":
+        _with_header(path, _add_a_topic)
 
 
 @pytest.mark.parametrize("kind", ["lda", "dtm"])
@@ -133,17 +135,52 @@ def test_malformed_model_file_names_path_and_retrain_command(tmp_path, models, k
         load(path)
 
 
+def _dtm_file(path, meta, beta, theta):
+    write_model(path, "newstm-dtm", meta, {"per_slice_beta": beta, "per_slice_theta": theta})
+
+
 def test_dtm_theta_rows_come_from_the_header(tmp_path, models):
+    # Each slice's θ rows are its doc ids in the header, in order.
     model = models["dtm"][0]
     path = tmp_path / "dtm.newstm"
     save_dtm(model, path)
     assert [t.shape[0] for t in load_dtm(path).per_slice_theta] == [7, 0, 5]
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+    beta, theta = model.per_slice_beta, np.concatenate(model.per_slice_theta)
+    slices = meta["slices"]
+    slices[1]["doc_ids"].append(slices[0]["doc_ids"].pop())  # the rows move with the doc id
+    _dtm_file(path, meta, beta, theta)
+    loaded = load_dtm(path)
+    assert [t.shape[0] for t in loaded.per_slice_theta] == [6, 1, 5]
+    assert np.array_equal(loaded.per_slice_theta[1], theta[6:7])
+    for rows in (theta[:-1], np.concatenate([theta, theta[:1]])):
+        _dtm_file(path, meta, beta, rows)
+        with pytest.raises(ValueError, match=rf"has shape \({len(rows)}, 3\), not \(12, 3\)"):
+            load_dtm(path)
 
-    def move_a_row(header):
-        header["meta"]["theta_rows"] = [6, 1, 5]
 
-    _with_header(path, move_a_row)
-    assert [t.shape[0] for t in load_dtm(path).per_slice_theta] == [6, 1, 5]
+def test_model_files_that_carry_vocab_size_and_theta_rows_load_to_the_same_arrays(
+    tmp_path, models
+):
+    # Headers once also held `vocab_size` (beta's last axis) and, for the
+    # DTM, each slice's θ row count (its number of doc ids).
+    def add_old_fields(header):
+        header["meta"]["vocab_size"] = 10
+        if header["format"] == "newstm-dtm":
+            header["meta"]["theta_rows"] = [6, 1, 5]  # ignored: rows follow the doc ids
+
+    upgraded = {}
+    for kind in ("lda", "dtm"):
+        model, save, load, _ = models[kind]
+        path = tmp_path / f"{kind}.newstm"
+        save(model, path)
+        written = path.read_bytes()
+        _with_header(path, add_old_fields)
+        upgraded[kind] = load(path)
+        save(upgraded[kind], path)
+        assert path.read_bytes() == written, kind  # the same arrays and metadata
+    assert upgraded["lda"].vocab_size == 10
+    assert [t.shape[0] for t in upgraded["dtm"].per_slice_theta] == [7, 0, 5]
 
 
 @pytest.mark.parametrize(
@@ -208,12 +245,9 @@ def test_cli_exits_2_on_old_json_model(tmp_path, sample_corpus_path, models, cap
     # a JSON model file and carries its hash, so only the loader can reject it.
     workspace = Workspace(ws)
     manifest = workspace.load_manifest()
-    entry = manifest["artifacts"]["model_static"]
-    old = ws / "model_static.json"
+    old = ws / "model_static.newstm"
     _old_json_model(old, "newstm-lda")
-    (ws / entry["path"]).unlink()
-    entry["path"] = old.name
-    entry["sha256"] = _sha256(old)
+    manifest["artifacts"]["model_static"]["sha256"] = _sha256(old)
     workspace.save_manifest(manifest)
 
     with caplog.at_level(logging.ERROR):
@@ -346,6 +380,24 @@ def test_intertopic_csv_rejects_a_non_finite_or_negative_field(tmp_path, row, me
     with pytest.raises(ValueError) as info:
         read_intertopic_csv(path)
     assert str(info.value) == f"{path} line 3: {message}"
+
+
+@pytest.mark.parametrize(
+    "topics, line, message",
+    [
+        ("33", 2, "topic 3 where topic 0 belongs (0..K-1 in row order)"),
+        ("00", 3, "topic 0 where topic 1 belongs (0..K-1 in row order)"),
+        ("10", 2, "topic 1 where topic 0 belongs (0..K-1 in row order)"),
+    ],
+    ids=["repeated-3", "repeated-0", "swapped"],
+)
+def test_intertopic_csv_rejects_topics_out_of_row_order(tmp_path, topics, line, message):
+    path = tmp_path / "intertopic.csv"
+    lines = ["topic,x,y,prevalence", *(f"{t},0.0,0.0,0.5" for t in topics)]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_intertopic_csv(path)
+    assert str(info.value) == f"{path} line {line}: {message}"
 
 
 def test_timeline_csv_rejects_a_negative_count(tmp_path):

@@ -281,7 +281,9 @@ def test_vocabulary_json_roundtrip(tmp_path):
     again = read_vocabulary(path)
     assert again == vocab
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["tokens"] == {"a": 0, "b": 1, "c": 2}
+    assert payload["version"] == 2
+    assert payload["tokens"] == ["a", "b", "c"]
+    assert payload["document_frequency"] == [3, 2, 1]
 
 
 def _csr(bows):
@@ -347,7 +349,7 @@ def test_pipeline_determinism(tmp_path):
 
 
 def _vocab_file(path, tokens):
-    """A vocabulary export whose token ids are replaced by `tokens`."""
+    """A vocabulary export whose `tokens` entry is replaced by `tokens`."""
     vocab = build_vocabulary(_streams({"d0": ["a", "b"]}), no_below=1, no_above=1.0)
     write_vocabulary(vocab, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -367,20 +369,28 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
 
 
 @pytest.mark.parametrize(
-    "df",
-    [{"0": 1, "1": 2, "01": 5}, {"0": 1, "01": 2}, {"0": 1, "+1": 2}, {"0": 1, " 1": 2}],
-    ids=["alias", "leading-zero", "plus-sign", "space"],
+    "changes, fault",
+    [
+        ({"tokens": ["a", "a"]}, "tokens must be a list of strings, none of them repeated"),
+        ({"document_frequency": [1]}, "document_frequency must be a list of 2 counts"),
+        ({"document_frequency": [1, 1, 1]}, "document_frequency must be a list of 2 counts"),
+        (
+            {"version": 1, "tokens": {"a": 0, "b": 1}, "document_frequency": {"0": 1, "1": 1}},
+            "not a version 2 newstm-vocab file",
+        ),
+    ],
+    ids=["repeated-token", "short-frequencies", "long-frequencies", "version-1"],
 )
-def test_read_vocabulary_rejects_document_frequency_keys_other_than_decimal_ids(tmp_path, df):
-    path = _vocab_file(tmp_path / "vocab.json", {"a": 0, "b": 1})
+def test_read_vocabulary_rejects_a_fault_of_the_list_layout(tmp_path, changes, fault):
+    path = _vocab_file(tmp_path / "vocab.json", ["a", "b"])
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["document_frequency"] = df
+    payload.update(changes)
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="document frequencies must be keyed by the ids 0..1"):
+    with pytest.raises(ValueError) as info:
         read_vocabulary(path)
-    payload["document_frequency"] = {"1": 2, "0": 1}
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert read_vocabulary(path).document_frequency == (1, 2)
+    assert str(info.value) == (
+        f"{path}: not a valid vocabulary export ({fault}); re-run `newstm preprocess`"
+    )
 
 
 def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows", doc_ids=None):
