@@ -57,7 +57,7 @@ from newstm.evaluate import (
     write_overlap_json,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
-from newstm.modelfile import finite_float, remove_stray_temps, replace_text
+from newstm.modelfile import finite_float, json_fields, remove_stray_temps, replace_text
 from newstm.preprocess import (
     Bows,
     TokenStream,
@@ -260,25 +260,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest_fault(manifest: Any) -> str | None:
-    """What is wrong with a parsed manifest, or None if it is well formed."""
-    if not isinstance(manifest, dict):
-        return f"expected a JSON object, got {type(manifest).__name__}"
-    if manifest.get("format") != "newstm-workspace" or manifest.get("version") != 1:
-        return "not a version 1 newstm-workspace manifest"
-    artifacts = manifest.get("artifacts")
-    if not isinstance(artifacts, dict):
-        return "no artifacts object"
-    for name, entry in artifacts.items():
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("sha256"), str)
-            and isinstance(entry.get("inputs"), dict)
-        ):
-            return f"artifact {name!r} needs a string sha256 and an inputs object"
-    return None
-
-
 class Workspace:
     """Artifact directory with a hashed manifest and a coarse command lock."""
 
@@ -291,22 +272,24 @@ class Workspace:
         """The workspace manifest, checked to be one this version wrote."""
         if not self.manifest_path.exists():
             return {"format": "newstm-workspace", "version": 1, "artifacts": {}}
-        try:
+        try:  # bad JSON or bad UTF-8 is a ValueError too
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            fault = f"not valid JSON: {exc}"
-        else:
-            fault = _manifest_fault(manifest)
-        if fault is not None:
-            raise self._malformed(fault)
+            fields = {"format": str, "version": int, "artifacts": dict}
+            fmt, version, artifacts = json_fields(manifest, fields)
+            if (fmt, version) != ("newstm-workspace", 1):
+                raise ValueError("not a version 1 newstm-workspace manifest")
+            for name, entry in artifacts.items():
+                try:
+                    json_fields(entry, {"sha256": str, "inputs": dict})
+                except ValueError as exc:
+                    raise ValueError(f"artifact {name!r}: {exc}") from None
+        except ValueError as exc:
+            # ingest loads the manifest too, so the file itself has to go.
+            raise ValidationError(
+                f"workspace manifest {self.manifest_path}: {exc}; "
+                "delete it and re-run from `newstm ingest`"
+            ) from exc
         return manifest
-
-    def _malformed(self, fault: str) -> ValidationError:
-        # ingest loads the manifest too, so the file itself has to go.
-        return ValidationError(
-            f"workspace manifest {self.manifest_path}: {fault}; "
-            "delete it and re-run from `newstm ingest`"
-        )
 
     def save_manifest(self, manifest: dict) -> None:
         text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from newstm.modelfile import read_csv, replacing, write_csv
+from newstm.modelfile import iso_date, json_fields, read_csv, replacing, write_csv
 
 logger = logging.getLogger(__name__)
 
-_REQUIRED_FIELDS = ("id", "date", "category", "title", "body")
+_FIELD_TYPES = dict.fromkeys(("id", "date", "category", "title", "body"), str)
 
 
 class CorpusError(ValueError):
@@ -108,24 +108,14 @@ def load_corpus(path: str | Path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {lineno}: record is not an object")
-            missing = [name for name in _REQUIRED_FIELDS if name not in record]
-            if missing:
-                raise CorpusError(f"{path}: line {lineno}: missing fields {missing}")
-            for name in _REQUIRED_FIELDS:
-                if not isinstance(record[name], str):
-                    raise CorpusError(
-                        f"{path}: line {lineno}: field {name!r} must be a string, "
-                        f"got {json.dumps(record[name])[:40]}"
-                    )
             try:
-                when = datetime.date.fromisoformat(record["date"])
+                doc_id, day, category, title, body = json_fields(record, _FIELD_TYPES)
             except ValueError as exc:
-                raise CorpusError(
-                    f"{path}: line {lineno}: unparseable date {record['date']!r}"
-                ) from exc
-            doc_id = record["id"]
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+            try:
+                when = datetime.date.fromisoformat(day)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {lineno}: unparseable date {day!r}") from exc
             if doc_id in seen:
                 raise CorpusError(
                     f"{path}: line {lineno}: duplicate id {doc_id!r} "
@@ -133,15 +123,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 )
             seen[doc_id] = lineno
             try:
-                docs.append(
-                    Document(
-                        id=doc_id,
-                        date=when,
-                        category=record["category"],
-                        title=record["title"],
-                        body=record["body"],
-                    )
-                )
+                docs.append(Document(doc_id, when, category, title, body))
             except ValueError as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     docs.sort(key=lambda d: d.date)
@@ -270,5 +252,5 @@ def read_timeline_csv(path: str | Path) -> list[tuple[datetime.date, int]]:
             raise ValueError(f"date {row[0]} is not after {previous}")
         previous = row[0]
 
-    columns = {"date": datetime.date.fromisoformat, "count": _count}
+    columns = {"date": iso_date, "count": _count}
     return list(read_csv(path, columns, ascending))

@@ -31,7 +31,7 @@ from newstm.lda import (
 )
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
-from newstm.modelfile import read_csv, read_model, write_csv, write_model
+from newstm.modelfile import iso_date, json_fields, read_csv, read_model, write_csv, write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -193,13 +193,6 @@ def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Pa
     write_csv(path, ("topic", "word", "slice_start", "probability"), rows)
 
 
-def _slice_start(field: str) -> str:
-    # fromisoformat also takes forms such as 20200117; only YYYY-MM-DD is written.
-    if datetime.date.fromisoformat(field).isoformat() != field:
-        raise ValueError(f"{field!r} is not a YYYY-MM-DD date")
-    return field
-
-
 def _probability(field: str) -> float:
     value = float(field)
     if not 0 <= value <= 1:  # false for nan too
@@ -211,20 +204,20 @@ def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
     """Read a `write_trajectory_csv` export: each word's slice_start dates
     strictly ascend, and each topic's words share one list of dates."""
     grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}  # in first-seen order
-    latest: dict[tuple[int, str], str] = {}  # each word's last slice_start so far
+    latest: dict[tuple[int, str], datetime.date] = {}  # each word's last slice_start so far
 
     def ascending(row: tuple) -> None:
         topic, word, label, _ = row
-        before = latest.get((topic, word), "")
-        if label <= before:
+        before = latest.get((topic, word))
+        if before is not None and label <= before:
             raise ValueError(
                 f"topic {topic} word {word!r}: slice_start {label} is not after {before}"
             )
         latest[topic, word] = label
 
-    columns = {"topic": int, "word": str, "slice_start": _slice_start, "probability": _probability}
+    columns = {"topic": int, "word": str, "slice_start": iso_date, "probability": _probability}
     for topic, word, label, prob in read_csv(path, columns, ascending):
-        grouped.setdefault(topic, {}).setdefault(word, []).append((label, prob))
+        grouped.setdefault(topic, {}).setdefault(word, []).append((label.isoformat(), prob))
     out: list[TrajectorySeries] = []
     for topic, by_word in grouped.items():
         words = tuple(by_word)
@@ -270,17 +263,27 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
 
 
 def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
-    slices = [
-        TimeSlice(
-            index=int(s["index"]),
-            start=datetime.date.fromisoformat(s["start"]),
-            end=datetime.date.fromisoformat(s["end"]),
-            doc_ids=tuple(s["doc_ids"]),
-        )
-        for s in meta["slices"]
-    ]
+    kappa, seeds, base_hyper, entries = json_fields(
+        meta, {"kappa": float, "slice_seeds": list[int], "base_hyper": dict, "slices": list}
+    )
+    slices: list[TimeSlice] = []
+    for t, entry in enumerate(entries):  # as slice_monthly builds them: in order, abutting
+        try:
+            index, start, end, doc_ids = json_fields(
+                entry, {"index": int, "start": str, "end": str, "doc_ids": list[str]}
+            )
+            start, end = iso_date(start), iso_date(end)
+            if index != t:
+                raise ValueError(f"index {index}, expected {t}")
+            if not start < end:
+                raise ValueError(f"start {start} is not before end {end}")
+            if slices and start != slices[-1].end:
+                raise ValueError(f"start {start} is not slice {t - 1}'s end {slices[-1].end}")
+        except ValueError as exc:
+            raise ValueError(f"slice {t}: {exc}") from None
+        slices.append(TimeSlice(index, start, end, tuple(doc_ids)))
     rows = [len(s) for s in slices]  # a slice's theta rows are its documents, in order
-    hyper = LdaHyperparams(**meta["base_hyper"])
+    hyper = LdaHyperparams(**base_hyper)
     thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
     if betas.ndim != 3 or betas.shape[:2] != (len(slices), hyper.k):
         raise ValueError(
@@ -292,9 +295,9 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         slices=slices,
         per_slice_beta=betas,
         per_slice_theta=np.split(thetas, np.cumsum(rows)[:-1]),
-        kappa=float(meta["kappa"]),
+        kappa=kappa,
         base_hyper=hyper,
-        slice_seeds=[int(s) for s in meta["slice_seeds"]],
+        slice_seeds=seeds,
     )
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -29,7 +28,7 @@ from newstm import _kernels
 from newstm._kernels import infer_chain
 # Unused here, but perfbench/spans.py looks these two names up on this module.
 from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
-from newstm.modelfile import read_model, write_model
+from newstm.modelfile import json_fields, read_model, write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -38,9 +37,19 @@ _FORMAT = "newstm-lda"
 _BLOCK_VALUES = 65_536  # uniforms per block (512 KB), or one sweep's if it needs more
 
 
+# The JSON type of each LdaHyperparams field, which config, both model
+# headers and library callers must all give exactly.
+_HYPER_TYPES = dict(k=int, alpha=float, eta=float, iterations=int, burn_in=int, thin=int, seed=int)
+
+
 @dataclass(frozen=True)
 class LdaHyperparams:
-    """Collapsed-Gibbs settings; alpha=None resolves to the 50/k default."""
+    """Collapsed-Gibbs settings; alpha=None resolves to the 50/k default.
+
+    Each field must be of its type exactly, by the rule of
+    `modelfile.json_fields`: a bool or a numpy integer is not an int, and a
+    float is a finite int or float.
+    """
 
     k: int
     alpha: float | None = None
@@ -51,14 +60,16 @@ class LdaHyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        json_fields(vars(self), {"k": int})  # the default alpha divides by it
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.k)
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        json_fields(vars(self), _HYPER_TYPES)
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.iterations > self.burn_in >= 0:
             raise ValueError(
                 f"need iterations > burn_in >= 0, got {self.iterations} and {self.burn_in}"

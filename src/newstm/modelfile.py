@@ -21,13 +21,14 @@ shape, so the same model always gives the same bytes.
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 import math
 import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar, get_args, get_origin
 
 import numpy as np
 from numpy.lib.format import read_array, write_array
@@ -81,6 +82,60 @@ def finite_float(field: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{value} is not finite")
     return value
+
+
+def iso_date(field: str) -> datetime.date:
+    """`field` as a date, which must be written YYYY-MM-DD; a CSV or JSON
+    converter. `date.fromisoformat` alone also takes forms such as 20200117."""
+    day = datetime.date.fromisoformat(field)
+    if day.isoformat() != field:
+        raise ValueError(f"{field!r} is not a YYYY-MM-DD date")
+    return day
+
+
+# What a message calls each field type `json_fields` checks.
+_JSON_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a finite number", dict: "an object", list: "a list",
+    list[str]: "a list of strings", list[int]: "a list of integers",
+}
+
+
+def _is_json(value: Any, kind: Any) -> bool:
+    if get_origin(kind) is list:
+        return type(value) is list and all(_is_json(item, get_args(kind)[0]) for item in value)
+    if kind is float:  # an int is finite; math.isfinite would overflow on a huge one
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    return type(value) is kind
+
+
+def json_fields(obj: Any, types: dict[str, Any]) -> tuple:
+    """The values of the fields of the JSON object `obj` that `types` names,
+    in its order, each checked to be of its type exactly.
+
+    A type is `str`, `int`, `float`, `dict`, `list`, `list[str]` or
+    `list[int]`. A bool is not an int, a float is a finite int or float,
+    and a list[T] is a list whose items are all T. A non-object, a missing
+    field or a field of another type raises ValueError naming the field.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {_shown(obj)}")
+    missing = [name for name in types if name not in obj]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    for name, kind in types.items():
+        if not _is_json(obj[name], kind):
+            raise ValueError(
+                f"field {name!r} must be {_JSON_TYPE_NAMES[kind]}, got {_shown(obj[name])}"
+            )
+    return tuple(obj[name] for name in types)
+
+
+def _shown(value: Any) -> str:
+    # A library caller's value may not be JSON: a numpy float would print as
+    # a plain number, and a numpy integer would make json.dumps raise.
+    if type(value) in (dict, list, str, int, float, bool, type(None)):
+        return json.dumps(value, default=repr, skipkeys=True)[:40]
+    return repr(value)[:40]
 
 
 def read_csv(
@@ -168,27 +223,26 @@ def read_model(
 
 def _read(fh, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
     header = json.loads(fh.readline().decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError("the first line is not a JSON object")
-    if header.get("format") != fmt:
-        raise ValueError(f"format is {header.get('format')!r}, expected {fmt!r}")
-    if header.get("version") != VERSION:
+    # Format and version first: a JSON model of version 1 has neither meta nor arrays.
+    found, version = json_fields(header, {"format": str, "version": int})
+    if found != fmt:
+        raise ValueError(f"format is {found!r}, expected {fmt!r}")
+    if version != VERSION:
         raise ValueError(
-            f"version {header.get('version')!r}, expected {VERSION} "
-            "(models from before version 2 were JSON)"
+            f"version {version}, expected {VERSION} (models from before version 2 were JSON)"
         )
+    meta, entries = json_fields(header, {"meta": dict, "arrays": list})
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        name, shape, dtype = entry["name"], tuple(entry["shape"]), entry["dtype"]
+    for entry in entries:
+        name, shape, dtype = json_fields(entry, {"name": str, "shape": list[int], "dtype": str})
         if dtype not in _DTYPES.values():
             raise ValueError(f"array {name!r} has unsupported dtype {dtype!r}")
         arr = read_array(fh, allow_pickle=False)
-        if arr.shape != shape or arr.dtype.str != dtype:
+        if list(arr.shape) != shape or arr.dtype.str != dtype:
             raise ValueError(
-                f"array {name!r} is {arr.dtype.str}{list(arr.shape)}, "
-                f"header says {dtype}{list(shape)}"
+                f"array {name!r} is {arr.dtype.str}{list(arr.shape)}, header says {dtype}{shape}"
             )
         arrays[name] = arr
     if fh.read(1):
         raise ValueError("trailing bytes after the last array")
-    return header["meta"], arrays
+    return meta, arrays

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from newstm.modelfile import read_model, replace_text, write_model
+from newstm.modelfile import json_fields, read_model, replace_text, write_model
 
 logger = logging.getLogger(__name__)
 
@@ -311,28 +311,26 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     replace_text(path, json.dumps(payload, ensure_ascii=False))
 
 
+_VOCAB_TYPES = dict(
+    tokens=list[str], document_frequency=list[int], no_below=int, no_above=float, n_docs=int
+)
+
+
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Read a `write_vocabulary` export; a malformed one raises ValueError
     naming `path` and `newstm preprocess`, which rewrites it."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if (payload.get("format"), payload.get("version")) != ("newstm-vocab", 2):
+        if json_fields(payload, {"format": str, "version": int}) != ("newstm-vocab", 2):
             raise ValueError("not a version 2 newstm-vocab file")
-        tokens, df = payload["tokens"], payload["document_frequency"]
-        token_to_id = {tok: i for i, tok in enumerate(tokens) if isinstance(tok, str)}
-        if not isinstance(tokens, list) or len(token_to_id) != len(tokens):
+        tokens, df, no_below, no_above, n_docs = json_fields(payload, _VOCAB_TYPES)
+        token_to_id = {tok: i for i, tok in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
             raise ValueError("tokens must be a list of strings, none of them repeated")
-        if not (isinstance(df, list) and len(df) == len(tokens)):
+        if len(df) != len(tokens):
             raise ValueError(f"document_frequency must be a list of {len(tokens)} counts")
-        return Vocabulary(
-            token_to_id=token_to_id,
-            id_to_token=tuple(tokens),
-            document_frequency=tuple(map(int, df)),
-            no_below=int(payload["no_below"]),
-            no_above=float(payload["no_above"]),
-            n_docs=int(payload["n_docs"]),
-        )
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        return Vocabulary(token_to_id, tuple(tokens), tuple(df), no_below, no_above, n_docs)
+    except ValueError as exc:
         raise ValueError(
             f"{path}: not a valid vocabulary export ({exc}); re-run `newstm preprocess`"
         ) from exc
@@ -350,14 +348,8 @@ def write_bows(bows: Bows, path: str | Path) -> None:
 
 
 def _bows_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> Bows:
-    doc_ids, vocab_size = meta["doc_ids"], meta["vocab_size"]
-    if not (isinstance(doc_ids, list) and all(isinstance(d, str) for d in doc_ids)):
-        raise ValueError("doc_ids must be a list of strings")
-    if type(vocab_size) is not int:
-        raise ValueError(f"vocab_size must be an integer, got {vocab_size!r}")
-    return Bows(
-        tuple(doc_ids), arrays["doc_lengths"], arrays["word_ids"], arrays["counts"], vocab_size
-    )
+    doc_ids, vocab_size = json_fields(meta, {"doc_ids": list[str], "vocab_size": int})
+    return Bows(doc_ids, arrays["doc_lengths"], arrays["word_ids"], arrays["counts"], vocab_size)
 
 
 def read_bows(path: str | Path) -> Bows:

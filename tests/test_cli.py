@@ -385,8 +385,13 @@ def _drop_sha256(text):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_truncate, lambda text: "[]", _drop_sha256],
-    ids=["truncated", "list", "no-sha256"],
+    [
+        _truncate,
+        lambda text: "[]",
+        _drop_sha256,
+        lambda text: text.replace('"version": 1', '"version": true'),
+    ],
+    ids=["truncated", "list", "no-sha256", "bool-version"],
 )
 def test_corrupt_manifest_is_a_one_line_validation_error(
     tmp_path, sample_corpus_path, caplog, corrupt

@@ -54,6 +54,23 @@ def test_hyperparams_reject_nan_priors(prior):
             LdaHyperparams(k=2, **{prior: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("k", 2.0, "field 'k' must be an integer, got 2.0"),
+        ("k", np.int64(2), "field 'k' must be an integer, got np.int64(2)"),
+        ("seed", True, "field 'seed' must be an integer, got true"),
+        ("iterations", "10", "field 'iterations' must be an integer, got \"10\""),
+        ("eta", True, "field 'eta' must be a finite number, got true"),
+    ],
+    ids=["float-k", "numpy-k", "bool-seed", "string-iterations", "bool-eta"],
+)
+def test_hyperparams_take_each_field_of_its_exact_type(field, value, fault):
+    with pytest.raises(ValueError) as info:
+        LdaHyperparams(**{"k": 2, field: value})
+    assert str(info.value) == fault
+
+
 def test_alpha_defaults_to_fifty_over_k():
     assert LdaHyperparams(k=20).alpha == pytest.approx(2.5)
     assert LdaHyperparams(k=2, alpha=0.7).alpha == 0.7

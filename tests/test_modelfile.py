@@ -46,7 +46,7 @@ from newstm.preprocess import (
     write_bows,
     write_vocabulary,
 )
-from newstm.modelfile import write_model
+from newstm.modelfile import json_fields, write_model
 from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
@@ -88,6 +88,18 @@ def _add_a_topic(header):
     (meta["hyper"] if "hyper" in meta else meta["base_hyper"])["k"] += 1
 
 
+def _hyper_of(header):
+    meta = header["meta"]
+    return meta["hyper"] if "hyper" in meta else meta["base_hyper"]
+
+
+# Header fields of the right value but the wrong JSON type.
+MISTYPED = {
+    "float-k": lambda header: _hyper_of(header).update(k=3.0),
+    "bool-seed": lambda header: _hyper_of(header).update(seed=True),
+    "float-shape": lambda header: header["arrays"][0]["shape"].__setitem__(0, 3.0),
+}
+
 # Each way a model file can be malformed, and what the error says about it.
 CASES = {
     "old-json": "version 1, expected 2",
@@ -96,6 +108,9 @@ CASES = {
     "trailing-bytes": "trailing bytes after the last array",
     "shape-mismatch": r"header says <f8\[",
     "topic-count": r"beta has shape \((3, )?3, 10\), not \((3, )?4, V\)",
+    "float-k": r"field 'k' must be an integer, got 3\.0",
+    "bool-seed": "field 'seed' must be an integer, got true",
+    "float-shape": r"field 'shape' must be a list of integers, got \[3\.0, ",
 }
 
 
@@ -117,6 +132,8 @@ def _corrupt(case, path, models, kind):
         _with_header(path, _shrink_first_shape)
     elif case == "topic-count":
         _with_header(path, _add_a_topic)
+    elif case in MISTYPED:
+        _with_header(path, MISTYPED[case])
 
 
 @pytest.mark.parametrize("kind", ["lda", "dtm"])
@@ -157,6 +174,65 @@ def test_dtm_theta_rows_come_from_the_header(tmp_path, models):
         _dtm_file(path, meta, beta, rows)
         with pytest.raises(ValueError, match=rf"has shape \({len(rows)}, 3\), not \(12, 3\)"):
             load_dtm(path)
+
+
+def _swap_first_slices(meta):
+    slices = meta["slices"]
+    slices[0], slices[1] = slices[1], slices[0]
+
+
+# Slice entries as `slice_monthly` never builds them; `models` has three
+# slices of 7, 0 and 5 documents, a month each from 2020-01-17. Every edit
+# keeps the θ rows the doc ids call for.
+BAD_SLICES = {
+    "doc-ids-string": (
+        lambda meta: meta["slices"][0].update(doc_ids="abcdefg"),
+        "slice 0: field 'doc_ids' must be a list of strings, got \"abcdefg\"",
+    ),
+    "float-index": (
+        lambda meta: meta["slices"][0].update(index=0.0),
+        "slice 0: field 'index' must be an integer, got 0.0",
+    ),
+    "other-index": (
+        lambda meta: meta["slices"][2].update(index=5),
+        "slice 2: index 5, expected 2",
+    ),
+    "out-of-order": (_swap_first_slices, "slice 0: index 1, expected 0"),
+    "empty-span": (
+        lambda meta: meta["slices"][2].update(end="2020-03-17"),
+        "slice 2: start 2020-03-17 is not before end 2020-03-17",
+    ),
+    "gap": (
+        lambda meta: meta["slices"][1].update(end="2020-03-01"),
+        "slice 2: start 2020-03-17 is not slice 1's end 2020-03-01",
+    ),
+    "basic-date": (
+        lambda meta: meta["slices"][0].update(start="20200117"),
+        "slice 0: '20200117' is not a YYYY-MM-DD date",
+    ),
+    "bool-kappa": (
+        lambda meta: meta.update(kappa=True),
+        "field 'kappa' must be a finite number, got true",
+    ),
+    "float-seed": (
+        lambda meta: meta["slice_seeds"].__setitem__(1, 1.5),
+        "field 'slice_seeds' must be a list of integers, got [5, 1.5, ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SLICES))
+def test_dtm_header_rejects_a_field_slice_monthly_would_not_write(tmp_path, models, case):
+    edit, fault = BAD_SLICES[case]
+    model = models["dtm"][0]
+    path = tmp_path / "dtm.newstm"
+    save_dtm(model, path)
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+    edit(meta)
+    _dtm_file(path, meta, model.per_slice_beta, np.concatenate(model.per_slice_theta))
+    with pytest.raises(ValueError) as info:
+        load_dtm(path)
+    assert f"not a valid newstm-dtm model file ({fault}" in str(info.value)
 
 
 def test_model_files_that_carry_vocab_size_and_theta_rows_load_to_the_same_arrays(
@@ -352,8 +428,13 @@ def test_csv_reader_rejects_short_row(tmp_path, read, lines, fields):
             ["topic,x,y,prevalence", "0,0.0,0.0,0.5", "1,0.0,y,0.5"],
             "column 'y': could not convert string to float: 'y'",
         ),
+        (
+            read_timeline_csv,
+            ["date,count", "2020-01-17,1", "20200118,1"],
+            "column 'date': '20200118' is not a YYYY-MM-DD date",
+        ),
     ],
-    ids=["timeline", "trajectory", "intertopic"],
+    ids=["timeline", "trajectory", "intertopic", "timeline-basic-date"],
 )
 def test_csv_reader_rejects_bad_value(tmp_path, read, lines, message):
     path = tmp_path / "table.csv"
@@ -493,3 +574,53 @@ def test_package_imports_only_stdlib_and_numpy():
         assert _third_party_imports(snippet) == [snippet.split()[1]], snippet
     for snippet in ("import os.path", "from numpy.lib import format", "from . import lda"):
         assert _third_party_imports(snippet) == [], snippet
+
+
+@pytest.mark.parametrize(
+    "obj, kind, fault",
+    [
+        ({"f": True}, int, "field 'f' must be an integer, got true"),
+        ({"f": 2.0}, int, "field 'f' must be an integer, got 2.0"),
+        ({"f": 2}, float, None),
+        ({"f": 10**400}, float, None),
+        ({"f": False}, float, "field 'f' must be a finite number, got false"),
+        ({"f": float("nan")}, float, "field 'f' must be a finite number, got NaN"),
+        ({"f": ["a", 1]}, list[str], "field 'f' must be a list of strings, got [\"a\", 1]"),
+        ({"f": "ab"}, list[str], "field 'f' must be a list of strings, got \"ab\""),
+        ({"f": [1, True]}, list[int], "field 'f' must be a list of integers, got [1, true]"),
+        ({"g": 1}, str, "missing fields ['f']"),
+        ([{"f": 1}], int, "expected a JSON object, got [{\"f\": 1}]"),
+        # A value no JSON parser gives, from a library caller, is shown by its repr.
+        ({"f": np.int64(2)}, int, "field 'f' must be an integer, got np.int64(2)"),
+        ({"f": np.float64(0.5)}, float, "field 'f' must be a finite number, got np.float64(0.5)"),
+    ],
+    ids=[
+        "bool-as-int",
+        "float-as-int",
+        "int-as-float",
+        "huge-int-as-float",
+        "bool-as-float",
+        "nan",
+        "int-in-list-of-str",
+        "string-as-list-of-str",
+        "bool-in-list-of-int",
+        "missing",
+        "not-an-object",
+        "numpy-int",
+        "numpy-float",
+    ],
+)
+def test_json_fields_takes_a_field_of_its_exact_type_only(obj, kind, fault):
+    if fault is None:
+        assert json_fields(obj, {"f": kind}) == (obj["f"],)
+    else:
+        with pytest.raises(ValueError) as info:
+            json_fields(obj, {"f": kind})
+        assert str(info.value) == fault
+
+
+def test_json_fields_returns_the_fields_in_the_order_given_and_names_all_missing():
+    obj = {"b": "x", "a": [1, 2], "extra": None}
+    assert json_fields(obj, {"a": list[int], "b": str}) == ([1, 2], "x")
+    with pytest.raises(ValueError, match=r"^missing fields \['c', 'd'\]$"):
+        json_fields(obj, {"a": list[int], "c": str, "d": int})

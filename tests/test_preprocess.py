@@ -378,8 +378,24 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
             {"version": 1, "tokens": {"a": 0, "b": 1}, "document_frequency": {"0": 1, "1": 1}},
             "not a version 2 newstm-vocab file",
         ),
+        (
+            {"document_frequency": [1.9, True]},
+            "field 'document_frequency' must be a list of integers, got [1.9, true]",
+        ),
+        ({"no_below": 1.5}, "field 'no_below' must be an integer, got 1.5"),
+        ({"no_above": "0.5"}, "field 'no_above' must be a finite number, got \"0.5\""),
+        ({"n_docs": True}, "field 'n_docs' must be an integer, got true"),
     ],
-    ids=["repeated-token", "short-frequencies", "long-frequencies", "version-1"],
+    ids=[
+        "repeated-token",
+        "short-frequencies",
+        "long-frequencies",
+        "version-1",
+        "non-integer-frequencies",
+        "float-no-below",
+        "string-no-above",
+        "bool-n-docs",
+    ],
 )
 def test_read_vocabulary_rejects_a_fault_of_the_list_layout(tmp_path, changes, fault):
     path = _vocab_file(tmp_path / "vocab.json", ["a", "b"])
