@@ -68,18 +68,19 @@ def library_digests() -> dict[str, str]:
     """Digests of held-out inference and thin=1 assignment samples under a
     two-topic model planted on disjoint halves of a six-word vocabulary."""
     from newstm.lda import LdaHyperparams, infer_theta, posterior_assignment_samples, train_lda
-    from newstm.preprocess import BowDoc
+    from newstm.preprocess import BowDoc, Bows
 
     rng = np.random.default_rng(0)
-    bows = []
+    docs = []
     for d in range(12):
         words = rng.integers(0, 3, 8) + 3 * (d % 2)
-        bows.append(BowDoc(f"d{d}", dict(sorted(Counter(words.tolist()).items()))))
+        docs.append(BowDoc(f"d{d}", dict(sorted(Counter(words.tolist()).items()))))
     hyper = LdaHyperparams(k=2, alpha=0.5, iterations=50, burn_in=10, thin=5, seed=1)
-    model = train_lda(bows, 6, hyper)
+    model = train_lda(Bows.from_docs(docs, 6), hyper)
     theta = infer_theta(model, BowDoc("held-out", {0: 3, 1: 2, 4: 1}), sweeps=50, seed=2)
     samples, _, _ = posterior_assignment_samples(
-        bows[:3], 6, LdaHyperparams(k=2, alpha=0.5, iterations=40, burn_in=10, thin=1, seed=3)
+        Bows.from_docs(docs[:3], 6),
+        LdaHyperparams(k=2, alpha=0.5, iterations=40, burn_in=10, thin=1, seed=3),
     )
     return {
         "infer_theta": _sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()),

@@ -382,7 +382,7 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
     ws.require(manifest, "vocab")
-    model = train_lda(bows, bows.vocab_size, config.hyper)
+    model = train_lda(bows, config.hyper)
     save_lda(model, ws.path_for("model_static"))
 
 
@@ -397,8 +397,7 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     )
     sizes = [len(s) for s in slices]
     logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
-    sliced = [(s, bows.select(s.doc_ids)) for s in slices]
-    model = train_dtm(sliced, config.hyper, config.kappa, vocab_size=bows.vocab_size)
+    model = train_dtm(slices, bows, config.hyper, config.kappa)
     save_dtm(model, ws.path_for("model_dtm"))
 
 

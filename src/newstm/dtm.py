@@ -22,17 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import (
-    LdaHyperparams,
-    TopicSummary,
-    _as_bows,
-    _run_chain,
-    _topic_summary,
-)
+from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _topic_summary
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
 from newstm.modelfile import iso_date, json_fields, read_csv, read_model, write_csv, write_model
-from newstm.preprocess import BowDoc, Bows, Vocabulary
+from newstm.preprocess import Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -87,44 +81,40 @@ def slice_seeds_for(base_seed: int, n_slices: int) -> list[int]:
 
 
 def train_dtm(
-    sliced_corpus: Sequence[tuple[TimeSlice, Sequence[BowDoc] | Bows]],
+    slices: Sequence[TimeSlice],
+    bows: Bows,
     base_hyper: LdaHyperparams,
     kappa: float = 1.0,
     *,
-    vocab_size: int,
     warm_start: bool = True,
 ) -> DtmModel:
-    """Train the chained per-slice model over an ordered sliced corpus.
+    """Train the chained per-slice model over an ordered slice sequence.
 
-    Each slice's documents are BowDoc or Bows, as `train_lda` takes them,
-    and must be the slice's `doc_ids`, in that order. Empty slices (no
-    documents) inherit the previous slice's topic-word rows verbatim; an
-    empty slice 0 starts from the uniform distribution.
+    Slice t's documents are `bows.select(slices[t].doc_ids)`, so `bows` may
+    hold the documents in any order, and documents outside every slice; a
+    slice doc id with no bag raises ValueError. Empty slices (no documents)
+    inherit the previous slice's topic-word rows verbatim; an empty slice 0
+    starts from the uniform distribution.
     warm_start=False disables assignment initialization from the previous
     slice (the equivalence mode used to compare against independent runs).
     """
-    slices_in = list(sliced_corpus)
-    if not slices_in:
+    slices = list(slices)
+    if not slices:
         raise ValueError("need at least one time slice")
     if not (kappa >= 0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    if vocab_size < 1:
-        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
 
-    k = base_hyper.k
-    seeds = slice_seeds_for(base_hyper.seed, len(slices_in))
-    betas = np.empty((len(slices_in), k, vocab_size), dtype=np.float64)
+    k, vocab_size = base_hyper.k, bows.vocab_size
+    seeds = slice_seeds_for(base_hyper.seed, len(slices))
+    betas = np.empty((len(slices), k, vocab_size), dtype=np.float64)
     prior = np.empty((k, vocab_size), dtype=np.float64)  # each slice's chained eta_kw
     thetas: list[np.ndarray] = []
-    metas: list[TimeSlice] = []
 
-    for t, (meta, docs) in enumerate(slices_in):
-        bows = _as_bows(docs, vocab_size)
-        if bows.doc_ids != tuple(meta.doc_ids):
-            raise ValueError(f"slice {t}: the bags of words are not for the slice's doc_ids")
+    for t, time_slice in enumerate(slices):
+        slice_bows = bows.select(time_slice.doc_ids)
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
         prev_beta = betas[t - 1] if t else None
-        if not bows:
+        if not slice_bows:
             betas[t] = prev_beta if prev_beta is not None else 1.0 / vocab_size
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
@@ -136,13 +126,12 @@ def train_dtm(
                 prior += base_hyper.eta
             init_beta = prev_beta if warm_start else None
             _, theta_t, _ = _run_chain(
-                bows, hyper_t, prior, init_beta, collect_z=False, out=betas[t]
+                slice_bows, hyper_t, prior, init_beta, collect_z=False, out=betas[t]
             )
         thetas.append(theta_t)
-        metas.append(meta)
 
     return DtmModel(
-        slices=metas,
+        slices=slices,
         per_slice_beta=betas,
         per_slice_theta=thetas,
         kappa=kappa,
@@ -283,6 +272,7 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
             raise ValueError(f"slice {t}: {exc}") from None
         slices.append(TimeSlice(index, start, end, tuple(doc_ids)))
     rows = [len(s) for s in slices]  # a slice's theta rows are its documents, in order
+    json_fields(base_hyper, {"alpha": float})  # as save_dtm writes it: resolved, never null
     hyper = LdaHyperparams(**base_hyper)
     thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
     if betas.ndim != 3 or betas.shape[:2] != (len(slices), hyper.k):

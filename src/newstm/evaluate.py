@@ -12,13 +12,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from newstm.lda import LdaModel, _as_bows, _top_order
+from newstm.lda import LdaModel, _check_vocab_size, _top_order
 from newstm.modelfile import finite_float, read_csv, replace_text, write_csv
-from newstm.preprocess import BowDoc, Bows
+from newstm.preprocess import Bows
 
 logger = logging.getLogger(__name__)
 
@@ -46,23 +45,20 @@ class IntertopicMap:
     degenerate: bool = False
 
 
-def umass_coherence(
-    model: LdaModel, corpus: Bows | Iterable[BowDoc], top_n: int = 10
-) -> CoherenceReport:
+def umass_coherence(model: LdaModel, bows: Bows, top_n: int = 10) -> CoherenceReport:
     """UMass coherence of each topic's top_n words over the supplied corpus,
     after Mimno et al. (2011).
 
     score = sum_{i=2..N} sum_{j<i} log((D(w_i, w_j) + 1) / D(w_j)) with D the
     document occurrence / co-occurrence counts. Pairs whose conditioning word
     never occurs (D(w_j) = 0) are skipped and tallied in the report.
-    A BowDoc corpus is checked as `Bows` checks its rows, so a zero count
-    raises ValueError, as do `Bows` over another vocab_size than the model's.
+    Bags of words over another vocab_size than the model's raise ValueError.
     """
     if top_n < 2:
         raise ValueError(f"top_n must be >= 2, got {top_n}")
     if top_n > model.vocab_size:
         raise ValueError(f"top_n {top_n} exceeds vocabulary size {model.vocab_size}")
-    bows = _as_bows(corpus, model.vocab_size)
+    _check_vocab_size(bows, model.vocab_size)
     if not len(bows):
         raise ValueError("coherence requires a nonempty corpus")
 

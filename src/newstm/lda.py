@@ -109,15 +109,10 @@ class TopicSummary:
     terms: tuple[tuple[str, float], ...]
 
 
-def _as_bows(corpus: Iterable[BowDoc] | Bows, vocab_size: int) -> Bows:
-    """`corpus` as Bows over `vocab_size` words; BowDoc sequences are converted."""
-    if not isinstance(corpus, Bows):
-        return Bows.from_docs(corpus, vocab_size)
-    if corpus.vocab_size != vocab_size:
-        raise ValueError(
-            f"the bags of words have vocab_size={corpus.vocab_size}, not {vocab_size}"
-        )
-    return corpus
+def _check_vocab_size(bows: Bows, vocab_size: int) -> None:
+    """Raise ValueError unless `bows` is over `vocab_size` words."""
+    if bows.vocab_size != vocab_size:
+        raise ValueError(f"the bags of words have vocab_size={bows.vocab_size}, not {vocab_size}")
 
 
 def _expand_bows(bows: Bows):
@@ -281,42 +276,36 @@ def _run_chain(
 
 
 def train_lda(
-    corpus: Iterable[BowDoc] | Bows,
-    vocab_size: int,
+    bows: Bows,
     hyper: LdaHyperparams,
     *,
     eta_kw: np.ndarray | None = None,
     init_beta: np.ndarray | None = None,
 ) -> LdaModel:
-    """Run collapsed Gibbs sampling over the corpus and return the trained
-    model: its estimates β and θ and its document lengths.
+    """Run collapsed Gibbs sampling over the bags of words and return the
+    trained model: its estimates β and θ over the bags' vocab_size words and
+    its document lengths.
 
-    A BowDoc corpus is converted with `Bows.from_docs`; a Bows corpus must
-    have `vocab_size` words. `eta_kw` overrides the symmetric word prior
-    with a (k, V) per-topic-per-word pseudo-count matrix, and `init_beta`
-    seeds the initial assignments from an existing topic-word estimate
-    instead of the uniform draw; both leave the default behaviour untouched
-    when None. `train_dtm` calls `_run_chain` directly, so the hooks' one
-    caller is the per-slice chain of `train_lda` calls that the DTM tests
-    compare `train_dtm` against.
+    `eta_kw` overrides the symmetric word prior with a (k, V)
+    per-topic-per-word pseudo-count matrix, and `init_beta` seeds the initial
+    assignments from an existing topic-word estimate instead of the uniform
+    draw; both leave the default behaviour untouched when None. `train_dtm`
+    calls `_run_chain` directly, so the hooks' one caller is the per-slice
+    chain of `train_lda` calls that the DTM tests compare `train_dtm` against.
     """
-    bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot train on an empty corpus")
     beta, theta, lengths = _run_chain(bows, hyper, eta_kw, init_beta, collect_z=False)
-    return LdaModel(beta, theta, hyper, vocab_size, lengths)
+    return LdaModel(beta, theta, hyper, bows.vocab_size, lengths)
 
 
-def posterior_assignment_samples(
-    corpus: Iterable[BowDoc] | Bows, vocab_size: int, hyper: LdaHyperparams
-):
+def posterior_assignment_samples(bows: Bows, hyper: LdaHyperparams):
     """Collect retained post-burn-in assignment sweeps for diagnostics.
 
     Returns (samples, doc_ids, word_ids) where samples has shape
     (n_retained, n_tokens). Intended for small corpora: every retained sweep
     stores a full copy of z.
     """
-    bows = _as_bows(corpus, vocab_size)
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
     return _run_chain(bows, hyper, None, None, collect_z=True)
@@ -405,7 +394,10 @@ def perplexity(
     (e.g. from infer_theta) for held-out docs. Raises ValueError if theta
     has a negative, NaN or infinite entry.
     """
-    bows = _as_bows(corpus, model.vocab_size)
+    # BowDoc input stays only because perfbench/heldout_job.py passes BowDocs.
+    # ROADMAP item 1 is the change that may edit that file and drop this path.
+    bows = corpus if isinstance(corpus, Bows) else Bows.from_docs(corpus, model.vocab_size)
+    _check_vocab_size(bows, model.vocab_size)
     theta = model.theta if theta is None else np.asarray(theta, dtype=np.float64)
     if theta.shape != (len(bows), model.n_topics):
         raise ValueError(
@@ -446,7 +438,9 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
 def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
     # A file written before the format held only the estimates also has the
     # final `z` and `word_ids`, which are read and not used; a `vocab_size` in
-    # an older header is ignored, as V is beta's last axis.
+    # an older header is ignored, as V is beta's last axis. save_lda writes the
+    # resolved alpha, so a null one is a fault, not the 50/k default.
+    json_fields(meta["hyper"], {"alpha": float})
     hyper = LdaHyperparams(**meta["hyper"])
     beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
     if beta.ndim != 2 or beta.shape[0] != hyper.k:

@@ -146,6 +146,13 @@ class Vocabulary:
         return self.id_to_token[word_id]
 
 
+def _check_thresholds(no_below: int, no_above: float) -> None:
+    if no_below < 1:
+        raise ValueError(f"no_below must be >= 1, got {no_below}")
+    if not 0 < no_above <= 1:
+        raise ValueError(f"no_above must be in (0, 1], got {no_above}")
+
+
 def build_vocabulary(
     streams: Iterable[TokenStream], no_below: int = 2, no_above: float = 0.5
 ) -> Vocabulary:
@@ -153,10 +160,7 @@ def build_vocabulary(
 
     A token survives iff no_below <= df and df / n_docs <= no_above.
     """
-    if no_below < 1:
-        raise ValueError(f"no_below must be >= 1, got {no_below}")
-    if not 0 < no_above <= 1:
-        raise ValueError(f"no_above must be in (0, 1], got {no_above}")
+    _check_thresholds(no_below, no_above)
     streams = list(streams)
     if not streams:
         raise ValueError("cannot build a vocabulary from zero documents")
@@ -329,6 +333,15 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
             raise ValueError("tokens must be a list of strings, none of them repeated")
         if len(df) != len(tokens):
             raise ValueError(f"document_frequency must be a list of {len(tokens)} counts")
+        # build_vocabulary never writes a value outside these ranges.
+        _check_thresholds(no_below, no_above)
+        if n_docs < 1:
+            raise ValueError(f"n_docs must be >= 1, got {n_docs}")
+        for token, count in zip(tokens, df):
+            if not no_below <= count <= n_docs:
+                raise ValueError(
+                    f"token {token!r} has document frequency {count}, not in {no_below}..{n_docs}"
+                )
         return Vocabulary(token_to_id, tuple(tokens), tuple(df), no_below, no_above, n_docs)
     except ValueError as exc:
         raise ValueError(

@@ -12,7 +12,7 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.lda import LdaHyperparams, LdaModel
-from newstm.preprocess import BowDoc, Vocabulary
+from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
 def enumerate_collapsed_posterior(docs, vocab_size, k, alpha, eta):
@@ -73,11 +73,11 @@ def docs_to_bows(docs: list[list[int]]) -> list[BowDoc]:
     ]
 
 
-def planted_two_topic_bows(n_docs=100, doc_len=25, seed=0):
+def planted_two_topic_bows(n_docs=100, doc_len=25, seed=0, prefix="doc"):
     """Corpus drawn from two disjoint-support uniform topics over 10 words.
 
-    Even docs use words 0..4, odd docs words 5..9. Returns (bows, labels,
-    supports).
+    Even docs use words 0..4, odd docs words 5..9; doc d's id is
+    f"{prefix}-{d}". Returns (bows, labels, supports).
     """
     rng = np.random.default_rng(seed)
     supports = [list(range(0, 5)), list(range(5, 10))]
@@ -85,7 +85,7 @@ def planted_two_topic_bows(n_docs=100, doc_len=25, seed=0):
     for d in range(n_docs):
         topic = d % 2
         words = rng.choice(supports[topic], size=doc_len)
-        bows.append(BowDoc(f"doc-{d}", dict(sorted(Counter(int(w) for w in words).items()))))
+        bows.append(BowDoc(f"{prefix}-{d}", dict(sorted(Counter(int(w) for w in words).items()))))
         labels.append(topic)
     return bows, labels, supports
 
@@ -97,16 +97,30 @@ DRIFT_MARKER_WORD = 1  # in topic A's support at both slices (identifies topic A
 STABLE_WORD = 6  # topic B support marker
 
 
+def monthly_slices(parts, vocab_size):
+    """Month-long slices from 2020-01-17, slice t holding the BowDocs of
+    parts[t]: returns (slices, Bows.from_docs of every part's BowDocs)."""
+    slices = [
+        TimeSlice(
+            index=t,
+            start=datetime.date(2020, 1 + t, 17),
+            end=datetime.date(2020, 2 + t, 17),
+            doc_ids=tuple(b.doc_id for b in part),
+        )
+        for t, part in enumerate(parts)
+    ]
+    return slices, Bows.from_docs([b for part in parts for b in part], vocab_size)
+
+
 def planted_drift_sliced_corpus(docs_per_topic=30, doc_len=20, seed=0):
     """Two slices over 10 words; topic A's support drifts {0,1,2} -> {1,2,3},
-    topic B stays {6,7,8}. Returns list of (TimeSlice, bows)."""
+    topic B stays {6,7,8}. Returns (slices, bows), as `monthly_slices` does."""
     rng = np.random.default_rng(seed)
     supports = {
         0: {"A": [0, 1, 2], "B": [6, 7, 8]},
         1: {"A": [1, 2, 3], "B": [6, 7, 8]},
     }
-    start = datetime.date(2020, 1, 17)
-    sliced = []
+    parts = []
     doc_index = 0
     for t in (0, 1):
         bows = []
@@ -120,14 +134,8 @@ def planted_drift_sliced_corpus(docs_per_topic=30, doc_len=20, seed=0):
                     )
                 )
                 doc_index += 1
-        meta = TimeSlice(
-            index=t,
-            start=datetime.date(2020, 1 + t, 17),
-            end=datetime.date(2020, 2 + t, 17),
-            doc_ids=tuple(b.doc_id for b in bows),
-        )
-        sliced.append((meta, bows))
-    return sliced
+        parts.append(bows)
+    return monthly_slices(parts, DRIFT_VOCAB_SIZE)
 
 
 def drift_vocab() -> Vocabulary:

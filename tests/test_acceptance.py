@@ -19,12 +19,12 @@ from helpers import (
     DRIFT_IN_WORD,
     DRIFT_MARKER_WORD,
     DRIFT_OUT_WORD,
-    DRIFT_VOCAB_SIZE,
     docs_to_bows,
     drift_vocab,
     enumerate_collapsed_posterior,
     gibbs_marginals,
     model_from_beta,
+    monthly_slices,
     planted_drift_sliced_corpus,
     planted_two_topic_bows,
 )
@@ -44,7 +44,7 @@ from newstm.lda import (
     top_words,
     train_lda,
 )
-from newstm.preprocess import BowDoc
+from newstm.preprocess import BowDoc, Bows
 
 from test_cli import write_config
 
@@ -101,7 +101,7 @@ def test_criterion_2_gibbs_matches_enumeration():
                 k=2, alpha=alpha, eta=eta, iterations=30000, burn_in=2000, thin=1, seed=seed
             )
             samples, _, _ = posterior_assignment_samples(
-                docs_to_bows(docs), vocab_size, hyper
+                Bows.from_docs(docs_to_bows(docs), vocab_size), hyper
             )
             got = gibbs_marginals(samples, 2)
             assert np.abs(got - exact).max() < 0.02, f"docs={docs} seed={seed}"
@@ -118,7 +118,7 @@ def test_criterion_3_planted_topic_recovery():
         hyper = LdaHyperparams(
             k=2, alpha=1.0, eta=0.01, iterations=300, burn_in=100, thin=10, seed=seed
         )
-        model = train_lda(bows, 10, hyper)
+        model = train_lda(Bows.from_docs(bows, 10), hyper)
         tops = [{int(term) for term, _ in top_words(model, k, 5).terms} for k in range(2)]
         if tops in (
             [set(supports[0]), set(supports[1])],
@@ -133,33 +133,21 @@ def test_criterion_4_dtm_degeneracies():
     """kappa=0 equivalence mode reproduces independent per-slice LDA bitwise;
     a single-slice DTM reproduces static LDA bitwise under matched seeds."""
     base = LdaHyperparams(k=3, alpha=0.8, eta=0.05, iterations=40, burn_in=10, thin=3, seed=7)
-    bows_a, _, _ = planted_two_topic_bows(n_docs=20, doc_len=8, seed=0)
-    bows_b, _, _ = planted_two_topic_bows(n_docs=16, doc_len=8, seed=1)
-    from newstm.corpus import TimeSlice
+    bows_a, _, _ = planted_two_topic_bows(n_docs=20, doc_len=8, seed=0, prefix="a")
+    bows_b, _, _ = planted_two_topic_bows(n_docs=16, doc_len=8, seed=1, prefix="b")
+    slices, bows = monthly_slices([bows_a, bows_b], 10)
 
-    sliced = [
-        (
-            TimeSlice(
-                index=t,
-                start=datetime.date(2020, 1 + t, 17),
-                end=datetime.date(2020, 2 + t, 17),
-                doc_ids=tuple(b.doc_id for b in bows),
-            ),
-            bows,
-        )
-        for t, bows in enumerate([bows_a, bows_b])
-    ]
-
-    chained = train_dtm(sliced, base, kappa=0.0, vocab_size=10, warm_start=False)
-    for t, (_, bows) in enumerate(sliced):
+    chained = train_dtm(slices, bows, base, kappa=0.0, warm_start=False)
+    for t, time_slice in enumerate(slices):
         independent = train_lda(
-            bows, 10, dataclasses.replace(base, seed=chained.slice_seeds[t])
+            bows.select(time_slice.doc_ids),
+            dataclasses.replace(base, seed=chained.slice_seeds[t]),
         )
         assert np.array_equal(chained.per_slice_beta[t], independent.beta)
         assert np.array_equal(chained.per_slice_theta[t], independent.theta)
 
-    single = train_dtm(sliced[:1], base, kappa=1.0, vocab_size=10)
-    static = train_lda(bows_a, 10, base)
+    single = train_dtm(slices[:1], bows, base, kappa=1.0)
+    static = train_lda(Bows.from_docs(bows_a, 10), base)
     assert np.array_equal(single.per_slice_beta[0], static.beta)
     assert np.array_equal(single.per_slice_theta[0], static.theta)
 
@@ -167,12 +155,12 @@ def test_criterion_4_dtm_degeneracies():
 def test_criterion_5_drift_response():
     """On the planted-drift corpus the drifted-in word's trajectory rises and
     the drifted-out word's falls, for kappa in {0, 1}."""
-    sliced = planted_drift_sliced_corpus(seed=3)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=0.01, iterations=200, burn_in=80, thin=5, seed=17
     )
     for kappa in (0.0, 1.0):
-        model = train_dtm(sliced, hyper, kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
+        model = train_dtm(slices, bows, hyper, kappa=kappa)
         topic_a = int(np.argmax(model.per_slice_beta[0, :, DRIFT_MARKER_WORD]))
         series = trajectory(
             model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()
@@ -195,7 +183,7 @@ def test_criterion_6_diagnostics_oracles():
     ]
     row = np.array([0.5, 0.3, 0.15, 0.05])
     model = model_from_beta(row[None, :])
-    report = umass_coherence(model, corpus, top_n=3)
+    report = umass_coherence(model, Bows.from_docs(corpus, 4), top_n=3)
     hand = math.log((2 + 1) / 2) + math.log((1 + 1) / 2) + math.log((2 + 1) / 3)
     assert abs(report.per_topic[0] - hand) < 1e-9
 

@@ -190,6 +190,17 @@ def test_readme_config_loads_at_the_defaults_and_lists_every_key(tmp_path):
     assert loaded == load_config(None, overrides=[f"corpus.path={loaded.corpus_path}"])
 
 
+def test_readme_library_example_runs_on_the_sample_corpus(sample_corpus_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert block.count('"articles.jsonl"') == 1
+    namespace = {}
+    exec(block.replace('"articles.jsonl"', repr(str(sample_corpus_path))), namespace)
+    summary = namespace["top_words"](namespace["model"], 0, 10, namespace["vocab"])
+    assert len(summary.terms) == 10
+    assert capsys.readouterr().out == f"{summary}\n"
+
+
 def test_readme_artifact_table_lists_every_declared_artifact():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| artifact | written by | inputs |\n|---|---|---|\n", 1)[1]

@@ -1,5 +1,4 @@
 import dataclasses
-import datetime
 import re
 import tracemalloc
 from collections import Counter
@@ -11,13 +10,12 @@ from helpers import (
     DRIFT_IN_WORD,
     DRIFT_MARKER_WORD,
     DRIFT_OUT_WORD,
-    DRIFT_VOCAB_SIZE,
     drift_vocab,
+    monthly_slices,
     planted_drift_sliced_corpus,
     planted_two_topic_bows,
 )
 from newstm import _kernels
-from newstm.corpus import TimeSlice
 from newstm.dtm import (
     TrajectorySeries,
     load_dtm,
@@ -30,93 +28,100 @@ from newstm.dtm import (
     write_trajectory_csv,
 )
 from newstm.lda import LdaHyperparams, top_words, train_lda
-from newstm.preprocess import BowDoc
+from newstm.preprocess import BowDoc, Bows
 
 
-def _slice_meta(t, doc_ids=()):
-    return TimeSlice(
-        index=t,
-        start=datetime.date(2020, 1 + t, 17),
-        end=datetime.date(2020, 2 + t, 17),
-        doc_ids=tuple(doc_ids),
-    )
+def _two_slice_parts(seed=0):
+    bows_a, _, _ = planted_two_topic_bows(n_docs=20, doc_len=8, seed=seed, prefix="a")
+    bows_b, _, _ = planted_two_topic_bows(n_docs=16, doc_len=8, seed=seed + 1, prefix="b")
+    return [bows_a, bows_b]
 
 
 def _two_slice_corpus(seed=0):
-    bows_a, _, _ = planted_two_topic_bows(n_docs=20, doc_len=8, seed=seed)
-    bows_b, _, _ = planted_two_topic_bows(n_docs=16, doc_len=8, seed=seed + 1)
-    return [
-        (_slice_meta(0, [b.doc_id for b in bows_a]), bows_a),
-        (_slice_meta(1, [b.doc_id for b in bows_b]), bows_b),
-    ]
+    return monthly_slices(_two_slice_parts(seed), 10)
 
 
 BASE = LdaHyperparams(k=3, alpha=0.8, eta=0.05, iterations=40, burn_in=10, thin=3, seed=7)
 
 
 def test_kappa_zero_equivalence_mode_is_bitwise_independent_lda():
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=0.0, vocab_size=10, warm_start=False)
-    for t, (_, bows) in enumerate(sliced):
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=0.0, warm_start=False)
+    for t, time_slice in enumerate(slices):
         hyper_t = dataclasses.replace(BASE, seed=model.slice_seeds[t])
-        independent = train_lda(bows, 10, hyper_t)
+        independent = train_lda(bows.select(time_slice.doc_ids), hyper_t)
         assert np.array_equal(model.per_slice_beta[t], independent.beta)
         assert np.array_equal(model.per_slice_theta[t], independent.theta)
 
 
 def test_single_slice_dtm_equals_static_lda_bitwise():
-    sliced = _two_slice_corpus()[:1]
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
-    static = train_lda(sliced[0][1], 10, BASE)
+    slices, bows = monthly_slices(_two_slice_parts()[:1], 10)
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
+    static = train_lda(bows, BASE)
     assert model.slice_seeds == [BASE.seed]
     assert np.array_equal(model.per_slice_beta[0], static.beta)
     assert np.array_equal(model.per_slice_theta[0], static.theta)
 
 
 def test_validation_errors():
-    sliced = _two_slice_corpus()
+    slices, bows = _two_slice_corpus()
     with pytest.raises(ValueError, match="kappa"):
-        train_dtm(sliced, BASE, kappa=-1.0, vocab_size=10)
+        train_dtm(slices, bows, BASE, kappa=-1.0)
     with pytest.raises(ValueError, match="slice"):
-        train_dtm([], BASE, vocab_size=10)
+        train_dtm([], bows, BASE)
 
 
-def test_slice_whose_bags_are_not_its_doc_ids_is_rejected():
-    sliced = _two_slice_corpus()
-    meta, bows = sliced[1]
-    for docs in (bows[::-1], bows[1:], [*bows, BowDoc("extra", {0: 1})], []):
-        sliced[1] = (meta, docs)
-        with pytest.raises(ValueError) as info:
-            train_dtm(sliced, BASE, vocab_size=10)
-        assert str(info.value) == "slice 1: the bags of words are not for the slice's doc_ids"
+def test_bows_in_another_order_with_an_unsliced_document_give_the_same_model():
+    """Each slice's bags are selected by its doc ids, so neither the order of
+    the documents in the bags nor a document outside every slice matters."""
+    slices, in_order = _two_slice_corpus()
+    docs = [b for part in _two_slice_parts() for b in part]
+    shuffled = [docs[i] for i in np.random.default_rng(3).permutation(len(docs))]
+    shuffled.insert(11, BowDoc("unsliced", {0: 2, 9: 1}))
+    shuffled = Bows.from_docs(shuffled, 10)
+    for kappa, warm_start in ((1.0, True), (0.0, False)):
+        want = train_dtm(slices, in_order, BASE, kappa=kappa, warm_start=warm_start)
+        got = train_dtm(slices, shuffled, BASE, kappa=kappa, warm_start=warm_start)
+        assert got.per_slice_beta.tobytes() == want.per_slice_beta.tobytes()
+        for t in range(len(slices)):
+            assert got.per_slice_theta[t].tobytes() == want.per_slice_theta[t].tobytes()
+        assert got.slices == want.slices == slices
+
+
+def test_slice_doc_id_with_no_bag_of_words_is_rejected():
+    slices, bows = _two_slice_corpus()
+    slices[1] = dataclasses.replace(slices[1], doc_ids=(*slices[1].doc_ids, "missing"))
+    with pytest.raises(ValueError, match="^no bag of words for document 'missing'$"):
+        train_dtm(slices, bows, BASE)
 
 
 def test_nan_kappa_is_rejected():
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
-            train_dtm(_two_slice_corpus(), BASE, kappa=kappa, vocab_size=10)
+            train_dtm(*_two_slice_corpus(), BASE, kappa=kappa)
 
 
 def test_empty_slice_carries_beta_forward_verbatim():
-    sliced = _two_slice_corpus()
-    sliced.append((_slice_meta(2), []))
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = monthly_slices([*_two_slice_parts(), []], 10)
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     assert np.array_equal(model.per_slice_beta[2], model.per_slice_beta[1])
     assert model.per_slice_theta[2].shape == (0, 3)
 
 
 def test_leading_empty_slice_starts_uniform():
-    sliced = [(_slice_meta(0), [])] + _two_slice_corpus()[:1]
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = monthly_slices([[], _two_slice_parts()[0]], 10)
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     assert np.array_equal(model.per_slice_beta[0], np.full((3, 10), 0.1))
 
 
-def _chained_by_train_lda(sliced, base, kappa, vocab_size, warm_start):
+def _chained_by_train_lda(slices, all_bows, base, kappa, warm_start):
     """Each slice's beta and theta as one train_lda call per slice gives them,
     with the previous slice's beta as prior and start: train_dtm's oracle."""
-    seeds = slice_seeds_for(base.seed, len(sliced))
+    seeds = slice_seeds_for(base.seed, len(slices))
+    vocab_size = all_bows.vocab_size
     prev, betas, thetas = None, [], []
-    for t, (_, bows) in enumerate(sliced):
+    for t, time_slice in enumerate(slices):
+        bows = all_bows.select(time_slice.doc_ids)
         if not bows:
             beta = prev.copy() if prev is not None else np.full((base.k, vocab_size), 1 / vocab_size)
             theta = np.zeros((0, base.k))
@@ -124,7 +129,7 @@ def _chained_by_train_lda(sliced, base, kappa, vocab_size, warm_start):
             eta_kw = None if prev is None else base.eta + kappa * vocab_size * prev
             init_beta = prev if prev is not None and warm_start else None
             hyper = dataclasses.replace(base, seed=seeds[t])
-            model = train_lda(bows, vocab_size, hyper, eta_kw=eta_kw, init_beta=init_beta)
+            model = train_lda(bows, hyper, eta_kw=eta_kw, init_beta=init_beta)
             beta, theta = model.beta, model.theta
         betas.append(beta)
         thetas.append(theta)
@@ -136,12 +141,11 @@ def _slices_over_vocabulary_subsets(vocab_size=40, seed=11):
     """Five slices: words 0-9, an empty slice, words 10-19, words 5-14 and
     words 30-39, so most slices leave most columns without a token."""
     rng = np.random.default_rng(seed)
-    sliced = []
+    parts = []
     for t, words in enumerate([range(0, 10), (), range(10, 20), range(5, 15), range(30, 40)]):
         draws = [Counter(rng.choice(list(words), size=7).tolist()) for _ in range(6 if words else 0)]
-        bows = [BowDoc(f"s{t}d{d}", dict(sorted(c.items()))) for d, c in enumerate(draws)]
-        sliced.append((_slice_meta(t, [b.doc_id for b in bows]), bows))
-    return sliced
+        parts.append([BowDoc(f"s{t}d{d}", dict(sorted(c.items()))) for d, c in enumerate(draws)])
+    return monthly_slices(parts, vocab_size)
 
 
 @pytest.mark.parametrize(
@@ -156,11 +160,11 @@ def _slices_over_vocabulary_subsets(vocab_size=40, seed=11):
 def test_chain_is_bitwise_the_composition_of_train_lda_calls(kappa, warm_start, backend, monkeypatch):
     if backend == "lists":
         monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
-    sliced = _slices_over_vocabulary_subsets()
+    slices, bows = _slices_over_vocabulary_subsets()
     base = LdaHyperparams(k=3, alpha=0.4, eta=0.05, iterations=12, burn_in=3, thin=2, seed=5)
-    model = train_dtm(sliced, base, kappa=kappa, vocab_size=40, warm_start=warm_start)
-    betas, thetas = _chained_by_train_lda(sliced, base, kappa, 40, warm_start)
-    for t in range(len(sliced)):
+    model = train_dtm(slices, bows, base, kappa=kappa, warm_start=warm_start)
+    betas, thetas = _chained_by_train_lda(slices, bows, base, kappa, warm_start)
+    for t in range(len(slices)):
         assert np.array_equal(model.per_slice_beta[t], betas[t]), t
         assert np.array_equal(model.per_slice_theta[t], thetas[t]), t
     assert np.array_equal(model.per_slice_beta[1], model.per_slice_beta[0])
@@ -173,18 +177,19 @@ def test_dtm_holds_its_betas_and_at_most_four_k_by_v_arrays_more(iterations):
     hundred of V words get no K x V chain state of their own."""
     k, v = 20, 20_000
     rng = np.random.default_rng(4)
-    sliced = []
-    for t in range(6):
-        bows = [
+    parts = [
+        [
             BowDoc(f"s{t}d{d}", {int(w): 1 for w in np.unique(rng.integers(0, v, 30))})
             for d in range(20)
         ]
-        sliced.append((_slice_meta(t, [b.doc_id for b in bows]), bows))
+        for t in range(6)
+    ]
+    slices, bows = monthly_slices(parts, v)
     hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=1, thin=1, seed=3)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        model = train_dtm(sliced, hyper, kappa=1.0, vocab_size=v)
+        model = train_dtm(slices, bows, hyper, kappa=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -204,8 +209,8 @@ def _drift_topic_index(model):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_planted_drift_trajectories(kappa):
-    sliced = planted_drift_sliced_corpus(seed=3)
-    model = train_dtm(sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
+    model = train_dtm(slices, bows, _drift_hyper(), kappa=kappa)
     topic_a = _drift_topic_index(model)
     series = trajectory(
         model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()
@@ -219,31 +224,27 @@ def test_planted_drift_trajectories(kappa):
 def test_chain_strength_tightens_consecutive_slices():
     # Mean total-variation distance between consecutive slices should weakly
     # decrease as kappa grows on a fixed corpus and seed set.
-    sliced = planted_drift_sliced_corpus(seed=3)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
     tv = {}
     for kappa in (0.0, 1.0, 10.0):
-        model = train_dtm(
-            sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
-        )
+        model = train_dtm(slices, bows, _drift_hyper(), kappa=kappa)
         diffs = np.abs(model.per_slice_beta[1:] - model.per_slice_beta[:-1])
         tv[kappa] = float(diffs.sum(axis=-1).mean() / 2)
     assert tv[0.0] >= tv[1.0] >= tv[10.0]
 
 
 def test_all_slice_rows_are_distributions():
-    sliced = planted_drift_sliced_corpus(seed=3)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
     for kappa in (0.0, 1.0, 10.0):
-        model = train_dtm(
-            sliced, _drift_hyper(), kappa=kappa, vocab_size=DRIFT_VOCAB_SIZE
-        )
+        model = train_dtm(slices, bows, _drift_hyper(), kappa=kappa)
         sums = model.per_slice_beta.sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-9)
         assert (model.per_slice_beta > 0).all()
 
 
 def test_trajectory_values_are_raw_beta_entries():
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     vocab = drift_vocab()
     series = trajectory(model, 1, ["w2", "w7"], vocab)
     assert np.array_equal(series.series["w2"], model.per_slice_beta[:, 1, 2])
@@ -252,8 +253,8 @@ def test_trajectory_values_are_raw_beta_entries():
 
 
 def test_trajectory_rejects_oov_words():
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     with pytest.raises(ValueError, match="okänt"):
         trajectory(model, 0, ["w1", "okänt"], drift_vocab())
     with pytest.raises(ValueError, match="topic_id"):
@@ -263,8 +264,8 @@ def test_trajectory_rejects_oov_words():
 def test_unseen_word_series_is_smoothing_floor():
     # Word 9 never occurs in the drift corpus; its probability stays at the
     # strictly positive prior floor in every slice.
-    sliced = planted_drift_sliced_corpus(seed=3)
-    model = train_dtm(sliced, _drift_hyper(), kappa=0.0, vocab_size=DRIFT_VOCAB_SIZE)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
+    model = train_dtm(slices, bows, _drift_hyper(), kappa=0.0)
     series = trajectory(model, 0, ["w9"], drift_vocab())
     values = series.series["w9"]
     assert (values > 0).all()
@@ -272,26 +273,26 @@ def test_unseen_word_series_is_smoothing_floor():
 
 
 def test_top_words_at_matches_slice_rows():
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=0.0, vocab_size=10, warm_start=False)
-    for t, (_, bows) in enumerate(sliced):
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=0.0, warm_start=False)
+    for t, time_slice in enumerate(slices):
         hyper_t = dataclasses.replace(BASE, seed=model.slice_seeds[t])
-        independent = train_lda(bows, 10, hyper_t)
+        independent = train_lda(bows.select(time_slice.doc_ids), hyper_t)
         assert top_words_at(model, 0, t, 5) == top_words(independent, 0, 5)
     with pytest.raises(ValueError):
         top_words_at(model, 0, 5, 3)
 
 
 def test_top_words_at_uniform_row_tie_break():
-    sliced = [(_slice_meta(0), [])]  # empty leading slice trains nothing: uniform rows
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = monthly_slices([[]], 10)  # empty leading slice trains nothing: uniform rows
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     summary = top_words_at(model, 1, 0, 3)
     assert [term for term, _ in summary.terms] == ["0", "1", "2"]
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     vocab = drift_vocab()
     series_list = [trajectory(model, k, ["w1", "w5"], vocab) for k in range(3)]
     path = tmp_path / "traj.csv"
@@ -395,8 +396,8 @@ def test_trajectory_series_rejects_a_series_that_does_not_match_its_words(words,
 
 
 def test_save_load_roundtrip(tmp_path):
-    sliced = _two_slice_corpus()
-    model = train_dtm(sliced, BASE, kappa=1.0, vocab_size=10)
+    slices, bows = _two_slice_corpus()
+    model = train_dtm(slices, bows, BASE, kappa=1.0)
     path = tmp_path / "dtm.json"
     save_dtm(model, path)
     loaded = load_dtm(path)

@@ -32,7 +32,7 @@ def test_umass_matches_hand_computation():
         BowDoc("d2", {1: 1, 2: 3}),
     ]
     model = model_from_beta(_beta_with_top([0, 1, 2]))
-    report = umass_coherence(model, corpus, top_n=3)
+    report = umass_coherence(model, Bows.from_docs(corpus, 6), top_n=3)
     # D(a)=2, D(b)=3, D(c)=2, D(a,b)=2, D(a,c)=1, D(b,c)=2; pairs (b|a), (c|a), (c|b):
     want = math.log((2 + 1) / 2) + math.log((1 + 1) / 2) + math.log((2 + 1) / 3)
     assert report.per_topic[0] == pytest.approx(want, abs=1e-9)
@@ -44,13 +44,13 @@ def test_umass_pair_terms():
     # Both words in the same 10 docs: the single pair term is log(11/10).
     corpus = [BowDoc(f"d{i}", {0: 1, 1: 1}) for i in range(10)]
     model = model_from_beta(_beta_with_top([0, 1]))
-    report = umass_coherence(model, corpus, top_n=2)
+    report = umass_coherence(model, Bows.from_docs(corpus, 6), top_n=2)
     assert report.per_topic[0] == pytest.approx(math.log(11 / 10), abs=1e-12)
 
     # Never co-occurring with D(w_j) = 10: pair term log(1/10).
     corpus = [BowDoc(f"a{i}", {0: 1}) for i in range(10)]
     corpus += [BowDoc(f"b{i}", {1: 1}) for i in range(3)]
-    report = umass_coherence(model, corpus, top_n=2)
+    report = umass_coherence(model, Bows.from_docs(corpus, 6), top_n=2)
     assert report.per_topic[0] == pytest.approx(math.log(1 / 10), abs=1e-12)
 
 
@@ -59,7 +59,7 @@ def test_umass_skips_pairs_with_zero_document_frequency():
     # (w1|w0) pair's reverse still count: only pairs conditioning on word 1 skip.
     corpus = [BowDoc("d0", {0: 1, 2: 1}), BowDoc("d1", {0: 1})]
     model = model_from_beta(_beta_with_top([0, 1, 2]))
-    report = umass_coherence(model, corpus, top_n=3)
+    report = umass_coherence(model, Bows.from_docs(corpus, 6), top_n=3)
     assert report.skipped_pairs == 1  # pair (i=w2, j=w1)
     # (w1|w0): D(w1,w0)=0, D(w0)=2; (w2|w0): D(w2,w0)=1, D(w0)=2.
     want = math.log((0 + 1) / 2) + math.log((1 + 1) / 2)
@@ -67,22 +67,20 @@ def test_umass_skips_pairs_with_zero_document_frequency():
 
 
 def test_umass_validation():
-    corpus = [BowDoc("d0", {0: 1})]
+    corpus = Bows.from_docs([BowDoc("d0", {0: 1})], 6)
     model = model_from_beta(_beta_with_top([0, 1]))
     with pytest.raises(ValueError):
         umass_coherence(model, corpus, top_n=1)
     with pytest.raises(ValueError):
         umass_coherence(model, corpus, top_n=7)
     with pytest.raises(ValueError):
-        umass_coherence(model, [], top_n=2)
+        umass_coherence(model, Bows.from_docs([], 6), top_n=2)
 
 
 def test_umass_permutation_invariance():
-    corpus = [
-        BowDoc("d0", {0: 1, 1: 1}),
-        BowDoc("d1", {2: 1, 3: 1}),
-        BowDoc("d2", {0: 1, 3: 1}),
-    ]
+    corpus = Bows.from_docs(
+        [BowDoc("d0", {0: 1, 1: 1}), BowDoc("d1", {2: 1, 3: 1}), BowDoc("d2", {0: 1, 3: 1})], 6
+    )
     beta = np.vstack([_beta_with_top([0, 1]), _beta_with_top([2, 3])])
     report = umass_coherence(model_from_beta(beta), corpus, top_n=2)
     flipped = umass_coherence(model_from_beta(beta[::-1].copy()), corpus, top_n=2)
@@ -120,24 +118,24 @@ def test_umass_matches_a_set_intersection_oracle():
                     d_ij = len(docs_with[top[i]] & docs_with[top[j]])
                     total += math.log((d_ij + 1) / len(docs_with[top[j]]))
             want.append(total)
-        report = umass_coherence(model, docs, top_n=6)
+        report = umass_coherence(model, Bows.from_docs(docs, 30), top_n=6)
         assert report.per_topic == tuple(want)
         assert report.skipped_pairs == skipped >= 5
 
 
-def test_umass_gives_one_report_for_bows_and_bowdocs():
+def test_umass_rejects_bows_over_another_vocab_size():
     docs = _random_corpus(7)
     model = model_from_beta(np.random.default_rng(7).dirichlet(np.full(30, 0.3), size=3))
-    report = umass_coherence(model, Bows.from_docs(docs, 30), top_n=5)
-    assert umass_coherence(model, docs, top_n=5) == report
-    assert umass_coherence(model, iter(docs), top_n=5) == report
+    for v in (29, 31):
+        with pytest.raises(ValueError, match=f"^the bags of words have vocab_size={v}, not 30$"):
+            umass_coherence(model, Bows.from_docs(docs, v), top_n=5)
 
 
 def test_umass_rejects_a_zero_count_as_bows_does():
     model = model_from_beta(_beta_with_top([0, 1]))
     corpus = [BowDoc("d0", {0: 1}), BowDoc("d1", {0: 2, 1: 0})]
     with pytest.raises(ValueError, match="^document 'd1': counts must be >= 1$"):
-        umass_coherence(model, corpus, top_n=2)
+        umass_coherence(model, Bows.from_docs(corpus, 6), top_n=2)
 
 
 def test_overlap_identical_rows():

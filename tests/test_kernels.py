@@ -491,10 +491,11 @@ _TRAIN = """
 import hashlib
 from newstm import _kernels
 from newstm.lda import LdaHyperparams, train_lda
-from newstm.preprocess import BowDoc
+from newstm.preprocess import BowDoc, Bows
 
-bows = [BowDoc(f"d{d}", {w: 1 + w * d % 3 for w in range(d % 5, 12, 2)}) for d in range(30)]
-model = train_lda(bows, 12, LdaHyperparams(k=4, iterations=30, burn_in=10, thin=5, seed=3))
+docs = [BowDoc(f"d{d}", {w: 1 + w * d % 3 for w in range(d % 5, 12, 2)}) for d in range(30)]
+hyper = LdaHyperparams(k=4, iterations=30, burn_in=10, thin=5, seed=3)
+model = train_lda(Bows.from_docs(docs, 12), hyper)
 print(_kernels.BACKEND, hashlib.sha256(model.beta.tobytes() + model.theta.tobytes()).hexdigest())
 """
 

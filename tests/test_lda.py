@@ -79,11 +79,11 @@ def test_alpha_defaults_to_fifty_over_k():
 def test_train_rejects_bad_corpus():
     hyper = LdaHyperparams(k=2, alpha=1.0, iterations=4, burn_in=1, thin=1)
     with pytest.raises(ValueError):
-        train_lda([], 3, hyper)
+        train_lda(Bows.from_docs([], 3), hyper)
     with pytest.raises(ValueError):
-        train_lda([BowDoc("d", {5: 1})], 3, hyper)
+        train_lda(Bows.from_docs([BowDoc("d", {5: 1})], 3), hyper)
     with pytest.raises(ValueError):
-        train_lda([BowDoc("d", {0: 1})], 0, hyper)
+        train_lda(Bows.from_docs([BowDoc("d", {0: 1})], 0), hyper)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -92,7 +92,7 @@ def test_train_rejects_a_non_finite_or_non_positive_eta_kw(value):
     eta_kw[0, 1] = value
     hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
     with pytest.raises(ValueError, match="^eta_kw "):
-        train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, eta_kw=eta_kw)
+        train_lda(Bows.from_docs([BowDoc("d", {0: 1, 1: 2})], 3), hyper, eta_kw=eta_kw)
 
 
 @pytest.mark.parametrize(
@@ -109,33 +109,35 @@ def test_train_rejects_a_non_finite_or_non_positive_eta_kw(value):
 )
 def test_train_rejects_a_bad_init_beta(init_beta, message):
     hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
+    bows = Bows.from_docs([BowDoc("d", {0: 1, 1: 2})], 3)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, init_beta=np.array(init_beta))
+        train_lda(bows, hyper, init_beta=np.array(init_beta))
 
 
 def test_train_accepts_an_init_beta_with_no_mass_on_unused_words():
     hyper = LdaHyperparams(k=2, iterations=4, burn_in=1, thin=1)
     init_beta = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-    model = train_lda([BowDoc("d", {0: 1, 1: 2})], 3, hyper, init_beta=init_beta)
+    model = train_lda(Bows.from_docs([BowDoc("d", {0: 1, 1: 2})], 3), hyper, init_beta=init_beta)
     assert np.isfinite(model.beta).all()
 
 
 def test_training_is_deterministic():
     bows, _, _ = planted_two_topic_bows(n_docs=20, doc_len=10, seed=4)
     hyper = LdaHyperparams(k=2, alpha=1.0, iterations=30, burn_in=5, thin=2, seed=13)
-    a = train_lda(bows, 10, hyper)
-    b = train_lda(bows, 10, hyper)
+    a = train_lda(Bows.from_docs(bows, 10), hyper)
+    b = train_lda(Bows.from_docs(bows, 10), hyper)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.theta, b.theta)
-    samples_a, _, _ = posterior_assignment_samples(bows, 10, hyper)
-    samples_b, _, _ = posterior_assignment_samples(bows, 10, hyper)
+    samples_a, _, _ = posterior_assignment_samples(Bows.from_docs(bows, 10), hyper)
+    samples_b, _, _ = posterior_assignment_samples(Bows.from_docs(bows, 10), hyper)
     assert np.array_equal(samples_a, samples_b)
 
 
 def test_estimates_are_row_stochastic():
     bows, _, _ = planted_two_topic_bows(n_docs=12, doc_len=8, seed=9)
     model = train_lda(
-        bows, 10, LdaHyperparams(k=4, alpha=0.5, iterations=20, burn_in=4, thin=3, seed=0)
+        Bows.from_docs(bows, 10),
+        LdaHyperparams(k=4, alpha=0.5, iterations=20, burn_in=4, thin=3, seed=0),
     )
     assert np.allclose(model.beta.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(model.theta.sum(axis=1), 1.0, atol=1e-9)
@@ -147,7 +149,7 @@ def test_single_token_doc_symmetry():
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=1.0, iterations=1300, burn_in=100, thin=1, seed=5
     )
-    model = train_lda([BowDoc("d0", {0: 1})], 1, hyper)
+    model = train_lda(Bows.from_docs([BowDoc("d0", {0: 1})], 1), hyper)
     assert model.theta[0] == pytest.approx([0.5, 0.5], abs=0.05)
 
 
@@ -161,7 +163,7 @@ def test_gibbs_pair_marginal_matches_enumeration():
     hyper = LdaHyperparams(
         k=2, alpha=alpha, eta=eta, iterations=20000, burn_in=1000, thin=1, seed=3
     )
-    samples, _, _ = posterior_assignment_samples(docs_to_bows(docs), 2, hyper)
+    samples, _, _ = posterior_assignment_samples(Bows.from_docs(docs_to_bows(docs), 2), hyper)
     got_same = float((samples[:, 0] == samples[:, 1]).mean())
     assert got_same == pytest.approx(exact_same, abs=0.02)
 
@@ -173,7 +175,7 @@ def test_gibbs_marginals_match_enumeration_small_corpus():
     hyper = LdaHyperparams(
         k=2, alpha=alpha, eta=eta, iterations=20000, burn_in=1000, thin=1, seed=11
     )
-    samples, _, _ = posterior_assignment_samples(docs_to_bows(docs), 3, hyper)
+    samples, _, _ = posterior_assignment_samples(Bows.from_docs(docs_to_bows(docs), 3), hyper)
     got = gibbs_marginals(samples, 2)
     assert np.abs(got - exact).max() < 0.02
 
@@ -183,7 +185,7 @@ def test_planted_topics_recovered():
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=0.01, iterations=300, burn_in=100, thin=10, seed=21
     )
-    model = train_lda(bows, 10, hyper)
+    model = train_lda(Bows.from_docs(bows, 10), hyper)
     tops = [
         {int(term) for term, _ in top_words(model, k, 5).terms} for k in range(2)
     ]
@@ -242,7 +244,7 @@ def test_chain_stops_after_its_last_retained_sweep(list_fallback, monkeypatch):
         hyper = LdaHyperparams(k=2, iterations=iterations, burn_in=burn_in, thin=thin, seed=17)
         for sample in (train_lda, posterior_assignment_samples):
             sweeps.clear()
-            models[schedule, sample] = sample(bows, 10, hyper)
+            models[schedule, sample] = sample(Bows.from_docs(bows, 10), hyper)
             assert sum(sweeps) == want, (schedule, sample.__name__)
     longer, shorter = models[(11, 2, 3), train_lda], models[(9, 2, 3), train_lda]
     assert longer.beta.tobytes() == shorter.beta.tobytes()
@@ -272,12 +274,12 @@ def test_corpus_without_tokens_gives_uniform_estimates(list_fallback, monkeypatc
         monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
     bows = [BowDoc(f"d{i}", {}) for i in range(3)]
     hyper = LdaHyperparams(k=4, iterations=9, burn_in=3, thin=2, seed=1)
-    model = train_lda(bows, 6, hyper)
+    model = train_lda(Bows.from_docs(bows, 6), hyper)
     assert np.allclose(model.beta, 1 / 6, rtol=0, atol=1e-15)
     assert np.allclose(model.theta, 1 / 4, rtol=0, atol=1e-15)
     assert (model.beta == model.beta[0, 0]).all() and (model.theta == model.theta[0, 0]).all()
     assert model.doc_lengths.tolist() == [0, 0, 0]
-    samples, doc_ids, word_ids = posterior_assignment_samples(bows, 6, hyper)
+    samples, doc_ids, word_ids = posterior_assignment_samples(Bows.from_docs(bows, 6), hyper)
     assert samples.shape == (3, 0) and doc_ids.size == word_ids.size == 0
 
 
@@ -315,11 +317,11 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
         for block_values in (lda._BLOCK_VALUES, 2 * n_tokens):
             monkeypatch.setattr(_kernels, "c_gibbs_chain", chain)
             monkeypatch.setattr(lda, "_BLOCK_VALUES", block_values)
-            model = train_lda(bows, 10, hyper, eta_kw=eta_kw, init_beta=init_beta)
+            model = train_lda(Bows.from_docs(bows, 10), hyper, eta_kw=eta_kw, init_beta=init_beta)
             assert np.array_equal(model.beta, beta)
             assert np.array_equal(model.theta, theta)
             if not dtm:
-                got_samples, _, _ = posterior_assignment_samples(bows, 10, hyper)
+                got_samples, _, _ = posterior_assignment_samples(Bows.from_docs(bows, 10), hyper)
                 assert np.array_equal(got_samples, samples)
             # 25 sweeps of a 6-token document span two blocks of 2 * n_tokens values
             for doc in (bows[0], BowDoc("repeats", {7: 3, 1: 2, 4: 1})):
@@ -330,8 +332,9 @@ def test_chain_calls_match_per_sweep_loop(iterations, burn_in, thin, empty_doc, 
 
 
 def test_trained_lda_log_line_names_the_backend(caplog):
+    bows = Bows.from_docs([BowDoc("d", {0: 2, 1: 1})], 2)
     with caplog.at_level(logging.INFO, logger="newstm.lda"):
-        train_lda([BowDoc("d", {0: 2, 1: 1})], 2, LdaHyperparams(k=2, iterations=2, burn_in=0))
+        train_lda(bows, LdaHyperparams(k=2, iterations=2, burn_in=0))
     assert f"iterations=2 backend={_kernels.BACKEND}" in caplog.text
 
 
@@ -340,7 +343,7 @@ def _planted_model(seed=33):
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=0.01, iterations=300, burn_in=100, thin=10, seed=seed
     )
-    return train_lda(bows, 10, hyper), bows, labels, supports
+    return train_lda(Bows.from_docs(bows, 10), hyper), bows, labels, supports
 
 
 def test_infer_theta_empty_doc_is_uniform():
@@ -562,9 +565,9 @@ def test_default_prior_equals_the_constant_eta_kw_bitwise(list_fallback, monkeyp
     assert max(w for bow in bows for w in bow.counts) < 10
     for eta in (0.01, 1 / 3):
         hyper = LdaHyperparams(k=3, alpha=0.8, eta=eta, iterations=12, burn_in=3, thin=2, seed=9)
-        default = train_lda(bows, vocab_size, hyper)
+        default = train_lda(Bows.from_docs(bows, vocab_size), hyper)
         eta_kw = np.full((hyper.k, vocab_size), eta)
-        constant = train_lda(bows, vocab_size, hyper, eta_kw=eta_kw)
+        constant = train_lda(Bows.from_docs(bows, vocab_size), hyper, eta_kw=eta_kw)
         assert default.beta.tobytes() == constant.beta.tobytes(), eta
         assert default.theta.tobytes() == constant.theta.tobytes(), eta
 

@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import planted_two_topic_bows
+from helpers import monthly_slices, planted_two_topic_bows
 from newstm import _kernels, modelfile
 from newstm.cli import Workspace, _sha256, main
 from newstm.corpus import (
     Corpus,
     Document,
-    TimeSlice,
     read_timeline_csv,
     save_corpus,
     write_timeline_csv,
@@ -55,14 +54,11 @@ HYPER = LdaHyperparams(k=3, alpha=0.8, eta=0.05, iterations=6, burn_in=2, thin=2
 
 @pytest.fixture(scope="module")
 def models():
-    bows, _, _ = planted_two_topic_bows(n_docs=12, doc_len=6, seed=2)
-    lda = train_lda(bows, 10, HYPER)
+    docs, _, _ = planted_two_topic_bows(n_docs=12, doc_len=6, seed=2)
     # The empty middle slice gives a zero-row theta that must survive the file.
-    sliced = []
-    for t, docs in enumerate([bows[:7], [], bows[7:]]):
-        start, end = datetime.date(2020, 1 + t, 17), datetime.date(2020, 2 + t, 17)
-        sliced.append((TimeSlice(t, start, end, tuple(b.doc_id for b in docs)), docs))
-    dtm = train_dtm(sliced, HYPER, kappa=1.0, vocab_size=10)
+    slices, bows = monthly_slices([docs[:7], [], docs[7:]], 10)
+    lda = train_lda(bows, HYPER)
+    dtm = train_dtm(slices, bows, HYPER, kappa=1.0)
     return {"lda": (lda, save_lda, load_lda, "static"), "dtm": (dtm, save_dtm, load_dtm, "dtm")}
 
 
@@ -93,11 +89,12 @@ def _hyper_of(header):
     return meta["hyper"] if "hyper" in meta else meta["base_hyper"]
 
 
-# Header fields of the right value but the wrong JSON type.
+# Header fields of the wrong JSON type.
 MISTYPED = {
     "float-k": lambda header: _hyper_of(header).update(k=3.0),
     "bool-seed": lambda header: _hyper_of(header).update(seed=True),
     "float-shape": lambda header: header["arrays"][0]["shape"].__setitem__(0, 3.0),
+    "null-alpha": lambda header: _hyper_of(header).update(alpha=None),
 }
 
 # Each way a model file can be malformed, and what the error says about it.
@@ -111,6 +108,7 @@ CASES = {
     "float-k": r"field 'k' must be an integer, got 3\.0",
     "bool-seed": "field 'seed' must be an integer, got true",
     "float-shape": r"field 'shape' must be a list of integers, got \[3\.0, ",
+    "null-alpha": "field 'alpha' must be a finite number, got null",
 }
 
 
@@ -271,20 +269,13 @@ def test_training_from_the_bows_file_gives_the_same_model_bytes(tmp_path, monkey
         monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
     docs, _, _ = planted_two_topic_bows(n_docs=12, doc_len=6, seed=2)
     docs.insert(5, BowDoc("empty", {}))
-    write_bows(Bows.from_docs(docs, 10), tmp_path / "bows.newstm")
+    slices, in_memory = monthly_slices([docs[:7], [], docs[7:]], 10)
+    write_bows(in_memory, tmp_path / "bows.newstm")
     stored = read_bows(tmp_path / "bows.newstm")
-    parts = [docs[:7], [], docs[7:]]
     files = {}
-    for name, corpus, select in (
-        ("docs", docs, lambda part: part),
-        ("file", stored, lambda part: stored.select([b.doc_id for b in part])),
-    ):
-        save_lda(train_lda(corpus, 10, HYPER), tmp_path / f"lda_{name}.newstm")
-        sliced = []
-        for t, part in enumerate(parts):
-            start, end = datetime.date(2020, 1 + t, 17), datetime.date(2020, 2 + t, 17)
-            sliced.append((TimeSlice(t, start, end, tuple(b.doc_id for b in part)), select(part)))
-        save_dtm(train_dtm(sliced, HYPER, vocab_size=10), tmp_path / f"dtm_{name}.newstm")
+    for name, bows in (("docs", in_memory), ("file", stored)):
+        save_lda(train_lda(bows, HYPER), tmp_path / f"lda_{name}.newstm")
+        save_dtm(train_dtm(slices, bows, HYPER), tmp_path / f"dtm_{name}.newstm")
         files[name] = [(tmp_path / f"{kind}_{name}.newstm").read_bytes() for kind in ("lda", "dtm")]
     assert files["file"] == files["docs"]
 

@@ -385,6 +385,17 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
         ({"no_below": 1.5}, "field 'no_below' must be an integer, got 1.5"),
         ({"no_above": "0.5"}, "field 'no_above' must be a finite number, got \"0.5\""),
         ({"n_docs": True}, "field 'n_docs' must be an integer, got true"),
+        ({"n_docs": 0}, "n_docs must be >= 1, got 0"),
+        ({"n_docs": -3}, "n_docs must be >= 1, got -3"),
+        ({"no_below": 0}, "no_below must be >= 1, got 0"),
+        ({"no_above": 5.0}, "no_above must be in (0, 1], got 5.0"),
+        ({"no_above": 0}, "no_above must be in (0, 1], got 0"),
+        ({"document_frequency": [-1, 1]}, "token 'a' has document frequency -1, not in 1..1"),
+        ({"document_frequency": [1, 7]}, "token 'b' has document frequency 7, not in 1..1"),
+        (
+            {"document_frequency": [3, 2], "no_below": 3, "n_docs": 4},
+            "token 'b' has document frequency 2, not in 3..4",
+        ),
     ],
     ids=[
         "repeated-token",
@@ -395,6 +406,14 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
         "float-no-below",
         "string-no-above",
         "bool-n-docs",
+        "zero-n-docs",
+        "negative-n-docs",
+        "zero-no-below",
+        "no-above-above-1",
+        "zero-no-above",
+        "negative-frequency",
+        "frequency-above-n-docs",
+        "frequency-below-no-below",
     ],
 )
 def test_read_vocabulary_rejects_a_fault_of_the_list_layout(tmp_path, changes, fault):

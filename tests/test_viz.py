@@ -189,18 +189,17 @@ def test_drifted_in_word_curve_rises(tmp_path):
         DRIFT_IN_WORD,
         DRIFT_MARKER_WORD,
         DRIFT_OUT_WORD,
-        DRIFT_VOCAB_SIZE,
         drift_vocab,
         planted_drift_sliced_corpus,
     )
     from newstm.dtm import read_trajectory_csv, train_dtm, trajectory, write_trajectory_csv
     from newstm.lda import LdaHyperparams
 
-    sliced = planted_drift_sliced_corpus(seed=3)
+    slices, bows = planted_drift_sliced_corpus(seed=3)
     hyper = LdaHyperparams(
         k=2, alpha=1.0, eta=0.01, iterations=200, burn_in=80, thin=5, seed=17
     )
-    model = train_dtm(sliced, hyper, kappa=1.0, vocab_size=DRIFT_VOCAB_SIZE)
+    model = train_dtm(slices, bows, hyper, kappa=1.0)
     topic_a = int(np.argmax(model.per_slice_beta[0, :, DRIFT_MARKER_WORD]))
     series = trajectory(
         model, topic_a, [f"w{DRIFT_IN_WORD}", f"w{DRIFT_OUT_WORD}"], drift_vocab()
