@@ -39,14 +39,13 @@ from newstm.corpus import (
     write_timeline_csv,
 )
 from newstm.dtm import (
-    load_dtm,
+    read_trajectories,
     read_trajectory_csv,
-    save_dtm,
-    top_words_at,
-    train_dtm,
-    trajectory,
+    train_dtm_to_file,
     write_trajectory_csv,
 )
+# Unused here, but perfbench/spans.py looks these names up on this module.
+from newstm.dtm import load_dtm, save_dtm, top_words_at, train_dtm, trajectory  # noqa: F401
 from newstm.evaluate import (
     intertopic_map,
     read_intertopic_csv,
@@ -397,36 +396,30 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     )
     sizes = [len(s) for s in slices]
     logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
-    model = train_dtm(slices, bows, config.hyper, config.kappa)
-    save_dtm(model, ws.path_for("model_dtm"))
+    train_dtm_to_file(ws.path_for("model_dtm"), slices, bows, config.hyper, config.kappa)
 
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     model = load_lda(ws.require(manifest, "model_static"))
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
-    dtm_model = load_dtm(ws.require(manifest, "model_dtm"))
     for key, value in (("top_n", config.top_n), ("trajectory_words", config.trajectory_words)):
         if value > len(vocab):
             raise ValidationError(
                 f"config report.{key} {value} exceeds the vocabulary size {len(vocab)}"
             )
+    # Each topic's top words at the DTM's last slice, followed through every
+    # slice; read before any output is written, one slice of β at a time.
+    trajectories = read_trajectories(
+        ws.require(manifest, "model_dtm"), vocab, config.trajectory_words
+    )
 
     report = umass_coherence(model, bows, config.top_n)
     logger.info("mean UMass coherence over %d topics: %.4f", model.n_topics, report.mean)
     write_coherence_json(report, ws.path_for("coherence"))
     write_overlap_json(topic_overlap(model, config.top_n), config.top_n, ws.path_for("overlap"))
     write_intertopic_csv(intertopic_map(model), ws.path_for("intertopic"))
-
-    final_slice = dtm_model.n_slices - 1
-    all_series = []
-    for topic in range(dtm_model.base_hyper.k):
-        summary = top_words_at(
-            dtm_model, topic, final_slice, config.trajectory_words, vocab
-        )
-        words = [term for term, _ in summary.terms]
-        all_series.append(trajectory(dtm_model, topic, words, vocab))
-    write_trajectory_csv(all_series, ws.path_for("trajectories"))
+    write_trajectory_csv(trajectories, ws.path_for("trajectories"))
 
 
 def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:

@@ -17,20 +17,30 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from newstm.corpus import TimeSlice
-from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _topic_summary
+from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _top_order, _topic_summary
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
-from newstm.modelfile import iso_date, json_fields, read_csv, read_model, write_csv, write_model
+from newstm.modelfile import (
+    BlockFile,
+    Blocks,
+    iso_date,
+    json_fields,
+    read_csv,
+    read_model,
+    write_csv,
+    write_model,
+)
 from newstm.preprocess import Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 _FORMAT = "newstm-dtm"
+_RETRAIN = "newstm train --mode dtm"
 
 
 @dataclass
@@ -99,23 +109,66 @@ def train_dtm(
     slice (the equivalence mode used to compare against independent runs).
     """
     slices = list(slices)
+    seeds = slice_seeds_for(base_hyper.seed, len(slices))
+    betas = np.empty((len(slices), base_hyper.k, bows.vocab_size), dtype=np.float64)
+    steps = _chain(slices, bows, base_hyper, kappa, warm_start, seeds, betas)
+    return DtmModel(
+        slices=slices,
+        per_slice_beta=betas,
+        per_slice_theta=[theta_t for _, theta_t in steps],
+        kappa=kappa,
+        base_hyper=base_hyper,
+        slice_seeds=seeds,
+    )
+
+
+def train_dtm_to_file(
+    path: str | Path,
+    slices: Sequence[TimeSlice],
+    bows: Bows,
+    base_hyper: LdaHyperparams,
+    kappa: float = 1.0,
+) -> None:
+    """Train as `train_dtm` does and write the file `save_dtm` would write
+    of its model, each slice's β as it finishes: no more than two (k, V)
+    slices of β are held at once."""
+    slices = list(slices)
+    seeds = slice_seeds_for(base_hyper.seed, len(slices))
+    ring = np.empty((2, base_hyper.k, bows.vocab_size), dtype=np.float64)
+    steps = _chain(slices, bows, base_hyper, kappa, True, seeds, ring)
+    meta = _meta(slices, kappa, base_hyper, seeds)
+    _write(path, meta, (len(slices), base_hyper.k, bows.vocab_size), sum(map(len, slices)), steps)
+
+
+def _chain(
+    slices: list[TimeSlice],
+    bows: Bows,
+    base_hyper: LdaHyperparams,
+    kappa: float,
+    warm_start: bool,
+    seeds: list[int],
+    ring: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each slice's (beta_t, theta_t) in order.
+
+    beta_t is written into ring[t % len(ring)], a (k, V) float64 array, and
+    stays valid until slice t + len(ring) starts. Slice t's prior needs
+    only beta_{t-1}, so a ring of two serves any number of slices.
+    """
     if not slices:
         raise ValueError("need at least one time slice")
     if not (kappa >= 0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
 
     k, vocab_size = base_hyper.k, bows.vocab_size
-    seeds = slice_seeds_for(base_hyper.seed, len(slices))
-    betas = np.empty((len(slices), k, vocab_size), dtype=np.float64)
     prior = np.empty((k, vocab_size), dtype=np.float64)  # each slice's chained eta_kw
-    thetas: list[np.ndarray] = []
-
     for t, time_slice in enumerate(slices):
         slice_bows = bows.select(time_slice.doc_ids)
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
-        prev_beta = betas[t - 1] if t else None
+        beta_t = ring[t % len(ring)]
+        prev_beta = ring[(t - 1) % len(ring)] if t else None
         if not slice_bows:
-            betas[t] = prev_beta if prev_beta is not None else 1.0 / vocab_size
+            beta_t[...] = prev_beta if prev_beta is not None else 1.0 / vocab_size
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
         else:
@@ -126,18 +179,9 @@ def train_dtm(
                 prior += base_hyper.eta
             init_beta = prev_beta if warm_start else None
             _, theta_t, _ = _run_chain(
-                slice_bows, hyper_t, prior, init_beta, collect_z=False, out=betas[t]
+                slice_bows, hyper_t, prior, init_beta, collect_z=False, out=beta_t
             )
-        thetas.append(theta_t)
-
-    return DtmModel(
-        slices=slices,
-        per_slice_beta=betas,
-        per_slice_theta=thetas,
-        kappa=kappa,
-        base_hyper=base_hyper,
-        slice_seeds=seeds,
-    )
+        yield beta_t, theta_t
 
 
 def trajectory(
@@ -169,6 +213,32 @@ def top_words_at(
     if not 0 <= t < model.n_slices:
         raise ValueError(f"slice index {t} out of range for {model.n_slices} slices")
     return _topic_summary(model.per_slice_beta[t], topic_id, n, vocab)
+
+
+def read_trajectories(path: str | Path, vocab: Vocabulary, n: int) -> list[TrajectorySeries]:
+    """Each topic's n top words at the last slice of a `save_dtm` file, with
+    their p(word | topic, t) across all slices: what `top_words_at` and
+    `trajectory` give on the loaded model. Reads one (k, V) slice at a time,
+    each once after the last, so the whole β is never held."""
+    with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
+        slices, _, _, _ = stored.header
+        if not slices:
+            raise ValueError(f"{path}: the model has no time slices")
+        beta_t = stored.block("per_slice_beta", len(slices) - 1)
+        if not 1 <= n <= beta_t.shape[1]:
+            raise ValueError(f"n must be in 1..{beta_t.shape[1]}, got {n}")
+        top = np.array([_top_order(row, n) for row in beta_t])  # (k, n) word ids
+        values = np.empty((len(slices),) + top.shape)
+        for t in range(len(slices)):
+            stored.block("per_slice_beta", t, out=beta_t)
+            values[t] = np.take_along_axis(beta_t, top, axis=1)
+    labels = tuple(s.start.isoformat() for s in slices)
+    out = []
+    for topic, ids in enumerate(top):
+        words = tuple(vocab.decode(int(i)) for i in ids)
+        series = {w: values[:, topic, j].copy() for j, w in enumerate(words)}
+        out.append(TrajectorySeries(topic, words, series, labels))
+    return out
 
 
 def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Path) -> None:
@@ -230,10 +300,19 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
     All slice thetas go into one array of stacked rows, a slice's rows
     being its documents in `doc_ids` order.
     """
-    meta = {
-        "kappa": model.kappa,
-        "slice_seeds": model.slice_seeds,
-        "base_hyper": dataclasses.asdict(model.base_hyper),
+    meta = _meta(model.slices, model.kappa, model.base_hyper, model.slice_seeds)
+    rows = sum(len(theta_t) for theta_t in model.per_slice_theta)
+    steps = zip(model.per_slice_beta, model.per_slice_theta)
+    _write(path, meta, model.per_slice_beta.shape, rows, steps)
+
+
+def _meta(
+    slices: list[TimeSlice], kappa: float, base_hyper: LdaHyperparams, seeds: list[int]
+) -> dict:
+    return {
+        "kappa": kappa,
+        "slice_seeds": seeds,
+        "base_hyper": dataclasses.asdict(base_hyper),
         "slices": [
             {
                 "index": s.index,
@@ -241,17 +320,41 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
                 "end": s.end.isoformat(),
                 "doc_ids": list(s.doc_ids),
             }
-            for s in model.slices
+            for s in slices
         ],
     }
+
+
+def _write(
+    path: str | Path,
+    meta: dict,
+    shape: tuple[int, ...],
+    rows: int,
+    steps: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Write a model file of β shape `shape` and `rows` θ rows from the
+    per-slice (beta_t, theta_t) of `steps`: each beta_t as it comes, then
+    the theta rows, which are small, collected on the way."""
+    thetas: list[np.ndarray] = []
+
+    def betas() -> Iterator[np.ndarray]:
+        for beta_t, theta_t in steps:
+            thetas.append(theta_t)
+            yield beta_t[np.newaxis]
+
     arrays = {
-        "per_slice_beta": model.per_slice_beta,
-        "per_slice_theta": np.concatenate(model.per_slice_theta),
+        "per_slice_beta": Blocks(shape, np.dtype(np.float64), betas()),
+        "per_slice_theta": Blocks((rows, shape[1]), np.dtype(np.float64), thetas),
     }
     write_model(path, _FORMAT, meta, arrays)
 
 
-def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
+def _checked_header(
+    meta: dict, shapes: dict[str, tuple[int, ...]]
+) -> tuple[list[TimeSlice], float, LdaHyperparams, list[int]]:
+    """The slices, kappa, base hyperparameters and slice seeds of a DTM
+    file's header, checked to be as `save_dtm` writes them, and against the
+    shapes of the arrays: β is (T, k, V), and θ has a row per document."""
     kappa, seeds, base_hyper, entries = json_fields(
         meta, {"kappa": float, "slice_seeds": list[int], "base_hyper": dict, "slices": list}
     )
@@ -271,20 +374,25 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
         except ValueError as exc:
             raise ValueError(f"slice {t}: {exc}") from None
         slices.append(TimeSlice(index, start, end, tuple(doc_ids)))
-    rows = [len(s) for s in slices]  # a slice's theta rows are its documents, in order
     json_fields(base_hyper, {"alpha": float})  # as save_dtm writes it: resolved, never null
     hyper = LdaHyperparams(**base_hyper)
-    thetas, betas = arrays["per_slice_theta"], arrays["per_slice_beta"]
-    if betas.ndim != 3 or betas.shape[:2] != (len(slices), hyper.k):
-        raise ValueError(
-            f"per_slice_beta has shape {betas.shape}, not ({len(slices)}, {hyper.k}, V)"
-        )
-    if thetas.shape != (sum(rows), hyper.k):
-        raise ValueError(f"per_slice_theta has shape {thetas.shape}, not ({sum(rows)}, {hyper.k})")
+    betas, thetas = tuple(shapes["per_slice_beta"]), tuple(shapes["per_slice_theta"])
+    if len(betas) != 3 or betas[:2] != (len(slices), hyper.k):
+        raise ValueError(f"per_slice_beta has shape {betas}, not ({len(slices)}, {hyper.k}, V)")
+    rows = sum(map(len, slices))  # a slice's theta rows are its documents, in order
+    if thetas != (rows, hyper.k):
+        raise ValueError(f"per_slice_theta has shape {thetas}, not ({rows}, {hyper.k})")
+    return slices, kappa, hyper, seeds
+
+
+def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    slices, kappa, hyper, seeds = _checked_header(meta, shapes)
+    rows = [len(s) for s in slices]
     return DtmModel(
         slices=slices,
-        per_slice_beta=betas,
-        per_slice_theta=np.split(thetas, np.cumsum(rows)[:-1]),
+        per_slice_beta=arrays["per_slice_beta"],
+        per_slice_theta=np.split(arrays["per_slice_theta"], np.cumsum(rows)[:-1]),
         kappa=kappa,
         base_hyper=hyper,
         slice_seeds=seeds,
@@ -293,4 +401,4 @@ def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
 
 def load_dtm(path: str | Path) -> DtmModel:
     """Read a model written by `save_dtm`; a malformed file raises ValueError."""
-    return read_model(path, _FORMAT, "newstm train --mode dtm", _model_from_file)
+    return read_model(path, _FORMAT, _RETRAIN, _model_from_file)

@@ -353,7 +353,7 @@ def _top_order(beta_row: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest entries, ties broken by ascending word id."""
     v = beta_row.size
     order = np.lexsort((np.arange(v), -beta_row))
-    return order[:n]
+    return order[:n].copy()  # a view would keep all V entries alive
 
 
 def _topic_summary(

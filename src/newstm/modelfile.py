@@ -16,6 +16,12 @@ in `.npy` format (`numpy.lib.format`), in the order the header lists them:
 Arrays are stored C-ordered and little-endian, as `<f8` or `<i8`, and read
 with `allow_pickle=False`. The `.npy` header is a pure function of dtype and
 shape, so the same model always gives the same bytes.
+
+An array need not be in memory to be written: given as `Blocks`, its shape
+plus its blocks along axis 0, the header and its `.npy` header are written
+from the shape, and each block as it comes. The bytes are those of the whole
+array. `BlockFile` reads one leading-axis block of a stored array at a time,
+with one seek and one `readinto`, so neither side holds the whole array.
 """
 
 from __future__ import annotations
@@ -28,10 +34,17 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar, get_args, get_origin
+from typing import (
+    IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, get_args, get_origin,
+)
 
 import numpy as np
-from numpy.lib.format import read_array, write_array
+from numpy.lib.format import (
+    read_array,
+    read_array_header_1_0,
+    read_magic,
+    write_array_header_1_0,
+)
 
 VERSION = 2
 _DTYPES = {"f": "<f8", "i": "<i8"}  # numpy dtype kind -> stored dtype
@@ -176,27 +189,69 @@ def read_csv(
             yield row
 
 
+class Blocks(NamedTuple):
+    """An array given as its shape, its dtype and its blocks along axis 0, in
+    order: the block lengths sum to shape[0], and each block has the trailing
+    shape and the dtype kind. The blocks may be produced as they are written."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    blocks: Iterable[np.ndarray]
+
+
+def _stored_dtype(name: str, dtype: np.dtype) -> str:
+    stored = _DTYPES.get(np.dtype(dtype).kind)
+    if stored is None:
+        raise ValueError(f"array {name!r} has dtype {np.dtype(dtype)}, not a float or int dtype")
+    return stored
+
+
 def write_model(
-    path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]
+    path: str | Path, fmt: str, meta: dict, arrays: dict[str, np.ndarray | Blocks]
 ) -> None:
-    """Atomically write `meta` and the named float/int arrays to `path`."""
-    stored = {
-        name: np.ascontiguousarray(arr, dtype=_DTYPES[arr.dtype.kind])
+    """Atomically write `meta` and the named float/int arrays to `path`.
+
+    An ndarray is one block. A `Blocks` stream that is short, long or of
+    the wrong shape or dtype kind raises ValueError, and no file is left.
+    """
+    streams = {
+        name: arr if isinstance(arr, Blocks) else Blocks(arr.shape, arr.dtype, (arr,))
         for name, arr in arrays.items()
     }
-    header = {
-        "format": fmt,
-        "version": VERSION,
-        "meta": meta,
-        "arrays": [
-            {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
-            for name, arr in stored.items()
-        ],
-    }
+    entries = [
+        {"name": name, "shape": list(map(int, arr.shape)), "dtype": _stored_dtype(name, arr.dtype)}
+        for name, arr in streams.items()
+    ]
+    header = {"format": fmt, "version": VERSION, "meta": meta, "arrays": entries}
     with replacing(path, "wb") as fh:
         fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-        for arr in stored.values():
-            write_array(fh, arr, version=(1, 0), allow_pickle=False)
+        for name, arr in streams.items():
+            write_array(fh, arr, name=name)
+
+
+def write_array(fh: IO[bytes], array: Blocks, *, name: str) -> None:
+    """Write one model array: its `.npy` header, then its blocks as they come.
+    The bytes are those numpy's `write_array` gives the whole array."""
+    shape, dtype = tuple(int(n) for n in array.shape), _stored_dtype(name, array.dtype)
+    write_array_header_1_0(fh, {"descr": dtype, "fortran_order": False, "shape": shape})
+    rows = 0
+    for block in array.blocks:
+        fits = block.ndim == len(shape) and block.shape[1:] == shape[1:]
+        if not fits or block.dtype.kind != np.dtype(dtype).kind:
+            raise ValueError(
+                f"array {name!r}: a block of {block.dtype}{list(block.shape)} "
+                f"does not fit {dtype}{list(shape)}"
+            )
+        rows += len(block)
+        if rows > shape[0]:
+            raise ValueError(f"array {name!r}: the blocks hold more than {shape[0]} rows")
+        fh.write(np.ascontiguousarray(block, dtype=dtype))
+    if rows != shape[0]:
+        raise ValueError(f"array {name!r}: the blocks hold {rows} rows, not {shape[0]}")
+
+
+def _invalid(path: str | Path, fmt: str, retrain: str, exc: Exception) -> ValueError:
+    return ValueError(f"{path}: not a valid {fmt} model file ({exc}); re-run `{retrain}`")
 
 
 def read_model(
@@ -213,15 +268,22 @@ def read_model(
     """
     try:
         with Path(path).open("rb") as fh:
-            meta, arrays = _read(fh, fmt)
+            meta, entries = _header(fh, fmt)
+            arrays: dict[str, np.ndarray] = {}
+            for name, shape, dtype in entries:
+                arr = read_array(fh, allow_pickle=False)
+                _check_array(name, shape, dtype, arr.shape, arr.dtype)
+                arrays[name] = arr
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last array")
         return build(meta, arrays)
     except (LookupError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path}: not a valid {fmt} model file ({exc}); re-run `{retrain}`"
-        ) from exc
+        raise _invalid(path, fmt, retrain, exc) from exc
 
 
-def _read(fh, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _header(fh, fmt: str) -> tuple[dict, list[tuple[str, list[int], str]]]:
+    """The meta and the (name, shape, dtype) array entries of a model file's
+    header line, after which `fh` is left."""
     header = json.loads(fh.readline().decode("utf-8"))
     # Format and version first: a JSON model of version 1 has neither meta nor arrays.
     found, version = json_fields(header, {"format": str, "version": int})
@@ -231,18 +293,88 @@ def _read(fh, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(
             f"version {version}, expected {VERSION} (models from before version 2 were JSON)"
         )
-    meta, entries = json_fields(header, {"meta": dict, "arrays": list})
-    arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
+    meta, listed = json_fields(header, {"meta": dict, "arrays": list})
+    entries = []
+    for entry in listed:
         name, shape, dtype = json_fields(entry, {"name": str, "shape": list[int], "dtype": str})
         if dtype not in _DTYPES.values():
             raise ValueError(f"array {name!r} has unsupported dtype {dtype!r}")
-        arr = read_array(fh, allow_pickle=False)
-        if list(arr.shape) != shape or arr.dtype.str != dtype:
-            raise ValueError(
-                f"array {name!r} is {arr.dtype.str}{list(arr.shape)}, header says {dtype}{shape}"
-            )
-        arrays[name] = arr
-    if fh.read(1):
-        raise ValueError("trailing bytes after the last array")
-    return meta, arrays
+        entries.append((name, shape, dtype))
+    return meta, entries
+
+
+def _check_array(name: str, shape: list[int], dtype: str, found_shape, found_dtype) -> None:
+    if list(found_shape) != shape or found_dtype.str != dtype:
+        raise ValueError(
+            f"array {name!r} is {found_dtype.str}{list(found_shape)}, header says {dtype}{shape}"
+        )
+
+
+class BlockFile:
+    """A model file held open to read its arrays one leading-axis block at a
+    time, each with one seek and one `readinto`.
+
+    Opening it checks the header as `read_model` does, reads each array's
+    `.npy` header, and checks that the file ends where the last array does;
+    `check(meta, shapes)` then gives `self.header`. A fault in any of these,
+    or a ValueError, LookupError or TypeError from `check`, is a ValueError
+    that names the path and the `retrain` command.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        fmt: str,
+        retrain: str,
+        check: Callable[[dict, dict[str, tuple[int, ...]]], T],
+    ) -> None:
+        self._fh = Path(path).open("rb")
+        self._fault = lambda exc: _invalid(path, fmt, retrain, exc)
+        self._layout: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}  # offset, shape, dtype
+        try:
+            meta, entries = _header(self._fh, fmt)
+            for name, shape, dtype in entries:
+                if read_magic(self._fh) != (1, 0):  # as write_model writes it
+                    raise ValueError(f"array {name!r} is not in .npy format 1.0")
+                found_shape, fortran, found_dtype = read_array_header_1_0(self._fh)
+                _check_array(name, shape, dtype, found_shape, found_dtype)
+                if fortran:
+                    raise ValueError(f"array {name!r} is stored in Fortran order")
+                offset = self._fh.tell()
+                self._layout[name] = (offset, tuple(shape), found_dtype)
+                self._fh.seek(offset + math.prod(shape) * found_dtype.itemsize)
+            end, size = self._fh.tell(), os.fstat(self._fh.fileno()).st_size
+            if size < end:
+                raise ValueError(f"the file is {size} bytes, its header says {end}: truncated")
+            if size > end:
+                raise ValueError("trailing bytes after the last array")
+            self.header = check(meta, {name: shape for name, (_, shape, _) in self._layout.items()})
+        except (LookupError, TypeError, ValueError) as exc:
+            self._fh.close()
+            raise self._fault(exc) from exc
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def block(self, name: str, index: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Block `index` of array `name` along axis 0, read into `out` if given."""
+        offset, shape, dtype = self._layout[name]
+        if not 0 <= index < shape[0]:
+            raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
+        if out is None:
+            out = np.empty(shape[1:], dtype=dtype)
+        elif out.shape != shape[1:] or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-ordered {dtype}{list(shape[1:])} array")
+        self._fh.seek(offset + index * out.nbytes)
+        if self._fh.readinto(out) != out.nbytes:
+            raise self._fault(ValueError(f"block {index} of array {name!r} is cut short"))
+        return out
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> BlockFile:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

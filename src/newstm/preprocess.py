@@ -342,6 +342,11 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
                 raise ValueError(
                     f"token {token!r} has document frequency {count}, not in {no_below}..{n_docs}"
                 )
+            if not count / n_docs <= no_above:  # as build_vocabulary filters
+                raise ValueError(
+                    f"token {token!r} has document frequency {count} of {n_docs} documents, "
+                    f"above no_above {no_above}"
+                )
         return Vocabulary(token_to_id, tuple(tokens), tuple(df), no_below, no_above, n_docs)
     except ValueError as exc:
         raise ValueError(

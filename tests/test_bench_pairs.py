@@ -1,0 +1,102 @@
+"""`scripts/bench_pairs.py` against a fake `perfbench/run.py` that prints
+fixed records; no real benchmark runs here."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+# A run.py that prints a record line, then a result whose metrics depend on
+# its side and the seed; seed 13 fails one operation.
+FAKE_RUN = '''import json, sys
+SIDE = {side!r}
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+base = {{"parent": 2.0, "change": 1.0}}[SIDE]
+print("== " + args["--workload"])
+print(json.dumps({{"workload": args["--workload"], "environment": {{"backend": "fake-" + SIDE}}}}))
+metrics = {{
+    "pipeline_s": {{"value": base + seed / 100, "unit": "s"}},
+    "peak_rss_mb": {{"value": 60.0 if seed % 2 else 70.0, "unit": "MB"}},
+}}
+failed = 1 if seed == 13 else 0
+print(json.dumps({{"correct": failed == 0, "attempted": 6, "failed": failed, "metrics": metrics}}))
+'''
+
+BENCHMARK = {
+    "end_to_end": [
+        {"name": "pipeline_s", "unit": "s", "better": "lower", "bound": 0.15},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]
+}
+
+
+def _repo(tmp_path):
+    root = tmp_path / "repo"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.format(side="parent"))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(git + ["add", "-A"], cwd=root, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], cwd=root, check=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.format(side="change"))
+    return root
+
+
+def _bench(root, seeds, out):
+    """Run the script; its temporary parent export goes under root/../tmp."""
+    argv = [sys.executable, str(SCRIPT), "--parent", "HEAD", "--workloads", "wide,fixture"]
+    argv += ["--seeds", seeds, "--seconds", "1", "--out", str(out)]
+    tmp = root.parent / "tmp"
+    tmp.mkdir(exist_ok=True)
+    env = dict(os.environ, TMPDIR=str(tmp))
+    return subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
+
+
+def test_pairs_alternate_and_summarize_each_metric_and_side(tmp_path):
+    root = _repo(tmp_path)
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench(root, "1-4", out)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())
+    head = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
+    ).stdout.strip()
+    assert summary["parent"] == {"rev": "HEAD", "commit": head}
+    assert summary["change"] == {"commit": head, "uncommitted_changes": True}
+    assert summary["command"][-2:] == ["--out", str(out)]
+    assert summary["backend"] == {"parent": ["fake-parent"], "change": ["fake-change"]}
+    assert summary["seeds"] == [1, 2, 3, 4]
+    runs = [(r["workload"], r["seed"], r["side"]) for r in summary["runs"]]
+    assert runs[:4] == [
+        ("wide", 1, "parent"), ("wide", 1, "change"), ("wide", 2, "change"), ("wide", 2, "parent")
+    ]
+    assert len(runs) == 16 and all(r["correct"] and r["failed"] == 0 for r in summary["runs"])
+    assert list(summary["workloads"]) == ["wide", "fixture"]
+    pipeline = summary["workloads"]["wide"]["metrics"]["pipeline_s"]
+    assert pipeline["parent"]["samples"] == [2.01, 2.02, 2.03, 2.04]
+    assert pipeline["change"]["samples"] == [1.01, 1.02, 1.03, 1.04]
+    assert pipeline["change"]["median"] == pytest.approx(1.025)
+    assert (pipeline["change"]["q1"], pipeline["change"]["q3"]) == pytest.approx((1.0175, 1.0325))
+    assert (pipeline["pairs"], pipeline["change_wins"], pipeline["better"]) == (4, 4, "lower")
+    rss = summary["workloads"]["fixture"]["metrics"]["peak_rss_mb"]
+    assert (rss["change_wins"], rss["unit"]) == (0, "MB")  # a tie is not a win
+    assert summary["all_correct"] is True
+    assert list((tmp_path / "tmp").iterdir()) == []  # the parent export is removed
+
+
+def test_a_run_that_fails_an_operation_exits_1_after_writing_the_summary(tmp_path):
+    root = _repo(tmp_path)
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench(root, "12,13", out)
+    assert proc.returncode == 1
+    assert "seed 13 parent: exit 0, correct False, failed 1" in proc.stderr
+    summary = json.loads(out.read_text())
+    assert summary["all_correct"] is False
+    assert [r["failed"] for r in summary["runs"] if r["workload"] == "wide"] == [0, 0, 1, 1]

@@ -396,6 +396,10 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
             {"document_frequency": [3, 2], "no_below": 3, "n_docs": 4},
             "token 'b' has document frequency 2, not in 3..4",
         ),
+        (
+            {"document_frequency": [2, 2], "no_above": 0.5, "n_docs": 2},
+            "token 'a' has document frequency 2 of 2 documents, above no_above 0.5",
+        ),
     ],
     ids=[
         "repeated-token",
@@ -414,6 +418,7 @@ def test_read_vocabulary_rejects_ids_that_are_not_a_dense_range(tmp_path, tokens
         "negative-frequency",
         "frequency-above-n-docs",
         "frequency-below-no-below",
+        "frequency-above-no-above",
     ],
 )
 def test_read_vocabulary_rejects_a_fault_of_the_list_layout(tmp_path, changes, fault):
