@@ -31,7 +31,6 @@ from newstm.modelfile import (
     iso_date,
     json_fields,
     read_csv,
-    read_model,
     write_csv,
     write_model,
 )
@@ -222,8 +221,6 @@ def read_trajectories(path: str | Path, vocab: Vocabulary, n: int) -> list[Traje
     each once after the last, so the whole β is never held."""
     with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
         slices, _, _, _ = stored.header
-        if not slices:
-            raise ValueError(f"{path}: the model has no time slices")
         beta_t = stored.block("per_slice_beta", len(slices) - 1)
         if not 1 <= n <= beta_t.shape[1]:
             raise ValueError(f"n must be in 1..{beta_t.shape[1]}, got {n}")
@@ -353,8 +350,10 @@ def _checked_header(
     meta: dict, shapes: dict[str, tuple[int, ...]]
 ) -> tuple[list[TimeSlice], float, LdaHyperparams, list[int]]:
     """The slices, kappa, base hyperparameters and slice seeds of a DTM
-    file's header, checked to be as `save_dtm` writes them, and against the
-    shapes of the arrays: β is (T, k, V), and θ has a row per document."""
+    file's header, checked to be as `save_dtm` writes them (T >= 1 slices,
+    kappa >= 0, and the seeds `slice_seeds_for` gives the base seed over T
+    slices), and against the shapes of the arrays: β is (T, k, V), and θ
+    has a row per document."""
     kappa, seeds, base_hyper, entries = json_fields(
         meta, {"kappa": float, "slice_seeds": list[int], "base_hyper": dict, "slices": list}
     )
@@ -376,6 +375,14 @@ def _checked_header(
         slices.append(TimeSlice(index, start, end, tuple(doc_ids)))
     json_fields(base_hyper, {"alpha": float})  # as save_dtm writes it: resolved, never null
     hyper = LdaHyperparams(**base_hyper)
+    if not slices:  # as train_dtm requires
+        raise ValueError("the model has no time slices")
+    if kappa < 0:
+        raise ValueError(f"kappa {kappa} is below 0")
+    if seeds != slice_seeds_for(hyper.seed, len(slices)):
+        raise ValueError(
+            f"slice_seeds {seeds} are not those of seed {hyper.seed} over {len(slices)} slices"
+        )
     betas, thetas = tuple(shapes["per_slice_beta"]), tuple(shapes["per_slice_theta"])
     if len(betas) != 3 or betas[:2] != (len(slices), hyper.k):
         raise ValueError(f"per_slice_beta has shape {betas}, not ({len(slices)}, {hyper.k}, V)")
@@ -385,20 +392,10 @@ def _checked_header(
     return slices, kappa, hyper, seeds
 
 
-def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> DtmModel:
-    shapes = {name: arr.shape for name, arr in arrays.items()}
-    slices, kappa, hyper, seeds = _checked_header(meta, shapes)
-    rows = [len(s) for s in slices]
-    return DtmModel(
-        slices=slices,
-        per_slice_beta=arrays["per_slice_beta"],
-        per_slice_theta=np.split(arrays["per_slice_theta"], np.cumsum(rows)[:-1]),
-        kappa=kappa,
-        base_hyper=hyper,
-        slice_seeds=seeds,
-    )
-
-
 def load_dtm(path: str | Path) -> DtmModel:
     """Read a model written by `save_dtm`; a malformed file raises ValueError."""
-    return read_model(path, _FORMAT, _RETRAIN, _model_from_file)
+    with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
+        slices, kappa, hyper, seeds = stored.header
+        beta, theta = stored.block("per_slice_beta"), stored.block("per_slice_theta")
+    thetas = np.split(theta, np.cumsum([len(s) for s in slices])[:-1])
+    return DtmModel(slices, beta, thetas, kappa, hyper, seeds)

@@ -13,15 +13,23 @@ in `.npy` format (`numpy.lib.format`), in the order the header lists them:
      "arrays": [{"name": "beta", "shape": [20, 14949], "dtype": "<f8"}, ...]}\\n
     <.npy beta><.npy theta>...
 
-Arrays are stored C-ordered and little-endian, as `<f8` or `<i8`, and read
-with `allow_pickle=False`. The `.npy` header is a pure function of dtype and
-shape, so the same model always gives the same bytes.
+Arrays are stored C-ordered and little-endian, as `<f8` or `<i8`. The
+`.npy` header is a pure function of dtype and shape, so the same model
+always gives the same bytes.
 
 An array need not be in memory to be written: given as `Blocks`, its shape
 plus its blocks along axis 0, the header and its `.npy` header are written
 from the shape, and each block as it comes. The bytes are those of the whole
-array. `BlockFile` reads one leading-axis block of a stored array at a time,
-with one seek and one `readinto`, so neither side holds the whole array.
+array.
+
+Every read goes through `BlockFile`, which reads a stored array whole or
+one leading-axis block at a time, with one seek and one `readinto`; so
+`read_model`, which reads each array whole, and a reader of one block at a
+time keep one set of rules. Each array's `.npy` header must be format 1.0,
+in C order and the shape and dtype of its header entry, and the file must
+be exactly as long as its headers say. All of this is checked when the
+file is opened, before any array is allocated, so a header that claims
+more rows than the file holds is an error, not an allocation of that size.
 """
 
 from __future__ import annotations
@@ -39,12 +47,7 @@ from typing import (
 )
 
 import numpy as np
-from numpy.lib.format import (
-    read_array,
-    read_array_header_1_0,
-    read_magic,
-    write_array_header_1_0,
-)
+from numpy.lib.format import read_array_header_1_0, read_magic, write_array_header_1_0
 
 VERSION = 2
 _DTYPES = {"f": "<f8", "i": "<i8"}  # numpy dtype kind -> stored dtype
@@ -152,13 +155,11 @@ def _shown(value: Any) -> str:
 
 
 def read_csv(
-    path: str | Path,
-    columns: dict[str, Callable[[str], Any]],
-    check: Callable[[tuple], None] | None = None,
+    path: str | Path, columns: dict[str, Callable[[str], Any]], check: Callable[[tuple], None]
 ) -> Iterator[tuple]:
     """Yield the rows after a first row that must be the names of `columns`,
-    each field converted by its column's function. `check`, if given, sees
-    each converted row in file order, for rules that span rows.
+    each field converted by its column's function. `check` sees each
+    converted row in file order, for rules that span rows.
 
     A short or long row, a field its function rejects with ValueError, or a
     row `check` rejects with ValueError raises ValueError naming the path
@@ -181,11 +182,10 @@ def read_csv(
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: column {name!r}: {exc}") from exc
             row = tuple(values)
-            if check is not None:
-                try:
-                    check(row)
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {n}: {exc}") from exc
+            try:
+                check(row)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from exc
             yield row
 
 
@@ -260,65 +260,34 @@ def read_model(
     retrain: str,
     build: Callable[[dict, dict[str, np.ndarray]], T],
 ) -> T:
-    """Read a `fmt` model file and return `build(meta, arrays)`.
+    """Read a `fmt` model file through `BlockFile`, each array whole, and
+    return `build(meta, arrays)`.
 
     Any malformed file, and any ValueError, LookupError or TypeError that
     `build` raises on its contents, becomes a ValueError that names the
     path and the `retrain` command which writes a valid file.
     """
+    with BlockFile(path, fmt, retrain, lambda meta, shapes: (meta, list(shapes))) as stored:
+        meta, names = stored.header
+        arrays = {name: stored.block(name) for name in names}
     try:
-        with Path(path).open("rb") as fh:
-            meta, entries = _header(fh, fmt)
-            arrays: dict[str, np.ndarray] = {}
-            for name, shape, dtype in entries:
-                arr = read_array(fh, allow_pickle=False)
-                _check_array(name, shape, dtype, arr.shape, arr.dtype)
-                arrays[name] = arr
-            if fh.read(1):
-                raise ValueError("trailing bytes after the last array")
         return build(meta, arrays)
     except (LookupError, TypeError, ValueError) as exc:
         raise _invalid(path, fmt, retrain, exc) from exc
 
 
-def _header(fh, fmt: str) -> tuple[dict, list[tuple[str, list[int], str]]]:
-    """The meta and the (name, shape, dtype) array entries of a model file's
-    header line, after which `fh` is left."""
-    header = json.loads(fh.readline().decode("utf-8"))
-    # Format and version first: a JSON model of version 1 has neither meta nor arrays.
-    found, version = json_fields(header, {"format": str, "version": int})
-    if found != fmt:
-        raise ValueError(f"format is {found!r}, expected {fmt!r}")
-    if version != VERSION:
-        raise ValueError(
-            f"version {version}, expected {VERSION} (models from before version 2 were JSON)"
-        )
-    meta, listed = json_fields(header, {"meta": dict, "arrays": list})
-    entries = []
-    for entry in listed:
-        name, shape, dtype = json_fields(entry, {"name": str, "shape": list[int], "dtype": str})
-        if dtype not in _DTYPES.values():
-            raise ValueError(f"array {name!r} has unsupported dtype {dtype!r}")
-        entries.append((name, shape, dtype))
-    return meta, entries
-
-
-def _check_array(name: str, shape: list[int], dtype: str, found_shape, found_dtype) -> None:
-    if list(found_shape) != shape or found_dtype.str != dtype:
-        raise ValueError(
-            f"array {name!r} is {found_dtype.str}{list(found_shape)}, header says {dtype}{shape}"
-        )
-
-
 class BlockFile:
-    """A model file held open to read its arrays one leading-axis block at a
-    time, each with one seek and one `readinto`.
+    """A model file held open to read its arrays, each whole or one
+    leading-axis block at a time, with one seek and one `readinto`.
 
-    Opening it checks the header as `read_model` does, reads each array's
-    `.npy` header, and checks that the file ends where the last array does;
-    `check(meta, shapes)` then gives `self.header`. A fault in any of these,
-    or a ValueError, LookupError or TypeError from `check`, is a ValueError
-    that names the path and the `retrain` command.
+    Opening it checks the header line: the format, the version, and each
+    array's name, shape and supported dtype. It then reads each array's
+    `.npy` header, which must be format 1.0, C order and the array's
+    header entry, and checks that the file ends where the last array does,
+    all before any array is allocated; `check(meta, shapes)` then gives
+    `self.header`. A fault in any of these, or a ValueError, LookupError or
+    TypeError from `check`, is a ValueError that names the path and the
+    `retrain` command.
     """
 
     def __init__(
@@ -328,46 +297,73 @@ class BlockFile:
         retrain: str,
         check: Callable[[dict, dict[str, tuple[int, ...]]], T],
     ) -> None:
-        self._fh = Path(path).open("rb")
+        self._fh = fh = Path(path).open("rb")
         self._fault = lambda exc: _invalid(path, fmt, retrain, exc)
         self._layout: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}  # offset, shape, dtype
         try:
-            meta, entries = _header(self._fh, fmt)
-            for name, shape, dtype in entries:
-                if read_magic(self._fh) != (1, 0):  # as write_model writes it
+            header = json.loads(fh.readline().decode("utf-8"))
+            # Format and version first: a JSON model of version 1 has neither meta nor arrays.
+            found, version = json_fields(header, {"format": str, "version": int})
+            if found != fmt:
+                raise ValueError(f"format is {found!r}, expected {fmt!r}")
+            if version != VERSION:
+                raise ValueError(
+                    f"version {version}, expected {VERSION} "
+                    "(models from before version 2 were JSON)"
+                )
+            meta, entries = json_fields(header, {"meta": dict, "arrays": list})
+            size = os.fstat(fh.fileno()).st_size
+            for entry in entries:
+                fields = {"name": str, "shape": list[int], "dtype": str}
+                name, shape, dtype = json_fields(entry, fields)
+                if dtype not in _DTYPES.values():
+                    raise ValueError(f"array {name!r} has unsupported dtype {dtype!r}")
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"array {name!r} has shape {shape}, a length below 0")
+                if read_magic(fh) != (1, 0):  # as write_model writes it
                     raise ValueError(f"array {name!r} is not in .npy format 1.0")
-                found_shape, fortran, found_dtype = read_array_header_1_0(self._fh)
-                _check_array(name, shape, dtype, found_shape, found_dtype)
+                found_shape, fortran, found_dtype = read_array_header_1_0(fh)
+                if list(found_shape) != shape or found_dtype.str != dtype:
+                    raise ValueError(
+                        f"array {name!r} is {found_dtype.str}{list(found_shape)}, "
+                        f"header says {dtype}{shape}"
+                    )
                 if fortran:
                     raise ValueError(f"array {name!r} is stored in Fortran order")
-                offset = self._fh.tell()
+                offset = fh.tell()
+                end = offset + math.prod(shape) * found_dtype.itemsize
+                if end > size:
+                    raise ValueError(f"the file is {size} bytes, its header says {end}: truncated")
                 self._layout[name] = (offset, tuple(shape), found_dtype)
-                self._fh.seek(offset + math.prod(shape) * found_dtype.itemsize)
-            end, size = self._fh.tell(), os.fstat(self._fh.fileno()).st_size
-            if size < end:
-                raise ValueError(f"the file is {size} bytes, its header says {end}: truncated")
-            if size > end:
+                fh.seek(end)
+            if fh.tell() != size:
                 raise ValueError("trailing bytes after the last array")
             self.header = check(meta, {name: shape for name, (_, shape, _) in self._layout.items()})
         except (LookupError, TypeError, ValueError) as exc:
-            self._fh.close()
+            fh.close()
             raise self._fault(exc) from exc
         except BaseException:
-            self._fh.close()
+            fh.close()
             raise
 
-    def block(self, name: str, index: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Block `index` of array `name` along axis 0, read into `out` if given."""
+    def block(
+        self, name: str, index: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Block `index` of array `name` along axis 0, or with no index the
+        whole array, read into `out` if given."""
         offset, shape, dtype = self._layout[name]
-        if not 0 <= index < shape[0]:
-            raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
+        if index is not None:
+            if not 0 <= index < shape[0]:
+                raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
+            shape = shape[1:]
+            offset += index * math.prod(shape) * dtype.itemsize
         if out is None:
-            out = np.empty(shape[1:], dtype=dtype)
-        elif out.shape != shape[1:] or out.dtype != dtype or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-ordered {dtype}{list(shape[1:])} array")
-        self._fh.seek(offset + index * out.nbytes)
+            out = np.empty(shape, dtype=dtype)
+        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-ordered {dtype}{list(shape)} array")
+        self._fh.seek(offset)
         if self._fh.readinto(out) != out.nbytes:
-            raise self._fault(ValueError(f"block {index} of array {name!r} is cut short"))
+            raise self._fault(ValueError(f"array {name!r} is cut short"))
         return out
 
     def close(self) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.format import write_array_header_1_0, write_array_header_2_0
 
 from helpers import monthly_slices, planted_two_topic_bows
 from newstm import _kernels, modelfile
@@ -21,7 +22,9 @@ from newstm.corpus import (
 )
 from newstm.dtm import (
     TrajectorySeries,
+    _checked_header,
     load_dtm,
+    read_trajectories,
     read_trajectory_csv,
     save_dtm,
     train_dtm,
@@ -45,7 +48,7 @@ from newstm.preprocess import (
     write_bows,
     write_vocabulary,
 )
-from newstm.modelfile import json_fields, write_model
+from newstm.modelfile import BlockFile, json_fields, read_model, write_model
 from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
@@ -101,7 +104,7 @@ MISTYPED = {
 CASES = {
     "old-json": "version 1, expected 2",
     "other-kind": "format is 'newstm-(lda|dtm)', expected 'newstm-(lda|dtm)'",
-    "truncated": "Failed to read all data",
+    "truncated": r"the file is \d+ bytes, its header says \d+: truncated",
     "trailing-bytes": "trailing bytes after the last array",
     "shape-mismatch": r"header says <f8\[",
     "topic-count": r"beta has shape \((3, )?3, 10\), not \((3, )?4, V\)",
@@ -231,6 +234,153 @@ def test_dtm_header_rejects_a_field_slice_monthly_would_not_write(tmp_path, mode
     with pytest.raises(ValueError) as info:
         load_dtm(path)
     assert f"not a valid newstm-dtm model file ({fault}" in str(info.value)
+
+
+# DTM headers whose kappa or slice seeds `save_dtm` never writes: it writes
+# kappa >= 0 and the seeds `slice_seeds_for` gives the base seed, 5, over
+# the three slices of `models`.
+BAD_CHAIN = {
+    "one-seed": (lambda meta: meta.update(slice_seeds=[7]), "slice_seeds [7] are not those"),
+    "other-seeds": (
+        lambda meta: meta.update(slice_seeds=[1, 2, 3]),
+        "slice_seeds [1, 2, 3] are not those of seed 5 over 3 slices",
+    ),
+    "base-seed-only": (
+        lambda meta: meta.update(slice_seeds=[5]),
+        "slice_seeds [5] are not those of seed 5 over 3 slices",
+    ),
+    "negative-kappa": (lambda meta: meta.update(kappa=-5.0), "kappa -5.0 is below 0"),
+}
+
+
+def _vocab(size):
+    tokens = TokenStream("d", tuple(f"w{i}" for i in range(size)))
+    return build_vocabulary([tokens], no_below=1, no_above=1.0)
+
+
+@pytest.mark.parametrize("read", ["load_dtm", "read_trajectories"])
+@pytest.mark.parametrize("case", list(BAD_CHAIN))
+def test_dtm_header_rejects_kappa_or_seeds_save_dtm_would_not_write(tmp_path, models, case, read):
+    edit, fault = BAD_CHAIN[case]
+    model = models["dtm"][0]
+    path = tmp_path / "dtm.newstm"
+    save_dtm(model, path)
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+    edit(meta)
+    _dtm_file(path, meta, model.per_slice_beta, np.concatenate(model.per_slice_theta))
+    with pytest.raises(ValueError) as info:
+        load_dtm(path) if read == "load_dtm" else read_trajectories(path, _vocab(10), 2)
+    message = str(info.value)
+    assert message.startswith(f"{path}: not a valid newstm-dtm model file ({fault}")
+    assert message.endswith("; re-run `newstm train --mode dtm`")
+
+
+@pytest.mark.parametrize("read", ["load_dtm", "read_trajectories"])
+def test_dtm_file_with_no_slices_is_rejected(tmp_path, models, read):
+    # train_dtm needs at least one slice; slice_seeds_for(5, 0) is [5].
+    path = tmp_path / "dtm.newstm"
+    save_dtm(models["dtm"][0], path)
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+    meta.update(slices=[], slice_seeds=[5])
+    _dtm_file(path, meta, np.zeros((0, 3, 10)), np.zeros((0, 3)))
+    with pytest.raises(ValueError) as info:
+        load_dtm(path) if read == "load_dtm" else read_trajectories(path, _vocab(10), 2)
+    assert str(info.value) == (
+        f"{path}: not a valid newstm-dtm model file (the model has no time slices); "
+        "re-run `newstm train --mode dtm`"
+    )
+
+
+def _with_first_array(path, write_npy_header, fortran_order=False, rows=None):
+    """Rewrite the model file at `path` with its first array's `.npy` header
+    written by `write_npy_header`, in Fortran order if `fortran_order`, and
+    saying `rows` rows (in the JSON header too), if given, with the same
+    array bytes after it."""
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    _, arrays = read_model(path, header["format"], "", lambda meta, arrays: (meta, arrays))
+    if rows is not None:
+        header["arrays"][0]["shape"][0] = rows
+    with path.open("wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for i, (entry, array) in enumerate(zip(header["arrays"], arrays.values())):
+            fields = {"descr": entry["dtype"], "shape": tuple(entry["shape"])}
+            if i == 0:
+                write_npy_header(fh, {**fields, "fortran_order": fortran_order})
+            else:
+                write_array_header_1_0(fh, {**fields, "fortran_order": False})
+            fh.write(array.tobytes())
+
+
+# Array layouts that `write_model` never writes, and what the error says.
+BAD_LAYOUTS = {
+    "fortran-order": (
+        lambda path: _with_first_array(path, write_array_header_1_0, fortran_order=True),
+        "is stored in Fortran order",
+    ),
+    "npy-2.0": (
+        lambda path: _with_first_array(path, write_array_header_2_0),
+        r"is not in \.npy format 1\.0",
+    ),
+    "10**11-rows": (
+        lambda path: _with_first_array(path, write_array_header_1_0, rows=10**11),
+        r"the file is \d+ bytes, its header says \d+: truncated",
+    ),
+    # Read as a length, it would seek to before the start of the file.
+    "negative-rows": (
+        lambda path: _with_first_array(path, write_array_header_1_0, rows=-10**6),
+        r"has shape \[-1000000.*\], a length below 0",
+    ),
+}
+
+RETRAIN_DTM = "newstm train --mode dtm"
+
+# Each reader of a model file: how to write a valid file for it, how to
+# read one, its format and the command that rewrites the file.
+READERS = {
+    "read_bows": (
+        lambda path, models: write_bows(Bows.from_docs(planted_two_topic_bows(4, 3)[0], 10), path),
+        read_bows,
+        "newstm-bows",
+        "newstm preprocess",
+    ),
+    "load_lda": (
+        lambda path, models: save_lda(models["lda"][0], path),
+        load_lda,
+        "newstm-lda",
+        "newstm train --mode static",
+    ),
+    "load_dtm": (
+        lambda path, models: save_dtm(models["dtm"][0], path),
+        load_dtm,
+        "newstm-dtm",
+        RETRAIN_DTM,
+    ),
+    "BlockFile": (
+        lambda path, models: save_dtm(models["dtm"][0], path),
+        lambda path: BlockFile(path, "newstm-dtm", RETRAIN_DTM, _checked_header).close(),
+        "newstm-dtm",
+        RETRAIN_DTM,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("layout", list(BAD_LAYOUTS))
+def test_every_reader_rejects_an_array_layout_write_model_never_writes(
+    tmp_path, models, reader, layout
+):
+    write, read, fmt, retrain = READERS[reader]
+    corrupt, reason = BAD_LAYOUTS[layout]
+    path = tmp_path / "model.newstm"
+    write(path, models)
+    read(path)  # the valid file reads
+    corrupt(path)
+    pattern = (
+        f"^{re.escape(str(path))}: not a valid {fmt} model file "
+        f"\\(.*{reason}.*\\); re-run `{re.escape(retrain)}`$"
+    )
+    with pytest.raises(ValueError, match=pattern):
+        read(path)
 
 
 def test_model_files_that_carry_vocab_size_and_theta_rows_load_to_the_same_arrays(

@@ -482,7 +482,7 @@ def _truncated(path):
 @pytest.mark.parametrize(
     "make, fault",
     [
-        (_truncated, "not fully written"),
+        (_truncated, "the file is 706 bytes, its header says 709: truncated"),
         (
             lambda path: _raw_bows_file(path, [1], [0], [1], fmt="newstm-lda"),
             "format is 'newstm-lda', expected 'newstm-bows'",
