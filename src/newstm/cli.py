@@ -58,19 +58,20 @@ from newstm.evaluate import (
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
 from newstm.modelfile import finite_float, json_fields, remove_stray_temps, replace_text
 from newstm.preprocess import (
-    Bows,
-    TokenStream,
-    apply_phrases,
-    build_vocabulary,
-    fit_phrases,
     load_stopwords,
     read_bows,
     read_vocabulary,
+    write_bows,
+    write_vocabulary,
+)
+# Unused here, but perfbench/spans.py looks these names up on this module.
+from newstm.preprocess import (  # noqa: F401
+    apply_phrases,
+    build_vocabulary,
+    fit_phrases,
     remove_stopwords,
     to_bow,
     tokenize,
-    write_bows,
-    write_vocabulary,
 )
 
 logger = logging.getLogger(__name__)
@@ -362,16 +363,17 @@ def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    from newstm.encode import encode_corpus
+
     corpus = load_corpus(ws.require(manifest, "corpus"))
-    stopwords = load_stopwords(config.stoplist)
-    streams = [
-        TokenStream(doc.id, remove_stopwords(tokenize(doc.title + " " + doc.body), stopwords))
-        for doc in corpus
-    ]
-    phrases = fit_phrases(streams, config.min_count, config.threshold)
-    merged = [TokenStream(s.doc_id, apply_phrases(phrases, s.tokens)) for s in streams]
-    vocab = build_vocabulary(merged, config.no_below, config.no_above)
-    bows = Bows.from_docs([to_bow(s, vocab) for s in merged], len(vocab))
+    vocab, bows = encode_corpus(
+        ((doc.id, doc.title + " " + doc.body) for doc in corpus),
+        load_stopwords(config.stoplist),
+        min_count=config.min_count,
+        threshold=config.threshold,
+        no_below=config.no_below,
+        no_above=config.no_above,
+    )
     write_vocabulary(vocab, ws.path_for("vocab"))
     write_bows(bows, ws.path_for("bows"))
 
