@@ -20,7 +20,10 @@ in which the change did better, by the metric's `better` direction in
 reported and this command line.
 
 Exit status: 0 if every run is `correct` with `failed` 0, else 1 (the
-summary is written either way).
+summary is written either way); 2, before any run, if the checkout holds a
+`__pycache__` under `src/` or `perfbench/`. The fresh parent export compiles
+its sources in every process when `PYTHONDONTWRITEBYTECODE` is set, as it is
+on the benchmark's machine, so such a cache would favour the change.
 """
 
 from __future__ import annotations
@@ -125,6 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    caches = sorted(
+        path for top in ("src", "perfbench") for path in (root / top).rglob("__pycache__")
+    )
+    if caches:
+        print(f"error: {caches[0]} holds bytecode caches; delete it and rerun", file=sys.stderr)
+        return 2
     commits = {
         "parent": {"rev": args.parent, "commit": _git(root, "rev-parse", args.parent)},
         "change": {

@@ -17,6 +17,7 @@ import configparser
 import datetime
 import fcntl
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -38,41 +39,48 @@ from newstm.corpus import (
     slice_monthly,
     write_timeline_csv,
 )
-from newstm.dtm import (
-    read_trajectories,
-    read_trajectory_csv,
-    train_dtm_to_file,
-    write_trajectory_csv,
-)
-# Unused here, but perfbench/spans.py looks these names up on this module.
-from newstm.dtm import load_dtm, save_dtm, top_words_at, train_dtm, trajectory  # noqa: F401
-from newstm.evaluate import (
-    intertopic_map,
-    read_intertopic_csv,
-    topic_overlap,
-    umass_coherence,
-    write_coherence_json,
-    write_intertopic_csv,
-    write_overlap_json,
-)
-from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
 from newstm.modelfile import finite_float, json_fields, remove_stray_temps, replace_text
-from newstm.preprocess import (
-    load_stopwords,
-    read_bows,
-    read_vocabulary,
-    write_bows,
-    write_vocabulary,
-)
-# Unused here, but perfbench/spans.py looks these names up on this module.
-from newstm.preprocess import (  # noqa: F401
-    apply_phrases,
-    build_vocabulary,
-    fit_phrases,
-    remove_stopwords,
-    to_bow,
-    tokenize,
-)
+from newstm.params import LdaHyperparams
+
+# Stage module -> the names this module takes from it. They are bound on first
+# use, so a command imports only the stages it runs: `ingest` loads no numpy.
+# The names no command calls are here for perfbench/spans.py, which wraps them.
+_STAGE_NAMES: dict[str, tuple[str, ...]] = {
+    "newstm.dtm": (
+        "read_trajectories", "read_trajectory_csv", "train_dtm_to_file", "write_trajectory_csv",
+        "load_dtm", "save_dtm", "top_words_at", "train_dtm", "trajectory",
+    ),
+    "newstm.evaluate": (
+        "intertopic_map", "read_intertopic_csv", "topic_overlap", "umass_coherence",
+        "write_coherence_json", "write_intertopic_csv", "write_overlap_json",
+    ),
+    "newstm.lda": ("load_lda", "save_lda", "train_lda"),
+    "newstm.preprocess": (
+        "load_stopwords", "read_bows", "read_vocabulary", "write_bows", "write_vocabulary",
+        "apply_phrases", "build_vocabulary", "fit_phrases", "remove_stopwords", "to_bow",
+        "tokenize",
+    ),
+}
+_STAGE_OF = {name: module for module, names in _STAGE_NAMES.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import stage modules and bind their names here. A name already bound
+    is kept, so a wrapper installed before the command runs stays in place."""
+    namespace = globals()
+    for module in modules:
+        stage = importlib.import_module(module)
+        for name in _STAGE_NAMES[module]:
+            namespace.setdefault(name, getattr(stage, name))
+
+
+def __getattr__(name: str) -> Any:
+    # `cli.train_lda` before any command has bound it (PEP 562).
+    if name not in _STAGE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_STAGE_OF[name])
+    return globals()[name]
+
 
 logger = logging.getLogger(__name__)
 
@@ -363,6 +371,7 @@ def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    _bind("newstm.preprocess")
     from newstm.encode import encode_corpus
 
     corpus = load_corpus(ws.require(manifest, "corpus"))
@@ -381,6 +390,7 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 # Both trains take V from the bows file's header. They still require vocab.json,
 # whose hash makes the model stale when it changes, but do not parse it.
 def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    _bind("newstm.preprocess", "newstm.lda")
     bows = read_bows(ws.require(manifest, "bows"))
     ws.require(manifest, "vocab")
     model = train_lda(bows, config.hyper)
@@ -388,6 +398,7 @@ def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    _bind("newstm.preprocess", "newstm.dtm")
     bows = read_bows(ws.require(manifest, "bows"))
     ws.require(manifest, "vocab")
     slices = slice_monthly(
@@ -402,6 +413,7 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    _bind("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate")
     model = load_lda(ws.require(manifest, "model_static"))
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
@@ -425,6 +437,7 @@ def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+    _bind("newstm.dtm", "newstm.evaluate")
     from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
     series = read_timeline_csv(ws.require(manifest, "timeline"))

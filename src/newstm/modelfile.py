@@ -43,11 +43,13 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, get_args, get_origin,
+    IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar,
 )
 
-import numpy as np
-from numpy.lib.format import read_array_header_1_0, read_magic, write_array_header_1_0
+# numpy is imported only by the array-file code below, so that the text,
+# CSV and JSON helpers load without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 VERSION = 2
 _DTYPES = {"f": "<f8", "i": "<i8"}  # numpy dtype kind -> stored dtype
@@ -109,19 +111,30 @@ def iso_date(field: str) -> datetime.date:
     return day
 
 
-# What a message calls each field type `json_fields` checks.
-_JSON_TYPE_NAMES = {
-    str: "a string", int: "an integer", float: "a finite number", dict: "an object", list: "a list",
-    list[str]: "a list of strings", list[int]: "a list of integers",
+def _exactly(kind: type) -> Callable[[Any], bool]:
+    return lambda value: type(value) is kind
+
+
+def _list_of(kind: type) -> Callable[[Any], bool]:
+    return lambda value: type(value) is list and {*map(type, value)} <= {kind}
+
+
+def _finite_number(value: Any) -> bool:
+    # An int is finite; math.isfinite would overflow on a huge one.
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+# Each field type `json_fields` checks: what a message calls it, and its test,
+# worked out once here rather than from the type for every value.
+_JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
+    str: ("a string", _exactly(str)),
+    int: ("an integer", _exactly(int)),
+    float: ("a finite number", _finite_number),
+    dict: ("an object", _exactly(dict)),
+    list: ("a list", _exactly(list)),
+    list[str]: ("a list of strings", _list_of(str)),
+    list[int]: ("a list of integers", _list_of(int)),
 }
-
-
-def _is_json(value: Any, kind: Any) -> bool:
-    if get_origin(kind) is list:
-        return type(value) is list and all(_is_json(item, get_args(kind)[0]) for item in value)
-    if kind is float:  # an int is finite; math.isfinite would overflow on a huge one
-        return type(value) is int or type(value) is float and math.isfinite(value)
-    return type(value) is kind
 
 
 def json_fields(obj: Any, types: dict[str, Any]) -> tuple:
@@ -139,10 +152,9 @@ def json_fields(obj: Any, types: dict[str, Any]) -> tuple:
     if missing:
         raise ValueError(f"missing fields {missing}")
     for name, kind in types.items():
-        if not _is_json(obj[name], kind):
-            raise ValueError(
-                f"field {name!r} must be {_JSON_TYPE_NAMES[kind]}, got {_shown(obj[name])}"
-            )
+        what, check = _JSON_TYPES[kind]
+        if not check(obj[name]):
+            raise ValueError(f"field {name!r} must be {what}, got {_shown(obj[name])}")
     return tuple(obj[name] for name in types)
 
 
@@ -200,6 +212,8 @@ class Blocks(NamedTuple):
 
 
 def _stored_dtype(name: str, dtype: np.dtype) -> str:
+    import numpy as np
+
     stored = _DTYPES.get(np.dtype(dtype).kind)
     if stored is None:
         raise ValueError(f"array {name!r} has dtype {np.dtype(dtype)}, not a float or int dtype")
@@ -232,6 +246,9 @@ def write_model(
 def write_array(fh: IO[bytes], array: Blocks, *, name: str) -> None:
     """Write one model array: its `.npy` header, then its blocks as they come.
     The bytes are those numpy's `write_array` gives the whole array."""
+    import numpy as np
+    from numpy.lib.format import write_array_header_1_0
+
     shape, dtype = tuple(int(n) for n in array.shape), _stored_dtype(name, array.dtype)
     write_array_header_1_0(fh, {"descr": dtype, "fortran_order": False, "shape": shape})
     rows = 0
@@ -297,6 +314,8 @@ class BlockFile:
         retrain: str,
         check: Callable[[dict, dict[str, tuple[int, ...]]], T],
     ) -> None:
+        from numpy.lib.format import read_array_header_1_0, read_magic
+
         self._fh = fh = Path(path).open("rb")
         self._fault = lambda exc: _invalid(path, fmt, retrain, exc)
         self._layout: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}  # offset, shape, dtype
@@ -351,6 +370,8 @@ class BlockFile:
     ) -> np.ndarray:
         """Block `index` of array `name` along axis 0, or with no index the
         whole array, read into `out` if given."""
+        import numpy as np
+
         offset, shape, dtype = self._layout[name]
         if index is not None:
             if not 0 <= index < shape[0]:

@@ -100,3 +100,14 @@ def test_a_run_that_fails_an_operation_exits_1_after_writing_the_summary(tmp_pat
     summary = json.loads(out.read_text())
     assert summary["all_correct"] is False
     assert [r["failed"] for r in summary["runs"] if r["workload"] == "wide"] == [0, 0, 1, 1]
+
+
+def test_a_checkout_with_bytecode_caches_is_refused_before_any_run(tmp_path):
+    root = _repo(tmp_path)
+    cache = root / "src" / "newstm" / "__pycache__"
+    cache.mkdir(parents=True)
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench(root, "1-2", out)
+    assert proc.returncode == 2
+    assert f"error: {cache} holds bytecode caches" in proc.stderr
+    assert "seed" not in proc.stderr and not out.exists()

@@ -35,6 +35,39 @@ def test_every_traced_name_resolves():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is missing"
 
 
+def test_the_tracer_sees_the_names_cli_binds_on_first_use(tmp_path, monkeypatch):
+    from newstm import cli
+
+    for name in cli._STAGE_OF:  # as in a fresh process: no stage name bound yet
+        monkeypatch.delattr(cli, name)
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[corpus]\npath = {run.FIXTURE_CORPUS}\n"
+        "[lda]\nk = 3\niterations = 3\nburn_in = 1\nthin = 1\n",
+        encoding="utf-8",
+    )
+    args = ["--workspace", str(tmp_path / "ws"), "--config", str(config)]
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        for command in ("ingest", "preprocess", "train --mode static", "train --mode dtm", "report"):
+            assert cli.main([*args, *command.split()]) == 0, command
+    finally:
+        tracer.uninstall()
+    traced = {span.name for span in tracer.spans}
+    assert {
+        "corpus.load_corpus",
+        "preprocess.read_bows",
+        "lda.train_lda",
+        "lda.save_lda",
+        "evaluate.umass_coherence",
+        "dtm.write_trajectory_csv",
+    } <= traced
+    for module, names in cli._STAGE_NAMES.items():
+        for name in names:
+            assert vars(cli)[name] is getattr(sys.modules[module], name), name
+
+
 def test_micro_benchmark_runs():
     rates = micro.metrics()
     assert set(rates) == {

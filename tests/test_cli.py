@@ -496,6 +496,43 @@ def test_killed_lock_holder_does_not_block_the_next_command(tmp_path, sample_cor
     assert main(args) == 0
 
 
+_LIST_MODULES = """
+import sys
+from newstm.cli import main
+
+code = main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+# Modules each command must not load: it imports only the stages it runs.
+_NOT_LOADED = {
+    "ingest": {"numpy"},
+    "preprocess": {"newstm.lda", "newstm._kernels", "newstm.dtm", "newstm.evaluate", "newstm.viz"},
+    "train --mode static": {"newstm.dtm", "newstm.evaluate", "newstm.viz", "newstm.encode"},
+    "train --mode dtm": {"newstm.evaluate", "newstm.viz", "newstm.encode"},
+    "report": set(),
+    "plot": set(),
+}
+
+
+def test_each_command_imports_only_the_stages_it_runs(tmp_path, sample_corpus_path):
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    args = ["--workspace", str(tmp_path / "ws"), "--config", str(config)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for command, absent in _NOT_LOADED.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIST_MODULES, *args, *command.split()],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "newstm.cli" in loaded and not absent & loaded, (command, absent & loaded)
+
+
 def test_runtime_error_exit_code_on_malformed_corpus(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a"}\n', encoding="utf-8")

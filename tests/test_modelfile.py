@@ -729,6 +729,16 @@ def test_package_imports_only_stdlib_and_numpy():
         ({"f": ["a", 1]}, list[str], "field 'f' must be a list of strings, got [\"a\", 1]"),
         ({"f": "ab"}, list[str], "field 'f' must be a list of strings, got \"ab\""),
         ({"f": [1, True]}, list[int], "field 'f' must be a list of integers, got [1, true]"),
+        (
+            {"f": ["w"] * 9_999 + [7]},
+            list[str],
+            "field 'f' must be a list of strings, got " + '["w", "w", "w", "w", "w", "w", "w", "w",',
+        ),
+        (
+            {"f": list(range(9_999)) + [True]},
+            list[int],
+            "field 'f' must be a list of integers, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1",
+        ),
         ({"g": 1}, str, "missing fields ['f']"),
         ([{"f": 1}], int, "expected a JSON object, got [{\"f\": 1}]"),
         # A value no JSON parser gives, from a library caller, is shown by its repr.
@@ -745,6 +755,8 @@ def test_package_imports_only_stdlib_and_numpy():
         "int-in-list-of-str",
         "string-as-list-of-str",
         "bool-in-list-of-int",
+        "int-deep-in-long-list-of-str",
+        "bool-deep-in-long-list-of-int",
         "missing",
         "not-an-object",
         "numpy-int",
