@@ -4,11 +4,15 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workloads wide,fixture \
         --seeds 1-10 --seconds 10 --out BENCH_<label>.json
 
-The change is the checkout this script runs in, as its files stand; the
-parent is commit REV, exported with `git archive` into a temporary
-directory that is removed afterwards. An export, unlike a `git worktree`,
-leaves nothing in `.git` to prune when the script is killed, and holds just
-the committed files, as a fresh benchmark checkout does.
+Both sides run from exports, made side by side as `parent/` and `change/`
+in one temporary directory that is removed afterwards, so neither runs
+from a path, a file system or a working directory of its own. The parent
+is commit REV, exported with `git archive`; the change is the checkout
+this script runs in, as its files stand: the files `git ls-files --cached
+--others --exclude-standard` lists, so uncommitted edits and new files come
+along and ignored ones, such as `.bench_work/`, do not. An export, unlike a
+`git worktree`, leaves nothing in `.git` to prune when the script is
+killed, and holds just the source, as a fresh benchmark checkout does.
 
 For each workload and seed, one pair runs `perfbench/run.py --workload W
 --seed S --seconds N --trace 0` on both sides; the side that runs first
@@ -23,7 +27,8 @@ Exit status: 0 if every run is `correct` with `failed` 0, else 1 (the
 summary is written either way); 2, before any run, if the checkout holds a
 `__pycache__` under `src/` or `perfbench/`. The fresh parent export compiles
 its sources in every process when `PYTHONDONTWRITEBYTECODE` is set, as it is
-on the benchmark's machine, so such a cache would favour the change.
+on the benchmark's machine, so such a cache would favour the change if the
+checkout's ignore rules let it into the change's export.
 """
 
 from __future__ import annotations
@@ -61,6 +66,20 @@ def _export(root: Path, rev: str, into: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=root, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def _export_checkout(root: Path, into: Path) -> None:
+    """The checkout's files as they stand, tracked or new but not ignored,
+    under `into`; a tracked file deleted from the checkout is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in listed.decode().split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, into / name)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,8 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     runs = []
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        _export(root, commits["parent"]["commit"], scratch)
-        trees = {"parent": scratch, "change": root}
+        trees = {side: scratch / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        _export(root, commits["parent"]["commit"], trees["parent"])
+        _export_checkout(root, trees["change"])
         for workload in workloads:
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]

@@ -43,16 +43,21 @@ from newstm.modelfile import finite_float, json_fields, remove_stray_temps, repl
 from newstm.params import LdaHyperparams
 
 # Stage module -> the names this module takes from it. They are bound on first
-# use, so a command imports only the stages it runs: `ingest` loads no numpy.
-# The names no command calls are here for perfbench/spans.py, which wraps them.
+# use, so a command imports only the stages it runs: `ingest` and `plot` load
+# no numpy. The names no command calls are here for perfbench/spans.py, which
+# wraps them.
 _STAGE_NAMES: dict[str, tuple[str, ...]] = {
     "newstm.dtm": (
-        "read_trajectories", "read_trajectory_csv", "train_dtm_to_file", "write_trajectory_csv",
+        "read_trajectories", "train_dtm_to_file",
         "load_dtm", "save_dtm", "top_words_at", "train_dtm", "trajectory",
     ),
     "newstm.evaluate": (
-        "intertopic_map", "read_intertopic_csv", "topic_overlap", "umass_coherence",
-        "write_coherence_json", "write_intertopic_csv", "write_overlap_json",
+        "intertopic_map", "topic_overlap", "umass_coherence", "write_coherence_json",
+        "write_overlap_json",
+    ),
+    "newstm.exports": (
+        "read_intertopic_csv", "read_trajectory_csv", "write_intertopic_csv",
+        "write_trajectory_csv",
     ),
     "newstm.lda": ("load_lda", "save_lda", "train_lda"),
     "newstm.preprocess": (
@@ -413,7 +418,7 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate")
+    _bind("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate", "newstm.exports")
     model = load_lda(ws.require(manifest, "model_static"))
     bows = read_bows(ws.require(manifest, "bows"))
     vocab = read_vocabulary(ws.require(manifest, "vocab"))
@@ -437,7 +442,7 @@ def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 
 def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.dtm", "newstm.evaluate")
+    _bind("newstm.exports")
     from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
     series = read_timeline_csv(ws.require(manifest, "timeline"))

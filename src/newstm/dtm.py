@@ -12,7 +12,6 @@ chain degenerates into independent per-slice LDA runs, bitwise.
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import logging
 import math
 from dataclasses import dataclass
@@ -22,18 +21,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from newstm.corpus import TimeSlice
+from newstm.exports import TrajectorySeries
+# Re-exported: `from newstm.dtm import read_trajectory_csv` keeps working.
+from newstm.exports import read_trajectory_csv, write_trajectory_csv  # noqa: F401
 from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _top_order, _topic_summary
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
-from newstm.modelfile import (
-    BlockFile,
-    Blocks,
-    iso_date,
-    json_fields,
-    read_csv,
-    write_csv,
-    write_model,
-)
+from newstm.modelfile import BlockFile, Blocks, iso_date, json_fields, write_model
 from newstm.preprocess import Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -58,35 +52,57 @@ class DtmModel:
         return self.per_slice_beta.shape[0]
 
 
-@dataclass(frozen=True)
-class TrajectorySeries:
-    """p(word | topic, t) curves for a tracked word list of one topic."""
-
-    topic_id: int
-    words: tuple[str, ...]
-    series: dict[str, np.ndarray]
-    slice_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        t = len(self.slice_labels)
-        if sorted(self.words) != sorted(self.series):  # the words, each once
-            raise ValueError(f"series has the words {list(self.series)}, not {list(self.words)}")
-        for word in self.words:
-            values = self.series[word]
-            if np.shape(values) != (t,):
-                raise ValueError(f"series for {word!r} has shape {np.shape(values)}, not ({t},)")
-            if not ((values >= 0) & (values <= 1)).all():
-                raise ValueError(f"series for {word!r} leaves [0, 1]")
-
-
 def slice_seeds_for(base_seed: int, n_slices: int) -> list[int]:
     """Deterministic per-slice seeds: slice 0 keeps the base seed, later
     slices draw from the spawned SeedSequence stream."""
     seeds = [int(base_seed)]
     if n_slices > 1:
-        state = np.random.SeedSequence(base_seed).generate_state(n_slices - 1, dtype=np.uint32)
-        seeds.extend(int(s) for s in state)
+        seeds.extend(_seed_sequence_state(int(base_seed), n_slices - 1))
     return seeds
+
+
+# numpy's SeedSequence(seed).generate_state(n, np.uint32), for an int seed
+# and no spawn key, in plain Python: the 4-word hash-mix pool of
+# numpy/random/bit_generator.pyx. Checking a DTM file's slice seeds then
+# needs no numpy.random; tests/test_dtm.py pins the two together.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK, _POOL = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 4
+
+
+def _seed_sequence_state(seed: int, n: int) -> list[int]:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    entropy = [seed & _MASK]  # 32-bit words, least significant first
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK)
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for i in range(n):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK
+        value = value * const & _MASK
+        state.append(value ^ value >> 16)
+    return state
 
 
 def train_dtm(
@@ -235,59 +251,6 @@ def read_trajectories(path: str | Path, vocab: Vocabulary, n: int) -> list[Traje
         words = tuple(vocab.decode(int(i)) for i in ids)
         series = {w: values[:, topic, j].copy() for j, w in enumerate(words)}
         out.append(TrajectorySeries(topic, words, series, labels))
-    return out
-
-
-def write_trajectory_csv(series_list: Iterable[TrajectorySeries], path: str | Path) -> None:
-    """CSV export, one row per (word, slice): topic,word,slice_start,probability."""
-    rows = (
-        (ts.topic_id, word, label, repr(float(prob)))
-        for ts in series_list
-        for word in ts.words
-        for label, prob in zip(ts.slice_labels, ts.series[word])
-    )
-    write_csv(path, ("topic", "word", "slice_start", "probability"), rows)
-
-
-def _probability(field: str) -> float:
-    value = float(field)
-    if not 0 <= value <= 1:  # false for nan too
-        raise ValueError(f"probability {value} is not in [0, 1]")
-    return value
-
-
-def read_trajectory_csv(path: str | Path) -> list[TrajectorySeries]:
-    """Read a `write_trajectory_csv` export: each word's slice_start dates
-    strictly ascend, and each topic's words share one list of dates."""
-    grouped: dict[int, dict[str, list[tuple[str, float]]]] = {}  # in first-seen order
-    latest: dict[tuple[int, str], datetime.date] = {}  # each word's last slice_start so far
-
-    def ascending(row: tuple) -> None:
-        topic, word, label, _ = row
-        before = latest.get((topic, word))
-        if before is not None and label <= before:
-            raise ValueError(
-                f"topic {topic} word {word!r}: slice_start {label} is not after {before}"
-            )
-        latest[topic, word] = label
-
-    columns = {"topic": int, "word": str, "slice_start": iso_date, "probability": _probability}
-    for topic, word, label, prob in read_csv(path, columns, ascending):
-        grouped.setdefault(topic, {}).setdefault(word, []).append((label.isoformat(), prob))
-    out: list[TrajectorySeries] = []
-    for topic, by_word in grouped.items():
-        words = tuple(by_word)
-        labels = tuple(label for label, _ in by_word[words[0]])
-        for word in words[1:]:
-            if tuple(label for label, _ in by_word[word]) != labels:
-                raise ValueError(
-                    f"{path}: topic {topic} word {word!r} has slice_start dates "
-                    f"other than those of word {words[0]!r}"
-                )
-        series = {w: np.array([p for _, p in by_word[w]], dtype=np.float64) for w in words}
-        out.append(
-            TrajectorySeries(topic_id=topic, words=words, series=series, slice_labels=labels)
-        )
     return out
 
 

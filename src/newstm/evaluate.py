@@ -6,7 +6,6 @@ here mutates model state.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -15,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from newstm.exports import IntertopicMap
+# Re-exported: `from newstm.evaluate import read_intertopic_csv` keeps working.
+from newstm.exports import read_intertopic_csv, write_intertopic_csv  # noqa: F401
 from newstm.lda import LdaModel, _check_vocab_size, _top_order
-from newstm.modelfile import finite_float, read_csv, replace_text, write_csv
+from newstm.modelfile import replace_text
 from newstm.preprocess import Bows
 
 logger = logging.getLogger(__name__)
@@ -32,17 +34,6 @@ class CoherenceReport:
     mean: float
     top_n: int
     skipped_pairs: int
-
-
-@dataclass(frozen=True)
-class IntertopicMap:
-    """2-D topic embedding with prevalence weights and, when it is known, the
-    distance matrix used."""
-
-    coordinates: np.ndarray  # (k, 2)
-    prevalence: np.ndarray  # (k,), sums to 1
-    distances: np.ndarray | None = None  # (k, k) symmetric, zero diagonal; not in the CSV
-    degenerate: bool = False
 
 
 def umass_coherence(model: LdaModel, bows: Bows, top_n: int = 10) -> CoherenceReport:
@@ -187,36 +178,3 @@ def write_overlap_json(matrix: np.ndarray, top_n: int, path: str | Path) -> None
         "jaccard": matrix.tolist(),
     }
     replace_text(path, json.dumps(payload, ensure_ascii=False))
-
-
-def write_intertopic_csv(topic_map: IntertopicMap, path: str | Path) -> None:
-    """CSV export: topic,x,y,prevalence; full float precision."""
-    rows = (
-        (k, repr(float(x)), repr(float(y)), repr(float(p)))
-        for k, ((x, y), p) in enumerate(zip(topic_map.coordinates, topic_map.prevalence))
-    )
-    write_csv(path, ("topic", "x", "y", "prevalence"), rows)
-
-
-def _prevalence(field: str) -> float:
-    value = finite_float(field)
-    if value < 0:
-        raise ValueError(f"prevalence {value} is negative")
-    return value
-
-
-def read_intertopic_csv(path: str | Path) -> IntertopicMap:
-    """Read a `write_intertopic_csv` export, whose topics are 0..K-1 in row order."""
-    order = itertools.count()
-
-    def in_row_order(row: tuple) -> None:
-        expected = next(order)
-        if row[0] != expected:
-            raise ValueError(f"topic {row[0]} where topic {expected} belongs (0..K-1 in row order)")
-
-    columns = {"topic": int, "x": finite_float, "y": finite_float, "prevalence": _prevalence}
-    rows = list(read_csv(path, columns, in_row_order))
-    return IntertopicMap(
-        coordinates=np.asarray([[x, y] for _, x, y, _ in rows], dtype=np.float64),
-        prevalence=np.asarray([p for *_, p in rows], dtype=np.float64),
-    )

@@ -4,6 +4,9 @@ Byte-stability rules: every coordinate goes through one fixed 3-decimal
 formatter, element order is fixed, and no timestamps or generated ids are
 embedded. Data curves are the only <polyline> elements; axes and ticks are
 <line> elements, so structural assertions on figures stay simple.
+
+No numpy: a record's arrays, or the tuples the CSV readers give, are read
+element by element as floats, so both draw the same bytes.
 """
 
 from __future__ import annotations
@@ -11,13 +14,11 @@ from __future__ import annotations
 import datetime
 import html
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from newstm.dtm import TrajectorySeries
-from newstm.evaluate import IntertopicMap
+from newstm.exports import IntertopicMap, TrajectorySeries
 from newstm.modelfile import replace_text
 
 logger = logging.getLogger(__name__)
@@ -190,7 +191,7 @@ def plot_trajectories(series: TrajectorySeries, spec: FigureSpec) -> str:
         key=lambda i: (-float(series.series[series.words[i]][-1]), i),
     )
     x0, y0, x1, y1 = _plot_frame(spec)
-    y_max = max(float(series.series[w].max()) for w in series.words)
+    y_max = max(float(max(series.series[w])) for w in series.words)
     y_max = y_max * 1.05 if y_max > 0 else 1.0
 
     def sx(t: int) -> float:
@@ -235,33 +236,34 @@ def plot_intertopic(topic_map: IntertopicMap, spec: FigureSpec) -> str:
     """One circle per topic at its 2-D coordinate; radius scales with sqrt(prevalence)."""
     coords = topic_map.coordinates
     prevalence = topic_map.prevalence
-    k = coords.shape[0]
+    k = len(coords)
     if k < 1:
         raise ValueError("intertopic map holds no topics")
     for topic in range(k):
-        if not np.isfinite(coords[topic]).all():
+        if not all(math.isfinite(c) for c in coords[topic]):
             raise ValueError(f"topic {topic} has a NaN or infinite coordinate")
-        if not 0 <= prevalence[topic] < np.inf:
+        if not 0 <= prevalence[topic] < math.inf:
             value = float(prevalence[topic])
             raise ValueError(f"topic {topic} has prevalence {value}; it must be finite and >= 0")
 
     x0, y0, x1, y1 = _plot_frame(spec)
     cx = (x0 + x1) / 2
     cy = (y0 + y1) / 2
-    extent = float(np.abs(coords).max())
+    extent = float(max(abs(c) for xy in coords for c in xy))
     if extent <= 0:
         extent = 1.0
     scale = 0.38 * min(x1 - x0, y1 - y0) / extent
 
     r_max = 0.12 * min(x1 - x0, y1 - y0)
-    p_max = float(prevalence.max())
+    p_max = float(max(prevalence))
 
     body: list[str] = []
     for topic in range(k):
-        px = cx + float(coords[topic, 0]) * scale
-        py = cy - float(coords[topic, 1]) * scale
+        x, y = coords[topic]
+        px = cx + float(x) * scale
+        py = cy - float(y) * scale
         if p_max > 0:
-            radius = max(r_max * float(np.sqrt(prevalence[topic] / p_max)), 1.0)
+            radius = max(r_max * math.sqrt(float(prevalence[topic]) / p_max), 1.0)
         else:
             radius = r_max
         color = THEME[topic % len(THEME)]

@@ -111,3 +111,41 @@ def test_a_checkout_with_bytecode_caches_is_refused_before_any_run(tmp_path):
     assert proc.returncode == 2
     assert f"error: {cache} holds bytecode caches" in proc.stderr
     assert "seed" not in proc.stderr and not out.exists()
+
+
+# A run.py that reports, as its backend, where it runs and what it finds there.
+WHERE_RUN = """import json, os
+from pathlib import Path
+SIDE = "parent"
+note = Path("perfbench/note.txt")
+where = {"side": SIDE, "tree": os.getcwd(), "bench_work": Path(".bench_work").exists(),
+         "note": note.read_text() if note.exists() else None}
+print(json.dumps({"environment": {"backend": json.dumps(where)}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_both_sides_run_from_sibling_exports_and_the_change_holds_the_checkout(tmp_path):
+    root = _repo(tmp_path)
+    (root / ".gitignore").write_text(".bench_work/\n")
+    (root / "perfbench" / "run.py").write_text(WHERE_RUN)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["commit", "-q", "-am", "where"], cwd=root, check=True)
+    subprocess.run(git + ["add", ".gitignore"], cwd=root, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "ignore"], cwd=root, check=True)
+    # An uncommitted edit, a new file and an ignored work directory.
+    (root / "perfbench" / "run.py").write_text(WHERE_RUN.replace('"parent"', '"change"'))
+    (root / "perfbench" / "note.txt").write_text("new file")
+    (root / ".bench_work").mkdir()
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench(root, "1", out)
+    assert proc.returncode == 0, proc.stderr
+    backend = json.loads(out.read_text())["backend"]
+    parent, change = (json.loads(backend[side][0]) for side in ("parent", "change"))
+    assert (parent["side"], parent["note"], parent["bench_work"]) == ("parent", None, False)
+    assert (change["side"], change["note"], change["bench_work"]) == ("change", "new file", False)
+    parent_tree, change_tree = Path(parent["tree"]), Path(change["tree"])
+    assert (parent_tree.name, change_tree.name) == ("parent", "change")
+    assert parent_tree.parent == change_tree.parent != root
+    assert parent_tree.parent.parent == tmp_path / "tmp"
+    assert list((tmp_path / "tmp").iterdir()) == []  # both exports are removed

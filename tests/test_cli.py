@@ -511,8 +511,11 @@ _NOT_LOADED = {
     "preprocess": {"newstm.lda", "newstm._kernels", "newstm.dtm", "newstm.evaluate", "newstm.viz"},
     "train --mode static": {"newstm.dtm", "newstm.evaluate", "newstm.viz", "newstm.encode"},
     "train --mode dtm": {"newstm.evaluate", "newstm.viz", "newstm.encode"},
-    "report": set(),
-    "plot": set(),
+    "report": {"numpy.random", "newstm.encode", "newstm.viz"},
+    "plot": {
+        "numpy", "newstm.lda", "newstm._kernels", "newstm.dtm", "newstm.evaluate",
+        "newstm.preprocess", "newstm.encode",
+    },
 }
 
 

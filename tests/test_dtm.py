@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -112,6 +113,21 @@ def test_leading_empty_slice_starts_uniform():
     slices, bows = monthly_slices([[], _two_slice_parts()[0]], 10)
     model = train_dtm(slices, bows, BASE, kappa=1.0)
     assert np.array_equal(model.per_slice_beta[0], np.full((3, 10), 0.1))
+
+
+def test_slice_seeds_are_numpys_seed_sequence_state():
+    # slice_seeds_for computes SeedSequence(seed).generate_state in plain
+    # Python; n = 5 and 13 draw past its 4-word pool.
+    rng = random.Random(20240517)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 7]
+    seeds = edges + [rng.getrandbits(rng.randint(1, 300)) for _ in range(1000)]
+    for seed in seeds:
+        for n in (1, 3, 4, 5, 13):
+            want = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint32).tolist()
+            assert slice_seeds_for(seed, n + 1)[1:] == want, (seed, n)
+    assert slice_seeds_for(5, 0) == slice_seeds_for(5, 1) == [5]
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        slice_seeds_for(-1, 2)
 
 
 def _chained_by_train_lda(slices, all_bows, base, kappa, warm_start):

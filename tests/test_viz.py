@@ -164,6 +164,33 @@ def test_intertopic_rejects_a_negative_or_non_finite_prevalence(bad):
         plot_intertopic(topic_map, FigureSpec(title="map"))
 
 
+def _as_tuples(topic_map: IntertopicMap) -> IntertopicMap:
+    """The map as `read_intertopic_csv` holds one: tuples of floats."""
+    coordinates = tuple((float(x), float(y)) for x, y in topic_map.coordinates)
+    return IntertopicMap(coordinates, tuple(float(p) for p in topic_map.prevalence))
+
+
+@pytest.mark.parametrize(
+    "coordinates, prevalence",
+    [
+        ([[0.0, 1.0], [0.5, np.nan]], [0.5, 0.5]),
+        ([[0.0, 1.0], [-np.inf, 0.0]], [0.5, 0.5]),
+        ([[0.0, 1.0], [0.5, 0.0]], [0.5, -0.25]),
+        ([[0.0, 1.0], [0.5, 0.0]], [0.5, np.nan]),
+        ([[0.0, 1.0], [0.5, 0.0]], [np.inf, 0.5]),
+    ],
+    ids=["nan-y", "minus-inf-x", "negative-prevalence", "nan-prevalence", "inf-prevalence"],
+)
+def test_intertopic_rejections_read_the_same_on_tuples_as_on_arrays(coordinates, prevalence):
+    arrays = IntertopicMap(np.array(coordinates), np.array(prevalence))
+    messages = []
+    for topic_map in (arrays, _as_tuples(arrays)):
+        with pytest.raises(ValueError) as info:
+            plot_intertopic(topic_map, FigureSpec(title="map"))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_intertopic_figure_regenerates_from_csv_export(tmp_path):
     model = model_from_beta(np.eye(3), theta=np.full((2, 3), 1 / 3))
     topic_map = intertopic_map(model)
@@ -172,6 +199,26 @@ def test_intertopic_figure_regenerates_from_csv_export(tmp_path):
     direct = plot_intertopic(topic_map, FigureSpec(title="map"))
     from_csv = plot_intertopic(read_intertopic_csv(path), FigureSpec(title="map"))
     assert direct == from_csv
+
+
+def test_trajectory_figure_regenerates_from_csv_export(tmp_path):
+    # dtm.trajectory holds arrays, the CSV reader tuples: the same figure.
+    from helpers import drift_vocab, planted_drift_sliced_corpus
+    from newstm.dtm import read_trajectory_csv, train_dtm, trajectory, write_trajectory_csv
+    from newstm.lda import LdaHyperparams
+
+    slices, bows = planted_drift_sliced_corpus(seed=3)
+    hyper = LdaHyperparams(k=2, alpha=1.0, eta=0.01, iterations=40, burn_in=10, thin=5, seed=17)
+    model = train_dtm(slices, bows, hyper, kappa=1.0)
+    words = [drift_vocab().decode(i) for i in range(6)]
+    path = tmp_path / "traj.csv"
+    for topic in range(hyper.k):
+        series = trajectory(model, topic, words, drift_vocab())
+        write_trajectory_csv([series], path)
+        loaded = read_trajectory_csv(path)[0]
+        assert all(type(loaded.series[w]) is tuple for w in words)
+        direct = plot_trajectories(series, FigureSpec(title="drift"))
+        assert plot_trajectories(loaded, FigureSpec(title="drift")) == direct
 
 
 def test_svgs_are_self_contained():
