@@ -22,8 +22,6 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.exports import TrajectorySeries
-# Re-exported: `from newstm.dtm import read_trajectory_csv` keeps working.
-from newstm.exports import read_trajectory_csv, write_trajectory_csv  # noqa: F401
 from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _top_order, _topic_summary
 # Unused here, but perfbench/spans.py looks this name up on this module.
 from newstm.lda import train_lda  # noqa: F401
@@ -45,64 +43,23 @@ class DtmModel:
     per_slice_theta: list[np.ndarray]
     kappa: float
     base_hyper: LdaHyperparams
-    slice_seeds: list[int]
 
     @property
     def n_slices(self) -> int:
         return self.per_slice_beta.shape[0]
 
+    @property
+    def slice_seeds(self) -> list[int]:
+        return slice_seeds_for(self.base_hyper.seed, self.n_slices)
+
 
 def slice_seeds_for(base_seed: int, n_slices: int) -> list[int]:
     """Deterministic per-slice seeds: slice 0 keeps the base seed, later
-    slices draw from the spawned SeedSequence stream."""
-    seeds = [int(base_seed)]
-    if n_slices > 1:
-        seeds.extend(_seed_sequence_state(int(base_seed), n_slices - 1))
-    return seeds
-
-
-# numpy's SeedSequence(seed).generate_state(n, np.uint32), for an int seed
-# and no spawn key, in plain Python: the 4-word hash-mix pool of
-# numpy/random/bit_generator.pyx. Checking a DTM file's slice seeds then
-# needs no numpy.random; tests/test_dtm.py pins the two together.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK, _POOL = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 4
-
-
-def _seed_sequence_state(seed: int, n: int) -> list[int]:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    entropy = [seed & _MASK]  # 32-bit words, least significant first
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK)
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK
-        value = value * const & _MASK
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = _INIT_B, []
-    for i in range(n):
-        value = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK
-        value = value * const & _MASK
-        state.append(value ^ value >> 16)
-    return state
+    slices draw from the base seed's numpy SeedSequence stream."""
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
+    stream = np.random.SeedSequence(base_seed).generate_state(max(n_slices - 1, 0), np.uint32)
+    return [int(base_seed), *stream.tolist()]
 
 
 def train_dtm(
@@ -124,16 +81,14 @@ def train_dtm(
     slice (the equivalence mode used to compare against independent runs).
     """
     slices = list(slices)
-    seeds = slice_seeds_for(base_hyper.seed, len(slices))
     betas = np.empty((len(slices), base_hyper.k, bows.vocab_size), dtype=np.float64)
-    steps = _chain(slices, bows, base_hyper, kappa, warm_start, seeds, betas)
+    steps = _chain(slices, bows, base_hyper, kappa, warm_start, betas)
     return DtmModel(
         slices=slices,
         per_slice_beta=betas,
         per_slice_theta=[theta_t for _, theta_t in steps],
         kappa=kappa,
         base_hyper=base_hyper,
-        slice_seeds=seeds,
     )
 
 
@@ -148,10 +103,9 @@ def train_dtm_to_file(
     of its model, each slice's β as it finishes: no more than two (k, V)
     slices of β are held at once."""
     slices = list(slices)
-    seeds = slice_seeds_for(base_hyper.seed, len(slices))
     ring = np.empty((2, base_hyper.k, bows.vocab_size), dtype=np.float64)
-    steps = _chain(slices, bows, base_hyper, kappa, True, seeds, ring)
-    meta = _meta(slices, kappa, base_hyper, seeds)
+    steps = _chain(slices, bows, base_hyper, kappa, True, ring)
+    meta = _meta(slices, kappa, base_hyper)
     _write(path, meta, (len(slices), base_hyper.k, bows.vocab_size), sum(map(len, slices)), steps)
 
 
@@ -161,7 +115,6 @@ def _chain(
     base_hyper: LdaHyperparams,
     kappa: float,
     warm_start: bool,
-    seeds: list[int],
     ring: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each slice's (beta_t, theta_t) in order.
@@ -175,6 +128,7 @@ def _chain(
     if not (kappa >= 0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
 
+    seeds = slice_seeds_for(base_hyper.seed, len(slices))
     k, vocab_size = base_hyper.k, bows.vocab_size
     prior = np.empty((k, vocab_size), dtype=np.float64)  # each slice's chained eta_kw
     for t, time_slice in enumerate(slices):
@@ -236,7 +190,7 @@ def read_trajectories(path: str | Path, vocab: Vocabulary, n: int) -> list[Traje
     `trajectory` give on the loaded model. Reads one (k, V) slice at a time,
     each once after the last, so the whole β is never held."""
     with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
-        slices, _, _, _ = stored.header
+        slices, _, _ = stored.header
         beta_t = stored.block("per_slice_beta", len(slices) - 1)
         if not 1 <= n <= beta_t.shape[1]:
             raise ValueError(f"n must be in 1..{beta_t.shape[1]}, got {n}")
@@ -260,22 +214,18 @@ def save_dtm(model: DtmModel, path: str | Path) -> None:
     All slice thetas go into one array of stacked rows, a slice's rows
     being its documents in `doc_ids` order.
     """
-    meta = _meta(model.slices, model.kappa, model.base_hyper, model.slice_seeds)
+    meta = _meta(model.slices, model.kappa, model.base_hyper)
     rows = sum(len(theta_t) for theta_t in model.per_slice_theta)
     steps = zip(model.per_slice_beta, model.per_slice_theta)
     _write(path, meta, model.per_slice_beta.shape, rows, steps)
 
 
-def _meta(
-    slices: list[TimeSlice], kappa: float, base_hyper: LdaHyperparams, seeds: list[int]
-) -> dict:
+def _meta(slices: list[TimeSlice], kappa: float, base_hyper: LdaHyperparams) -> dict:
     return {
         "kappa": kappa,
-        "slice_seeds": seeds,
         "base_hyper": dataclasses.asdict(base_hyper),
         "slices": [
             {
-                "index": s.index,
                 "start": s.start.isoformat(),
                 "end": s.end.isoformat(),
                 "doc_ids": list(s.doc_ids),
@@ -311,54 +261,49 @@ def _write(
 
 def _checked_header(
     meta: dict, shapes: dict[str, tuple[int, ...]]
-) -> tuple[list[TimeSlice], float, LdaHyperparams, list[int]]:
-    """The slices, kappa, base hyperparameters and slice seeds of a DTM
-    file's header, checked to be as `save_dtm` writes them (T >= 1 slices,
-    kappa >= 0, and the seeds `slice_seeds_for` gives the base seed over T
-    slices), and against the shapes of the arrays: β is (T, k, V), and θ
-    has a row per document."""
-    kappa, seeds, base_hyper, entries = json_fields(
-        meta, {"kappa": float, "slice_seeds": list[int], "base_hyper": dict, "slices": list}
+) -> tuple[list[TimeSlice], float, LdaHyperparams]:
+    """The slices, kappa and base hyperparameters of a DTM file's header,
+    checked to be as `save_dtm` writes them (T >= 1 abutting slices,
+    numbered by position, and kappa >= 0), and against the shapes of the
+    arrays: β is (T, k, V), and θ has a row per document. Fields that
+    earlier versions also wrote (`vocab_size`, `theta_rows`, `slice_seeds`
+    and each slice's `index`) follow from these and are ignored."""
+    kappa, base_hyper, entries = json_fields(
+        meta, {"kappa": float, "base_hyper": dict, "slices": list}
     )
     slices: list[TimeSlice] = []
     for t, entry in enumerate(entries):  # as slice_monthly builds them: in order, abutting
         try:
-            index, start, end, doc_ids = json_fields(
-                entry, {"index": int, "start": str, "end": str, "doc_ids": list[str]}
+            start, end, doc_ids = json_fields(
+                entry, {"start": str, "end": str, "doc_ids": list[str]}
             )
             start, end = iso_date(start), iso_date(end)
-            if index != t:
-                raise ValueError(f"index {index}, expected {t}")
             if not start < end:
                 raise ValueError(f"start {start} is not before end {end}")
             if slices and start != slices[-1].end:
                 raise ValueError(f"start {start} is not slice {t - 1}'s end {slices[-1].end}")
         except ValueError as exc:
             raise ValueError(f"slice {t}: {exc}") from None
-        slices.append(TimeSlice(index, start, end, tuple(doc_ids)))
+        slices.append(TimeSlice(t, start, end, tuple(doc_ids)))
     json_fields(base_hyper, {"alpha": float})  # as save_dtm writes it: resolved, never null
     hyper = LdaHyperparams(**base_hyper)
     if not slices:  # as train_dtm requires
         raise ValueError("the model has no time slices")
     if kappa < 0:
         raise ValueError(f"kappa {kappa} is below 0")
-    if seeds != slice_seeds_for(hyper.seed, len(slices)):
-        raise ValueError(
-            f"slice_seeds {seeds} are not those of seed {hyper.seed} over {len(slices)} slices"
-        )
     betas, thetas = tuple(shapes["per_slice_beta"]), tuple(shapes["per_slice_theta"])
     if len(betas) != 3 or betas[:2] != (len(slices), hyper.k):
         raise ValueError(f"per_slice_beta has shape {betas}, not ({len(slices)}, {hyper.k}, V)")
     rows = sum(map(len, slices))  # a slice's theta rows are its documents, in order
     if thetas != (rows, hyper.k):
         raise ValueError(f"per_slice_theta has shape {thetas}, not ({rows}, {hyper.k})")
-    return slices, kappa, hyper, seeds
+    return slices, kappa, hyper
 
 
 def load_dtm(path: str | Path) -> DtmModel:
     """Read a model written by `save_dtm`; a malformed file raises ValueError."""
     with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
-        slices, kappa, hyper, seeds = stored.header
+        slices, kappa, hyper = stored.header
         beta, theta = stored.block("per_slice_beta"), stored.block("per_slice_theta")
     thetas = np.split(theta, np.cumsum([len(s) for s in slices])[:-1])
-    return DtmModel(slices, beta, thetas, kappa, hyper, seeds)
+    return DtmModel(slices, beta, thetas, kappa, hyper)

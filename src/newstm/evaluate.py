@@ -15,8 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from newstm.exports import IntertopicMap
-# Re-exported: `from newstm.evaluate import read_intertopic_csv` keeps working.
-from newstm.exports import read_intertopic_csv, write_intertopic_csv  # noqa: F401
 from newstm.lda import LdaModel, _check_vocab_size, _top_order
 from newstm.modelfile import replace_text
 from newstm.preprocess import Bows

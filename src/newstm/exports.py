@@ -5,7 +5,6 @@
 numpy arrays, as `dtm.trajectory`, `dtm.read_trajectories` and
 `evaluate.intertopic_map` build them, or tuples of floats, as the readers
 here return them; `newstm.viz` draws either. So `plot` loads no numpy.
-`newstm.dtm` and `newstm.evaluate` re-export these names.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def test_streamed_train_writes_the_file_of_train_dtm_then_save_dtm(tmp_path):
 def test_each_block_is_bitwise_the_loaded_slice(wide):
     betas = load_dtm(wide).per_slice_beta
     with BlockFile(wide, "newstm-dtm", RETRAIN, _checked_header) as stored:
-        slices, _, hyper, _ = stored.header
+        slices, _, hyper = stored.header
         assert (len(slices), hyper.k) == betas.shape[:2]
         out = np.empty(betas.shape[1:])
         for t in range(len(slices)):

@@ -20,14 +20,13 @@ from newstm import _kernels
 from newstm.dtm import (
     TrajectorySeries,
     load_dtm,
-    read_trajectory_csv,
     save_dtm,
     slice_seeds_for,
     top_words_at,
     train_dtm,
     trajectory,
-    write_trajectory_csv,
 )
+from newstm.exports import read_trajectory_csv, write_trajectory_csv
 from newstm.lda import LdaHyperparams, top_words, train_lda
 from newstm.preprocess import BowDoc, Bows
 
@@ -116,8 +115,8 @@ def test_leading_empty_slice_starts_uniform():
 
 
 def test_slice_seeds_are_numpys_seed_sequence_state():
-    # slice_seeds_for computes SeedSequence(seed).generate_state in plain
-    # Python; n = 5 and 13 draw past its 4-word pool.
+    # slice_seeds_for keeps the base seed and draws the rest from
+    # SeedSequence(seed).generate_state; n = 5 and 13 draw past its 4-word pool.
     rng = random.Random(20240517)
     edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 7]
     seeds = edges + [rng.getrandbits(rng.randint(1, 300)) for _ in range(1000)]

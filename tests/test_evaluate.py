@@ -8,11 +8,10 @@ from newstm.evaluate import (
     LN2,
     intertopic_map,
     js_divergence,
-    read_intertopic_csv,
     topic_overlap,
     umass_coherence,
-    write_intertopic_csv,
 )
+from newstm.exports import read_intertopic_csv, write_intertopic_csv
 from newstm.preprocess import BowDoc, Bows
 
 

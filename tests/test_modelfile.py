@@ -25,18 +25,20 @@ from newstm.dtm import (
     _checked_header,
     load_dtm,
     read_trajectories,
-    read_trajectory_csv,
     save_dtm,
     train_dtm,
-    write_trajectory_csv,
 )
 from newstm.evaluate import (
     CoherenceReport,
     IntertopicMap,
-    read_intertopic_csv,
     write_coherence_json,
-    write_intertopic_csv,
     write_overlap_json,
+)
+from newstm.exports import (
+    read_intertopic_csv,
+    read_trajectory_csv,
+    write_intertopic_csv,
+    write_trajectory_csv,
 )
 from newstm.lda import LdaHyperparams, load_lda, save_lda, train_lda
 from newstm.preprocess import (
@@ -190,15 +192,10 @@ BAD_SLICES = {
         lambda meta: meta["slices"][0].update(doc_ids="abcdefg"),
         "slice 0: field 'doc_ids' must be a list of strings, got \"abcdefg\"",
     ),
-    "float-index": (
-        lambda meta: meta["slices"][0].update(index=0.0),
-        "slice 0: field 'index' must be an integer, got 0.0",
+    "out-of-order": (
+        _swap_first_slices,
+        "slice 1: start 2020-01-17 is not slice 0's end 2020-03-17",
     ),
-    "other-index": (
-        lambda meta: meta["slices"][2].update(index=5),
-        "slice 2: index 5, expected 2",
-    ),
-    "out-of-order": (_swap_first_slices, "slice 0: index 1, expected 0"),
     "empty-span": (
         lambda meta: meta["slices"][2].update(end="2020-03-17"),
         "slice 2: start 2020-03-17 is not before end 2020-03-17",
@@ -214,10 +211,6 @@ BAD_SLICES = {
     "bool-kappa": (
         lambda meta: meta.update(kappa=True),
         "field 'kappa' must be a finite number, got true",
-    ),
-    "float-seed": (
-        lambda meta: meta["slice_seeds"].__setitem__(1, 1.5),
-        "field 'slice_seeds' must be a list of integers, got [5, 1.5, ",
     ),
 }
 
@@ -236,19 +229,8 @@ def test_dtm_header_rejects_a_field_slice_monthly_would_not_write(tmp_path, mode
     assert f"not a valid newstm-dtm model file ({fault}" in str(info.value)
 
 
-# DTM headers whose kappa or slice seeds `save_dtm` never writes: it writes
-# kappa >= 0 and the seeds `slice_seeds_for` gives the base seed, 5, over
-# the three slices of `models`.
+# DTM headers whose kappa `save_dtm` never writes: it writes kappa >= 0.
 BAD_CHAIN = {
-    "one-seed": (lambda meta: meta.update(slice_seeds=[7]), "slice_seeds [7] are not those"),
-    "other-seeds": (
-        lambda meta: meta.update(slice_seeds=[1, 2, 3]),
-        "slice_seeds [1, 2, 3] are not those of seed 5 over 3 slices",
-    ),
-    "base-seed-only": (
-        lambda meta: meta.update(slice_seeds=[5]),
-        "slice_seeds [5] are not those of seed 5 over 3 slices",
-    ),
     "negative-kappa": (lambda meta: meta.update(kappa=-5.0), "kappa -5.0 is below 0"),
 }
 
@@ -260,7 +242,7 @@ def _vocab(size):
 
 @pytest.mark.parametrize("read", ["load_dtm", "read_trajectories"])
 @pytest.mark.parametrize("case", list(BAD_CHAIN))
-def test_dtm_header_rejects_kappa_or_seeds_save_dtm_would_not_write(tmp_path, models, case, read):
+def test_dtm_header_rejects_a_kappa_save_dtm_would_not_write(tmp_path, models, case, read):
     edit, fault = BAD_CHAIN[case]
     model = models["dtm"][0]
     path = tmp_path / "dtm.newstm"
@@ -275,13 +257,51 @@ def test_dtm_header_rejects_kappa_or_seeds_save_dtm_would_not_write(tmp_path, mo
     assert message.endswith("; re-run `newstm train --mode dtm`")
 
 
+# Slice seeds and slice indices that files written before these fields were
+# dropped may carry, each one a value such a file's reader once rejected.
+# The seeds follow from the base seed and T, and an index from its slice's
+# position, so the readers ignore them all.
+OLD_SEEDS_AND_INDICES = {
+    "one-seed": lambda meta: meta.update(slice_seeds=[7]),
+    "other-seeds": lambda meta: meta.update(slice_seeds=[1, 2, 3]),
+    "base-seed-only": lambda meta: meta.update(slice_seeds=[5]),
+    "float-seed": lambda meta: meta.update(slice_seeds=[5, 1.5, 2]),
+    "float-index": lambda meta: meta["slices"][0].update(index=0.0),
+    "other-index": lambda meta: meta["slices"][2].update(index=5),
+}
+
+
+@pytest.mark.parametrize("read", ["load_dtm", "read_trajectories"])
+@pytest.mark.parametrize("case", list(OLD_SEEDS_AND_INDICES))
+def test_dtm_header_ignores_old_slice_seeds_and_indices(tmp_path, models, case, read):
+    model = models["dtm"][0]
+    path = tmp_path / "dtm.newstm"
+    save_dtm(model, path)
+    want = read_trajectories(path, _vocab(10), 2)
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
+    OLD_SEEDS_AND_INDICES[case](meta)
+    _dtm_file(path, meta, model.per_slice_beta, np.concatenate(model.per_slice_theta))
+    if read == "load_dtm":
+        loaded = load_dtm(path)
+        assert [s.index for s in loaded.slices] == [0, 1, 2]
+        assert loaded.slice_seeds == model.slice_seeds
+        assert np.array_equal(loaded.per_slice_beta, model.per_slice_beta)
+        for got, expected in zip(loaded.per_slice_theta, model.per_slice_theta, strict=True):
+            assert np.array_equal(got, expected)
+    else:
+        got = read_trajectories(path, _vocab(10), 2)
+        assert [(s.words, s.slice_labels) for s in got] == [(s.words, s.slice_labels) for s in want]
+        for g, w in zip(got, want, strict=True):
+            assert all(np.array_equal(g.series[word], w.series[word]) for word in w.words)
+
+
 @pytest.mark.parametrize("read", ["load_dtm", "read_trajectories"])
 def test_dtm_file_with_no_slices_is_rejected(tmp_path, models, read):
-    # train_dtm needs at least one slice; slice_seeds_for(5, 0) is [5].
+    # train_dtm needs at least one slice.
     path = tmp_path / "dtm.newstm"
     save_dtm(models["dtm"][0], path)
     meta = json.loads(path.read_bytes().split(b"\n", 1)[0])["meta"]
-    meta.update(slices=[], slice_seeds=[5])
+    meta.update(slices=[])
     _dtm_file(path, meta, np.zeros((0, 3, 10)), np.zeros((0, 3)))
     with pytest.raises(ValueError) as info:
         load_dtm(path) if read == "load_dtm" else read_trajectories(path, _vocab(10), 2)
@@ -387,11 +407,16 @@ def test_model_files_that_carry_vocab_size_and_theta_rows_load_to_the_same_array
     tmp_path, models
 ):
     # Headers once also held `vocab_size` (beta's last axis) and, for the
-    # DTM, each slice's θ row count (its number of doc ids).
+    # DTM, each slice's θ row count (its number of doc ids), the slice seeds
+    # (a function of the base seed and T) and each slice's index (its
+    # position). All are ignored, so these wrong values change nothing.
     def add_old_fields(header):
         header["meta"]["vocab_size"] = 10
         if header["format"] == "newstm-dtm":
             header["meta"]["theta_rows"] = [6, 1, 5]  # ignored: rows follow the doc ids
+            header["meta"]["slice_seeds"] = [1, 2, 3]
+            for t, entry in enumerate(header["meta"]["slices"]):
+                entry["index"] = 7 - t
 
     upgraded = {}
     for kind in ("lda", "dtm"):
@@ -401,10 +426,20 @@ def test_model_files_that_carry_vocab_size_and_theta_rows_load_to_the_same_array
         written = path.read_bytes()
         _with_header(path, add_old_fields)
         upgraded[kind] = load(path)
+        if kind == "dtm":  # as `report` reads a workspace built before the change
+            old = read_trajectories(path, _vocab(10), 2)
         save(upgraded[kind], path)
         assert path.read_bytes() == written, kind  # the same arrays and metadata
     assert upgraded["lda"].vocab_size == 10
     assert [t.shape[0] for t in upgraded["dtm"].per_slice_theta] == [7, 0, 5]
+    assert upgraded["dtm"].slice_seeds == models["dtm"][0].slice_seeds
+    fresh = read_trajectories(tmp_path / "dtm.newstm", _vocab(10), 2)
+    assert [(s.words, s.slice_labels) for s in old] == [(s.words, s.slice_labels) for s in fresh]
+    for got, want in zip(old, fresh):
+        assert all(np.array_equal(got.series[w], want.series[w]) for w in want.words)
+    meta = json.loads(written.split(b"\n", 1)[0])["meta"]
+    assert set(meta) == {"kappa", "base_hyper", "slices"}
+    assert all(set(entry) == {"start", "end", "doc_ids"} for entry in meta["slices"])
 
 
 @pytest.mark.parametrize(

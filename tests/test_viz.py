@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from newstm.dtm import TrajectorySeries
-from newstm.evaluate import IntertopicMap, intertopic_map, read_intertopic_csv, write_intertopic_csv
+from newstm.evaluate import IntertopicMap, intertopic_map
+from newstm.exports import read_intertopic_csv, write_intertopic_csv
 from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
 from helpers import model_from_beta
@@ -204,7 +205,8 @@ def test_intertopic_figure_regenerates_from_csv_export(tmp_path):
 def test_trajectory_figure_regenerates_from_csv_export(tmp_path):
     # dtm.trajectory holds arrays, the CSV reader tuples: the same figure.
     from helpers import drift_vocab, planted_drift_sliced_corpus
-    from newstm.dtm import read_trajectory_csv, train_dtm, trajectory, write_trajectory_csv
+    from newstm.dtm import train_dtm, trajectory
+    from newstm.exports import read_trajectory_csv, write_trajectory_csv
     from newstm.lda import LdaHyperparams
 
     slices, bows = planted_drift_sliced_corpus(seed=3)
@@ -239,7 +241,8 @@ def test_drifted_in_word_curve_rises(tmp_path):
         drift_vocab,
         planted_drift_sliced_corpus,
     )
-    from newstm.dtm import read_trajectory_csv, train_dtm, trajectory, write_trajectory_csv
+    from newstm.dtm import train_dtm, trajectory
+    from newstm.exports import read_trajectory_csv, write_trajectory_csv
     from newstm.lda import LdaHyperparams
 
     slices, bows = planted_drift_sliced_corpus(seed=3)
