@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Measure each CLI command of one workload at a parent commit and in the
+checkout, and write the medians into a BENCH file.
+
+    python3 scripts/bench_commands.py --parent HEAD~1 --workload wide --seed 3 \
+        --runs 8 --out BENCH_<label>.json
+
+Both sides are exported as `scripts/bench_pairs.py` exports them: the
+parent is commit REV, the change is the checkout as its files stand. Each
+run gives each side a fresh workspace and runs the six commands of
+`perfbench/run.py`'s PIPELINE on the workload's corpus, with the
+workload's settings from that file: `perfbench/gen.py --seed S` writes the
+`wide` corpus, and `fixture` is the bundled sample. The side that goes
+first alternates from run to run. Each command is a fresh `python -m
+newstm.cli` child, pinned to the highest-numbered CPU this script may use,
+with PYTHONDONTWRITEBYTECODE=1; its CPU time (user + system) and peak RSS
+come from os.wait4.
+
+The medians are written into the --out JSON file as `<workload>_per_command`,
+and the file's other keys are kept. Exit status: 0, or 1 when a command
+exits non-zero (nothing is written then).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import SIDES, _export, _export_checkout, _git  # noqa: E402
+
+
+# Runs sys.argv[1:] with stdout on /dev/null and prints its CPU seconds and
+# peak RSS in MB. A process's ru_maxrss includes the pages of the process
+# that spawned it, as they stood at the exec, so the spawner is this small
+# interpreter rather than the caller, whose size depends on how it was run.
+_LAUNCHER = """
+import os, sys
+to_null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=to_null)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def measure(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
+    """Run one command, `argv[0]` a path; its CPU seconds and peak RSS in MB.
+    A non-zero exit raises RuntimeError with the end of its stderr."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv], env=env, capture_output=True, text=True
+    )
+    if done.returncode:
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr[-600:]}")
+    cpu, rss = map(float, done.stdout.split())
+    return cpu, rss
+
+
+def summarize(runs: dict[str, list[dict[str, tuple[float, float]]]]) -> dict:
+    """Each command's median CPU seconds and peak RSS per side, and each
+    side's median total CPU over a run. `runs[side]` holds one dict per run,
+    command -> (cpu_s, peak_rss_mb)."""
+    commands = list(runs[SIDES[0]][0])
+    out: dict = {"runs": len(runs[SIDES[0]]), "commands": {}}
+    for command in commands:
+        out["commands"][command] = {
+            side: {
+                "cpu_s_median": round(statistics.median(r[command][0] for r in runs[side]), 4),
+                "peak_rss_mb_median": round(
+                    statistics.median(r[command][1] for r in runs[side]), 2
+                ),
+            }
+            for side in SIDES
+        }
+    for side in SIDES:
+        totals = [sum(cpu for cpu, _ in run.values()) for run in runs[side]]
+        out[f"total_cpu_s_median_{side}"] = round(statistics.median(totals), 4)
+    return out
+
+
+def _perfbench_run(tree: Path):
+    spec = importlib.util.spec_from_file_location("perfbench_run", tree / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--workload", required=True, choices=("fixture", "wide"))
+    parser.add_argument("--seed", type=int, default=0, help="the wide corpus's seed")
+    parser.add_argument("--runs", type=int, default=8)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # every command inherits the pin
+
+    root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    parent_commit = _git(root, "rev-parse", args.parent)
+    scratch = Path(tempfile.mkdtemp(prefix="bench_commands_"))
+    runs: dict[str, list[dict[str, tuple[float, float]]]] = {side: [] for side in SIDES}
+    try:
+        trees = {side: scratch / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        _export(root, parent_commit, trees["parent"])
+        _export_checkout(root, trees["change"])
+        bench = _perfbench_run(trees["change"])
+        envs = {
+            side: dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+            for side, tree in trees.items()
+        }
+        if args.workload == "wide":
+            corpus = scratch / "wide.jsonl"
+            gen = [sys.executable, str(trees["change"] / "perfbench" / "gen.py")]
+            measure([*gen, "--seed", str(args.seed), "--out", str(corpus)], envs["change"])
+            source = f"the seed-{args.seed} wide corpus (perfbench/gen.py --seed {args.seed})"
+        else:
+            corpus = trees["change"] / "tests" / "data" / "sample_news.jsonl"
+            source = "the fixture corpus (tests/data/sample_news.jsonl)"
+        sections = {"corpus": {"path": str(corpus)}, **bench.CLI_SETTINGS[args.workload]}
+        config = scratch / "run.ini"
+        config.write_text(
+            "".join(
+                f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                for section, keys in sections.items()
+            ),
+            encoding="utf-8",
+        )
+        for run in range(args.runs):
+            for side in SIDES if run % 2 == 0 else SIDES[::-1]:
+                workspace = scratch / f"ws-{side}-{run}"
+                results = {}
+                for _, command in bench.PIPELINE:
+                    cli = [sys.executable, "-m", "newstm.cli", "--workspace", str(workspace)]
+                    results[" ".join(command)] = measure(
+                        [*cli, "--config", str(config), *command], envs[side]
+                    )
+                runs[side].append(results)
+                shutil.rmtree(workspace)
+                print(
+                    f"run {run} {side}: "
+                    + " ".join(f"{c}={cpu:.3f}s/{rss:.2f}MB" for c, (cpu, rss) in results.items()),
+                    file=sys.stderr,
+                )
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    block = {
+        "method": (
+            f"the six commands on {source} (the {args.workload} settings of perfbench/run.py), "
+            f"{args.runs} runs per side alternating which side goes first, each run in a fresh "
+            "workspace, each command a fresh `python -m newstm.cli` child pinned to one CPU "
+            "with PYTHONDONTWRITEBYTECODE=1; CPU is ru_utime + ru_stime and peak RSS "
+            "ru_maxrss from os.wait4; values are medians (scripts/bench_commands.py)"
+        ),
+        "parent_commit": parent_commit,
+        **summarize(runs),
+    }
+    summary = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    summary[f"{args.workload}_per_command"] = block
+    args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

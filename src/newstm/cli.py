@@ -34,6 +34,7 @@ from newstm.corpus import (
     filter_by_category,
     load_corpus,
     max_slices,
+    read_documents,
     read_timeline_csv,
     save_corpus,
     slice_monthly,
@@ -379,9 +380,10 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     _bind("newstm.preprocess")
     from newstm.encode import encode_corpus
 
-    corpus = load_corpus(ws.require(manifest, "corpus"))
+    # ingest wrote the corpus sorted, so file order is the order load_corpus gives.
+    docs = read_documents(ws.require(manifest, "corpus"), ascending=True)
     vocab, bows = encode_corpus(
-        ((doc.id, doc.title + " " + doc.body) for doc in corpus),
+        ((doc.id, doc.title + " " + doc.body) for doc in docs),
         load_stopwords(config.stoplist),
         min_count=config.min_count,
         threshold=config.threshold,
@@ -407,7 +409,7 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     bows = read_bows(ws.require(manifest, "bows"))
     ws.require(manifest, "vocab")
     slices = slice_monthly(
-        load_corpus(ws.require(manifest, "corpus")),
+        read_documents(ws.require(manifest, "corpus"), ascending=True),
         config.anchor_day,
         config.first_start,
         config.n_slices,

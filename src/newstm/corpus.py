@@ -89,17 +89,18 @@ class TimeSlice:
         return len(self.doc_ids)
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Load a JSONL corpus file, one article object per line.
+def read_documents(path: str | Path, *, ascending: bool = False) -> Iterator[Document]:
+    """Yield the documents of a JSONL corpus file, one article object per
+    line, in file order; blank lines are skipped.
 
     Each record needs string id/date/category/title/body fields; dates are
-    ISO-8601 days. Malformed records and duplicate ids raise CorpusError
-    naming the offending line. The returned corpus is sorted nondecreasing
-    by date (stable, preserving file order within a day).
+    ISO-8601 days. Malformed records, duplicate ids and, with `ascending`, a
+    date before the previous document's raise CorpusError naming the
+    offending line. Only the ids read so far are held, never the text.
     """
     path = Path(path)
-    docs: list[Document] = []
     seen: dict[str, int] = {}
+    previous: tuple[datetime.date, int] | None = None
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -122,11 +123,24 @@ def load_corpus(path: str | Path) -> Corpus:
                     f"(first seen on line {seen[doc_id]})"
                 )
             seen[doc_id] = lineno
+            if ascending and previous is not None and when < previous[0]:
+                raise CorpusError(
+                    f"{path}: line {lineno}: date {when} is before line {previous[1]}'s "
+                    f"{previous[0]}; the file must be sorted by date"
+                )
+            previous = when, lineno
             try:
-                docs.append(Document(doc_id, when, category, title, body))
+                doc = Document(doc_id, when, category, title, body)
             except ValueError as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
-    docs.sort(key=lambda d: d.date)
+            yield doc
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a JSONL corpus file with `read_documents`, its errors included.
+    The returned corpus is sorted nondecreasing by date (stable, preserving
+    file order within a day)."""
+    docs = sorted(read_documents(path), key=lambda d: d.date)
     logger.info("loaded %d documents from %s", len(docs), path)
     return Corpus(tuple(docs))
 
@@ -172,12 +186,14 @@ def max_slices(first_start: datetime.date) -> int:
 
 
 def slice_monthly(
-    corpus: Corpus,
+    corpus: Iterable[Document],
     anchor_day: int,
     first_start: datetime.date,
     n_slices: int,
 ) -> list[TimeSlice]:
-    """Partition the corpus into month-long slices anchored on `anchor_day`.
+    """Partition the documents, a Corpus or `read_documents`' stream, into
+    month-long slices anchored on `anchor_day`, each holding its ids in the
+    order they come.
 
     Slice t spans [anchor of month m+t, anchor of month m+t+1), with the
     anchor clamped to the month's last day when absent. Documents dated

@@ -93,8 +93,9 @@ def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.
     n = word_ids.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    cols = beta[:, word_ids]
-    cum = np.cumsum(cols / cols.sum(axis=0, keepdims=True), axis=0)
+    cum = beta[:, word_ids]  # normalised and summed in place: one K x n array
+    cum /= cum.sum(axis=0, keepdims=True)
+    np.cumsum(cum, axis=0, out=cum)
     u = rng.random(n)
     z = (u[None, :] < cum).argmax(axis=0).astype(np.int64)
     z[u >= cum[-1, :]] = k - 1  # guard against cumulative sums just below 1
@@ -152,14 +153,15 @@ def _run_chain(
     the token arrays they index.
 
     The word prior is the (k, V) matrix `eta_kw`; None is the symmetric
-    prior, np.full((k, V), hyper.eta). The chain stops after its last
-    retained sweep: a later sweep would change no estimate and no sample.
-    Its state holds only the word columns its tokens use, the ascending ids
-    of `present`. A column no token uses has count 0 at every sweep, so its
-    β entries are the mean of eta_kw / (n_k + eta_sum) over the retained
-    sweeps, and the chain builds no K x V float64 array but the prior and
-    β. β is written into `out`, a C-contiguous (k, V) float64 array, when
-    one is given.
+    prior, np.full((k, V), hyper.eta), which is never built. The chain stops
+    after its last retained sweep: a later sweep would change no estimate
+    and no sample. Its state holds only the word columns its tokens use, the
+    ascending ids of `present`. A column no token uses has count 0 at every
+    sweep, so its β entries are the mean of eta_kw / (n_k + eta_sum) over
+    the retained sweeps. β is written into `out`, a C-contiguous (k, V)
+    float64 array, when one is given, and its sums are kept in β itself: the
+    chain builds no K x V float64 array but β and, for a caller's `eta_kw`,
+    that prior.
     """
     k, vocab_size = hyper.k, bows.vocab_size
     doc_ids, word_ids, doc_lengths = _expand_bows(bows)
@@ -168,15 +170,18 @@ def _run_chain(
     used = np.zeros(vocab_size, dtype=bool)
     used[word_ids] = True
     present = np.flatnonzero(used)  # the columns of the chain's state
+    n_used = present.size
     local_ids = (np.cumsum(used) - 1)[word_ids]
 
-    if eta_kw is None:
-        eta_kw = np.full((k, vocab_size), hyper.eta)
-    eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
-    if (eta_kw <= 0).any():
-        raise ValueError("eta_kw entries must be > 0")
-    eta_sum = eta_kw.sum(axis=1)
-    eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
+    if eta_kw is None:  # LdaHyperparams has checked that eta is finite and > 0
+        eta_sum = np.full(k, np.full(vocab_size, hyper.eta).sum())  # the row sum of the full prior
+        eta_local = np.full((k, n_used), hyper.eta)
+    else:
+        eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
+        if (eta_kw <= 0).any():
+            raise ValueError("eta_kw entries must be > 0")
+        eta_sum = eta_kw.sum(axis=1)
+        eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
 
     if init_beta is None:
         z = rng.integers(0, k, n_tokens, dtype=np.int64)
@@ -189,7 +194,7 @@ def _run_chain(
             raise ValueError(f"init_beta has no mass for word {int(word_ids[empty][0])}")
         z = _sample_topics_from_beta(init_beta, word_ids, rng)
 
-    n_dk, n_kw, n_k = _count_matrices(doc_ids, local_ids, z, n_docs, k, present.size)
+    n_dk, n_kw, n_k = _count_matrices(doc_ids, local_ids, z, n_docs, k, n_used)
 
     alpha = float(hyper.alpha)
     chain = _kernels.GibbsLists if _kernels.c_gibbs_chain is None else _kernels.GibbsArrays
@@ -199,8 +204,22 @@ def _run_chain(
         for block in _uniform_blocks(rng, n_sweeps, n_tokens):
             state.sweep(block)
 
+    # Each sum starts from its first term, as 0.0 + term would. The rows go in
+    # blocks whose temporaries hold at most _BLOCK_VALUES values together.
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta = np.empty((k, vocab_size)) if out is None else out
+    theta = np.zeros((n_docs, k))
+    step = max(1, _BLOCK_VALUES // max(vocab_size + n_used, 1))
+
+    def add_terms(rows: slice, denom: np.ndarray, first: bool) -> None:
+        term = beta[rows] if first else np.empty((denom.shape[0], vocab_size))
+        np.divide(hyper.eta if eta_kw is None else eta_kw[rows], denom, out=term)
+        used_term = n_kw[rows] + eta_local[rows]
+        used_term /= denom
+        term[:, present] = used_term
+        if not first:
+            beta[rows] += term
+
     z_samples: list[np.ndarray] = []
     done = 0
     for sweep in retained:
@@ -210,20 +229,12 @@ def _run_chain(
             z_samples.append(z.copy())
             continue
         denom = (n_k + eta_sum)[:, None]
-        term = n_kw + eta_local
-        term /= denom  # in place: one K x P temporary
-        theta_term = (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
-        if sweep == hyper.burn_in:  # each sum starts from its first term, as 0.0 + term would
-            np.divide(eta_kw, denom, out=beta)
-            beta_local, theta = term, theta_term
-        else:
-            for row, eta_row, row_denom in zip(beta, eta_kw, denom):
-                row += eta_row / row_denom  # row by row: no K x V temporary
-            beta_local += term
-            theta += theta_term
+        for start in range(0, k, step):
+            rows = slice(start, start + step)
+            add_terms(rows, denom[rows], sweep == hyper.burn_in)
+        theta += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
     if collect_z:
         return np.stack(z_samples), doc_ids, word_ids
-    beta[:, present] = beta_local
     beta /= len(retained)
     theta /= len(retained)
     logger.info(

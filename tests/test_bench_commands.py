@@ -1,0 +1,60 @@
+"""`scripts/bench_commands.py`'s measurement and summary, on fake commands;
+no CLI command runs here."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_commands", ROOT / "scripts" / "bench_commands.py"
+)
+bench_commands = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_commands)
+
+
+def _fake(megabytes: int) -> list[str]:
+    """A command that holds `megabytes` MB of written memory and exits 0."""
+    code = "import sys; block = b'x' * (int(sys.argv[1]) << 20)"
+    return [sys.executable, "-c", code, str(megabytes)]
+
+
+def test_summary_of_a_fake_command_gives_each_sides_medians():
+    runs = {
+        side: [{"fake": bench_commands.measure(_fake(mb), dict(os.environ))} for _ in range(3)]
+        for side, mb in (("parent", 8), ("change", 48))
+    }
+    summary = bench_commands.summarize(runs)
+    assert summary["runs"] == 3
+    assert list(summary["commands"]) == ["fake"]
+    parent, change = (summary["commands"]["fake"][side] for side in ("parent", "change"))
+    # the 40 MB more shows in the peak RSS; the interpreter's start-up is the same
+    assert 35 <= change["peak_rss_mb_median"] - parent["peak_rss_mb_median"] <= 45
+    assert parent["peak_rss_mb_median"] >= 8
+    assert 0 < parent["cpu_s_median"] < 5 and 0 < change["cpu_s_median"] < 5
+    assert summary["total_cpu_s_median_parent"] == parent["cpu_s_median"]
+    assert summary["total_cpu_s_median_change"] == change["cpu_s_median"]
+
+
+def test_summary_takes_medians_per_command_and_of_each_runs_total():
+    runs = {
+        "parent": [{"a": (1.0, 10.0), "b": (2.0, 30.0)}, {"a": (3.0, 12.0), "b": (2.5, 20.0)},
+                   {"a": (2.0, 11.0), "b": (0.1, 40.0)}],
+        "change": [{"a": (1.0, 5.0), "b": (1.0, 5.0)}] * 3,
+    }
+    summary = bench_commands.summarize(runs)
+    assert summary["commands"]["a"]["parent"] == {"cpu_s_median": 2.0, "peak_rss_mb_median": 11.0}
+    assert summary["commands"]["b"]["parent"] == {"cpu_s_median": 2.0, "peak_rss_mb_median": 30.0}
+    assert summary["commands"]["b"]["change"] == {"cpu_s_median": 1.0, "peak_rss_mb_median": 5.0}
+    # totals 3.0, 5.5 and 2.1: the median of the sums, not the sum of the medians (4.0)
+    assert summary["total_cpu_s_median_parent"] == 3.0
+    assert summary["total_cpu_s_median_change"] == 2.0
+
+
+def test_a_failing_command_raises_with_its_stderr():
+    argv = [sys.executable, "-c", "import sys; sys.exit('broken corpus')"]
+    with pytest.raises(RuntimeError, match=r"exited 1:\nbroken corpus"):
+        bench_commands.measure(argv, dict(os.environ))

@@ -655,6 +655,43 @@ def test_train_commands_do_not_parse_the_vocabulary(pipeline_ws, tmp_path, monke
         assert path.read_bytes() == before[mode]
 
 
+def test_preprocess_and_train_dtm_stream_the_corpus(pipeline_ws, tmp_path, monkeypatch):
+    """Both read the workspace corpus one document at a time, never through
+    load_corpus, and write the same bytes."""
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    outputs = [ws / "vocab.json", ws / "bows.newstm", ws / "model_dtm.newstm"]
+    before = {path: path.read_bytes() for path in outputs}
+
+    def refuse(path):
+        raise AssertionError(f"load_corpus({path}) called")
+
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    for path in outputs:
+        path.unlink()
+    for command in (["preprocess"], ["train", "--mode", "dtm"]):
+        assert main(["--workspace", str(ws), "--config", str(config), *command]) == 0, command
+    assert {path: path.read_bytes() for path in outputs} == before
+
+
+@pytest.mark.parametrize("command", [["preprocess"], ["train", "--mode", "dtm"]])
+def test_a_backwards_date_in_the_workspace_corpus_names_its_line(
+    pipeline_ws, tmp_path, caplog, command
+):
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    lines = (ws / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0], lines[-1] = lines[-1], lines[0]
+    (ws / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    workspace = Workspace(ws)
+    # as if ingest had written it, and preprocess had read it
+    workspace.record(workspace.load_manifest(), "corpus", "vocab", "bows")
+    first, second = (json.loads(line)["date"] for line in lines[:2])
+    assert second < first
+    assert main(["--workspace", str(ws), "--config", str(config), *command]) == 2
+    assert f"line 2: date {second} is before line 1's {first}" in caplog.text
+
+
 @pytest.mark.parametrize("key", ["top_n", "trajectory_words"])
 def test_report_setting_beyond_the_vocabulary_names_its_key(pipeline_ws, tmp_path, caplog, key):
     ws, config = tmp_path / "ws", pipeline_ws[1]

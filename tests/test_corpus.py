@@ -10,6 +10,7 @@ from newstm.corpus import (
     articles_per_day,
     filter_by_category,
     load_corpus,
+    read_documents,
     read_timeline_csv,
     save_corpus,
     slice_monthly,
@@ -98,6 +99,49 @@ def test_load_non_string_field_names_line_and_field(tmp_path, field, value):
         CorpusError, match=rf"line 2: field '{field}' must be a string, got {re.escape(value)}$"
     ):
         load_corpus(path)
+
+
+def test_load_sorts_an_unsorted_source_stably(tmp_path):
+    path = tmp_path / "c.jsonl"
+    days = {"q": "2020-02-01", "z": "2020-01-05", "p": "2020-02-01", "a": "2020-01-05"}
+    _write_jsonl(path, [_record(doc_id, day) for doc_id, day in days.items()])
+    assert [d.id for d in read_documents(path)] == ["q", "z", "p", "a"]  # file order
+    assert [d.id for d in load_corpus(path)] == ["z", "a", "q", "p"]
+
+
+GOOD = _record("a", "2020-01-05")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("{not json", r"line 3: invalid JSON"),
+        ('{"id": "b", "date": "2020-01-06", "category": "inrikes"}', r"line 3: missing fields"),
+        (_record("b", "2020-01-06").replace('"t"', "7"), r"line 3: field 'title' must be a string"),
+        (_record("b", "2020-02-30"), r"line 3: unparseable date '2020-02-30'"),
+        (_record("a", "2020-01-06"), r"line 3: duplicate id 'a' \(first seen on line 1\)"),
+        (_record("b", "2020-01-06", title="", body=""), r"line 3: .*only if title is nonempty"),
+        (_record("b", "2020-01-04"), r"line 3: date 2020-01-04 is before line 1's 2020-01-05"),
+    ],
+    ids=["json", "missing", "type", "date", "duplicate", "empty", "backwards"],
+)
+def test_streamed_reader_names_the_line(tmp_path, bad, message):
+    """read_documents, as preprocess and train --mode dtm read the workspace
+    corpus, which ingest writes sorted: the line after a blank one is 3."""
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [GOOD, "", bad])
+    docs = read_documents(path, ascending=True)
+    assert next(docs).id == "a"  # the documents before a bad line come first
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: {message}"):
+        next(docs)
+
+
+def test_streamed_reader_takes_a_backwards_date_unless_asked_for_ascending(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [GOOD, _record("b", "2020-01-04"), _record("c", "2020-01-04")])
+    assert [d.id for d in read_documents(path)] == ["a", "b", "c"]
+    _write_jsonl(path, [GOOD, GOOD.replace('"a"', '"b"'), _record("c", "2020-01-06")])
+    assert [d.id for d in read_documents(path, ascending=True)] == ["a", "b", "c"]  # ties pass
 
 
 def test_empty_body_requires_title():

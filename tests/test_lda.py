@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,6 +571,32 @@ def test_default_prior_equals_the_constant_eta_kw_bitwise(list_fallback, monkeyp
         constant = train_lda(Bows.from_docs(bows, vocab_size), hyper, eta_kw=eta_kw)
         assert default.beta.tobytes() == constant.beta.tobytes(), eta
         assert default.theta.tobytes() == constant.theta.tobytes(), eta
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_static_chain_holds_beta_and_at_most_two_k_by_v_arrays_more(iterations):
+    """Traced allocations (numpy's buffers included) during train_lda with the
+    symmetric prior, on a corpus that uses every word, peak at β plus two
+    K x V-sized arrays (the chain's prior columns and counts), one
+    _BLOCK_VALUES block of temporaries and a few int64s per token: no K x V
+    prior and no β accumulator beside β."""
+    k, v = 20, 20_000
+    words = np.random.default_rng(5).permutation(v).reshape(100, 200)  # each word once
+    bows = Bows.from_docs(
+        [BowDoc(f"d{d}", {int(w): 1 for w in row}) for d, row in enumerate(words)], v
+    )
+    hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=0, thin=1, seed=3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model = train_lda(bows, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # doc ids, word ids, column ids, z and the used columns, plus the D x K
+    # counts and θ, which fit in one more int64 per token here
+    per_token = 6 * 8 * v
+    assert peak - before <= model.beta.nbytes + 2 * k * v * 8 + lda._BLOCK_VALUES * 8 + per_token
 
 
 def test_perplexity_invariant_under_topic_permutation():
