@@ -17,8 +17,10 @@ with PYTHONDONTWRITEBYTECODE=1; its CPU time (user + system) and peak RSS
 come from os.wait4.
 
 The medians are written into the --out JSON file as `<workload>_per_command`,
-and the file's other keys are kept. Exit status: 0, or 1 when a command
-exits non-zero (nothing is written then).
+and the file's other keys are kept. Its `peak` entry names, per side, the
+command that sets the peak RSS in most runs, and the median of the runs'
+peaks. Exit status: 0, or 1 when a command exits non-zero (nothing is
+written then).
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def measure(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
 
 
 def summarize(runs: dict[str, list[dict[str, tuple[float, float]]]]) -> dict:
-    """Each command's median CPU seconds and peak RSS per side, and each
-    side's median total CPU over a run. `runs[side]` holds one dict per run,
-    command -> (cpu_s, peak_rss_mb)."""
+    """Each command's median CPU seconds and peak RSS per side, each side's
+    median total CPU over a run, and each side's peak: the command that sets
+    it and its median. `runs[side]` holds one dict per run, command ->
+    (cpu_s, peak_rss_mb)."""
     commands = list(runs[SIDES[0]][0])
     out: dict = {"runs": len(runs[SIDES[0]]), "commands": {}}
     for command in commands:
@@ -83,6 +86,20 @@ def summarize(runs: dict[str, list[dict[str, tuple[float, float]]]]) -> dict:
     for side in SIDES:
         totals = [sum(cpu for cpu, _ in run.values()) for run in runs[side]]
         out[f"total_cpu_s_median_{side}"] = round(statistics.median(totals), 4)
+    # A run's peak is its largest command peak, the first such command in
+    # pipeline order setting it; a side's peak is the command that set it in
+    # the most runs, and the median of the runs' peaks.
+    out["peak"] = {}
+    for side in SIDES:
+        setters = [max(commands, key=lambda c: run[c][1]) for run in runs[side]]
+        command = max(commands, key=setters.count)
+        out["peak"][side] = {
+            "command": command,
+            "runs_set": setters.count(command),
+            "peak_rss_mb_median": round(
+                statistics.median(max(rss for _, rss in run.values()) for run in runs[side]), 2
+            ),
+        }
     return out
 
 

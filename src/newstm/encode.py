@@ -28,7 +28,10 @@ def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
     starts = np.flatnonzero(starts)
-    return sorted_keys[starts], np.diff(np.append(starts, sorted_keys.size))
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = sorted_keys.size - starts[-1:]
+    return sorted_keys[starts], counts
 
 
 def _phrase_keys(
@@ -36,12 +39,18 @@ def _phrase_keys(
 ) -> np.ndarray:
     """The sorted keys a*U + b (U = len(unigrams)) of the pairs that
     `fit_phrases` would return, scored with its Python-int arithmetic.
-    `pairs` holds the key of every within-document pair and is sorted in
-    place."""
-    pairs.sort()
-    keys, n = _runs(pairs)
-    if threshold > 0:  # as fit_phrases: a pair counted min_count times or fewer never merges
-        keys, n = keys[n > min_count], n[n > min_count]
+    `pairs` holds the key of every adjacent pair, -1 across documents."""
+    pairs = np.sort(pairs)
+    pairs = pairs[np.searchsorted(pairs, 0) :]
+    if threshold > 0:
+        # As fit_phrases, a pair counted min_count times or fewer never merges.
+        # A key counted more often is the key min_count places further on, so
+        # the candidates come without a count of every distinct pair.
+        m = min(min_count, pairs.size)
+        keys = _runs(pairs[m:][pairs[: pairs.size - m] == pairs[m:]])[0]
+        n = np.searchsorted(pairs, keys, side="right") - np.searchsorted(pairs, keys)
+    else:
+        keys, n = _runs(pairs)
     total = int(unigrams.sum())
     count_a, count_b = (unigrams[ids].tolist() for ids in np.divmod(keys, unigrams.size))
     scores = (
@@ -86,43 +95,57 @@ def encode_corpus(
     if not flat:
         raise ValueError("cannot fit phrases on an empty corpus")
     _check_thresholds(no_below, no_above)
-    ids = np.array(flat, dtype=np.int64)
-    lengths = np.array(lengths, dtype=np.int64)
+    # Each token-length array is dropped at its last read; ids is a view of flat.
+    ids = np.frombuffer(flat, dtype=np.int64)
+    lengths = np.frombuffer(lengths, dtype=np.int64)
     del flat
     words = list(ids_of)  # raw token id -> text
     del ids_of
-    n_docs, n_raw = lengths.size, len(words)
+    n_docs, n_raw, n = lengths.size, len(words), ids.size
+    ends = np.cumsum(lengths)
 
     # Phrases: the key a*U + b of each adjacent pair, -1 across documents.
-    doc_of = np.repeat(np.arange(n_docs), lengths)
-    inside = doc_of[1:] == doc_of[:-1]
-    pairs = ids[:-1] * n_raw + ids[1:]
-    pairs[~inside] = -1
-    phrases = _phrase_keys(pairs[inside], np.bincount(ids, minlength=n_raw), min_count, threshold)
+    pairs = ids[:-1] * n_raw
+    pairs += ids[1:]
+    doc_starts = ends[:-1]  # a pair across documents ends on a document's start
+    pairs[doc_starts[(doc_starts > 0) & (doc_starts < n)] - 1] = -1
+    phrases = _phrase_keys(pairs, np.bincount(ids, minlength=n_raw), min_count, threshold)
     found = np.searchsorted(phrases, pairs)
     qualifies = found < phrases.size
     qualifies[qualifies] = phrases[found[qualifies]] == pairs[qualifies]
+    del pairs
     # apply_phrases is greedy from the left: in each run of qualifying
     # positions, the merges start at even offsets from the run's start.
-    starts = qualifies.copy()
-    starts[1:] &= ~qualifies[:-1]
-    at = np.arange(qualifies.size)
-    run_start = np.maximum.accumulate(np.where(starts, at, 0))
-    at = np.flatnonzero(qualifies & ((at - run_start) % 2 == 0))
-    tokens = ids.copy()
-    tokens[at] = n_raw + found[at]  # phrase p has id n_raw + p
-    keep = np.ones(tokens.size, dtype=bool)
+    at = np.flatnonzero(qualifies)
+    del qualifies
+    starts = np.ones(at.size, dtype=bool)
+    starts[1:] = at[1:] != at[:-1] + 1
+    index = np.arange(at.size)
+    run_start = np.maximum.accumulate(np.where(starts, index, 0))
+    at = at[(index - run_start) % 2 == 0]
+    ids[at] = n_raw + found[at]  # phrase p has id n_raw + p
+    del found
+    keep = np.ones(n, dtype=bool)
     keep[at + 1] = False
-    tokens, doc_of = tokens[keep], doc_of[keep]
-    del ids, pairs, found, qualifies, starts, run_start, keep
+    tokens = ids[keep]
+    del ids, keep
+    # Each merge drops one token from the document of its pair.
+    merged_lengths = lengths - np.bincount(
+        np.searchsorted(ends, at, side="right"), minlength=n_docs
+    )
 
     # Vocabulary: ids ordered by first position, filtered by document frequency.
     n_ids = n_raw + phrases.size
     first = np.full(n_ids, tokens.size)
     np.minimum.at(first, tokens, np.arange(tokens.size))
-    keys, counts = _runs(np.sort(doc_of * n_ids + tokens))  # the (doc, token) pairs
-    del tokens, doc_of
+    key = np.repeat(np.arange(n_docs, dtype=np.int64) * n_ids, merged_lengths)
+    key += tokens
+    del tokens
+    key.sort()
+    keys, counts = _runs(key)  # the (doc, token) pairs
+    del key
     pair_doc, pair_token = np.divmod(keys, n_ids)
+    del keys
     df = np.bincount(pair_token, minlength=n_ids)
     kept = np.flatnonzero((df >= no_below) & (df / n_docs <= no_above))
     if not kept.size:
@@ -134,11 +157,21 @@ def encode_corpus(
     word_of = np.full(n_ids, -1)
     word_of[kept] = np.arange(kept.size)
     word = word_of[pair_token]
+    del pair_token
     in_vocab = word >= 0
-    doc, word, counts = pair_doc[in_vocab], word[in_vocab], counts[in_vocab]
-    order = np.argsort(doc * kept.size + word)
-    bows = Bows(doc_ids, np.bincount(doc, minlength=n_docs), word[order], counts[order], kept.size)
-    del pair_doc, pair_token, word_of, word, in_vocab, doc, counts, order
+    word = word[in_vocab]
+    counts = counts[in_vocab]
+    doc = pair_doc[in_vocab]
+    del pair_doc, in_vocab
+    doc_lengths = np.bincount(doc, minlength=n_docs)
+    doc *= kept.size  # the sort key, built in place
+    doc += word
+    order = np.argsort(doc)
+    del doc
+    word = word[order]
+    counts = counts[order]
+    del order
+    bows = Bows(doc_ids, doc_lengths, word, counts, kept.size)
 
     def text(token: int) -> str:
         if token < n_raw:

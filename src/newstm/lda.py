@@ -88,17 +88,27 @@ def _expand_bows(bows: Bows):
 
 
 def _sample_topics_from_beta(beta: np.ndarray, word_ids: np.ndarray, rng) -> np.ndarray:
-    """Draw one topic per token with p(k) proportional to beta[k, word]."""
+    """Draw one topic per token with p(k) proportional to beta[k, word].
+
+    The tokens go in column blocks of at most _BLOCK_VALUES values, or of
+    one column if K needs more, and each block's uniforms are the next
+    values of one rng.random(n) stream. The draws do not depend on the
+    blocks: numpy gathers each column contiguously and sums it on its own.
+    """
     k = beta.shape[0]
     n = word_ids.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cum = beta[:, word_ids]  # normalised and summed in place: one K x n array
-    cum /= cum.sum(axis=0, keepdims=True)
-    np.cumsum(cum, axis=0, out=cum)
-    u = rng.random(n)
-    z = (u[None, :] < cum).argmax(axis=0).astype(np.int64)
-    z[u >= cum[-1, :]] = k - 1  # guard against cumulative sums just below 1
+    z = np.empty(n, dtype=np.int64)
+    step = max(1, _BLOCK_VALUES // k)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        cum = beta[:, word_ids[start:stop]]  # normalised and summed in place
+        cum /= cum.sum(axis=0, keepdims=True)
+        np.cumsum(cum, axis=0, out=cum)
+        u = rng.random(stop - start)
+        block = (u < cum).argmax(axis=0)
+        block[u >= cum[-1]] = k - 1  # guard against cumulative sums just below 1
+        z[start:stop] = block
+        del cum  # before the next block is gathered
     return z
 
 
@@ -112,8 +122,12 @@ def _count_matrices(
 ):
     """The doc-topic, topic-word and topic counts (n_dk, n_kw, n_k) of an
     assignment; every doc, word and topic id must be in range."""
-    n_dk = np.bincount(doc_ids * k + z, minlength=n_docs * k).reshape(n_docs, k)
-    n_kw = np.bincount(z * vocab_size + word_ids, minlength=k * vocab_size).reshape(k, vocab_size)
+    key = doc_ids * k  # one token-length key, reused
+    key += z
+    n_dk = np.bincount(key, minlength=n_docs * k).reshape(n_docs, k)
+    np.multiply(z, vocab_size, out=key)
+    key += word_ids
+    n_kw = np.bincount(key, minlength=k * vocab_size).reshape(k, vocab_size)
     n_dk, n_kw = n_dk.astype(np.int64, copy=False), n_kw.astype(np.int64, copy=False)
     return n_dk, n_kw, n_kw.sum(axis=1)
 
@@ -189,11 +203,13 @@ def _run_chain(
         init_beta = _finite_matrix("init_beta", init_beta, (k, vocab_size))
         if (init_beta < 0).any():
             raise ValueError("init_beta entries must be >= 0")
-        empty = init_beta.sum(axis=0)[word_ids] == 0
+        empty = (init_beta.sum(axis=0) == 0)[word_ids]
         if empty.any():
             raise ValueError(f"init_beta has no mass for word {int(word_ids[empty][0])}")
         z = _sample_topics_from_beta(init_beta, word_ids, rng)
 
+    if not collect_z:
+        del word_ids  # the kernel sweeps the column ids local_ids
     n_dk, n_kw, n_k = _count_matrices(doc_ids, local_ids, z, n_docs, k, n_used)
 
     alpha = float(hyper.alpha)
@@ -209,6 +225,7 @@ def _run_chain(
     retained = range(hyper.burn_in, hyper.iterations, hyper.thin)
     beta = np.empty((k, vocab_size)) if out is None else out
     theta = np.zeros((n_docs, k))
+    theta_denom = (doc_lengths + k * alpha)[:, None]
     step = max(1, _BLOCK_VALUES // max(vocab_size + n_used, 1))
 
     def add_terms(rows: slice, denom: np.ndarray, first: bool) -> None:
@@ -232,7 +249,10 @@ def _run_chain(
         for start in range(0, k, step):
             rows = slice(start, start + step)
             add_terms(rows, denom[rows], sweep == hyper.burn_in)
-        theta += (n_dk + alpha) / (doc_lengths + k * alpha)[:, None]
+        term = n_dk + alpha  # divided in place; dropped before the next sweep's uniforms
+        term /= theta_denom
+        theta += term
+        del term
     if collect_z:
         return np.stack(z_samples), doc_ids, word_ids
     beta /= len(retained)

@@ -23,20 +23,29 @@ def _fake(megabytes: int) -> list[str]:
 
 
 def test_summary_of_a_fake_command_gives_each_sides_medians():
+    sizes = {"parent": {"small": 8, "big": 48}, "change": {"small": 48, "big": 8}}
     runs = {
-        side: [{"fake": bench_commands.measure(_fake(mb), dict(os.environ))} for _ in range(3)]
-        for side, mb in (("parent", 8), ("change", 48))
+        side: [
+            {name: bench_commands.measure(_fake(mb), dict(os.environ)) for name, mb in mbs.items()}
+            for _ in range(3)
+        ]
+        for side, mbs in sizes.items()
     }
     summary = bench_commands.summarize(runs)
     assert summary["runs"] == 3
-    assert list(summary["commands"]) == ["fake"]
-    parent, change = (summary["commands"]["fake"][side] for side in ("parent", "change"))
+    assert list(summary["commands"]) == ["small", "big"]
+    parent, change = (summary["commands"]["big"][side] for side in ("parent", "change"))
     # the 40 MB more shows in the peak RSS; the interpreter's start-up is the same
-    assert 35 <= change["peak_rss_mb_median"] - parent["peak_rss_mb_median"] <= 45
-    assert parent["peak_rss_mb_median"] >= 8
+    assert 35 <= parent["peak_rss_mb_median"] - change["peak_rss_mb_median"] <= 45
+    assert change["peak_rss_mb_median"] >= 8
     assert 0 < parent["cpu_s_median"] < 5 and 0 < change["cpu_s_median"] < 5
-    assert summary["total_cpu_s_median_parent"] == parent["cpu_s_median"]
-    assert summary["total_cpu_s_median_change"] == change["cpu_s_median"]
+    # each side's peak is set by its 48 MB command, in every run
+    assert summary["peak"]["parent"]["command"] == "big"
+    assert summary["peak"]["change"]["command"] == "small"
+    for side, name in (("parent", "big"), ("change", "small")):
+        peak = summary["peak"][side]
+        assert peak["runs_set"] == 3
+        assert peak["peak_rss_mb_median"] == summary["commands"][name][side]["peak_rss_mb_median"]
 
 
 def test_summary_takes_medians_per_command_and_of_each_runs_total():
@@ -52,6 +61,23 @@ def test_summary_takes_medians_per_command_and_of_each_runs_total():
     # totals 3.0, 5.5 and 2.1: the median of the sums, not the sum of the medians (4.0)
     assert summary["total_cpu_s_median_parent"] == 3.0
     assert summary["total_cpu_s_median_change"] == 2.0
+    assert summary["peak"]["parent"] == {"command": "b", "runs_set": 3, "peak_rss_mb_median": 30.0}
+    # a tie within a run goes to the earlier command
+    assert summary["peak"]["change"] == {"command": "a", "runs_set": 3, "peak_rss_mb_median": 5.0}
+
+
+def test_the_peak_is_the_median_of_each_runs_largest_command():
+    # the runs' peaks are 50 (a), 20 (b) and 30 (b): b sets the peak in two
+    # runs, and the peaks' median, 30, is no command's median
+    runs = dict.fromkeys(
+        ("parent", "change"),
+        [{"a": (0.1, 50.0), "b": (0.1, 10.0)}, {"a": (0.1, 5.0), "b": (0.1, 20.0)},
+         {"a": (0.1, 6.0), "b": (0.1, 30.0)}],
+    )
+    summary = bench_commands.summarize(runs)
+    assert summary["commands"]["a"]["parent"]["peak_rss_mb_median"] == 6.0
+    assert summary["commands"]["b"]["parent"]["peak_rss_mb_median"] == 20.0
+    assert summary["peak"]["parent"] == {"command": "b", "runs_set": 2, "peak_rss_mb_median": 30.0}
 
 
 def test_a_failing_command_raises_with_its_stderr():

@@ -599,6 +599,97 @@ def test_static_chain_holds_beta_and_at_most_two_k_by_v_arrays_more(iterations):
     assert peak - before <= model.beta.nbytes + 2 * k * v * 8 + lda._BLOCK_VALUES * 8 + per_token
 
 
+def _one_shot_topics_from_beta(beta, word_ids, rng):
+    """The warm-start draw as one K x n array and one rng.random(n) call:
+    the reference the blocked `_sample_topics_from_beta` must equal."""
+    k = beta.shape[0]
+    n = word_ids.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    cum = beta[:, word_ids]
+    cum /= cum.sum(axis=0, keepdims=True)
+    np.cumsum(cum, axis=0, out=cum)
+    u = rng.random(n)
+    z = (u[None, :] < cum).argmax(axis=0).astype(np.int64)
+    z[u >= cum[-1, :]] = k - 1
+    return z
+
+
+class _PinnedStream:
+    """A generator whose stream holds `pinned[i]` as token i's uniform: a
+    value where a draw one ulp off would pick another topic. The values come
+    after as many draws from a seeded PCG64, whose state `rng` keeps."""
+
+    def __init__(self, seed, pinned):
+        self.rng = np.random.default_rng(seed)
+        self.pinned = pinned
+        self.drawn = 0
+
+    def random(self, size):
+        self.rng.random(size)
+        self.drawn += size
+        return self.pinned[self.drawn - size : self.drawn].copy()
+
+
+def _blocks(k):
+    return lda._BLOCK_VALUES // k
+
+
+def _cumulative(columns):
+    """The reference's cumulative sums of each column, normalised."""
+    cum = columns / columns.sum(axis=0, keepdims=True)
+    return np.cumsum(cum, axis=0, out=cum)
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(k, 3 * _blocks(k) + 7) for k in (2, 20, 50)]
+    + [(k, 3 * _blocks(k) + 1) for k in (2, 20, 50)]  # a last block of one column
+    + [(20, 0), (20, 1), (20, _blocks(20)), (20, _blocks(20) + 1)],
+)
+def test_blocked_warm_start_draw_is_bitwise_the_one_shot_draw(k, n):
+    """Every token's uniform sits on one of its cumulative sums, or just
+    below 1, so a weight or a sum one ulp off would move a draw."""
+    rng = np.random.default_rng(k * 1_000 + n)
+    v = 64
+    beta = rng.exponential(size=(k, v))
+    beta[:, :16] *= 1e-300  # columns near the smallest normal double
+    beta[:, 16:32] = 0.0  # columns with a single nonzero entry
+    beta[rng.integers(0, k, 16), np.arange(16, 32)] = rng.exponential(size=16)
+    word_ids = rng.integers(0, v, n)
+    cum = _cumulative(beta[:, word_ids])
+    pinned = cum[rng.integers(0, k, n), np.arange(n)]
+    near_one = np.arange(n) % 13 == 5  # where a sum that ends below 1 takes the guard
+    pinned[near_one] = np.nextafter(1.0, 0.0)
+    stream, stream_ref = _PinnedStream(7, pinned), _PinnedStream(7, pinned)
+    z = _sample_topics_from_beta(beta, word_ids, stream)
+    z_ref = _one_shot_topics_from_beta(beta, word_ids, stream_ref)
+    assert z.dtype == z_ref.dtype == np.int64
+    assert z.tobytes() == z_ref.tobytes()
+    assert stream.drawn == stream_ref.drawn == n
+    assert stream.rng.bit_generator.state == stream_ref.rng.bit_generator.state
+    if n > 1_000:  # the guard fired
+        assert (near_one & (cum[-1] < 1.0)).any()
+
+
+def test_warm_start_draw_holds_z_and_at_most_two_blocks_more():
+    """Traced allocations of the warm-start draw at K = 20 over 200,000
+    tokens: z, two blocks of floats and one block's mask, where one K x n
+    gather with its mask (about 36 MB) was drawn before."""
+    k, n = 20, 200_000
+    rng = np.random.default_rng(11)
+    beta = rng.random((k, 1_000))
+    word_ids = rng.integers(0, 1_000, n)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        z = _sample_topics_from_beta(beta, word_ids, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= z.nbytes + 2 * 8 * lda._BLOCK_VALUES + lda._BLOCK_VALUES
+
+
 def test_perplexity_invariant_under_topic_permutation():
     model, bows, _, _ = _planted_model()
     permuted = model_from_beta(
