@@ -8,10 +8,20 @@ checkout, and write the medians into a BENCH file.
 Both sides are exported as `scripts/bench_pairs.py` exports them: the
 parent is commit REV, the change is the checkout as its files stand. Each
 run gives each side a fresh workspace and runs the six commands of
-`perfbench/run.py`'s PIPELINE on the workload's corpus, with the
-workload's settings from that file: `perfbench/gen.py --seed S` writes the
-`wide` corpus, and `fixture` is the bundled sample. The side that goes
-first alternates from run to run. Each command is a fresh `python -m
+`perfbench/run.py`'s PIPELINE on the workload's corpus:
+
+- `fixture`: the bundled sample, with that file's `fixture` settings;
+- `wide`: `perfbench/gen.py --seed S` (default 0), with its `wide`
+  settings;
+- `paper`: a corpus the size of the paper's, 6,515 articles of about 160
+  kept words each from a 16,000-word pool (about 1.04 M kept tokens),
+  written by `perfbench/gen.py`'s `wide` generator with the module
+  constants of PAPER_CORPUS set on the imported module (seed S, default
+  5), with PAPER_SETTINGS: K = 50 and two sweeps. Only the memory and CPU
+  of each command are measured; two sweeps say nothing of the sampler's
+  speed at this size.
+
+The side that goes first alternates from run to run. Each command is a fresh `python -m
 newstm.cli` child, pinned to the highest-numbered CPU this script may use,
 with PYTHONDONTWRITEBYTECODE=1; its CPU time (user + system) and peak RSS
 come from os.wait4.
@@ -52,6 +62,36 @@ _, status, usage = os.wait4(pid, 0)
 print(usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
+
+
+# The `wide` generator's constants for a corpus of the paper's size, and the
+# settings that the six commands run with on it.
+PAPER_CORPUS = {
+    "WIDE_DOCS": 6_515,
+    "WIDE_POOL": 16_000,
+    "WIDE_POOL_PER_DOC": 160,
+    "WIDE_STOPWORDS_PER_DOC": 5,
+    "WIDE_ONE_OFF_PER_DOC": 3,
+}
+PAPER_SETTINGS = {
+    "lda": {"k": "50", "iterations": "2", "burn_in": "0", "thin": "1", "seed": "0"},
+    "preprocess": {"no_above": "0.9"},
+}
+PAPER_SEED = 5
+
+
+def write_paper_corpus(tree: Path, seed: int, path: Path, docs: int = PAPER_CORPUS["WIDE_DOCS"]):
+    """Write the `paper` corpus with `tree`'s perfbench/gen.py, its `wide`
+    generator set to PAPER_CORPUS on a module of its own, with `docs`
+    articles (a smaller number makes a scaled-down corpus for tests)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", tree / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for name, value in {**PAPER_CORPUS, "WIDE_DOCS": docs}.items():
+        if not hasattr(gen, name):  # setting a renamed constant would have no effect
+            raise AttributeError(f"perfbench/gen.py has no {name}")
+        setattr(gen, name, value)
+    gen.write_wide_corpus(seed, path, gen.bundled_stopwords())
 
 
 def measure(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
@@ -113,8 +153,10 @@ def _perfbench_run(tree: Path):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--workload", required=True, choices=("fixture", "wide"))
-    parser.add_argument("--seed", type=int, default=0, help="the wide corpus's seed")
+    parser.add_argument("--workload", required=True, choices=("fixture", "wide", "paper"))
+    parser.add_argument(
+        "--seed", type=int, help=f"the generated corpus's seed (wide: 0, paper: {PAPER_SEED})"
+    )
     parser.add_argument("--runs", type=int, default=8)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -136,14 +178,25 @@ def main(argv: list[str] | None = None) -> int:
             for side, tree in trees.items()
         }
         if args.workload == "wide":
+            seed = 0 if args.seed is None else args.seed
             corpus = scratch / "wide.jsonl"
             gen = [sys.executable, str(trees["change"] / "perfbench" / "gen.py")]
-            measure([*gen, "--seed", str(args.seed), "--out", str(corpus)], envs["change"])
-            source = f"the seed-{args.seed} wide corpus (perfbench/gen.py --seed {args.seed})"
+            measure([*gen, "--seed", str(seed), "--out", str(corpus)], envs["change"])
+            source = f"the seed-{seed} wide corpus (perfbench/gen.py --seed {seed})"
+        elif args.workload == "paper":
+            seed = PAPER_SEED if args.seed is None else args.seed
+            corpus = scratch / "paper.jsonl"
+            write_paper_corpus(trees["change"], seed, corpus)
+            source = (
+                f"the seed-{seed} paper-size corpus (perfbench/gen.py's wide generator with "
+                + ", ".join(f"{name}={value}" for name, value in PAPER_CORPUS.items())
+                + ")"
+            )
         else:
             corpus = trees["change"] / "tests" / "data" / "sample_news.jsonl"
             source = "the fixture corpus (tests/data/sample_news.jsonl)"
-        sections = {"corpus": {"path": str(corpus)}, **bench.CLI_SETTINGS[args.workload]}
+        settings = bench.CLI_SETTINGS.get(args.workload, PAPER_SETTINGS)
+        sections = {"corpus": {"path": str(corpus)}, **settings}
         config = scratch / "run.ini"
         config.write_text(
             "".join(
@@ -176,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
 
     block = {
         "method": (
-            f"the six commands on {source} (the {args.workload} settings of perfbench/run.py), "
+            f"the six commands on {source} with the settings {json.dumps(settings)}, "
             f"{args.runs} runs per side alternating which side goes first, each run in a fresh "
             "workspace, each command a fresh `python -m newstm.cli` child pinned to one CPU "
             "with PYTHONDONTWRITEBYTECODE=1; CPU is ru_utime + ru_stime and peak RSS "

@@ -10,16 +10,20 @@ given and returns with z and every count written into the caller's arrays.
 
 A training chain's state is a `GibbsArrays` when the C `gibbs_chain` of
 `_kernels.c` is compiled and loaded, else a `GibbsLists`; `lda` builds one
-per chain and passes it blocks of uniforms, one row per sweep. The C file
-is compiled on first import with the system `cc` into the user's cache
-directory (`$XDG_CACHE_HOME/newstm`, else `~/.cache/newstm`), under a name
-that hashes the source, the flags and the compiler's file, so later imports
-start no process. Without a compiler, or if the build or load fails or
-runs past `_BUILD_TIMEOUT`, the import logs one line and the list kernels
-run; `BACKEND` says which. A compiler that failed or ran past the timeout
-leaves a `.failed` marker beside the library's name with its reason, so
-later imports with the same key log that reason and start no compiler
-until the marker is deleted or the source, flags or compiler change.
+per chain and passes it blocks of uniforms, one row per sweep. Both take
+the word prior as a (K, P) float64 array that is C-contiguous or a
+stride-0 view of one value: `lda` passes the view for a symmetric prior,
+so no array of the repeated value is built, and the C kernel reads the
+prior through its strides. The C file is compiled on first import with
+the system `cc` into the user's cache directory (`$XDG_CACHE_HOME/newstm`,
+else `~/.cache/newstm`), under a name that hashes the source, the flags and
+the compiler's file, so later imports start no process. Without a
+compiler, or if the build or load fails or runs past `_BUILD_TIMEOUT`, the
+import logs one line and the list kernels run; `BACKEND` says which. A
+compiler that failed or ran past the timeout leaves a `.failed` marker
+beside the library's name with its reason, so later imports with the same
+key log that reason and start no compiler until the marker is deleted or
+the source, flags or compiler change.
 
 `infer_chain` takes a held-out document's state as arrays and, in place of
 one uniform array, an iterable that yields one per sweep, so a run of
@@ -50,10 +54,11 @@ class GibbsLists:
     """A Gibbs chain's state as Python lists, for any number of `sweep` calls.
 
     The lists are converted once, on construction, from every column of
-    `n_kw` and `eta_kw`; `lda` builds the state on only the word columns its
-    tokens use, so set-up follows the tokens, not K x V. Each `sweep` call
-    copies z and the counts back into the arrays the state was built from
-    before it returns.
+    `n_kw` and `eta_kw`, which may be a stride-0 view of one value, as
+    GibbsArrays takes it; `lda` builds the state on only the word columns
+    its tokens use, so set-up follows the tokens, not K x V. Each `sweep`
+    call copies z and the counts back into the arrays the state was built
+    from before it returns.
     """
 
     def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
@@ -137,13 +142,36 @@ def _address(arr, dtype, shape, written=False) -> int:
     return arr.ctypes.data
 
 
+def _prior_address(arr, shape) -> tuple[int, int, int]:
+    """The data address of the word prior `arr` and its row and column
+    strides in elements, checked to be an aligned float64 array of `shape`
+    whose strides are non-negative multiples of 8 bytes: a C-contiguous
+    matrix, or a stride-0 view of one value."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.shape == shape
+        and arr.flags.aligned
+        and all(stride >= 0 and stride % 8 == 0 for stride in arr.strides)
+    ):
+        raise ValueError(
+            f"the C kernel needs a float64 prior of shape {shape} with non-negative strides "
+            f"in whole elements, got {getattr(arr, 'dtype', type(arr))} of shape {np.shape(arr)} "
+            f"and strides {getattr(arr, 'strides', None)}"
+        )
+    row, col = arr.strides
+    return arr.ctypes.data, row // 8, col // 8
+
+
 class GibbsArrays:
     """A Gibbs chain's state as its own arrays, swept by the C `gibbs_chain`.
 
     It has GibbsLists' interface. The arrays are checked once, on
-    construction: dtype, shape, C-contiguity, and that every doc, word and
-    topic id indexes its matrix, so the kernel never reads or writes outside
-    them. The kernel updates them in place.
+    construction: dtype, shape, C-contiguity (for the prior `eta_kw`,
+    non-negative strides in whole elements, so a stride-0 view of one value
+    serves as a symmetric prior), and that every doc, word and topic id
+    indexes its matrix, so the kernel never reads or writes outside them.
+    The kernel updates the counts and z in place.
     """
 
     def __init__(self, doc_ids, word_ids, z, n_dk, n_kw, n_k, alpha, eta_kw, eta_sum):
@@ -163,7 +191,7 @@ class GibbsArrays:
                 raise ValueError(f"{name} ids must lie in 0..{bound - 1}")
         self.args = (
             n, k, v, *addresses, float(alpha),
-            _address(eta_kw, f8, (k, v)), _address(eta_sum, f8, (k,)),
+            *_prior_address(eta_kw, (k, v)), _address(eta_sum, f8, (k,)),
             _address(weights, f8, (k,), written=True),
         )
         # the kernel holds these addresses, so the arrays must outlive it
@@ -230,7 +258,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT = 60  # seconds; a hung compiler must not hang every import
 _INT, _PTR = ctypes.c_int64, ctypes.c_void_p
-_ARGTYPES = (_INT, _PTR, _INT, _INT, _INT) + (_PTR,) * 6 + (ctypes.c_double,) + (_PTR,) * 3
+_ARGTYPES = (_INT, _PTR, _INT, _INT, _INT) + (_PTR,) * 6 + (ctypes.c_double,)
+_ARGTYPES += (_PTR, _INT, _INT, _PTR, _PTR)  # eta_kw, its row and column strides, eta_sum, weights
 
 
 def _cache_dir() -> Path:

@@ -130,7 +130,6 @@ def _chain(
 
     seeds = slice_seeds_for(base_hyper.seed, len(slices))
     k, vocab_size = base_hyper.k, bows.vocab_size
-    prior = np.empty((k, vocab_size), dtype=np.float64)  # each slice's chained eta_kw
     for t, time_slice in enumerate(slices):
         slice_bows = bows.select(time_slice.doc_ids)
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
@@ -141,11 +140,8 @@ def _chain(
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
         else:
-            if prev_beta is None:
-                prior.fill(base_hyper.eta)
-            else:  # eta + kappa * V * prev_beta, with the same two roundings
-                np.multiply(prev_beta, kappa * vocab_size, out=prior)
-                prior += base_hyper.eta
+            # slice 0's prior is the symmetric eta, a later one's eta + kappa * V * prev_beta
+            prior = None if prev_beta is None else (prev_beta, kappa * vocab_size, base_hyper.eta)
             init_beta = prev_beta if warm_start else None
             _, theta_t, _ = _run_chain(
                 slice_bows, hyper_t, prior, init_beta, collect_z=False, out=beta_t

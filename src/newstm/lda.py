@@ -143,6 +143,30 @@ def _finite_matrix(name: str, array, shape: tuple[int, int]) -> np.ndarray:
     return array
 
 
+def _prior_row_sums(base: np.ndarray, scale: float, offset: float) -> np.ndarray:
+    """The row sums of the word prior base * scale + offset, each entry
+    rounded twice, checked to be finite and > 0 over the whole prior in
+    that order. The prior goes in blocks of whole rows, at most
+    _BLOCK_VALUES values or one row, so no (k, V) prior is built; each row
+    sums in the order of the whole matrix's .sum(axis=1)."""
+    k, vocab_size = base.shape
+    sums = np.empty(k)
+    step = max(1, _BLOCK_VALUES // max(vocab_size, 1))
+    block = np.empty((min(step, k), vocab_size))
+    positive = True
+    for start in range(0, k, step):
+        rows = block[: min(step, k - start)]
+        np.multiply(base[start : start + step], scale, out=rows)
+        rows += offset
+        if not np.isfinite(rows).all():
+            raise ValueError("eta_kw has a NaN or infinite entry")
+        positive &= bool((rows > 0).all())
+        sums[start : start + step] = rows.sum(axis=1)
+    if not positive:
+        raise ValueError("eta_kw entries must be > 0")
+    return sums
+
+
 def _uniform_blocks(rng, n_sweeps: int, n: int):
     """The uniforms of `n_sweeps` sweeps over `n` tokens, as (rows, n) blocks
     of at most _BLOCK_VALUES values, or of one row if a row needs more. The
@@ -155,7 +179,7 @@ def _uniform_blocks(rng, n_sweeps: int, n: int):
 def _run_chain(
     bows: Bows,
     hyper: LdaHyperparams,
-    eta_kw: np.ndarray | None,
+    prior: tuple[np.ndarray, float, float] | None,
     init_beta: np.ndarray | None,
     *,
     collect_z: bool,
@@ -166,16 +190,24 @@ def _run_chain(
     (samples, doc_ids, word_ids), the z of every retained sweep stacked and
     the token arrays they index.
 
-    The word prior is the (k, V) matrix `eta_kw`; None is the symmetric
-    prior, np.full((k, V), hyper.eta), which is never built. The chain stops
-    after its last retained sweep: a later sweep would change no estimate
-    and no sample. Its state holds only the word columns its tokens use, the
-    ascending ids of `present`. A column no token uses has count 0 at every
-    sweep, so its β entries are the mean of eta_kw / (n_k + eta_sum) over
-    the retained sweeps. β is written into `out`, a C-contiguous (k, V)
+    The word prior eta_kw is np.full((k, V), hyper.eta) when `prior` is
+    None, and base * scale + offset, each entry rounded twice, for `prior`
+    = (base, scale, offset) with base a C-contiguous (k, V) float64 array:
+    (eta_kw, 1.0, 0.0) is the matrix eta_kw itself, and (beta_{t-1}, kappa *
+    V, eta) a DTM slice's chained prior. Neither is built. The chain's state
+    holds only the word columns its tokens use, the ascending ids of
+    `present`, and its prior is those columns of eta_kw: a stride-0 view of
+    hyper.eta, which both kernels read through its strides, or base's
+    columns, scaled and offset. The row sums eta_sum come from blocks of
+    whole rows (`_prior_row_sums`).
+
+    The chain stops after its last retained sweep: a later sweep would
+    change no estimate and no sample. A column no token uses has count 0 at
+    every sweep, so its β entries are the mean of eta_kw / (n_k + eta_sum)
+    over the retained sweeps; they are formed from base in the row blocks
+    that β's sums go in. β is written into `out`, a C-contiguous (k, V)
     float64 array, when one is given, and its sums are kept in β itself: the
-    chain builds no K x V float64 array but β and, for a caller's `eta_kw`,
-    that prior.
+    chain builds no K x V float64 array but β.
     """
     k, vocab_size = hyper.k, bows.vocab_size
     doc_ids, word_ids, doc_lengths = _expand_bows(bows)
@@ -187,15 +219,15 @@ def _run_chain(
     n_used = present.size
     local_ids = (np.cumsum(used) - 1)[word_ids]
 
-    if eta_kw is None:  # LdaHyperparams has checked that eta is finite and > 0
+    if prior is None:  # LdaHyperparams has checked that eta is finite and > 0
         eta_sum = np.full(k, np.full(vocab_size, hyper.eta).sum())  # the row sum of the full prior
-        eta_local = np.full((k, n_used), hyper.eta)
+        eta_local = np.broadcast_to(np.float64(hyper.eta), (k, n_used))  # one value, stride 0
     else:
-        eta_kw = _finite_matrix("eta_kw", eta_kw, (k, vocab_size))
-        if (eta_kw <= 0).any():
-            raise ValueError("eta_kw entries must be > 0")
-        eta_sum = eta_kw.sum(axis=1)
-        eta_local = np.take(eta_kw, present, axis=1)  # C-contiguous, as the C kernel needs
+        base, scale, offset = prior
+        eta_sum = _prior_row_sums(base, scale, offset)
+        eta_local = np.take(base, present, axis=1)  # C-contiguous, as the C kernel needs
+        eta_local *= scale
+        eta_local += offset
 
     if init_beta is None:
         z = rng.integers(0, k, n_tokens, dtype=np.int64)
@@ -230,7 +262,12 @@ def _run_chain(
 
     def add_terms(rows: slice, denom: np.ndarray, first: bool) -> None:
         term = beta[rows] if first else np.empty((denom.shape[0], vocab_size))
-        np.divide(hyper.eta if eta_kw is None else eta_kw[rows], denom, out=term)
+        if prior is None:
+            np.divide(hyper.eta, denom, out=term)
+        else:  # eta_kw's rows, rounded as _prior_row_sums rounds them
+            np.multiply(base[rows], scale, out=term)
+            term += offset
+            term /= denom
         used_term = n_kw[rows] + eta_local[rows]
         used_term /= denom
         term[:, present] = used_term
@@ -284,7 +321,10 @@ def train_lda(
     """
     if not bows:
         raise ValueError("cannot train on an empty corpus")
-    beta, theta, lengths = _run_chain(bows, hyper, eta_kw, init_beta, collect_z=False)
+    prior = None
+    if eta_kw is not None:  # eta_kw * 1.0 + 0.0 is eta_kw, bitwise, for every entry > 0
+        prior = _finite_matrix("eta_kw", eta_kw, (hyper.k, bows.vocab_size)), 1.0, 0.0
+    beta, theta, lengths = _run_chain(bows, hyper, prior, init_beta, collect_z=False)
     return LdaModel(beta, theta, hyper, bows.vocab_size, lengths)
 
 

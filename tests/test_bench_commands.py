@@ -2,6 +2,7 @@
 no CLI command runs here."""
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -84,3 +85,44 @@ def test_a_failing_command_raises_with_its_stderr():
     argv = [sys.executable, "-c", "import sys; sys.exit('broken corpus')"]
     with pytest.raises(RuntimeError, match=r"exited 1:\nbroken corpus"):
         bench_commands.measure(argv, dict(os.environ))
+
+
+def test_paper_workload_is_the_papers_size_at_k_50_and_two_sweeps():
+    assert bench_commands.PAPER_CORPUS == {
+        "WIDE_DOCS": 6_515,
+        "WIDE_POOL": 16_000,
+        "WIDE_POOL_PER_DOC": 160,
+        "WIDE_STOPWORDS_PER_DOC": 5,
+        "WIDE_ONE_OFF_PER_DOC": 3,
+    }
+    assert bench_commands.PAPER_SETTINGS == {
+        "lda": {"k": "50", "iterations": "2", "burn_in": "0", "thin": "1", "seed": "0"},
+        "preprocess": {"no_above": "0.9"},
+    }
+    assert bench_commands.PAPER_SEED == 5
+
+
+def test_paper_corpus_at_one_percent_scale_follows_its_settings(tmp_path):
+    """65 articles, each of 156-164 words from the 16,000-word pool, up to
+    10 stopwords and up to 6 one-off words, the same bytes on each write;
+    the generator's own module keeps its `wide` constants."""
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path in (first, second):
+        bench_commands.write_paper_corpus(ROOT, bench_commands.PAPER_SEED, path, docs=65)
+    assert first.read_bytes() == second.read_bytes()
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    pool = {gen._word("zq", i) for i in range(16_000)}
+    stopwords = set(gen.bundled_stopwords())
+    records = [json.loads(line) for line in first.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 65
+    for record in records:
+        tokens = f"{record['title'][:-1]} {record['body'][:-1]}".lower().split()
+        in_pool = [t for t in tokens if t in pool]
+        one_off = [t for t in tokens if t.startswith("zx")]
+        assert 156 <= len(in_pool) <= 164
+        assert len(one_off) <= 6
+        assert set(tokens) - set(in_pool) - set(one_off) <= stopwords
+        assert len(tokens) - len(in_pool) - len(one_off) <= 10
+    assert (gen.WIDE_DOCS, gen.WIDE_POOL, gen.WIDE_POOL_PER_DOC) == (3_000, 20_000, 18)

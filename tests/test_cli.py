@@ -655,6 +655,24 @@ def test_train_commands_do_not_parse_the_vocabulary(pipeline_ws, tmp_path, monke
         assert path.read_bytes() == before[mode]
 
 
+def test_a_chained_prior_that_overflows_fails_at_slice_one(tmp_path, sample_corpus_path, caplog):
+    """kappa * V overflows to inf, so slice 1's prior eta + kappa * V * beta_0
+    has an infinite entry: slice 0 trains, slice 1 raises, and no model is
+    written."""
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    ws = tmp_path / "ws"
+    for command in (["ingest"], ["preprocess"]):
+        assert main(["--workspace", str(ws), "--config", str(config), *command]) == 0
+    args = ["--workspace", str(ws), "--config", str(config), "--set", "dtm.kappa=1e308"]
+    with caplog.at_level(logging.INFO):
+        assert main([*args, "train", "--mode", "dtm"]) == 2
+    trained = [r for r in caplog.records if r.getMessage().startswith("trained LDA")]
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(trained) == 1
+    assert errors == ["eta_kw has a NaN or infinite entry"]
+    assert not (ws / "model_dtm.newstm").exists()
+
+
 def test_preprocess_and_train_dtm_stream_the_corpus(pipeline_ws, tmp_path, monkeypatch):
     """Both read the workspace corpus one document at a time, never through
     load_corpus, and write the same bytes."""

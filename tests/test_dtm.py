@@ -16,7 +16,7 @@ from helpers import (
     planted_drift_sliced_corpus,
     planted_two_topic_bows,
 )
-from newstm import _kernels
+from newstm import _kernels, lda
 from newstm.dtm import (
     TrajectorySeries,
     load_dtm,
@@ -24,6 +24,7 @@ from newstm.dtm import (
     slice_seeds_for,
     top_words_at,
     train_dtm,
+    train_dtm_to_file,
     trajectory,
 )
 from newstm.exports import read_trajectory_csv, write_trajectory_csv
@@ -209,6 +210,39 @@ def test_dtm_holds_its_betas_and_at_most_four_k_by_v_arrays_more(iterations):
     finally:
         tracemalloc.stop()
     assert peak - before <= model.per_slice_beta.nbytes + 4 * k * v * 8
+
+
+@pytest.mark.parametrize("iterations", [2, 4], ids=["one-retained-sweep", "three"])
+def test_streamed_dtm_builds_no_chained_prior(iterations, tmp_path):
+    """Traced allocations of train_dtm_to_file, 4 slices of 25 documents at
+    K = 20 and V = 20,000: the ring's two K x V slices of β, the slice's
+    chain state (its K x P_t counts and prior columns), one _BLOCK_VALUES
+    block of temporaries and a few int64s per token. The prior eta + kappa
+    * V * beta_{t-1} is built in row blocks and in the used columns, never
+    as a K x V matrix."""
+    k, v = 20, 20_000
+    rng = np.random.default_rng(8)
+    parts = [
+        [
+            BowDoc(f"s{t}d{d}", dict.fromkeys(np.unique(rng.integers(0, v, 200)).tolist(), 1))
+            for d in range(25)
+        ]
+        for t in range(4)
+    ]
+    slices, bows = monthly_slices(parts, v)
+    slice_bows = [bows.select(s.doc_ids) for s in slices]
+    used = max(np.unique(b.word_ids).size for b in slice_bows)
+    tokens = max(int(b.counts.sum()) for b in slice_bows)
+    hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=1, thin=1, seed=3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        train_dtm_to_file(tmp_path / "dtm.newstm", slices, bows, hyper, kappa=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ring, state = 2 * k * v * 8, 2 * k * used * 8
+    assert peak - before <= ring + state + lda._BLOCK_VALUES * 8 + 8 * 8 * tokens
 
 
 def _drift_hyper(seed=17):

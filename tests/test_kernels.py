@@ -337,6 +337,44 @@ def test_gibbs_chain_matches_array_sweeps_on_search_edges(case):
             assert state_a[0].min() >= 2
 
 
+def _stride_zero_views(eta_kw):
+    """Views that repeat each row's first value of the prior `eta_kw`: one
+    with column stride 0, and, where every entry is that value, one with
+    both strides 0."""
+    views = [np.broadcast_to(eta_kw[:, :1], eta_kw.shape)]
+    if (eta_kw == eta_kw[0, 0]).all():
+        views.append(np.broadcast_to(np.float64(eta_kw[0, 0]), eta_kw.shape))
+    return views
+
+
+@pytest.mark.parametrize("case", [*SEARCH_EDGES, "random"])
+def test_stride_zero_prior_equals_the_materialised_prior_bitwise(case):
+    """A chain on a stride-0 view of the prior equals the reference on the
+    materialised matrix, on every backend, so a symmetric prior needs no
+    array of its own. (In `leading_zero_weights` the view differs from the
+    matrix only in columns no token uses, which no weight reads.)"""
+    if case == "random":
+        doc_ids, word_ids, z, n_dk, n_kw, n_k, eta_kw, eta_sum, rng = _random_state(17, k=20)
+        state, alpha = (z, n_dk, n_kw, n_k), 0.3
+        uniforms = list(_pinned_gibbs(doc_ids, word_ids, state, alpha, eta_kw, eta_sum, 4, rng))
+    else:
+        doc_ids, word_ids, state, alpha, eta_kw, uniforms = _gibbs_search_edge(case)
+    k, eta_sum = eta_kw.shape[0], eta_kw.sum(axis=1)
+    want = tuple(a.copy() for a in state)
+    for u in uniforms:
+        _gibbs_sweep_py(doc_ids, word_ids, *want, alpha, eta_kw, eta_sum, u, np.zeros(k))
+    views = _stride_zero_views(eta_kw)
+    assert [view.strides[1] for view in views] == [0] * len(views)
+    assert len(views) == 2 or case == "leading_zero_weights"
+    for view in views:
+        assert (view[:, word_ids] == eta_kw[:, word_ids]).all()
+        for chain in GIBBS_CHAINS:
+            got = tuple(a.copy() for a in state)
+            chain(doc_ids, word_ids, *got, alpha, view, eta_sum, iter(uniforms))
+            for array, expected in zip(got, want):
+                assert np.array_equal(array, expected), (chain.__name__, view.strides)
+
+
 def _infer_search_edge(case):
     """(word_ids, z, beta, alpha, uniforms) on one edge of the topic search."""
     k, v, n, sweeps = 4, 10, 24, 3
@@ -400,7 +438,9 @@ def test_chains_without_sweeps_change_nothing():
 
 @requires_c
 @pytest.mark.parametrize(
-    "fault", ["float_z", "strided_n_kw", "read_only_n_dk", "doc_id", "word_id", "topic_id", "block"]
+    "fault",
+    ["float_z", "strided_n_kw", "read_only_n_dk", "doc_id", "word_id", "topic_id", "block"]
+    + ["prior_negative_stride", "prior_partial_stride", "prior_float32", "prior_shape"],
 )
 def test_compiled_state_checks_every_array_it_passes(fault):
     """Wrong dtypes, layouts and ids raise before any address reaches C."""
@@ -418,6 +458,14 @@ def test_compiled_state_checks_every_array_it_passes(fault):
         word_ids[0] = -1
     elif fault == "topic_id":
         z[7] = n_k.size
+    elif fault == "prior_negative_stride":
+        eta_kw = eta_kw[:, ::-1]
+    elif fault == "prior_partial_stride":  # 4 bytes: half an element
+        eta_kw = np.lib.stride_tricks.as_strided(eta_kw, strides=(eta_kw.strides[0], 4))
+    elif fault == "prior_float32":
+        eta_kw = eta_kw.astype(np.float32)
+    elif fault == "prior_shape":
+        eta_kw = eta_kw[:, :-1]
     else:
         block = block[:, ::2]
     with pytest.raises(ValueError):

@@ -528,6 +528,43 @@ def test_symmetric_prior_row_sum_is_the_full_matrix_row_sum_bitwise():
             assert (rows == np.full(v, eta).sum()).all(), (eta, v)
 
 
+def test_prior_row_sums_in_row_blocks_are_the_full_matrix_row_sums_bitwise(monkeypatch):
+    """The row sums that _run_chain takes of a chained prior, from blocks of
+    whole rows, have the bits of the whole matrix's .sum(axis=1), for a
+    random non-constant prior at the V sizes above, in blocks of many rows,
+    of two rows and a last partial block, and of one row."""
+    sizes = [*range(1, 1025), 14_949, 16_012, 20_000]
+    sizes += [2**e + d for e in range(10, 17) for d in (-1, 0, 1)]
+    rng = np.random.default_rng(12)
+    for v in sizes:
+        base = rng.dirichlet(np.ones(v), size=5) if v > 1 else np.ones((5, 1))
+        scale, offset = 0.5 * v, 0.01
+        full = np.multiply(base, scale)
+        full += offset
+        want = full.sum(axis=1)
+        for block_values in (lda._BLOCK_VALUES, 2 * v + 1, 1):
+            monkeypatch.setattr(lda, "_BLOCK_VALUES", block_values)
+            assert lda._prior_row_sums(base, scale, offset).tobytes() == want.tobytes(), v
+
+
+@pytest.mark.parametrize("block_values", [1, 65_536], ids=["row_blocks", "one_block"])
+def test_prior_check_reports_a_non_finite_entry_before_a_non_positive_one(
+    block_values, monkeypatch
+):
+    """Over the whole prior, as a checked matrix would: a zero in row 0 and
+    an infinite entry in row 2 give the NaN-or-infinite message, in one
+    block or in blocks of one row."""
+    monkeypatch.setattr(lda, "_BLOCK_VALUES", block_values)
+    base = np.full((3, 4), 0.25)
+    base[0, 1] = 0.0
+    base[2, 3] = np.inf
+    with pytest.raises(ValueError, match="^eta_kw has a NaN or infinite entry$"):
+        lda._prior_row_sums(base, 1.0, 0.0)
+    base[2, 3] = 0.25
+    with pytest.raises(ValueError, match="^eta_kw entries must be > 0$"):
+        lda._prior_row_sums(base, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_perplexity_rejects_a_negative_or_non_finite_theta(bad):
     model = model_from_beta(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
@@ -597,6 +634,29 @@ def test_static_chain_holds_beta_and_at_most_two_k_by_v_arrays_more(iterations):
     # counts and θ, which fit in one more int64 per token here
     per_token = 6 * 8 * v
     assert peak - before <= model.beta.nbytes + 2 * k * v * 8 + lda._BLOCK_VALUES * 8 + per_token
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_symmetric_prior_takes_no_array_in_the_static_chain(iterations):
+    """As above, with one K x V-sized array fewer: the chain holds β, its
+    K x V counts, one _BLOCK_VALUES block of temporaries and a few int64s
+    per token. The symmetric prior is a stride-0 view of eta, not a K x V
+    matrix of it."""
+    k, v = 20, 20_000
+    words = np.random.default_rng(5).permutation(v).reshape(100, 200)  # each word once
+    bows = Bows.from_docs(
+        [BowDoc(f"d{d}", {int(w): 1 for w in row}) for d, row in enumerate(words)], v
+    )
+    hyper = LdaHyperparams(k=k, iterations=iterations, burn_in=0, thin=1, seed=3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        model = train_lda(bows, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_token = 6 * 8 * v  # as above
+    assert peak - before <= model.beta.nbytes + k * v * 8 + lda._BLOCK_VALUES * 8 + per_token
 
 
 def _one_shot_topics_from_beta(beta, word_ids, rng):
