@@ -26,8 +26,9 @@ newstm.cli` child, pinned to the highest-numbered CPU this script may use,
 with PYTHONDONTWRITEBYTECODE=1; its CPU time (user + system) and peak RSS
 come from os.wait4.
 
-The medians are written into the --out JSON file as `<workload>_per_command`,
-and the file's other keys are kept. Its `peak` entry names, per side, the
+The medians, with each command's quartiles q1 and q3 beside them, are
+written into the --out JSON file as `<workload>_per_command`, and the
+file's other keys are kept. Its `peak` entry names, per side, the
 command that sets the peak RSS in most runs, and the median of the runs'
 peaks. Exit status: 0, or 1 when a command exits non-zero (nothing is
 written then).
@@ -45,6 +46,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import SIDES, _export, _export_checkout, _git  # noqa: E402
@@ -106,20 +109,29 @@ def measure(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
     return cpu, rss
 
 
+def _quartiles(name: str, values: list[float], digits: int) -> dict[str, float]:
+    """`name`_median, _q1 and _q3 of `values`, as `bench_pairs.py` takes
+    them (numpy's linear percentiles), rounded to `digits`."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {
+        f"{name}_median": round(median, digits),
+        f"{name}_q1": round(q1, digits),
+        f"{name}_q3": round(q3, digits),
+    }
+
+
 def summarize(runs: dict[str, list[dict[str, tuple[float, float]]]]) -> dict:
-    """Each command's median CPU seconds and peak RSS per side, each side's
-    median total CPU over a run, and each side's peak: the command that sets
-    it and its median. `runs[side]` holds one dict per run, command ->
-    (cpu_s, peak_rss_mb)."""
+    """Each command's median and quartiles of CPU seconds and peak RSS per
+    side, each side's median total CPU over a run, and each side's peak: the
+    command that sets it and its median. `runs[side]` holds one dict per
+    run, command -> (cpu_s, peak_rss_mb)."""
     commands = list(runs[SIDES[0]][0])
     out: dict = {"runs": len(runs[SIDES[0]]), "commands": {}}
     for command in commands:
         out["commands"][command] = {
             side: {
-                "cpu_s_median": round(statistics.median(r[command][0] for r in runs[side]), 4),
-                "peak_rss_mb_median": round(
-                    statistics.median(r[command][1] for r in runs[side]), 2
-                ),
+                **_quartiles("cpu_s", [r[command][0] for r in runs[side]], 4),
+                **_quartiles("peak_rss_mb", [r[command][1] for r in runs[side]], 2),
             }
             for side in SIDES
         }
@@ -233,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.runs} runs per side alternating which side goes first, each run in a fresh "
             "workspace, each command a fresh `python -m newstm.cli` child pinned to one CPU "
             "with PYTHONDONTWRITEBYTECODE=1; CPU is ru_utime + ru_stime and peak RSS "
-            "ru_maxrss from os.wait4; values are medians (scripts/bench_commands.py)"
+            "ru_maxrss from os.wait4; values are medians, with each command's quartiles q1 and "
+            "q3 (scripts/bench_commands.py)"
         ),
         "parent_commit": parent_commit,
         **summarize(runs),

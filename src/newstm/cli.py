@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from newstm import __version__
+from newstm.bowsfile import BowsFile
 from newstm.corpus import (
     _anchor_in_month,
     articles_per_day,
@@ -396,27 +397,34 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
 
 # Both trains take V from the bows file's header. They still require vocab.json,
 # whose hash makes the model stale when it changes, but do not parse it.
+# Neither holds bags it no longer samples: the static chain is handed the only
+# reference to its bags and drops them once it has their tokens, and the DTM
+# reads each slice's rows from the file when the slice starts.
 def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     _bind("newstm.preprocess", "newstm.lda")
-    bows = read_bows(ws.require(manifest, "bows"))
+    bows_path = ws.require(manifest, "bows")
     ws.require(manifest, "vocab")
-    model = train_lda(bows, config.hyper)
+    model = train_lda(read_bows(bows_path), config.hyper)
     save_lda(model, ws.path_for("model_static"))
 
 
 def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.preprocess", "newstm.dtm")
-    bows = read_bows(ws.require(manifest, "bows"))
-    ws.require(manifest, "vocab")
-    slices = slice_monthly(
-        read_documents(ws.require(manifest, "corpus"), ascending=True),
-        config.anchor_day,
-        config.first_start,
-        config.n_slices,
-    )
-    sizes = [len(s) for s in slices]
-    logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
-    train_dtm_to_file(ws.path_for("model_dtm"), slices, bows, config.hyper, config.kappa)
+    _bind("newstm.dtm")
+    with BowsFile(ws.require(manifest, "bows")) as bows:
+        ws.require(manifest, "vocab")
+        slices = slice_monthly(
+            read_documents(ws.require(manifest, "corpus"), ascending=True),
+            config.anchor_day,
+            config.first_start,
+            config.n_slices,
+        )
+        sizes = [len(s) for s in slices]
+        logger.info("slice sizes: %s (total %d)", sizes, sum(sizes))
+        # Every row is checked, as read_bows checks it: a slice's when the
+        # slice reads it, and those of no slice here, before the chain.
+        sliced = {doc_id for s in slices for doc_id in s.doc_ids}
+        bows.select([doc_id for doc_id in bows.doc_ids if doc_id not in sliced])
+        train_dtm_to_file(ws.path_for("model_dtm"), slices, bows, config.hyper, config.kappa)
 
 
 def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from newstm.bowsfile import BowsFile
 from newstm.corpus import TimeSlice
 from newstm.exports import TrajectorySeries
 from newstm.lda import LdaHyperparams, TopicSummary, _run_chain, _top_order, _topic_summary
@@ -95,13 +96,18 @@ def train_dtm(
 def train_dtm_to_file(
     path: str | Path,
     slices: Sequence[TimeSlice],
-    bows: Bows,
+    bows: Bows | BowsFile,
     base_hyper: LdaHyperparams,
     kappa: float = 1.0,
 ) -> None:
     """Train as `train_dtm` does and write the file `save_dtm` would write
     of its model, each slice's β as it finishes: no more than two (k, V)
-    slices of β are held at once."""
+    slices of β are held at once.
+
+    Slice t's bags are `bows.select(slices[t].doc_ids)`, taken when the
+    slice starts, and its chain holds them only until it has built their
+    tokens. So from a `BowsFile`, which reads a slice's rows then, at most
+    one slice's bags are held at a time; a `Bows` is held by its caller."""
     slices = list(slices)
     ring = np.empty((2, base_hyper.k, bows.vocab_size), dtype=np.float64)
     steps = _chain(slices, bows, base_hyper, kappa, True, ring)
@@ -111,7 +117,7 @@ def train_dtm_to_file(
 
 def _chain(
     slices: list[TimeSlice],
-    bows: Bows,
+    bows: Bows | BowsFile,
     base_hyper: LdaHyperparams,
     kappa: float,
     warm_start: bool,
@@ -131,11 +137,11 @@ def _chain(
     seeds = slice_seeds_for(base_hyper.seed, len(slices))
     k, vocab_size = base_hyper.k, bows.vocab_size
     for t, time_slice in enumerate(slices):
-        slice_bows = bows.select(time_slice.doc_ids)
+        held = [bows.select(time_slice.doc_ids)]  # _run_chain drops it once it has the tokens
         hyper_t = dataclasses.replace(base_hyper, seed=seeds[t])
         beta_t = ring[t % len(ring)]
         prev_beta = ring[(t - 1) % len(ring)] if t else None
-        if not slice_bows:
+        if not held[0]:
             beta_t[...] = prev_beta if prev_beta is not None else 1.0 / vocab_size
             theta_t = np.zeros((0, k), dtype=np.float64)
             logger.info("slice %d is empty; carrying topic-word rows forward", t)
@@ -143,9 +149,7 @@ def _chain(
             # slice 0's prior is the symmetric eta, a later one's eta + kappa * V * prev_beta
             prior = None if prev_beta is None else (prev_beta, kappa * vocab_size, base_hyper.eta)
             init_beta = prev_beta if warm_start else None
-            _, theta_t, _ = _run_chain(
-                slice_bows, hyper_t, prior, init_beta, collect_z=False, out=beta_t
-            )
+            _, theta_t, _ = _run_chain(held, hyper_t, prior, init_beta, collect_z=False, out=beta_t)
         yield beta_t, theta_t
 
 

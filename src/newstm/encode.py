@@ -95,7 +95,8 @@ def encode_corpus(
     if not flat:
         raise ValueError("cannot fit phrases on an empty corpus")
     _check_thresholds(no_below, no_above)
-    # Each token-length array is dropped at its last read; ids is a view of flat.
+    # Each token-length or id-length array is dropped at its last read; ids is
+    # a view of flat.
     ids = np.frombuffer(flat, dtype=np.int64)
     lengths = np.frombuffer(lengths, dtype=np.int64)
     del flat
@@ -152,12 +153,14 @@ def encode_corpus(
         raise ValueError("vocabulary is empty after frequency filtering")
     logger.info("vocabulary: kept %d of %d distinct tokens", kept.size, np.count_nonzero(df))
     kept = kept[np.argsort(first[kept])]
+    kept_df = df[kept]
+    del first, df
 
     # Bows: the in-vocabulary (doc, token) pairs, by doc and then word id.
     word_of = np.full(n_ids, -1)
     word_of[kept] = np.arange(kept.size)
     word = word_of[pair_token]
-    del pair_token
+    del word_of, pair_token
     in_vocab = word >= 0
     word = word[in_vocab]
     counts = counts[in_vocab]
@@ -183,7 +186,7 @@ def encode_corpus(
     vocab = Vocabulary(
         token_to_id={tok: i for i, tok in enumerate(id_to_token)},
         id_to_token=id_to_token,
-        document_frequency=tuple(df[kept].tolist()),
+        document_frequency=tuple(kept_df.tolist()),
         no_below=no_below,
         no_above=no_above,
         n_docs=n_docs,

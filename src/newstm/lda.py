@@ -177,7 +177,7 @@ def _uniform_blocks(rng, n_sweeps: int, n: int):
 
 
 def _run_chain(
-    bows: Bows,
+    held: list[Bows],
     hyper: LdaHyperparams,
     prior: tuple[np.ndarray, float, float] | None,
     init_beta: np.ndarray | None,
@@ -185,10 +185,14 @@ def _run_chain(
     collect_z: bool,
     out: np.ndarray | None = None,
 ):
-    """Run one chain over the bags of words; return (beta, theta, lengths),
-    its estimates and the token count of each document, or with `collect_z`
-    (samples, doc_ids, word_ids), the z of every retained sweep stacked and
-    the token arrays they index.
+    """Run one chain over the bags of words in `held`, a one-item list;
+    return (beta, theta, lengths), its estimates and the token count of each
+    document, or with `collect_z` (samples, doc_ids, word_ids), the z of
+    every retained sweep stacked and the token arrays they index.
+
+    The chain takes the bags out of `held` and drops them once their tokens
+    are built, so a caller that hands over its only reference this way
+    frees them before the first sweep; one that keeps its own keeps them.
 
     The word prior eta_kw is np.full((k, V), hyper.eta) when `prior` is
     None, and base * scale + offset, each entry rounded twice, for `prior`
@@ -209,8 +213,10 @@ def _run_chain(
     float64 array, when one is given, and its sums are kept in β itself: the
     chain builds no K x V float64 array but β.
     """
+    bows = held.pop()
     k, vocab_size = hyper.k, bows.vocab_size
     doc_ids, word_ids, doc_lengths = _expand_bows(bows)
+    del bows
     n_docs, n_tokens = doc_lengths.size, word_ids.size
     rng = np.random.default_rng(hyper.seed)
     used = np.zeros(vocab_size, dtype=bool)
@@ -318,14 +324,21 @@ def train_lda(
     draw; both leave the default behaviour untouched when None. `train_dtm`
     calls `_run_chain` directly, so the hooks' one caller is the per-slice
     chain of `train_lda` calls that the DTM tests compare `train_dtm` against.
+
+    The chain holds the bags only until it has built their tokens: a caller
+    that passes them without a reference of its own, as
+    `train_lda(read_bows(path), hyper)` does, frees them before the sweeps.
     """
     if not bows:
         raise ValueError("cannot train on an empty corpus")
+    vocab_size = bows.vocab_size
     prior = None
     if eta_kw is not None:  # eta_kw * 1.0 + 0.0 is eta_kw, bitwise, for every entry > 0
-        prior = _finite_matrix("eta_kw", eta_kw, (hyper.k, bows.vocab_size)), 1.0, 0.0
-    beta, theta, lengths = _run_chain(bows, hyper, prior, init_beta, collect_z=False)
-    return LdaModel(beta, theta, hyper, bows.vocab_size, lengths)
+        prior = _finite_matrix("eta_kw", eta_kw, (hyper.k, vocab_size)), 1.0, 0.0
+    held = [bows]
+    del bows  # the chain holds the bags now, and drops them once it has their tokens
+    beta, theta, lengths = _run_chain(held, hyper, prior, init_beta, collect_z=False)
+    return LdaModel(beta, theta, hyper, vocab_size, lengths)
 
 
 def posterior_assignment_samples(bows: Bows, hyper: LdaHyperparams):
@@ -337,7 +350,7 @@ def posterior_assignment_samples(bows: Bows, hyper: LdaHyperparams):
     """
     if not bows:
         raise ValueError("cannot sample on an empty corpus")
-    return _run_chain(bows, hyper, None, None, collect_z=True)
+    return _run_chain([bows], hyper, None, None, collect_z=True)
 
 
 def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) -> np.ndarray:

@@ -22,14 +22,15 @@ plus its blocks along axis 0, the header and its `.npy` header are written
 from the shape, and each block as it comes. The bytes are those of the whole
 array.
 
-Every read goes through `BlockFile`, which reads a stored array whole or
-one leading-axis block at a time, with one seek and one `readinto`; so
-`read_model`, which reads each array whole, and a reader of one block at a
-time keep one set of rules. Each array's `.npy` header must be format 1.0,
-in C order and the shape and dtype of its header entry, and the file must
-be exactly as long as its headers say. All of this is checked when the
-file is opened, before any array is allocated, so a header that claims
-more rows than the file holds is an error, not an allocation of that size.
+Every read goes through `BlockFile`, which reads a stored array whole, one
+leading-axis block or a run of consecutive blocks at a time, each with one
+seek and one `readinto`; so `read_model`, which reads each array whole, and
+a reader of one block or run at a time keep one set of rules. Each array's
+`.npy` header must be format 1.0, in C order and the shape and dtype of its
+header entry, and the file must be exactly as long as its headers say. All
+of this is checked when the file is opened, before any array is allocated,
+so a header that claims more rows than the file holds is an error, not an
+allocation of that size.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ def read_model(
 
 
 class BlockFile:
-    """A model file held open to read its arrays, each whole or one
-    leading-axis block at a time, with one seek and one `readinto`.
+    """A model file held open to read its arrays, each whole, one
+    leading-axis block or a run of them at a time, with one seek and one
+    `readinto`.
 
     Opening it checks the header line: the format, the version, and each
     array's name, shape and supported dtype. It then reads each array's
@@ -365,19 +367,47 @@ class BlockFile:
             fh.close()
             raise
 
+    def layout(self, name: str) -> tuple[tuple[int, ...], np.dtype]:
+        """The shape and dtype of array `name`."""
+        _, shape, dtype = self._layout[name]
+        return shape, dtype
+
+    def invalid(self, exc: Exception) -> ValueError:
+        """`exc` as the ValueError that names the path and the `retrain`
+        command, for a fault found in the arrays' contents."""
+        return self._fault(exc)
+
     def block(
         self, name: str, index: int | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Block `index` of array `name` along axis 0, or with no index the
         whole array, read into `out` if given."""
+        _, shape, _ = self._layout[name]
+        if index is None:
+            return self._read(name, 0, shape, out)
+        if not 0 <= index < shape[0]:
+            raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
+        return self._read(name, index, shape[1:], out)
+
+    def rows(
+        self, name: str, start: int, stop: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Blocks start..stop-1 of array `name` along axis 0, as one array,
+        read into `out` if given."""
+        _, shape, _ = self._layout[name]
+        if not 0 <= start <= stop <= shape[0]:
+            raise IndexError(f"blocks {start}..{stop - 1} of array {name!r}, which has {shape[0]}")
+        return self._read(name, start, (stop - start, *shape[1:]), out)
+
+    def _read(
+        self, name: str, start: int, shape: tuple[int, ...], out: np.ndarray | None
+    ) -> np.ndarray:
+        # `shape` starts at block `start`: one block without the leading
+        # axis, or a run of them with it.
         import numpy as np
 
-        offset, shape, dtype = self._layout[name]
-        if index is not None:
-            if not 0 <= index < shape[0]:
-                raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
-            shape = shape[1:]
-            offset += index * math.prod(shape) * dtype.itemsize
+        offset, stored, dtype = self._layout[name]
+        offset += start * math.prod(stored[1:]) * dtype.itemsize
         if out is None:
             out = np.empty(shape, dtype=dtype)
         elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:

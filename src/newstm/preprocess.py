@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from newstm.modelfile import json_fields, read_model, replace_text, write_model
+from newstm.modelfile import json_fields, replace_text, write_model
 
 logger = logging.getLogger(__name__)
 
@@ -209,6 +210,55 @@ def _falls(doc_lengths: np.ndarray, word_ids: np.ndarray) -> np.ndarray:
     return falls
 
 
+_BOWS_ARRAYS = ("doc_lengths", "word_ids", "counts")
+
+
+# The checks of `Bows`, in its order: those that span documents, which a
+# `newstm.bowsfile.BowsFile` makes once on opening, then those of each row.
+def _check_unique(doc_ids: Sequence[str]) -> None:
+    seen: set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise ValueError(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+
+
+def _check_flat_integer(name: str, shape: tuple[int, ...], dtype: np.dtype) -> None:
+    if len(shape) != 1 or (math.prod(shape) and dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a flat integer array, got {dtype}{list(shape)}")
+
+
+def _check_sizes(n_docs: int, lengths: np.ndarray, n_ids: int, n_counts: int, v: int) -> None:
+    if v < 1:
+        raise ValueError(f"vocab_size must be >= 1, got {v}")
+    if lengths.size != n_docs or (lengths.size and lengths.min() < 0):
+        raise ValueError(f"need one doc_length >= 0 for each of {n_docs} documents")
+    if not int(lengths.sum()) == n_ids == n_counts:
+        raise ValueError(
+            f"doc_lengths sum to {int(lengths.sum())}, "
+            f"but there are {n_ids} word ids and {n_counts} counts"
+        )
+
+
+def _check_rows(
+    doc_ids: tuple[str, ...], lengths: np.ndarray, ids: np.ndarray, counts: np.ndarray, v: int
+) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= v or counts.min() < 1):
+        # Name the first bad document, and an id error before a count error.
+        bad_id = (ids < 0) | (ids >= v)
+        ends = np.cumsum(lengths)
+        doc = int(np.searchsorted(ends, np.argmax(bad_id | (counts < 1)), side="right"))
+        if bad_id[ends[doc] - lengths[doc] : ends[doc]].any():
+            fault = f"word id out of range for vocab_size={v}"
+        else:
+            fault = "counts must be >= 1"
+        raise ValueError(f"document {doc_ids[doc]!r}: {fault}")
+    falls = _falls(lengths, ids)
+    if falls.any():
+        doc = int(np.searchsorted(np.cumsum(lengths), np.argmax(falls) + 1, side="right"))
+        raise ValueError(f"document {doc_ids[doc]!r}: word ids must be strictly ascending")
+
+
 @dataclass(frozen=True, eq=False)
 class Bows:
     """The bags of words of a corpus as compressed sparse rows (CSR).
@@ -229,41 +279,14 @@ class Bows:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
-        seen: set[str] = set()
-        for doc_id in self.doc_ids:
-            if doc_id in seen:
-                raise ValueError(f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-        for name in ("doc_lengths", "word_ids", "counts"):
+        _check_unique(self.doc_ids)
+        for name in _BOWS_ARRAYS:
             array = np.asarray(getattr(self, name))
-            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-                shape = f"{array.dtype}{list(array.shape)}"
-                raise ValueError(f"{name} must be a flat integer array, got {shape}")
+            _check_flat_integer(name, array.shape, array.dtype)
             object.__setattr__(self, name, array.astype(np.int64, copy=False))
         lengths, ids, counts, v = self.doc_lengths, self.word_ids, self.counts, self.vocab_size
-        if v < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {v}")
-        if lengths.size != len(self.doc_ids) or (lengths.size and lengths.min() < 0):
-            raise ValueError(f"need one doc_length >= 0 for each of {len(self.doc_ids)} documents")
-        if not int(lengths.sum()) == ids.size == counts.size:
-            raise ValueError(
-                f"doc_lengths sum to {int(lengths.sum())}, "
-                f"but there are {ids.size} word ids and {counts.size} counts"
-            )
-        if ids.size and (ids.min() < 0 or ids.max() >= v or counts.min() < 1):
-            # Name the first bad document, and an id error before a count error.
-            bad_id = (ids < 0) | (ids >= v)
-            ends = np.cumsum(lengths)
-            doc = int(np.searchsorted(ends, np.argmax(bad_id | (counts < 1)), side="right"))
-            if bad_id[ends[doc] - lengths[doc] : ends[doc]].any():
-                fault = f"word id out of range for vocab_size={v}"
-            else:
-                fault = "counts must be >= 1"
-            raise ValueError(f"document {self.doc_ids[doc]!r}: {fault}")
-        falls = _falls(lengths, ids)
-        if falls.any():
-            doc = int(np.searchsorted(np.cumsum(lengths), np.argmax(falls) + 1, side="right"))
-            raise ValueError(f"document {self.doc_ids[doc]!r}: word ids must be strictly ascending")
+        _check_sizes(len(self.doc_ids), lengths, ids.size, counts.size, v)
+        _check_rows(self.doc_ids, lengths, ids, counts, v)
 
     @classmethod
     def from_docs(cls, docs: Iterable[BowDoc], vocab_size: int) -> Bows:
@@ -365,12 +388,13 @@ def write_bows(bows: Bows, path: str | Path) -> None:
     write_model(path, _BOWS_FORMAT, meta, arrays)
 
 
-def _bows_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> Bows:
-    doc_ids, vocab_size = json_fields(meta, {"doc_ids": list[str], "vocab_size": int})
-    return Bows(doc_ids, arrays["doc_lengths"], arrays["word_ids"], arrays["counts"], vocab_size)
-
-
 def read_bows(path: str | Path) -> Bows:
-    """Read a `write_bows` file. A malformed file, or one whose arrays fail
-    the `Bows` checks, raises one ValueError naming `path`."""
-    return read_model(path, _BOWS_FORMAT, "newstm preprocess", _bows_from_file)
+    """Read a `write_bows` file: `BowsFile.select` of every row. A malformed
+    file, or one whose arrays fail the `Bows` checks, raises one ValueError
+    naming `path`."""
+    # Imported here, not at the top: the held-out API imports this module
+    # after numpy, and compiling the reader then would raise its peak RSS.
+    from newstm.bowsfile import BowsFile
+
+    with BowsFile(path) as stored:
+        return stored.select(stored.doc_ids)

@@ -12,6 +12,7 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.lda import LdaHyperparams, LdaModel
+from newstm.modelfile import write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
@@ -167,3 +168,43 @@ def model_from_beta(beta, theta=None, doc_lengths=None) -> LdaModel:
         vocab_size=v,
         doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
     )
+
+
+def raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows", doc_ids=None):
+    """A bows file with these arrays for documents `doc_ids` (by default d0,
+    d1, ...), over 3 words, written without the checks of `Bows`."""
+    if doc_ids is None:
+        doc_ids = [f"d{i}" for i in range(len(doc_lengths))]
+    meta = {"doc_ids": doc_ids, "vocab_size": 3}
+    arrays = {"doc_lengths": doc_lengths, "word_ids": word_ids, "counts": counts}
+    write_model(path, fmt, meta, {name: np.array(a, dtype=np.int64) for name, a in arrays.items()})
+    return path
+
+
+def _truncated_bows(path):
+    raw_bows_file(path, [1, 2], [0, 0, 2], [1, 2, 1])
+    path.write_bytes(path.read_bytes()[:-3])
+    return path
+
+
+# Bows files that `read_bows` rejects: case -> (writer of the file at a
+# path, the fault its message names).
+MALFORMED_BOWS = {
+    "truncated": (_truncated_bows, "the file is 706 bytes, its header says 709: truncated"),
+    "other-format": (
+        lambda path: raw_bows_file(path, [1], [0], [1], fmt="newstm-lda"),
+        "format is 'newstm-lda', expected 'newstm-bows'",
+    ),
+    "id-at-vocab-size": (
+        lambda path: raw_bows_file(path, [1, 2], [0, 1, 3], [1, 1, 1]),
+        "document 'd1': word id out of range for vocab_size=3",
+    ),
+    "unsorted-ids": (
+        lambda path: raw_bows_file(path, [1, 2], [0, 2, 1], [1, 1, 1]),
+        "document 'd1': word ids must be strictly ascending",
+    ),
+    "doc-lengths": (
+        lambda path: raw_bows_file(path, [1, 3], [0, 1, 2], [1, 1, 1]),
+        "doc_lengths sum to 4, but there are 3 word ids and 3 counts",
+    ),
+}

@@ -56,15 +56,36 @@ def test_summary_takes_medians_per_command_and_of_each_runs_total():
         "change": [{"a": (1.0, 5.0), "b": (1.0, 5.0)}] * 3,
     }
     summary = bench_commands.summarize(runs)
-    assert summary["commands"]["a"]["parent"] == {"cpu_s_median": 2.0, "peak_rss_mb_median": 11.0}
-    assert summary["commands"]["b"]["parent"] == {"cpu_s_median": 2.0, "peak_rss_mb_median": 30.0}
-    assert summary["commands"]["b"]["change"] == {"cpu_s_median": 1.0, "peak_rss_mb_median": 5.0}
+    assert summary["commands"]["a"]["parent"] == {
+        "cpu_s_median": 2.0, "cpu_s_q1": 1.5, "cpu_s_q3": 2.5,
+        "peak_rss_mb_median": 11.0, "peak_rss_mb_q1": 10.5, "peak_rss_mb_q3": 11.5,
+    }
+    assert summary["commands"]["b"]["parent"] == {
+        "cpu_s_median": 2.0, "cpu_s_q1": 1.05, "cpu_s_q3": 2.25,
+        "peak_rss_mb_median": 30.0, "peak_rss_mb_q1": 25.0, "peak_rss_mb_q3": 35.0,
+    }
+    assert summary["commands"]["b"]["change"] == {
+        "cpu_s_median": 1.0, "cpu_s_q1": 1.0, "cpu_s_q3": 1.0,
+        "peak_rss_mb_median": 5.0, "peak_rss_mb_q1": 5.0, "peak_rss_mb_q3": 5.0,
+    }
     # totals 3.0, 5.5 and 2.1: the median of the sums, not the sum of the medians (4.0)
     assert summary["total_cpu_s_median_parent"] == 3.0
     assert summary["total_cpu_s_median_change"] == 2.0
     assert summary["peak"]["parent"] == {"command": "b", "runs_set": 3, "peak_rss_mb_median": 30.0}
     # a tie within a run goes to the earlier command
     assert summary["peak"]["change"] == {"command": "a", "runs_set": 3, "peak_rss_mb_median": 5.0}
+
+
+def test_quartiles_are_bench_pairs_linear_percentiles_rounded():
+    # four runs: q1 and q3 fall between samples, a quarter of the way along
+    cpu, rss = [0.1, 0.2, 0.4, 0.8], [40.0, 41.0, 45.5, 46.0]
+    runs = dict.fromkeys(("parent", "change"), [{"c": pair} for pair in zip(cpu, rss)])
+    entry = bench_commands.summarize(runs)["commands"]["c"]["parent"]
+    assert entry == {
+        "cpu_s_median": 0.3, "cpu_s_q1": 0.175, "cpu_s_q3": 0.5,
+        "peak_rss_mb_median": 43.25, "peak_rss_mb_q1": 40.75, "peak_rss_mb_q3": 45.62,
+    }
+    assert entry["peak_rss_mb_q1"] <= entry["peak_rss_mb_median"] <= entry["peak_rss_mb_q3"]
 
 
 def test_the_peak_is_the_median_of_each_runs_largest_command():

@@ -142,6 +142,13 @@ def test_each_block_is_bitwise_the_loaded_slice(wide):
             assert out.tobytes() == betas[t].tobytes()
         with pytest.raises(IndexError):
             stored.block("per_slice_beta", len(slices))
+        for start, stop in ((0, len(slices)), (1, 3), (2, 2)):  # a run of blocks, as one array
+            run = stored.rows("per_slice_beta", start, stop)
+            assert run.shape == betas[start:stop].shape
+            assert run.tobytes() == betas[start:stop].tobytes()
+        for start, stop in ((-1, 1), (2, 1), (0, len(slices) + 1)):
+            with pytest.raises(IndexError):
+                stored.rows("per_slice_beta", start, stop)
 
 
 def _composed_trajectories(path, vocab, n):

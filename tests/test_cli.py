@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import MALFORMED_BOWS
 from newstm.cli import (
     _ARTIFACTS,
     _COMMANDS,
@@ -21,7 +22,9 @@ from newstm.cli import (
     main,
 )
 from newstm import cli
-from newstm.preprocess import read_vocabulary
+from newstm.corpus import read_documents, slice_monthly
+from newstm.modelfile import write_model
+from newstm.preprocess import read_bows, read_vocabulary
 
 FAST_SETTINGS = """\
 [preprocess]
@@ -752,3 +755,48 @@ def test_report_on_a_version_1_vocabulary_asks_for_preprocess(pipeline_ws, tmp_p
         f"{path}: not a valid vocabulary export (not a version 2 newstm-vocab file); "
         "re-run `newstm preprocess`"
     ]
+
+
+def _zero_count_in_a_later_slice(path, ws, config):
+    """Rewrite the bows file with a count of 0 in the last document of the
+    first nonempty slice after slice 0."""
+    settings = load_config(config)
+    slices = slice_monthly(
+        read_documents(ws / "corpus.jsonl"),
+        settings.anchor_day,
+        settings.first_start,
+        settings.n_slices,
+    )
+    bows = read_bows(path)
+    row = bows.doc_ids.index(next(s for s in slices[1:] if s.doc_ids).doc_ids[-1])
+    counts = bows.counts.copy()
+    counts[int(bows.doc_lengths[: row + 1].sum()) - 1] = 0
+    meta = {"doc_ids": list(bows.doc_ids), "vocab_size": bows.vocab_size}
+    arrays = {"doc_lengths": bows.doc_lengths, "word_ids": bows.word_ids, "counts": counts}
+    write_model(path, "newstm-bows", meta, arrays)
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_BOWS, "row-in-a-slice"])
+def test_train_dtm_rejects_a_bows_file_with_read_bows_message(pipeline_ws, tmp_path, caplog, case):
+    """A fault in the header or layout fails on opening, a row in no slice
+    (the documents d0 and d1 of the shared cases) before the chain, and a
+    row in a slice when that slice starts: each with `read_bows`'s message."""
+    ws, config = tmp_path / "ws", pipeline_ws[1]
+    shutil.copytree(pipeline_ws[0], ws)
+    path = ws / "bows.newstm"
+    if case in MALFORMED_BOWS:
+        path.unlink()
+        MALFORMED_BOWS[case][0](path)
+    else:
+        _zero_count_in_a_later_slice(path, ws, config)
+    with pytest.raises(ValueError) as info:
+        read_bows(path)
+    workspace = Workspace(ws)
+    workspace.record(workspace.load_manifest(), "bows")  # as if preprocess had written it
+    with caplog.at_level(logging.INFO):
+        code = main(["--workspace", str(ws), "--config", str(config), "train", "--mode", "dtm"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    trained = [r for r in caplog.records if r.getMessage().startswith("trained LDA")]
+    assert code == 2
+    assert errors == [str(info.value)]
+    assert bool(trained) == (case == "row-in-a-slice")

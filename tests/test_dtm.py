@@ -17,6 +17,7 @@ from helpers import (
     planted_two_topic_bows,
 )
 from newstm import _kernels, lda
+from newstm.bowsfile import BowsFile
 from newstm.dtm import (
     TrajectorySeries,
     load_dtm,
@@ -29,7 +30,7 @@ from newstm.dtm import (
 )
 from newstm.exports import read_trajectory_csv, write_trajectory_csv
 from newstm.lda import LdaHyperparams, top_words, train_lda
-from newstm.preprocess import BowDoc, Bows
+from newstm.preprocess import BowDoc, Bows, read_bows, write_bows
 
 
 def _two_slice_parts(seed=0):
@@ -243,6 +244,57 @@ def test_streamed_dtm_builds_no_chained_prior(iterations, tmp_path):
         tracemalloc.stop()
     ring, state = 2 * k * v * 8, 2 * k * used * 8
     assert peak - before <= ring + state + lda._BLOCK_VALUES * 8 + 8 * 8 * tokens
+
+
+def test_streamed_dtm_reading_the_bows_file_holds_one_slices_bags(tmp_path):
+    """train_dtm_to_file over a BowsFile, 4 slices of 25 documents at K = 20
+    and V = 20,000: its traced peak is that of the same chain over bags the
+    caller already holds, plus at most one slice's bags. Reading the whole
+    file instead would add all four slices' bags."""
+    k, v = 20, 20_000
+    rng = np.random.default_rng(8)
+    parts = [
+        [
+            BowDoc(f"s{t}d{d}", dict.fromkeys(np.unique(rng.integers(0, v, 200)).tolist(), 1))
+            for d in range(25)
+        ]
+        for t in range(4)
+    ]
+    slices, bows = monthly_slices(parts, v)
+    write_bows(bows, tmp_path / "bows.newstm")
+    one_slice = max(16 * bows.select(s.doc_ids).word_ids.size for s in slices)
+    assert bows.word_ids.nbytes + bows.counts.nbytes > 3.5 * one_slice
+    hyper = LdaHyperparams(k=k, iterations=2, burn_in=1, thin=1, seed=3)
+
+    def traced_peak(train) -> int:
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            train()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def from_file():
+        with BowsFile(tmp_path / "bows.newstm") as stored:
+            train_dtm_to_file(tmp_path / "file.newstm", slices, stored, hyper, kappa=1.0)
+
+    held = traced_peak(lambda: train_dtm_to_file(tmp_path / "held.newstm", slices, bows, hyper))
+    assert traced_peak(from_file) <= held + one_slice
+    assert (tmp_path / "file.newstm").read_bytes() == (tmp_path / "held.newstm").read_bytes()
+
+
+def test_streamed_dtm_writes_the_same_bytes_from_the_bows_file(tmp_path):
+    """An empty slice, documents in no slice and a slice whose rows are not
+    consecutive in the file: the same model bytes as from `read_bows`."""
+    docs, _, _ = planted_two_topic_bows(n_docs=14, doc_len=6, seed=2)
+    slices, _ = monthly_slices([docs[2:7][::-1], [], docs[7:12]], 10)
+    write_bows(Bows.from_docs(docs, 10), tmp_path / "bows.newstm")
+    with BowsFile(tmp_path / "bows.newstm") as stored:
+        train_dtm_to_file(tmp_path / "file.newstm", slices, stored, BASE, kappa=0.5)
+    read = read_bows(tmp_path / "bows.newstm")
+    train_dtm_to_file(tmp_path / "read.newstm", slices, read, BASE, kappa=0.5)
+    assert (tmp_path / "file.newstm").read_bytes() == (tmp_path / "read.newstm").read_bytes()
 
 
 def _drift_hyper(seed=17):

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -250,6 +251,40 @@ def test_chain_stops_after_its_last_retained_sweep(list_fallback, monkeypatch):
     longer, shorter = models[(11, 2, 3), train_lda], models[(9, 2, 3), train_lda]
     assert longer.beta.tobytes() == shorter.beta.tobytes()
     assert longer.theta.tobytes() == shorter.theta.tobytes()
+
+
+@pytest.mark.parametrize("list_fallback", [False, True], ids=["training_backend", "list_fallback"])
+def test_train_lda_lets_go_of_bags_it_alone_holds_before_the_first_sweep(
+    list_fallback, monkeypatch
+):
+    """Bags passed to train_lda with no other reference are freed once the
+    chain has built their tokens, before the first uniforms are drawn; a
+    caller's own reference keeps them. Both give the same model."""
+    if list_fallback:
+        monkeypatch.setattr(_kernels, "c_gibbs_chain", None)
+    docs, _, _ = planted_two_topic_bows(n_docs=8, doc_len=6, seed=5)
+    hyper = LdaHyperparams(k=2, iterations=3, burn_in=1, thin=1, seed=17)
+    refs, alive = [], []
+    blocks = lda._uniform_blocks
+
+    def watched(rng, n_sweeps, n):
+        alive.append(refs[-1]() is not None)
+        return blocks(rng, n_sweeps, n)
+
+    def made():
+        bows = Bows.from_docs(docs, 10)
+        refs.append(weakref.ref(bows))
+        return bows
+
+    monkeypatch.setattr(lda, "_uniform_blocks", watched)
+    handed = train_lda(made(), hyper)
+    assert alive == [False, False]
+    alive.clear()
+    kept = made()
+    held = train_lda(kept, hyper)
+    assert alive == [True, True]
+    assert handed.beta.tobytes() == held.beta.tobytes()
+    assert handed.theta.tobytes() == held.theta.tobytes()
 
 
 def _per_sweep_infer(model, doc, sweeps, seed):

@@ -1,3 +1,4 @@
+import datetime
 import json
 import math
 import sys
@@ -6,7 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from newstm.modelfile import write_model
+from helpers import MALFORMED_BOWS, raw_bows_file
+from newstm.bowsfile import BowsFile
+from newstm.corpus import load_corpus, slice_monthly
+from newstm.encode import encode_corpus
+from newstm.modelfile import BlockFile
 from newstm.preprocess import (
     BowDoc,
     Bows,
@@ -433,17 +438,6 @@ def test_read_vocabulary_rejects_a_fault_of_the_list_layout(tmp_path, changes, f
     )
 
 
-def _raw_bows_file(path, doc_lengths, word_ids, counts, fmt="newstm-bows", doc_ids=None):
-    """A bows file with these arrays for documents `doc_ids` (by default d0,
-    d1, ...), over 3 words, written without the checks of `Bows`."""
-    if doc_ids is None:
-        doc_ids = [f"d{i}" for i in range(len(doc_lengths))]
-    meta = {"doc_ids": doc_ids, "vocab_size": 3}
-    arrays = {"doc_lengths": doc_lengths, "word_ids": word_ids, "counts": counts}
-    write_model(path, fmt, meta, {name: np.array(a, dtype=np.int64) for name, a in arrays.items()})
-    return path
-
-
 def _rejection(path):
     with pytest.raises(ValueError) as info:
         read_bows(path)
@@ -456,7 +450,7 @@ def _rejection(path):
 
 @pytest.mark.parametrize("count", [0, -2])
 def test_read_bows_rejects_counts_below_one(tmp_path, count):
-    path = _raw_bows_file(tmp_path / "bows.newstm", [1, 2], [0, 0, 2], [1, 2, count])
+    path = raw_bows_file(tmp_path / "bows.newstm", [1, 2], [0, 0, 2], [1, 2, count])
     assert "(document 'd1': counts must be >= 1)" in _rejection(path)
 
 
@@ -467,40 +461,63 @@ def test_bows_rejects_a_repeated_doc_id():
 
 
 def test_read_bows_rejects_a_repeated_doc_id(tmp_path):
-    path = _raw_bows_file(
+    path = raw_bows_file(
         tmp_path / "bows.newstm", [1, 1, 1], [0, 1, 2], [1, 1, 1], doc_ids=["x", "y", "y"]
     )
     assert "(duplicate document id 'y')" in _rejection(path)
 
 
-def _truncated(path):
-    _raw_bows_file(path, [1, 2], [0, 0, 2], [1, 2, 1])
-    path.write_bytes(path.read_bytes()[:-3])
-    return path
-
-
-@pytest.mark.parametrize(
-    "make, fault",
-    [
-        (_truncated, "the file is 706 bytes, its header says 709: truncated"),
-        (
-            lambda path: _raw_bows_file(path, [1], [0], [1], fmt="newstm-lda"),
-            "format is 'newstm-lda', expected 'newstm-bows'",
-        ),
-        (
-            lambda path: _raw_bows_file(path, [1, 2], [0, 1, 3], [1, 1, 1]),
-            "document 'd1': word id out of range for vocab_size=3",
-        ),
-        (
-            lambda path: _raw_bows_file(path, [1, 2], [0, 2, 1], [1, 1, 1]),
-            "document 'd1': word ids must be strictly ascending",
-        ),
-        (
-            lambda path: _raw_bows_file(path, [1, 3], [0, 1, 2], [1, 1, 1]),
-            "doc_lengths sum to 4, but there are 3 word ids and 3 counts",
-        ),
-    ],
-    ids=["truncated", "other-format", "id-at-vocab-size", "unsorted-ids", "doc-lengths"],
-)
+@pytest.mark.parametrize("make, fault", list(MALFORMED_BOWS.values()), ids=list(MALFORMED_BOWS))
 def test_read_bows_rejects_a_malformed_file(tmp_path, make, fault):
     assert fault in _rejection(make(tmp_path / "bows.newstm"))
+
+
+def test_bows_file_selects_what_bows_select_gives_bitwise(
+    tmp_path, sample_corpus_path, monkeypatch
+):
+    """Every monthly slice of the fixture, its first slice reversed, no
+    documents and the whole file, forwards and reversed: the same Bows as
+    `Bows.select` of the whole file, each run of consecutive rows read with
+    one `BlockFile.rows` call per array."""
+    docs = load_corpus(sample_corpus_path)
+    _, bows = encode_corpus(((d.id, d.title + " " + d.body) for d in docs), load_stopwords())
+    write_bows(bows, tmp_path / "bows.newstm")
+    slices = slice_monthly(docs, 17, datetime.date(2020, 1, 17), 12)
+    assert sum(map(len, slices)) < len(bows)  # some documents are in no slice
+    first = slices[0].doc_ids
+    requests = [
+        *((s.doc_ids, 1) for s in slices),
+        (first[::-1], len(first)),
+        ((), 0),
+        (bows.doc_ids, 1),
+        (bows.doc_ids[::-1], len(bows)),
+    ]
+    reads = []
+    rows = BlockFile.rows
+
+    def counted(self, name, start, stop, out=None):
+        reads.append(name)
+        return rows(self, name, start, stop, out)
+
+    monkeypatch.setattr(BlockFile, "rows", counted)
+    with BowsFile(tmp_path / "bows.newstm") as stored:
+        assert (stored.doc_ids, stored.vocab_size) == (bows.doc_ids, bows.vocab_size)
+        for doc_ids, runs in requests:
+            reads.clear()
+            got, want = stored.select(doc_ids), bows.select(doc_ids)
+            assert got.doc_ids == want.doc_ids and got.vocab_size == want.vocab_size
+            for name in ("doc_lengths", "word_ids", "counts"):
+                found, expected = getattr(got, name), getattr(want, name)
+                assert found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
+            assert reads == ["word_ids"] * runs + ["counts"] * runs
+
+
+def test_bows_file_select_raises_what_bows_select_raises(tmp_path):
+    bows = Bows.from_docs([BowDoc("a", {0: 1}), BowDoc("b", {1: 2})], 3)
+    write_bows(bows, tmp_path / "bows.newstm")
+    with BowsFile(tmp_path / "bows.newstm") as stored:
+        for source in (bows, stored):
+            with pytest.raises(ValueError, match="^no bag of words for document 'c'$"):
+                source.select(["a", "c"])
+            with pytest.raises(ValueError, match="^duplicate document id 'b'$"):
+                source.select(["b", "a", "b"])
