@@ -21,7 +21,8 @@ result. The summary holds, for each end-to-end metric and side, the
 samples in seed order, their median and quartiles, and the number of pairs
 in which the change did better, by the metric's `better` direction in
 `BENCHMARK.json`. It also records both commits, the backend each side
-reported and this command line.
+reported and this command line, and for each failed run its notes and the
+last lines of its stderr and of its `.bench_work/W/stderr.log`.
 
 Exit status: 0 if every run is `correct` with `failed` 0, else 1 (the
 summary is written either way); 2, before any run, if the checkout holds a
@@ -44,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+TAIL_LINES = 20  # the lines of a failed run's stderr and stderr.log kept
 
 
 def _seeds(text: str) -> list[int]:
@@ -82,8 +84,16 @@ def _export_checkout(root: Path, into: Path) -> None:
             shutil.copy(source, into / name)
 
 
+def _tail(text: str) -> list[str]:
+    return text.splitlines()[-TAIL_LINES:]
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its result, with `record` the JSON line before it."""
+    """One benchmark run; its result, with `record` the JSON line before it.
+    A failed run also keeps what tells why: `diagnosis` holds the record's
+    notes and the last lines of the run's stderr and of the `stderr.log`
+    that `perfbench/run.py` writes its children's stderr to. The tree is
+    removed after the runs, so they are read here."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload]
     argv += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -95,6 +105,13 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result, records = {"correct": False, "failed": None, "metrics": {}}, []
     result["exit_code"] = proc.returncode
     result["record"] = records[-1] if records else {}
+    if not _ok(result):
+        log = tree / ".bench_work" / workload / "stderr.log"
+        result["diagnosis"] = {
+            "notes": result["record"].get("notes", []),
+            "stderr": _tail(proc.stderr),
+            "stderr_log": _tail(log.read_text(errors="replace")) if log.is_file() else [],
+        }
     return result
 
 
@@ -224,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
                 "correct": run["result"].get("correct"),
                 "attempted": run["result"].get("attempted"),
                 "failed": run["result"]["failed"],
+                **run["result"].get("diagnosis", {}),
             }
             for run in runs
         ],

@@ -41,7 +41,7 @@ from newstm.corpus import (
     slice_monthly,
     write_timeline_csv,
 )
-from newstm.modelfile import finite_float, json_fields, remove_stray_temps, replace_text
+from newstm.modelfile import finite_float, iso_date, json_fields, remove_stray_temps, replace_text
 from newstm.params import LdaHyperparams
 
 # Stage module -> the names this module takes from it. They are bound on first
@@ -97,7 +97,7 @@ class ValidationError(ValueError):
 
 
 def _date(raw: str) -> datetime.date:
-    return datetime.date.fromisoformat(raw)
+    return iso_date(raw)  # named `_date`, so a parse error says "as date"
 
 
 def _categories(raw: str) -> tuple[str, ...]:

@@ -94,9 +94,10 @@ def read_documents(path: str | Path, *, ascending: bool = False) -> Iterator[Doc
     line, in file order; blank lines are skipped.
 
     Each record needs string id/date/category/title/body fields; dates are
-    ISO-8601 days. Malformed records, duplicate ids and, with `ascending`, a
-    date before the previous document's raise CorpusError naming the
-    offending line. Only the ids read so far are held, never the text.
+    written YYYY-MM-DD. Malformed records, duplicate ids and, with
+    `ascending`, a date before the previous document's raise CorpusError
+    naming the offending line. Only the ids read so far are held, never the
+    text.
     """
     path = Path(path)
     seen: dict[str, int] = {}
@@ -114,7 +115,7 @@ def read_documents(path: str | Path, *, ascending: bool = False) -> Iterator[Doc
             except ValueError as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
             try:
-                when = datetime.date.fromisoformat(day)
+                when = iso_date(day)
             except ValueError as exc:
                 raise CorpusError(f"{path}: line {lineno}: unparseable date {day!r}") from exc
             if doc_id in seen:

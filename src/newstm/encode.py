@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from newstm.preprocess import Bows, Vocabulary, _check_thresholds, remove_stopwords, tokenize
+from newstm.preprocess import _TOKEN_RE, Bows, Vocabulary, _check_thresholds
 
 logger = logging.getLogger(__name__)
 
@@ -79,19 +79,32 @@ def encode_corpus(
     once, in first-appearance order, and the phrases, the vocabulary and
     the bags are counted in numpy. `tokenize` never yields a token that
     fails the TokenStream check, so none is made.
+
+    The tokens are `tokenize`'s, found one whitespace-separated word at a
+    time: no whitespace character is a token character or '-', so no token
+    spans two words. A word whose characters are all alphanumeric
+    (`str.isalnum`) is one token without the regex, since `isalnum` holds
+    for a code point exactly when `[^\\W_]` matches it.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     stopset = frozenset(stopwords)
     ids_of: dict[str, int] = {}
+    intern, findall = ids_of.setdefault, _TOKEN_RE.findall
     flat, lengths, doc_ids = array("q"), array("q"), []
     for doc_id, text in docs:
-        kept = [
-            ids_of.setdefault(tok, len(ids_of)) for tok in remove_stopwords(tokenize(text), stopset)
-        ]
-        flat.extend(kept)
-        lengths.append(len(kept))
+        start = len(flat)
+        for word in text.lower().split():
+            if word.isalnum():  # the whole word is one token
+                if word not in stopset:
+                    flat.append(intern(word, len(ids_of)))
+            else:
+                for tok in findall(word):
+                    if tok not in stopset:
+                        flat.append(intern(tok, len(ids_of)))
+        lengths.append(len(flat) - start)
         doc_ids.append(doc_id)
+    del intern  # a bound method would keep ids_of alive past its `del` below
     if not flat:
         raise ValueError("cannot fit phrases on an empty corpus")
     _check_thresholds(no_below, no_above)
@@ -148,13 +161,26 @@ def encode_corpus(
     pair_doc, pair_token = np.divmod(keys, n_ids)
     del keys
     df = np.bincount(pair_token, minlength=n_ids)
-    kept = np.flatnonzero((df >= no_below) & (df / n_docs <= no_above))
+    # The quotient only for the ids that pass no_below: one float for every
+    # distinct token, alive beside the pair arrays, set preprocess's peak on
+    # `wide`.
+    kept = np.flatnonzero(df >= no_below)
+    kept = kept[df[kept] / n_docs <= no_above]
     if not kept.size:
         raise ValueError("vocabulary is empty after frequency filtering")
     logger.info("vocabulary: kept %d of %d distinct tokens", kept.size, np.count_nonzero(df))
     kept = kept[np.argsort(first[kept])]
     kept_df = df[kept]
     del first, df
+
+    def text(token: int) -> str:
+        if token < n_raw:
+            return words[token]
+        a, b = divmod(int(phrases[token - n_raw]), n_raw)
+        return words[a] + "_" + words[b]
+
+    id_to_token = tuple(map(text, kept.tolist()))
+    del words  # the raw tokens that missed the vocabulary go before the bags are counted
 
     # Bows: the in-vocabulary (doc, token) pairs, by doc and then word id.
     word_of = np.full(n_ids, -1)
@@ -176,13 +202,6 @@ def encode_corpus(
     del order
     bows = Bows(doc_ids, doc_lengths, word, counts, kept.size)
 
-    def text(token: int) -> str:
-        if token < n_raw:
-            return words[token]
-        a, b = divmod(int(phrases[token - n_raw]), n_raw)
-        return words[a] + "_" + words[b]
-
-    id_to_token = tuple(map(text, kept.tolist()))
     vocab = Vocabulary(
         token_to_id={tok: i for i, tok in enumerate(id_to_token)},
         id_to_token=id_to_token,

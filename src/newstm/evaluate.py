@@ -105,8 +105,12 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     m = 0.5 * (p + q)
 
     def half(a: np.ndarray) -> float:
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
+        terms = a > 0
+        if terms.all():
+            # Every entry, as a view: the masked copies' elements in their
+            # order, so the same sum bit for bit.
+            terms = ...
+        return float(np.sum(a[terms] * np.log(a[terms] / m[terms])))
 
     return 0.5 * half(p) + 0.5 * half(q)
 

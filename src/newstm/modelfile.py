@@ -149,14 +149,18 @@ def json_fields(obj: Any, types: dict[str, Any]) -> tuple:
     """
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, got {_shown(obj)}")
-    missing = [name for name in types if name not in obj]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
-    for name, kind in types.items():
-        what, check = _JSON_TYPES[kind]
-        if not check(obj[name]):
-            raise ValueError(f"field {name!r} must be {what}, got {_shown(obj[name])}")
-    return tuple(obj[name] for name in types)
+    try:
+        values = tuple(map(obj.__getitem__, types))
+    except KeyError:
+        missing = [name for name in types if name not in obj]
+        raise ValueError(f"missing fields {missing}") from None
+    for value, (name, kind) in zip(values, types.items()):
+        # A value of exactly its type passes, save a float, which must be finite.
+        if type(value) is not kind or kind is float:
+            what, check = _JSON_TYPES[kind]
+            if not check(value):
+                raise ValueError(f"field {name!r} must be {what}, got {_shown(value)}")
+    return values
 
 
 def _shown(value: Any) -> str:

@@ -149,3 +149,41 @@ def test_both_sides_run_from_sibling_exports_and_the_change_holds_the_checkout(t
     assert parent_tree.parent == change_tree.parent != root
     assert parent_tree.parent.parent == tmp_path / "tmp"
     assert list((tmp_path / "tmp").iterdir()) == []  # both exports are removed
+
+
+# A run.py that logs to stderr and .bench_work/W/stderr.log as perfbench/run.py
+# does; seed 13 fails one operation with a note.
+FAILING_RUN = """import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+log = Path(".bench_work") / args["--workload"] / "stderr.log"
+log.parent.mkdir(parents=True, exist_ok=True)
+log.write_text("".join(f"child line {i}\\n" for i in range(30)) + f"crash at seed {seed}\\n")
+print(f"run.py stderr {seed}", file=sys.stderr)
+failed = int(seed == 13)
+print(json.dumps({"notes": ["report exited 1"] if failed else []}))
+print(json.dumps({"correct": not failed, "attempted": 6, "failed": failed, "metrics": {}}))
+"""
+
+
+def test_a_failed_run_keeps_its_notes_and_the_tails_of_its_stderr_and_log(tmp_path):
+    root = _repo(tmp_path)
+    (root / "perfbench" / "run.py").write_text(FAILING_RUN)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["commit", "-q", "-am", "failing"], cwd=root, check=True)
+    out = tmp_path / "BENCH_test.json"
+    proc = _bench(root, "12,13", out)
+    assert proc.returncode == 1
+    runs = json.loads(out.read_text())["runs"]
+    failed = [run for run in runs if run["failed"]]
+    assert sorted((run["workload"], run["side"], run["seed"]) for run in failed) == [
+        ("fixture", "change", 13), ("fixture", "parent", 13),
+        ("wide", "change", 13), ("wide", "parent", 13),
+    ]
+    for run in failed:
+        assert run["notes"] == ["report exited 1"]
+        assert run["stderr"] == ["run.py stderr 13"]
+        log = [f"child line {i}" for i in range(11, 30)] + ["crash at seed 13"]
+        assert run["stderr_log"] == log  # its last 20 lines
+    assert all("notes" not in run and "stderr" not in run for run in runs if not run["failed"])

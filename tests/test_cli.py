@@ -152,6 +152,13 @@ def test_config_rejects_non_finite_numbers(setting):
         load_config(None, overrides=["corpus.path=x.jsonl", setting])
 
 
+@pytest.mark.parametrize("day", ["20200117", "2020-W03-5", "2020W035"])
+def test_config_rejects_a_first_start_not_written_yyyy_mm_dd(day):
+    message = rf"^config corpus.first_start: cannot parse '{day}' as date$"
+    with pytest.raises(ValidationError, match=message):
+        load_config(None, overrides=["corpus.path=x.jsonl", f"corpus.first_start={day}"])
+
+
 def test_config_rejects_a_slice_calendar_past_9999(tmp_path, sample_corpus_path, caplog):
     assert load_config(None, overrides=["corpus.path=x.jsonl", "corpus.n_slices=95759"])
     config = write_config(tmp_path / "run.ini", sample_corpus_path)

@@ -71,6 +71,15 @@ def test_load_unparseable_date_rejected(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("day", ["20200105", "2020-W02-1", "2020W021"])
+def test_load_rejects_a_date_not_written_yyyy_mm_dd(tmp_path, day):
+    """date.fromisoformat alone would read each of these as 2020-01-05 or 2020-01-06."""
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [_record("a", "2020-01-05"), _record("b", day)])
+    with pytest.raises(CorpusError, match=rf"line 2: unparseable date '{day}'$"):
+        load_corpus(path)
+
+
 def test_load_missing_field_names_line(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, ['{"id": "a", "date": "2020-01-05", "category": "inrikes"}'])

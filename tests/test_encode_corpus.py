@@ -126,11 +126,28 @@ def _wide_docs(seed=3, n_docs=1000):
     return docs
 
 
+def _adversarial_docs():
+    """Text where a whitespace split or `str.isalnum` could part from the
+    regex: non-ASCII digits and titlecase letters, a capital whose lowercase
+    adds a combining mark (İ), whitespace that only str.split() knows,
+    underscores, stray hyphens, and punctuation joined to words and
+    stopwords; each document repeated past min_count."""
+    texts = [
+        "x² ²2 İstanbul ǅemal ǄEMAL ǆ",
+        "a\u2003b\x1cc\xa0d\u3000e\x85f a_b _a b_ a__b",
+        "covid-19 x--y -a- a- -b covid-19-vaccin covid-19",
+        "(ord), ord. ord; «ord» och, Och. “och” ord!ord ord-och",
+        "x\u2003x² İ ord\x1dord\u2028ord İSTANBUL",
+    ]
+    return [(f"a{r}{i}", text) for r in range(6) for i, text in enumerate(texts)]
+
+
 CORPORA = {
     # name: (docs, no_below, no_above)
     "fixture": (_fixture_docs, 2, 0.5),
     "generated": (_generated_docs, 2, 0.9),
     "planted": (_planted_docs, 1, 1.0),
+    "adversarial": (_adversarial_docs, 1, 1.0),
 }
 
 
@@ -244,12 +261,23 @@ def test_preprocess_fails_without_writing_its_outputs(tmp_path, caplog, bodies, 
 def test_no_tokenize_output_fails_the_token_stream_check():
     """A token is one or more characters that [^\\W_] matches, joined by
     single hyphens. None of those characters, nor '-', is isspace(), so
-    every token passes TokenStream's check and `encode_corpus` skips it."""
+    every token passes TokenStream's check and `encode_corpus` skips it;
+    and no token spans two of the words str.split() gives, so
+    `encode_corpus` can tokenize one word at a time."""
     assert preprocess._TOKEN_RE.pattern == r"[^\W_]+(?:-[^\W_]+)*"
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     token_chars = "".join(re.findall(r"[^\W_]", everything)) + "-"
     assert token_chars.split() == [token_chars]  # no character isspace()
     assert TokenStream("d0", [token_chars]).tokens == (token_chars,)
+
+
+def test_isalnum_holds_exactly_for_the_token_characters():
+    """A word `str.isalnum` accepts is, for the regex, one token: `encode_corpus`
+    takes it as one without the regex."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    token_chars = "".join(re.findall(r"[^\W_]", everything))
+    assert "".join(filter(str.isalnum, everything)) == token_chars
+    assert preprocess._TOKEN_RE.fullmatch(token_chars)
 
 
 # The encoder's peak over the string path's, measured at 0.66 on this corpus

@@ -220,6 +220,34 @@ def test_prevalence_is_token_weighted():
     assert topic_map.prevalence.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _masked_js(p, q):
+    """JS divergence with each half summed over a masked copy of its positive
+    entries: the formula js_divergence skips the copies of when it can."""
+    m = 0.5 * (p + q)
+    halves = (np.sum(a[a > 0] * np.log(a[a > 0] / m[a > 0])) for a in (p, q))
+    return 0.5 * float(next(halves)) + 0.5 * float(next(halves))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "with-zeros"])
+def test_intertopic_distances_are_the_masked_js_divergence_bit_for_bit(zeros):
+    """A positive row's half is summed without a masked copy, a row with
+    zeros through one; either way each distance is the masked sum's float
+    exactly. With zeros, rows 0, 2 and 4 have them and 1, 3 and 5 do not."""
+    rng = np.random.default_rng(5)
+    beta = rng.dirichlet(np.full(997, 0.05), size=6) + 1e-12
+    if zeros:
+        beta[::2, ::7] = 0.0
+        beta[2, :500] = 0.0
+    beta /= beta.sum(axis=1, keepdims=True)
+    assert (beta > 0).all() != zeros
+    distances = intertopic_map(model_from_beta(beta)).distances
+    for i in range(6):
+        for j in range(i + 1, 6):
+            expected = _masked_js(beta[i], beta[j])
+            assert distances[i, j] == distances[j, i] == expected, (i, j)
+            assert js_divergence(beta[j], beta[i]) == _masked_js(beta[j], beta[i]), (j, i)
+
+
 def test_intertopic_csv_roundtrip(tmp_path):
     model = model_from_beta(np.eye(3), theta=np.full((2, 3), 1 / 3))
     topic_map = intertopic_map(model)

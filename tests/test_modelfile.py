@@ -812,3 +812,12 @@ def test_json_fields_returns_the_fields_in_the_order_given_and_names_all_missing
     assert json_fields(obj, {"a": list[int], "b": str}) == ([1, 2], "x")
     with pytest.raises(ValueError, match=r"^missing fields \['c', 'd'\]$"):
         json_fields(obj, {"a": list[int], "c": str, "d": int})
+
+
+def test_json_fields_reports_the_first_of_several_wrong_fields():
+    obj = {"a": "x", "b": True, "c": float("inf"), "d": [1, "2"]}
+    types = {"a": str, "b": int, "c": float, "d": list[int]}
+    with pytest.raises(ValueError, match=r"^field 'b' must be an integer, got true$"):
+        json_fields(obj, types)
+    with pytest.raises(ValueError, match=r"^field 'c' must be a finite number, got Infinity$"):
+        json_fields(obj, {name: types[name] for name in "cba"})
