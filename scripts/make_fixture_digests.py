@@ -22,6 +22,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,14 +49,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def workspace_digests(ws: Path) -> dict[str, str]:
-    """Run the six commands into the empty directory `ws`; digest every file."""
-    from newstm.cli import main
+def workspace_digests(ws: Path, run: Callable[[list[str]], int] | None = None) -> dict[str, str]:
+    """Run the six commands into the empty directory `ws`, each as `run(argv)`
+    (by default `newstm.cli.main`, in this process); digest every file."""
+    if run is None:
+        from newstm.cli import main as run
 
     settings = (f"corpus.path={CORPUS}", *SETTINGS)
     overrides = [arg for setting in settings for arg in ("--set", setting)]
     for command in COMMANDS:
-        if main(["--workspace", str(ws), *overrides, *command]) != 0:
+        if run(["--workspace", str(ws), *overrides, *command]) != 0:
             raise RuntimeError(f"`newstm {' '.join(command)}` failed")
     return {
         path.relative_to(ws).as_posix(): _sha256(path.read_bytes())

@@ -89,7 +89,8 @@ def __getattr__(name: str) -> Any:
     return globals()[name]
 
 
-logger = logging.getLogger(__name__)
+# Named, not __name__: under `python -m newstm.cli` this module is __main__.
+logger = logging.getLogger("newstm.cli")
 
 
 class ValidationError(ValueError):
@@ -551,5 +552,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def console_entry() -> None:
+    """The `newstm` command: run `main`, then end the process without the
+    interpreter's teardown. Every file a command writes is closed and renamed
+    into place before `main` returns, so the teardown would only free memory.
+    Argparse's exits and any exception that escapes `main` leave as usual."""
+    code = main()
+    logging.shutdown()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)  # the normal exit reports what could not be written
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

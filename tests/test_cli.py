@@ -1,5 +1,6 @@
 import configparser
 import fcntl
+import importlib
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ from newstm.cli import (
     load_config,
     main,
 )
-from newstm import cli
+from newstm import __version__, cli
 from newstm.corpus import read_documents, slice_monthly
 from newstm.modelfile import write_model
 from newstm.preprocess import read_bows, read_vocabulary
@@ -551,6 +552,76 @@ def test_each_command_imports_only_the_stages_it_runs(tmp_path, sample_corpus_pa
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "newstm.cli" in loaded and not absent & loaded, (command, absent & loaded)
+
+
+def test_installed_command_runs_console_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["newstm"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.console_entry
+
+
+# How the installed `newstm` script and `python -m newstm.cli` start a command.
+_LAUNCHERS = {
+    "script": ["-c", "import sys; from newstm.cli import console_entry; sys.exit(console_entry())"],
+    "module": ["-m", "newstm.cli"],
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(_LAUNCHERS))
+def test_console_entry_keeps_each_exit_code_and_message(tmp_path, sample_corpus_path, launcher):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    missing = tmp_path / "missing.jsonl"
+    cases = (
+        (
+            ["--set", f"corpus.path={sample_corpus_path}", "report"],
+            1,
+            "",
+            "ERROR newstm.cli: missing artifact 'model_static': "
+            "run `newstm train --mode static` first\n",
+        ),
+        (
+            ["--set", f"corpus.path={missing}", "ingest"],
+            2,
+            "",
+            f"ERROR newstm.cli: [Errno 2] No such file or directory: '{missing}'\n",
+        ),
+        (["--version"], 0, f"newstm {__version__}\n", ""),
+    )
+    # Files, not pipes to a terminal, so neither stream is line-buffered.
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    for args, code, stdout, stderr in cases:
+        with out.open("wb") as out_fh, err.open("wb") as err_fh:
+            proc = subprocess.run(
+                [sys.executable, *_LAUNCHERS[launcher], "--workspace", str(tmp_path / "ws"), *args],
+                env=env,
+                stdout=out_fh,
+                stderr=err_fh,
+                timeout=120,
+            )
+        got = (proc.returncode, out.read_text(encoding="utf-8"), err.read_text(encoding="utf-8"))
+        assert got == (code, stdout, stderr), args
+
+
+def test_console_entry_exits_after_flushing_or_through_sys_exit_if_a_flush_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(logging, "shutdown", lambda: calls.append("shutdown"))
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
+    cli.console_entry()
+    assert calls == ["main", "shutdown", ("_exit", 3)]
+
+    class Closed:
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    calls.clear()
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(SystemExit) as info:
+        cli.console_entry()
+    assert info.value.code == 3 and calls == ["main", "shutdown"]
 
 
 def test_preprocess_exits_2_on_a_stoplist_entry_no_token_can_equal(

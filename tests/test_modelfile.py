@@ -725,6 +725,43 @@ def test_only_modelfile_writes_files():
         assert _file_writes(snippet) == [], snippet
 
 
+def _writes_outside_replacing(source: str) -> list[int]:
+    """Line numbers of `_file_writes` and os.fdopen calls in `source`, with
+    the lines of a top-level function named `replacing` left out."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "replacing":
+            start = min(n.lineno for n in [node, *node.decorator_list]) - 1
+            lines[start : node.end_lineno] = [""] * (node.end_lineno - start)
+    rest = "\n".join(lines)
+    fdopen = [
+        node.lineno
+        for node in ast.walk(ast.parse(rest))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "fdopen"
+    ]
+    return sorted(_file_writes(rest) + fdopen)
+
+
+def test_every_file_write_goes_through_replacing():
+    # cli.console_entry ends a command with os._exit, which flushes no file
+    # object: only a file that replacing has closed and renamed is complete.
+    package = Path(modelfile.__file__).parent
+    writes = {
+        path.name: _writes_outside_replacing(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    replacing = (
+        "@contextmanager\ndef replacing(p, m):\n    with os.fdopen(p, m) as fh:\n        yield fh\n"
+    )
+    assert _writes_outside_replacing(replacing) == []
+    assert _writes_outside_replacing(replacing + "def f(p):\n    return p.open('a')\n") == [6]
+    assert _writes_outside_replacing("f = os.fdopen(fd, 'rb')\n") == [1]
+    assert _writes_outside_replacing("def g(p):\n    p.write_bytes(b'')\n") == [2]
+
+
 def _third_party_imports(source: str) -> list[str]:
     """The modules `source` imports from outside the standard library, numpy
     and newstm; relative imports are newstm's own."""
