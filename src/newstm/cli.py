@@ -370,7 +370,7 @@ class Workspace:
             os.close(fd)
 
 
-def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:
+def cmd_ingest(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
     corpus = load_corpus(config.corpus_path)
     series = articles_per_day(corpus)  # publication timeline over the full load
     filtered = filter_by_category(corpus, config.keep_categories)
@@ -378,12 +378,11 @@ def cmd_ingest(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     write_timeline_csv(series, ws.path_for("timeline"))
 
 
-def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.preprocess")
+def cmd_preprocess(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
     from newstm.encode import encode_corpus
 
     # ingest wrote the corpus sorted, so file order is the order load_corpus gives.
-    docs = read_documents(ws.require(manifest, "corpus"), ascending=True)
+    docs = read_documents(inputs["corpus"], ascending=True)
     vocab, bows = encode_corpus(
         ((doc.id, doc.title + " " + doc.body) for doc in docs),
         load_stopwords(config.stoplist),
@@ -396,25 +395,21 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     write_bows(bows, ws.path_for("bows"))
 
 
-# Both trains take V from the bows file's header. They still require vocab.json,
-# whose hash makes the model stale when it changes, but do not parse it.
+# Both trains take V from the bows file's header. The stage table still lists
+# vocab.json among their reads, whose hash makes the model stale when it
+# changes, but they do not parse it.
 # Neither holds bags it no longer samples: the static chain is handed the only
 # reference to its bags and drops them once it has their tokens, and the DTM
 # reads each slice's rows from the file when the slice starts.
-def cmd_train_static(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.preprocess", "newstm.lda")
-    bows_path = ws.require(manifest, "bows")
-    ws.require(manifest, "vocab")
-    model = train_lda(read_bows(bows_path), config.hyper)
+def cmd_train_static(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
+    model = train_lda(read_bows(inputs["bows"]), config.hyper)
     save_lda(model, ws.path_for("model_static"))
 
 
-def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.dtm")
-    with BowsFile(ws.require(manifest, "bows")) as bows:
-        ws.require(manifest, "vocab")
+def cmd_train_dtm(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
+    with BowsFile(inputs["bows"]) as bows:
         slices = slice_monthly(
-            read_documents(ws.require(manifest, "corpus"), ascending=True),
+            read_documents(inputs["corpus"], ascending=True),
             config.anchor_day,
             config.first_start,
             config.n_slices,
@@ -428,11 +423,10 @@ def cmd_train_dtm(config: RunConfig, ws: Workspace, manifest: dict) -> None:
         train_dtm_to_file(ws.path_for("model_dtm"), slices, bows, config.hyper, config.kappa)
 
 
-def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate", "newstm.exports")
-    model = load_lda(ws.require(manifest, "model_static"))
-    bows = read_bows(ws.require(manifest, "bows"))
-    vocab = read_vocabulary(ws.require(manifest, "vocab"))
+def cmd_report(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
+    model = load_lda(inputs["model_static"])
+    bows = read_bows(inputs["bows"])
+    vocab = read_vocabulary(inputs["vocab"])
     for key, value in (("top_n", config.top_n), ("trajectory_words", config.trajectory_words)):
         if value > len(vocab):
             raise ValidationError(
@@ -440,9 +434,7 @@ def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
             )
     # Each topic's top words at the DTM's last slice, followed through every
     # slice; read before any output is written, one slice of β at a time.
-    trajectories = read_trajectories(
-        ws.require(manifest, "model_dtm"), vocab, config.trajectory_words
-    )
+    trajectories = read_trajectories(inputs["model_dtm"], vocab, config.trajectory_words)
 
     report = umass_coherence(model, bows, config.top_n)
     logger.info("mean UMass coherence over %d topics: %.4f", model.n_topics, report.mean)
@@ -452,13 +444,12 @@ def cmd_report(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     write_trajectory_csv(trajectories, ws.path_for("trajectories"))
 
 
-def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:
-    _bind("newstm.exports")
+def cmd_plot(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
     from newstm.viz import FigureSpec, plot_intertopic, plot_timeline, plot_trajectories
 
-    series = read_timeline_csv(ws.require(manifest, "timeline"))
-    topic_map = read_intertopic_csv(ws.require(manifest, "intertopic"))
-    trajectories = read_trajectory_csv(ws.require(manifest, "trajectories"))
+    series = read_timeline_csv(inputs["timeline"])
+    topic_map = read_intertopic_csv(inputs["intertopic"])
+    trajectories = read_trajectory_csv(inputs["trajectories"])
     figures_dir = ws.figures_dir
 
     def spec(title: str, stem: str) -> FigureSpec:
@@ -477,14 +468,24 @@ def cmd_plot(config: RunConfig, ws: Workspace, manifest: dict) -> None:
     logger.info("figures written to %s", figures_dir)
 
 
-# Producer name, as `_ARTIFACTS` spells it -> the command that writes its artifacts.
-_COMMANDS: dict[str, Callable[[RunConfig, Workspace, dict], None]] = {
-    "ingest": cmd_ingest,
-    "preprocess": cmd_preprocess,
-    "train --mode static": cmd_train_static,
-    "train --mode dtm": cmd_train_dtm,
-    "report": cmd_report,
-    "plot": cmd_plot,
+# The stage table, in pipeline order. Producer name, as `_ARTIFACTS` spells
+# it -> (the command that writes its artifacts, the stage modules `main` binds
+# for it, the artifacts it reads, which `main` requires in this order and
+# hands it as {name: path}).
+_Command = Callable[[RunConfig, Workspace, dict[str, Path]], None]
+_COMMANDS: dict[str, tuple[_Command, tuple[str, ...], tuple[str, ...]]] = {
+    "ingest": (cmd_ingest, (), ()),
+    "preprocess": (cmd_preprocess, ("newstm.preprocess",), ("corpus",)),
+    "train --mode static": (
+        cmd_train_static, ("newstm.preprocess", "newstm.lda"), ("bows", "vocab")
+    ),
+    "train --mode dtm": (cmd_train_dtm, ("newstm.dtm",), ("bows", "vocab", "corpus")),
+    "report": (
+        cmd_report,
+        ("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate", "newstm.exports"),
+        ("model_static", "bows", "vocab", "model_dtm"),
+    ),
+    "plot": (cmd_plot, ("newstm.exports",), ("timeline", "intertopic", "trajectories")),
 }
 
 
@@ -537,10 +538,12 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "seed", None),
         )
         command = args.command + (f" --mode {args.mode}" if "mode" in args else "")
+        run, stages, reads = _COMMANDS[command]
         outputs = [name for name, (_, producer, _) in _ARTIFACTS.items() if producer == command]
         with workspace.lock():
             manifest = workspace.load_manifest()
-            _COMMANDS[command](config, workspace, manifest)
+            _bind(*stages)
+            run(config, workspace, {name: workspace.require(manifest, name) for name in reads})
             if outputs:  # plot writes figures only and leaves manifest.json alone
                 workspace.record(manifest, *outputs)
         return 0

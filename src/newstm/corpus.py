@@ -91,7 +91,8 @@ class TimeSlice:
 
 def read_documents(path: str | Path, *, ascending: bool = False) -> Iterator[Document]:
     """Yield the documents of a JSONL corpus file, one article object per
-    line, in file order; blank lines are skipped.
+    line, in file order; blank lines and a leading byte-order mark are
+    skipped.
 
     Each record needs string id/date/category/title/body fields; dates are
     written YYYY-MM-DD. Malformed records, duplicate ids and, with
@@ -102,7 +103,7 @@ def read_documents(path: str | Path, *, ascending: bool = False) -> Iterator[Doc
     path = Path(path)
     seen: dict[str, int] = {}
     previous: tuple[datetime.date, int] | None = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

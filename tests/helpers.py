@@ -23,9 +23,15 @@ def enumerate_collapsed_posterior(docs, vocab_size, k, alpha, eta):
     the collapsed joint via log-gamma count products (constant factors drop
     under normalization).
 
+    `eta` is one pseudo-count for every word or a (k, V) matrix of them;
+    topic k's denominator uses the sum of its row.
+
     Returns (marginals, states, weights): marginals is (n_tokens, k), tokens
     flattened document by document.
     """
+    eta_kw = np.broadcast_to(np.asarray(eta, dtype=float), (k, vocab_size))
+    eta_sums = eta_kw.sum(axis=1).tolist()
+    eta_kw = eta_kw.tolist()
     doc_ids = [d for d, doc in enumerate(docs) for _ in doc]
     word_ids = [w for doc in docs for w in doc]
     n = len(word_ids)
@@ -46,8 +52,8 @@ def enumerate_collapsed_posterior(docs, vocab_size, k, alpha, eta):
                 logw += math.lgamma(n_dk[d][kk] + alpha)
         for kk in range(k):
             for w in range(vocab_size):
-                logw += math.lgamma(n_kw[kk][w] + eta)
-            logw -= math.lgamma(n_k[kk] + vocab_size * eta)
+                logw += math.lgamma(n_kw[kk][w] + eta_kw[kk][w])
+            logw -= math.lgamma(n_k[kk] + eta_sums[kk])
         log_weights.append(logw)
     logs = np.array(log_weights)
     weights = np.exp(logs - logs.max())

@@ -167,6 +167,12 @@ def test_save_load_roundtrip(tmp_path, sample_corpus_path):
     assert again.documents == corpus.documents
 
 
+def test_a_source_with_a_byte_order_mark_gives_the_same_documents(tmp_path, sample_corpus_path):
+    marked = tmp_path / "bom.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + sample_corpus_path.read_bytes())
+    assert load_corpus(marked).documents == load_corpus(sample_corpus_path).documents
+
+
 def test_filter_identity_when_all_categories_kept():
     docs = (_doc("a", datetime.date(2020, 1, 1), "x"), _doc("b", datetime.date(2020, 1, 2), "y"))
     corpus = Corpus(docs)

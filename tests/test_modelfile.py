@@ -491,7 +491,10 @@ def test_failed_write_keeps_previous_file(tmp_path, models, monkeypatch, kind):
 def test_cli_exits_2_on_old_json_model(tmp_path, sample_corpus_path, models, caplog):
     config = write_config(tmp_path / "run.ini", sample_corpus_path)
     ws = tmp_path / "ws"
-    for command in (["ingest"], ["preprocess"], ["train", "--mode", "static"]):
+    # report requires model_dtm, as every input, before it loads model_static
+    for command in (
+        ["ingest"], ["preprocess"], ["train", "--mode", "static"], ["train", "--mode", "dtm"]
+    ):
         assert main(["--workspace", str(ws), "--config", str(config), *command]) == 0
     # A workspace written before model files became binary: the manifest names
     # a JSON model file and carries its hash, so only the loader can reject it.
