@@ -8,20 +8,12 @@ So blank lines, comment-only lines and docstrings are not counted, and a
 multi-line expression counts each line it spans. Runs from a checkout:
 
     python3 scripts/count_code_lines.py
-    python3 scripts/count_code_lines.py --against REV
-
-With `--against`, each module's count at git revision REV, read with
-`git show` so nothing is checked out, is printed beside the tree's count
-and the change; a module on one side only counts 0 on the other.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
-import subprocess
-import sys
 import tokenize
 from pathlib import Path
 
@@ -64,45 +56,13 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def _git(*args: str) -> str:
-    proc = subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, encoding="utf-8"
-    )
-    if proc.returncode:
-        sys.exit(proc.stderr.strip())
-    return proc.stdout
-
-
-def counts_at(rev: str) -> dict[str, int]:
-    """Code lines of each `src/newstm/*.py` module at git revision `rev`."""
-    names = _git("ls-tree", "--name-only", rev, f"{PACKAGE.relative_to(ROOT).as_posix()}/")
-    return {
-        name: code_lines(_git("show", f"{rev}:{name}"))
-        for name in names.splitlines()
-        if name.endswith(".py")
-    }
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="Count the code lines of each newstm module.")
-    parser.add_argument("--against", metavar="REV", help="also count each module at git REV")
-    args = parser.parse_args(argv)
-    tree = {
-        path.relative_to(ROOT).as_posix(): code_lines(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
-    if args.against is None:
-        for name, count in tree.items():
-            print(f"{count:6d} {name}")
-        print(f"{sum(tree.values()):6d} total")
-        return
-    old = counts_at(args.against)
-    print(f"{args.against[:6]:>6} {'tree':>6} {'change':>6}")
-    for name in sorted(tree.keys() | old.keys()):
-        before, after = old.get(name, 0), tree.get(name, 0)
-        print(f"{before:6d} {after:6d} {after - before:+6d} {name}")
-    before, after = sum(old.values()), sum(tree.values())
-    print(f"{before:6d} {after:6d} {after - before:+6d} total")
+def main() -> None:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d} {path.relative_to(ROOT)}")
+    print(f"{total:6d} total")
 
 
 if __name__ == "__main__":

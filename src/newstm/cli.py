@@ -395,9 +395,9 @@ def cmd_preprocess(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) ->
     write_bows(bows, ws.path_for("bows"))
 
 
-# Both trains take V from the bows file's header. The stage table still lists
-# vocab.json among their reads, whose hash makes the model stale when it
-# changes, but they do not parse it.
+# Both trains take V from the bows file's header. `main` still requires
+# vocab.json for them, whose hash makes the model stale when it changes, but
+# they do not parse it.
 # Neither holds bags it no longer samples: the static chain is handed the only
 # reference to its bags and drops them once it has their tokens, and the DTM
 # reads each slice's rows from the file when the slice starts.
@@ -470,20 +470,19 @@ def cmd_plot(config: RunConfig, ws: Workspace, inputs: dict[str, Path]) -> None:
 
 # The stage table, in pipeline order. Producer name, as `_ARTIFACTS` spells
 # it -> (the command that writes its artifacts, the stage modules `main` binds
-# for it, the artifacts it reads, which `main` requires in this order and
-# hands it as {name: path}).
+# for it, what it reads beyond the inputs `_ARTIFACTS` declares for its
+# outputs). `main` requires each read and hands it to the command as
+# {name: path}.
 _Command = Callable[[RunConfig, Workspace, dict[str, Path]], None]
 _COMMANDS: dict[str, tuple[_Command, tuple[str, ...], tuple[str, ...]]] = {
     "ingest": (cmd_ingest, (), ()),
-    "preprocess": (cmd_preprocess, ("newstm.preprocess",), ("corpus",)),
-    "train --mode static": (
-        cmd_train_static, ("newstm.preprocess", "newstm.lda"), ("bows", "vocab")
-    ),
-    "train --mode dtm": (cmd_train_dtm, ("newstm.dtm",), ("bows", "vocab", "corpus")),
+    "preprocess": (cmd_preprocess, ("newstm.preprocess",), ()),
+    "train --mode static": (cmd_train_static, ("newstm.preprocess", "newstm.lda"), ()),
+    "train --mode dtm": (cmd_train_dtm, ("newstm.dtm",), ()),
     "report": (
         cmd_report,
         ("newstm.preprocess", "newstm.lda", "newstm.dtm", "newstm.evaluate", "newstm.exports"),
-        ("model_static", "bows", "vocab", "model_dtm"),
+        (),
     ),
     "plot": (cmd_plot, ("newstm.exports",), ("timeline", "intertopic", "trajectories")),
 }
@@ -538,8 +537,9 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "seed", None),
         )
         command = args.command + (f" --mode {args.mode}" if "mode" in args else "")
-        run, stages, reads = _COMMANDS[command]
+        run, stages, extra = _COMMANDS[command]
         outputs = [name for name, (_, producer, _) in _ARTIFACTS.items() if producer == command]
+        reads = dict.fromkeys([*(s for name in outputs for s in _ARTIFACTS[name][2]), *extra])
         with workspace.lock():
             manifest = workspace.load_manifest()
             _bind(*stages)

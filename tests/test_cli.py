@@ -393,24 +393,22 @@ def test_each_command_reads_and_records_what_its_artifacts_declare(
         outputs = [name for name, (_, by, _) in _ARTIFACTS.items() if by == producer]
         declared = {source for name in outputs for source in _ARTIFACTS[name][2]}
         if producer == "plot":
-            declared = set(_COMMANDS["plot"][2])
+            declared = {"timeline", "intertopic", "trajectories"}
             after = manifest_path.stat()
             assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert set(read) == declared, producer
-        assert read == list(_COMMANDS[producer][2]), producer  # in the table's order
         done.add(producer)
         artifacts = json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
         assert sorted(artifacts) == sorted(n for n, (_, by, _) in _ARTIFACTS.items() if by in done)
 
 
-def test_the_stage_table_is_in_pipeline_order_and_reads_every_declared_input():
+def test_the_stage_table_is_in_pipeline_order():
     written = set()
-    for producer, (_, _, reads) in _COMMANDS.items():
+    for producer, (_, _, extra) in _COMMANDS.items():
         outputs = [name for name, (_, by, _) in _ARTIFACTS.items() if by == producer]
         # each read is written, per _ARTIFACTS, by an earlier entry
-        assert set(reads) <= written, (producer, set(reads) - written)
-        declared = {source for name in outputs for source in _ARTIFACTS[name][2]}
-        assert declared <= set(reads), (producer, declared - set(reads))
+        reads = {source for name in outputs for source in _ARTIFACTS[name][2]} | set(extra)
+        assert reads <= written, (producer, reads - written)
         written.update(outputs)
     assert written == set(_ARTIFACTS)
 

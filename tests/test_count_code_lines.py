@@ -1,12 +1,7 @@
 """`scripts/count_code_lines.py` counts the lines that hold code."""
 
 import importlib.util
-import shutil
-import subprocess
-import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -40,42 +35,3 @@ def test_counts_code_and_skips_docstrings_comments_and_blank_lines():
     # import os; def f(x):; the two lines of the return; class C:; the two of y
     assert count_code_lines.code_lines(SNIPPET) == 7
 
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_against_a_revision_prints_each_module_at_both_sides_and_the_change(tmp_path):
-    """In a throwaway repository: a.py grows by one code line, b.py goes and
-    c.py comes, and the revision's files are read without a checkout."""
-    (tmp_path / "scripts").mkdir()
-    script = tmp_path / "scripts" / "count_code_lines.py"
-    shutil.copy(ROOT / "scripts" / "count_code_lines.py", script)
-    package = tmp_path / "src" / "newstm"
-    package.mkdir(parents=True)
-    (package / "a.py").write_text("x = 1\n", encoding="utf-8")
-    (package / "b.py").write_text('"""doc"""\ny = 2\nz = 3\n', encoding="utf-8")
-
-    def git(*args):
-        subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-            cwd=tmp_path, check=True, capture_output=True,
-        )
-
-    git("init", "-q")
-    git("add", ".")
-    git("commit", "-q", "-m", "first")
-    (package / "a.py").write_text("x = 1\n\n# note\nw = 4\n", encoding="utf-8")
-    (package / "b.py").unlink()
-    (package / "c.py").write_text("v = 5\n", encoding="utf-8")
-
-    out = subprocess.run(
-        [sys.executable, str(script), "--against", "HEAD"],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert [line.split() for line in out.splitlines()] == [
-        ["HEAD", "tree", "change"],
-        ["1", "2", "+1", "src/newstm/a.py"],
-        ["2", "0", "-2", "src/newstm/b.py"],
-        ["0", "1", "+1", "src/newstm/c.py"],
-        ["3", "3", "+0", "total"],
-    ]
-    assert (package / "a.py").read_text(encoding="utf-8").endswith("w = 4\n")
