@@ -46,7 +46,7 @@ class BowsFile:
             _check_unique(doc_ids)
             for name, (shape, dtype) in zip(_BOWS_ARRAYS, layouts):
                 _check_flat_integer(name, shape, dtype)
-            lengths = self._file.block("doc_lengths").astype(np.int64, copy=False)
+            lengths = self._file.rows("doc_lengths").astype(np.int64, copy=False)
             (n_ids,), (n_counts,) = layouts[1][0], layouts[2][0]
             _check_sizes(len(doc_ids), lengths, n_ids, n_counts, self.vocab_size)
         except (LookupError, TypeError, ValueError) as exc:

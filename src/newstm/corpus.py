@@ -80,7 +80,6 @@ class Corpus:
 class TimeSlice:
     """A half-open date interval [start, end) holding document ids."""
 
-    index: int
     start: datetime.date
     end: datetime.date
     doc_ids: tuple[str, ...]
@@ -230,7 +229,7 @@ def slice_monthly(
             bounds[-1],
         )
     return [
-        TimeSlice(index=t, start=bounds[t], end=bounds[t + 1], doc_ids=tuple(buckets[t]))
+        TimeSlice(start=bounds[t], end=bounds[t + 1], doc_ids=tuple(buckets[t]))
         for t in range(n_slices)
     ]
 

@@ -191,13 +191,14 @@ def read_trajectories(path: str | Path, vocab: Vocabulary, n: int) -> list[Traje
     each once after the last, so the whole β is never held."""
     with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
         slices, _, _ = stored.header
-        beta_t = stored.block("per_slice_beta", len(slices) - 1)
+        held = stored.rows("per_slice_beta", len(slices) - 1)  # (1, k, V): the last slice
+        beta_t = held[0]
         if not 1 <= n <= beta_t.shape[1]:
             raise ValueError(f"n must be in 1..{beta_t.shape[1]}, got {n}")
         top = np.array([_top_order(row, n) for row in beta_t])  # (k, n) word ids
         values = np.empty((len(slices),) + top.shape)
         for t in range(len(slices)):
-            stored.block("per_slice_beta", t, out=beta_t)
+            stored.rows("per_slice_beta", t, t + 1, out=held)
             values[t] = np.take_along_axis(beta_t, top, axis=1)
     labels = tuple(s.start.isoformat() for s in slices)
     out = []
@@ -263,11 +264,11 @@ def _checked_header(
     meta: dict, shapes: dict[str, tuple[int, ...]]
 ) -> tuple[list[TimeSlice], float, LdaHyperparams]:
     """The slices, kappa and base hyperparameters of a DTM file's header,
-    checked to be as `save_dtm` writes them (T >= 1 abutting slices,
-    numbered by position, and kappa >= 0), and against the shapes of the
-    arrays: β is (T, k, V), and θ has a row per document. Fields that
-    earlier versions also wrote (`vocab_size`, `theta_rows`, `slice_seeds`
-    and each slice's `index`) follow from these and are ignored."""
+    checked to be as `save_dtm` writes them (T >= 1 abutting slices, in
+    order, and kappa >= 0), and against the shapes of the arrays: β is
+    (T, k, V), and θ has a row per document. Fields that earlier versions
+    also wrote (`vocab_size`, `theta_rows`, `slice_seeds` and each slice's
+    `index`) follow from these and are ignored."""
     kappa, base_hyper, entries = json_fields(
         meta, {"kappa": float, "base_hyper": dict, "slices": list}
     )
@@ -284,7 +285,7 @@ def _checked_header(
                 raise ValueError(f"start {start} is not slice {t - 1}'s end {slices[-1].end}")
         except ValueError as exc:
             raise ValueError(f"slice {t}: {exc}") from None
-        slices.append(TimeSlice(t, start, end, tuple(doc_ids)))
+        slices.append(TimeSlice(start, end, tuple(doc_ids)))
     json_fields(base_hyper, {"alpha": float})  # as save_dtm writes it: resolved, never null
     hyper = LdaHyperparams(**base_hyper)
     if not slices:  # as train_dtm requires
@@ -304,6 +305,6 @@ def load_dtm(path: str | Path) -> DtmModel:
     """Read a model written by `save_dtm`; a malformed file raises ValueError."""
     with BlockFile(path, _FORMAT, _RETRAIN, _checked_header) as stored:
         slices, kappa, hyper = stored.header
-        beta, theta = stored.block("per_slice_beta"), stored.block("per_slice_theta")
+        beta, theta = stored.rows("per_slice_beta"), stored.rows("per_slice_theta")
     thetas = np.split(theta, np.cumsum([len(s) for s in slices])[:-1])
     return DtmModel(slices, beta, thetas, kappa, hyper)

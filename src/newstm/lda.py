@@ -28,13 +28,14 @@ from newstm import _kernels
 from newstm._kernels import infer_chain
 # Unused here, but perfbench/spans.py looks these two names up on this module.
 from newstm._kernels import gibbs_sweep, infer_sweep  # noqa: F401
-from newstm.modelfile import json_fields, read_model, write_model
+from newstm.modelfile import BlockFile, json_fields, write_model
 from newstm.params import LdaHyperparams
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 logger = logging.getLogger(__name__)
 
 _FORMAT = "newstm-lda"
+_LENGTHS_RULE = "doc_lengths must be a 1-D array of token counts, each >= 0"
 _BLOCK_VALUES = 65_536  # uniforms per block (512 KB), or one sweep's if it needs more
 
 
@@ -476,25 +477,29 @@ def save_lda(model: LdaModel, path: str | Path) -> None:
     write_model(path, _FORMAT, {"hyper": dataclasses.asdict(model.hyper)}, arrays)
 
 
-def _model_from_file(meta: dict, arrays: dict[str, np.ndarray]) -> LdaModel:
-    # A file written before the format held only the estimates also has the
-    # final `z` and `word_ids`, which are read and not used; a `vocab_size` in
-    # an older header is ignored, as V is beta's last axis. save_lda writes the
-    # resolved alpha, so a null one is a fault, not the 50/k default.
+def _checked_header(meta: dict, shapes: dict[str, tuple[int, ...]]) -> LdaHyperparams:
+    """The hyperparameters of a static model file's header, checked against
+    the shapes of its arrays: β is (k, V), and θ has a row per entry of the
+    1-D `doc_lengths`. A file written before the format held only the
+    estimates also has the final `z` and `word_ids`, which are not read; a
+    `vocab_size` in an older header is ignored, as V is β's last axis."""
+    # save_lda writes the resolved alpha, so a null one is a fault, not the 50/k default.
     json_fields(meta["hyper"], {"alpha": float})
     hyper = LdaHyperparams(**meta["hyper"])
-    beta, theta, doc_lengths = arrays["beta"], arrays["theta"], arrays["doc_lengths"]
-    if beta.ndim != 2 or beta.shape[0] != hyper.k:
-        raise ValueError(f"beta has shape {beta.shape}, not ({hyper.k}, V)")
-    if doc_lengths.ndim != 1 or doc_lengths.dtype.kind != "i" or (doc_lengths < 0).any():
-        raise ValueError("doc_lengths must be a 1-D array of token counts, each >= 0")
-    if theta.shape != (doc_lengths.size, hyper.k):
-        raise ValueError(
-            f"theta has shape {theta.shape}, expected {(doc_lengths.size, hyper.k)}"
-        )
-    return LdaModel(beta, theta, hyper, beta.shape[1], doc_lengths)
+    beta, theta, lengths = shapes["beta"], shapes["theta"], shapes["doc_lengths"]
+    if len(beta) != 2 or beta[0] != hyper.k:
+        raise ValueError(f"beta has shape {beta}, not ({hyper.k}, V)")
+    if len(lengths) != 1:
+        raise ValueError(_LENGTHS_RULE)
+    if theta != (lengths[0], hyper.k):
+        raise ValueError(f"theta has shape {theta}, expected {(lengths[0], hyper.k)}")
+    return hyper
 
 
 def load_lda(path: str | Path) -> LdaModel:
     """Read a model written by `save_lda`; a malformed file raises ValueError."""
-    return read_model(path, _FORMAT, "newstm train --mode static", _model_from_file)
+    with BlockFile(path, _FORMAT, "newstm train --mode static", _checked_header) as stored:
+        beta, theta, doc_lengths = map(stored.rows, ("beta", "theta", "doc_lengths"))
+        if doc_lengths.dtype.kind != "i" or (doc_lengths < 0).any():
+            raise stored.invalid(ValueError(_LENGTHS_RULE))
+    return LdaModel(beta, theta, stored.header, beta.shape[1], doc_lengths)

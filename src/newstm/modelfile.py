@@ -22,15 +22,15 @@ plus its blocks along axis 0, the header and its `.npy` header are written
 from the shape, and each block as it comes. The bytes are those of the whole
 array.
 
-Every read goes through `BlockFile`, which reads a stored array whole, one
-leading-axis block or a run of consecutive blocks at a time, each with one
-seek and one `readinto`; so `read_model`, which reads each array whole, and
-a reader of one block or run at a time keep one set of rules. Each array's
-`.npy` header must be format 1.0, in C order and the shape and dtype of its
-header entry, and the file must be exactly as long as its headers say. All
-of this is checked when the file is opened, before any array is allocated,
-so a header that claims more rows than the file holds is an error, not an
-allocation of that size.
+Every read goes through `BlockFile`, which reads only the arrays its
+reader asks for, each whole or a run of consecutive leading-axis blocks at
+a time, with one seek and one `readinto`; so every reader keeps one set of
+rules. Each array's `.npy` header must be format 1.0, in C order and the
+shape and dtype of its header entry, and the file must be exactly as long
+as its headers say. All of this, and the reader's check of the header, is
+done when the file is opened, before any array is allocated, so a header
+that claims more rows than the file holds is an error, not an allocation
+of that size.
 """
 
 from __future__ import annotations
@@ -272,36 +272,9 @@ def write_array(fh: IO[bytes], array: Blocks, *, name: str) -> None:
         raise ValueError(f"array {name!r}: the blocks hold {rows} rows, not {shape[0]}")
 
 
-def _invalid(path: str | Path, fmt: str, retrain: str, exc: Exception) -> ValueError:
-    return ValueError(f"{path}: not a valid {fmt} model file ({exc}); re-run `{retrain}`")
-
-
-def read_model(
-    path: str | Path,
-    fmt: str,
-    retrain: str,
-    build: Callable[[dict, dict[str, np.ndarray]], T],
-) -> T:
-    """Read a `fmt` model file through `BlockFile`, each array whole, and
-    return `build(meta, arrays)`.
-
-    Any malformed file, and any ValueError, LookupError or TypeError that
-    `build` raises on its contents, becomes a ValueError that names the
-    path and the `retrain` command which writes a valid file.
-    """
-    with BlockFile(path, fmt, retrain, lambda meta, shapes: (meta, list(shapes))) as stored:
-        meta, names = stored.header
-        arrays = {name: stored.block(name) for name in names}
-    try:
-        return build(meta, arrays)
-    except (LookupError, TypeError, ValueError) as exc:
-        raise _invalid(path, fmt, retrain, exc) from exc
-
-
 class BlockFile:
-    """A model file held open to read its arrays, each whole, one
-    leading-axis block or a run of them at a time, with one seek and one
-    `readinto`.
+    """A model file held open to read its arrays, each whole or a run of
+    leading-axis blocks at a time, with one seek and one `readinto`.
 
     Opening it checks the header line: the format, the version, and each
     array's name, shape and supported dtype. It then reads each array's
@@ -323,7 +296,7 @@ class BlockFile:
         from numpy.lib.format import read_array_header_1_0, read_magic
 
         self._fh = fh = Path(path).open("rb")
-        self._fault = lambda exc: _invalid(path, fmt, retrain, exc)
+        self._source = (path, fmt, retrain)
         self._layout: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}  # offset, shape, dtype
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -366,7 +339,7 @@ class BlockFile:
             self.header = check(meta, {name: shape for name, (_, shape, _) in self._layout.items()})
         except (LookupError, TypeError, ValueError) as exc:
             fh.close()
-            raise self._fault(exc) from exc
+            raise self.invalid(exc) from exc
         except BaseException:
             fh.close()
             raise
@@ -378,47 +351,29 @@ class BlockFile:
 
     def invalid(self, exc: Exception) -> ValueError:
         """`exc` as the ValueError that names the path and the `retrain`
-        command, for a fault found in the arrays' contents."""
-        return self._fault(exc)
-
-    def block(
-        self, name: str, index: int | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Block `index` of array `name` along axis 0, or with no index the
-        whole array, read into `out` if given."""
-        _, shape, _ = self._layout[name]
-        if index is None:
-            return self._read(name, 0, shape, out)
-        if not 0 <= index < shape[0]:
-            raise IndexError(f"block {index} of array {name!r}, which has {shape[0]}")
-        return self._read(name, index, shape[1:], out)
+        command, as every fault in the file is reported."""
+        path, fmt, retrain = self._source
+        return ValueError(f"{path}: not a valid {fmt} model file ({exc}); re-run `{retrain}`")
 
     def rows(
-        self, name: str, start: int, stop: int, out: np.ndarray | None = None
+        self, name: str, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Blocks start..stop-1 of array `name` along axis 0, as one array,
-        read into `out` if given."""
-        _, shape, _ = self._layout[name]
-        if not 0 <= start <= stop <= shape[0]:
-            raise IndexError(f"blocks {start}..{stop - 1} of array {name!r}, which has {shape[0]}")
-        return self._read(name, start, (stop - start, *shape[1:]), out)
-
-    def _read(
-        self, name: str, start: int, shape: tuple[int, ...], out: np.ndarray | None
-    ) -> np.ndarray:
-        # `shape` starts at block `start`: one block without the leading
-        # axis, or a run of them with it.
+        """Blocks start..stop-1 of array `name` along axis 0, by default the
+        whole array, as one array read into `out` if given."""
         import numpy as np
 
-        offset, stored, dtype = self._layout[name]
-        offset += start * math.prod(stored[1:]) * dtype.itemsize
+        offset, shape, dtype = self._layout[name]
+        stop = shape[0] if stop is None else stop
+        if not 0 <= start <= stop <= shape[0]:
+            raise IndexError(f"blocks {start}..{stop - 1} of array {name!r}, which has {shape[0]}")
+        shape = (stop - start, *shape[1:])
         if out is None:
             out = np.empty(shape, dtype=dtype)
         elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-ordered {dtype}{list(shape)} array")
-        self._fh.seek(offset)
+        self._fh.seek(offset + start * math.prod(shape[1:]) * dtype.itemsize)
         if self._fh.readinto(out) != out.nbytes:
-            raise self._fault(ValueError(f"array {name!r} is cut short"))
+            raise self.invalid(ValueError(f"array {name!r} is cut short"))
         return out
 
     def close(self) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from newstm.corpus import TimeSlice
 from newstm.lda import LdaHyperparams, LdaModel
-from newstm.modelfile import write_model
+from newstm.modelfile import BlockFile, write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
@@ -104,12 +104,19 @@ DRIFT_MARKER_WORD = 1  # in topic A's support at both slices (identifies topic A
 STABLE_WORD = 6  # topic B support marker
 
 
+def read_all_arrays(path, fmt):
+    """The meta of a `fmt` model file and every array it holds, each read
+    whole, in header order."""
+    with BlockFile(path, fmt, "", lambda meta, shapes: (meta, list(shapes))) as stored:
+        meta, names = stored.header
+        return meta, {name: stored.rows(name) for name in names}
+
+
 def monthly_slices(parts, vocab_size):
     """Month-long slices from 2020-01-17, slice t holding the BowDocs of
     parts[t]: returns (slices, Bows.from_docs of every part's BowDocs)."""
     slices = [
         TimeSlice(
-            index=t,
             start=datetime.date(2020, 1 + t, 17),
             end=datetime.date(2020, 2 + t, 17),
             doc_ids=tuple(b.doc_id for b in part),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.lib.format import write_array
 
-from helpers import monthly_slices, planted_two_topic_bows
+from helpers import monthly_slices, planted_two_topic_bows, read_all_arrays
 from newstm.cli import main
 from newstm.dtm import (
     _checked_header,
@@ -30,7 +30,7 @@ from newstm.dtm import (
     trajectory,
 )
 from newstm.lda import LdaHyperparams
-from newstm.modelfile import BlockFile, Blocks, read_model, write_model
+from newstm.modelfile import BlockFile, Blocks, write_model
 from newstm.corpus import TimeSlice
 from newstm.preprocess import BowDoc, Bows, TokenStream, build_vocabulary
 
@@ -47,8 +47,8 @@ F8 = np.dtype(np.float64)
 
 def _whole_array_bytes(path):
     """The file at `path` as the whole-array writer lays it out: its header,
-    then numpy's `write_array` of each array as `read_model` loads it."""
-    meta, arrays = read_model(path, "newstm-dtm", RETRAIN, lambda meta, arrays: (meta, arrays))
+    then numpy's `write_array` of each array as `BlockFile` reads it whole."""
+    meta, arrays = read_all_arrays(path, "newstm-dtm")
     header = {
         "format": "newstm-dtm",
         "version": 2,
@@ -135,18 +135,17 @@ def test_each_block_is_bitwise_the_loaded_slice(wide):
     with BlockFile(wide, "newstm-dtm", RETRAIN, _checked_header) as stored:
         slices, _, hyper = stored.header
         assert (len(slices), hyper.k) == betas.shape[:2]
-        out = np.empty(betas.shape[1:])
+        out = np.empty((1, *betas.shape[1:]))
         for t in range(len(slices)):
-            assert stored.block("per_slice_beta", t).tobytes() == betas[t].tobytes()
-            assert stored.block("per_slice_beta", t, out=out) is out
+            assert stored.rows("per_slice_beta", t, t + 1).tobytes() == betas[t].tobytes()
+            assert stored.rows("per_slice_beta", t, t + 1, out=out) is out
             assert out.tobytes() == betas[t].tobytes()
-        with pytest.raises(IndexError):
-            stored.block("per_slice_beta", len(slices))
-        for start, stop in ((0, len(slices)), (1, 3), (2, 2)):  # a run of blocks, as one array
+        # A run of blocks, as one array: by default the whole array, or to its end.
+        for start, stop in ((0, None), (0, len(slices)), (1, 3), (2, 2), (len(slices) - 1, None)):
             run = stored.rows("per_slice_beta", start, stop)
             assert run.shape == betas[start:stop].shape
             assert run.tobytes() == betas[start:stop].tobytes()
-        for start, stop in ((-1, 1), (2, 1), (0, len(slices) + 1)):
+        for start, stop in ((-1, 1), (2, 1), (0, len(slices) + 1), (len(slices) + 1, None)):
             with pytest.raises(IndexError):
                 stored.rows("per_slice_beta", start, stop)
 
@@ -272,7 +271,7 @@ def _sparse_slices(n_slices, v):
         ]
         start = datetime.date(2020 + t // 12, 1 + t % 12, 17)
         end = datetime.date(2020 + (t + 1) // 12, 1 + (t + 1) % 12, 17)
-        slices.append(TimeSlice(t, start, end, tuple(b.doc_id for b in part)))
+        slices.append(TimeSlice(start, end, tuple(b.doc_id for b in part)))
         docs += part
     return slices, Bows.from_docs(docs, v)
 

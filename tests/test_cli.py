@@ -4,6 +4,7 @@ import importlib
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -206,6 +207,27 @@ def test_readme_config_loads_at_the_defaults_and_lists_every_key(tmp_path):
     listed = {(section, key) for section in parser.sections() for key in parser[section]}
     assert listed == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
     assert loaded == load_config(None, overrides=[f"corpus.path={loaded.corpus_path}"])
+
+
+def test_every_newstm_import_shown_in_the_readme_resolves():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # Code blocks and inline code alike: a run of backticks up to the next run of as many.
+    code = [span for _, span in re.findall(r"(`+)(.+?)(?<!`)\1(?!`)", readme, re.S)]
+    imports = [
+        (module, name)
+        for span in code
+        for module, names in re.findall(
+            r"from\s+(newstm[\w.]*)\s+import\s+(\w+(?:\s*,\s*\w+)*)", span
+        )
+        for name in re.split(r"\s*,\s*", names)
+    ]
+    assert len(imports) > 10
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def test_readme_library_example_runs_on_the_sample_corpus(sample_corpus_path, capsys):

@@ -31,7 +31,7 @@ from newstm.lda import (
     top_words,
     train_lda,
 )
-from newstm.modelfile import write_model
+from newstm.modelfile import BlockFile, write_model
 from newstm.preprocess import BowDoc, Bows, Vocabulary
 
 
@@ -912,9 +912,19 @@ def test_load_lda_rejects_malformed_doc_lengths(tmp_path, doc_lengths):
     assert load_lda(path).doc_lengths.tolist() == [5, 0]
 
 
-def test_model_file_with_assignments_still_loads(tmp_path):
+def test_model_file_with_assignments_still_loads(tmp_path, monkeypatch):
     """A file of the earlier layout, which also holds the final z and the
-    token stream, loads to the same estimates and saves to the new bytes."""
+    token stream, loads to the same estimates and saves to the new bytes.
+    Only the three arrays the model uses are read, and a header whose β
+    has another topic count is rejected before any array is."""
+    reads = []
+    rows = BlockFile.rows
+
+    def recorded(self, name, *args, **kwargs):
+        reads.append(name)
+        return rows(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(BlockFile, "rows", recorded)
     model, bows, _, _ = _planted_model()
     old = tmp_path / "old.newstm"
     _, word_ids, _ = _expand_bows(Bows.from_docs(bows, model.vocab_size))
@@ -929,6 +939,7 @@ def test_model_file_with_assignments_still_loads(tmp_path):
     write_model(old, lda._FORMAT, meta, arrays)
     assert _array_names(old) == list(arrays)
     loaded = load_lda(old)
+    assert reads == ["beta", "theta", "doc_lengths"]
     assert np.array_equal(loaded.beta, model.beta)
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.doc_lengths, model.doc_lengths)
@@ -938,3 +949,10 @@ def test_model_file_with_assignments_still_loads(tmp_path):
     save_lda(model, new)
     save_lda(loaded, resaved)
     assert resaved.read_bytes() == new.read_bytes()
+    reads.clear()
+    meta["hyper"]["k"] += 1
+    write_model(old, lda._FORMAT, meta, arrays)
+    k = model.n_topics
+    with pytest.raises(ValueError, match=rf"beta has shape \({k}, \d+\), not \({k + 1}, V\)"):
+        load_lda(old)
+    assert reads == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.lib.format import write_array_header_1_0, write_array_header_2_0
 
-from helpers import monthly_slices, planted_two_topic_bows
+from helpers import monthly_slices, planted_two_topic_bows, read_all_arrays
 from newstm import _kernels, modelfile
 from newstm.cli import Workspace, _sha256, main
 from newstm.corpus import (
@@ -50,7 +50,7 @@ from newstm.preprocess import (
     write_bows,
     write_vocabulary,
 )
-from newstm.modelfile import BlockFile, json_fields, read_model, write_model
+from newstm.modelfile import BlockFile, json_fields, write_model
 from newstm.viz import FigureSpec, plot_timeline
 from test_cli import write_config
 
@@ -283,7 +283,7 @@ def test_dtm_header_ignores_old_slice_seeds_and_indices(tmp_path, models, case, 
     _dtm_file(path, meta, model.per_slice_beta, np.concatenate(model.per_slice_theta))
     if read == "load_dtm":
         loaded = load_dtm(path)
-        assert [s.index for s in loaded.slices] == [0, 1, 2]
+        assert loaded.slices == model.slices
         assert loaded.slice_seeds == model.slice_seeds
         assert np.array_equal(loaded.per_slice_beta, model.per_slice_beta)
         for got, expected in zip(loaded.per_slice_theta, model.per_slice_theta, strict=True):
@@ -317,7 +317,7 @@ def _with_first_array(path, write_npy_header, fortran_order=False, rows=None):
     saying `rows` rows (in the JSON header too), if given, with the same
     array bytes after it."""
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-    _, arrays = read_model(path, header["format"], "", lambda meta, arrays: (meta, arrays))
+    _, arrays = read_all_arrays(path, header["format"])
     if rows is not None:
         header["arrays"][0]["shape"][0] = rows
     with path.open("wb") as fh:
@@ -763,6 +763,54 @@ def test_every_file_write_goes_through_replacing():
     assert _writes_outside_replacing(replacing + "def f(p):\n    return p.open('a')\n") == [6]
     assert _writes_outside_replacing("f = os.fdopen(fd, 'rb')\n") == [1]
     assert _writes_outside_replacing("def g(p):\n    p.write_bytes(b'')\n") == [2]
+
+
+# Each module's functions that read an array, or the `.npy` header before one.
+_ARRAY_READERS = {
+    "numpy": {"load", "fromfile"},
+    "numpy.lib.format": {
+        "read_array", "read_magic", "read_array_header_1_0", "read_array_header_2_0", "open_memmap",
+    },
+}
+
+
+def _array_reads(source: str) -> list[int]:
+    """Line numbers of the array reads in `source`: a `numpy.lib.format`
+    reader, `np.load` or `np.fromfile`, imported or called, or `.readinto`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            readers = _ARRAY_READERS.get(node.module, set())
+            if any(alias.name in readers for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            on_numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            readers = _ARRAY_READERS["numpy"] if on_numpy else _ARRAY_READERS["numpy.lib.format"]
+            if node.attr in readers | {"readinto"}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_array_read_goes_through_block_file():
+    # BlockFile checks each array's .npy header and the file's length before
+    # it allocates an array, and each reader's header check before it reads.
+    package = Path(modelfile.__file__).parent
+    reads = {
+        path.name: _array_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert reads.pop("modelfile.py") != []  # BlockFile's own reads
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    for snippet in (
+        "x = np.load(path)",
+        "x = numpy.fromfile(fh, dtype)",
+        "fh.readinto(out)",
+        "from numpy.lib.format import read_array",
+        "from numpy import fromfile",
+        "x = format.read_array(fh)",
+    ):
+        assert _array_reads(snippet) == [1], snippet
+    assert _array_reads("from numpy.lib.format import write_array\nnp.save(path, x)\n") == []
 
 
 def _third_party_imports(source: str) -> list[str]:

@@ -500,7 +500,7 @@ def test_bows_file_selects_what_bows_select_gives_bitwise(
     reads = []
     rows = BlockFile.rows
 
-    def counted(self, name, start, stop, out=None):
+    def counted(self, name, start=0, stop=None, out=None):
         reads.append(name)
         return rows(self, name, start, stop, out)
 
